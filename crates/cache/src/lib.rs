@@ -64,7 +64,7 @@ pub use fault::{
     Structure, TargetedFault,
 };
 pub use memory::{MainMemory, MemorySystem, MissService};
-pub use paging::PageMapper;
+pub use paging::{PageKeyHasher, PageMapper};
 pub use policy::{L1DataCache, LoadOutcome, StoreOutcome, WritePolicy};
 pub use tlb::Tlb;
 pub use write_buffer::{WbEntry, WriteBuffer};

@@ -22,14 +22,16 @@ pub const DEFAULT_COLORS: u64 = 256;
 /// of the simulator, and page working sets are far smaller than 4096.
 const XLATE_CACHE_SLOTS: usize = 4096;
 
-/// Single-`u64` hasher for the page table (Fibonacci multiplicative hash).
+/// Hasher for maps keyed by one `u64` — page numbers here, line
+/// addresses in the coherence directory (Fibonacci multiplicative hash).
 ///
 /// The std default (SipHash) costs more than the rest of `translate`
-/// combined. Frame assignment depends only on *insertion order* — the
-/// per-color sequence counters — never on hash values, so swapping the
-/// hasher cannot change any translation.
+/// combined. Use it only where nothing iterates the map: frame
+/// assignment depends only on *insertion order* — the per-color sequence
+/// counters — never on hash values, so swapping the hasher cannot change
+/// any translation. Not DoS-resistant; keys here are simulated addresses.
 #[derive(Debug, Default, Clone)]
-struct PageKeyHasher(u64);
+pub struct PageKeyHasher(u64);
 
 impl Hasher for PageKeyHasher {
     fn finish(&self) -> u64 {

@@ -1,23 +1,30 @@
-//! The CMP engine: N per-core L1 front ends over the shared L2.
+//! The CMP engine: N cores' private L1 front ends over the shared L2.
 //!
-//! [`CmpSimulator`] replicates the single-CPU simulator's per-core state
-//! (scheduler, L1-I/L1-D, TLBs, write buffer, timing and functional
-//! clocks, counters) N times in front of the *shared* structures (the L2
-//! arrays, main-memory system, page mapper) and keeps the L1-D copies
+//! [`CmpSimulator`] owns N [`gaas_sim::Core`]s — the single-CPU
+//! simulator's own per-core pipeline (L1-I/L1-D, TLBs, write buffer,
+//! timing and functional clocks, counters, memos) — in front of one
+//! shared [`gaas_sim::Uncore`] (the L2 arrays, main-memory system, page
+//! mapper), each core with its own scheduler. It keeps the L1-D copies
 //! coherent with a directory-filtered MESI invalidation protocol (see
-//! [`crate::mesi`], [`crate::directory`]).
+//! [`crate::mesi`], [`crate::directory`]) that plugs into the pipeline
+//! through the [`gaas_sim::Coherence`] hooks.
 //!
 //! ## The 1-core identity anchor
 //!
 //! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`] on
-//! the same configuration and workload (test-enforced). The per-core
-//! step functions are line-for-line the single-CPU simulator's full
-//! (uninstrumented) paths — the base engine's same-line/same-page memo
-//! skips are counter- and LRU-neutral, so always taking the full path
-//! reproduces its counters exactly — and every coherence action is gated
-//! on a second core existing. That identity pins all CMP results to the
-//! validated single-CPU model: whatever a multi-core run shows beyond
-//! the 1-core anchor is attributable to sharing, not to engine drift.
+//! the same configuration and workload (test-enforced), by
+//! construction: it steps the same [`gaas_sim::Core`] code with the
+//! same [`gaas_sim::NoCoherence`] hooks, and every coherence action is
+//! gated on a second core existing. That identity pins all CMP results
+//! to the validated single-CPU model: whatever a multi-core run shows
+//! beyond the 1-core anchor is attributable to sharing, not to engine
+//! drift.
+//!
+//! Multi-core runs keep the pipeline's same-line and same-page memos: a
+//! remote invalidation clears the victim core's load memo (see
+//! [`gaas_sim::Core::invalidate_d_line`]). With the coherence oracle on,
+//! the cores step through the instrumented instantiation, which never
+//! reads the memos, so every load hit reaches the oracle.
 //!
 //! ## Coherence charging
 //!
@@ -41,26 +48,20 @@
 //! read-only and the workload model never writes code pages, so
 //! instruction lines cannot go stale.
 
-use gaas_cache::{CacheArray, L1DataCache, MemorySystem, PageMapper, Tlb, WriteBuffer};
 use gaas_mcm::SnoopBus;
-use gaas_sim::config::{ConfigError, L2Config, SimConfig, WbBypass};
+use gaas_sim::config::{ConfigError, SimConfig};
 use gaas_sim::cpi::{Counters, ProcCounters};
-use gaas_sim::sched::Scheduler;
-use gaas_sim::sim::{REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
+use gaas_sim::sched::{Instruction, Scheduler};
+use gaas_sim::sim::CANCEL_CHECK_INTERVAL;
 use gaas_sim::{
-    CancelToken, SimError, SimResult, Termination, Trace, TraceEvent, VirtAddr, MAX_CORES,
+    CancelToken, Coherence, Core, NoCoherence, SimError, SimResult, Termination, Trace, Uncore,
+    MAX_CORES,
 };
-use gaas_trace::{AccessKind, PhysAddr, Pid, PAGE_SHIFT};
+use gaas_trace::{PhysAddr, Pid};
 
 use crate::directory::Directory;
 use crate::mesi::{next_state, MesiEvent, MesiState};
 use crate::oracle::CoherenceOracle;
-
-/// Mirrors the single-CPU simulator's cancellation poll interval so the
-/// 1-core identity covers cancellation boundaries too.
-const CANCEL_CHECK_INTERVAL: u64 = 8192;
-/// Mirrors the single-CPU simulator's software translation cache.
-const TCACHE_WAYS: usize = 256;
 
 /// Result of a CMP run: the merged [`SimResult`] plus the per-core
 /// counter breakdown (warm-up already excluded from both).
@@ -73,61 +74,24 @@ pub struct CmpResult {
     pub per_core: Vec<Counters>,
 }
 
-/// One core's private state: everything the single-CPU simulator owns
-/// except the shared L2 / memory / page mapper.
-struct Core {
-    sched: Scheduler,
-    now: u64,
-    fnow: u64,
-    counters: Counters,
-    l1i: CacheArray,
-    l1d: L1DataCache,
-    itlb: Tlb,
-    dtlb: Tlb,
-    wb: WriteBuffer,
-    tcache: Vec<(u64, u64)>,
-    per_proc: Vec<ProcCounters>,
-    done: bool,
-}
-
-enum L2Arrays {
-    Unified(CacheArray),
-    Split { i: CacheArray, d: CacheArray },
+/// The protocol state every core shares: the directory, the snoop bus,
+/// the optional oracle and the coherence costs.
+struct Protocol {
+    dir: Directory,
+    bus: SnoopBus,
+    oracle: Option<CoherenceOracle>,
+    snoop_bus_cycles: u64,
+    c2c_cycles: u64,
+    inv_cycles: u64,
 }
 
 /// The chip-multiprocessor simulator (see the module docs).
 pub struct CmpSimulator {
     cfg: SimConfig,
     cores: Vec<Core>,
-    l2: L2Arrays,
-    mem_d: MemorySystem,
-    mem_i: MemorySystem,
-    mapper: PageMapper,
-    dir: Directory,
-    bus: SnoopBus,
-    oracle: Option<CoherenceOracle>,
+    ux: Uncore,
+    proto: Protocol,
     cancel: Option<CancelToken>,
-
-    /// True with two or more cores: the only gate on every coherence
-    /// action, so a 1-core run never touches the directory, the bus, the
-    /// MESI counters, or the oracle (the identity anchor).
-    multi: bool,
-    // Config-derived scalars, cached so the per-core step functions can
-    // hold a mutable borrow of one core without re-reading `cfg`.
-    tlb_penalty: u64,
-    concurrent_i_refill: bool,
-    d_read_bypass: WbBypass,
-    d_line_words: u32,
-    split_l2: bool,
-    i_hit_cost: u32,
-    d_hit_cost: u32,
-    ref_i_hit_cost: u32,
-    ref_d_hit_cost: u32,
-    d_write_access: u32,
-    d_write_stream: u32,
-    snoop_bus_cycles: u64,
-    c2c_cycles: u64,
-    inv_cycles: u64,
 }
 
 impl CmpSimulator {
@@ -159,74 +123,20 @@ impl CmpSimulator {
             return Err(ConfigError::CmpWithSeededBug);
         }
         let n = cfg.cmp.cores as usize;
-        let l2 = match cfg.l2 {
-            L2Config::Unified(s) => L2Arrays::Unified(CacheArray::new(s.geometry()?)),
-            L2Config::Split { i, d } => L2Arrays::Split {
-                i: CacheArray::new(i.geometry()?),
-                d: CacheArray::new(d.geometry()?),
-            },
-        };
         let cores = (0..n)
-            .map(|_| {
-                Ok(Core {
-                    // Placeholder; the real schedulers are installed by
-                    // `run_warmed` from the per-core trace lists.
-                    sched: Scheduler::new(Vec::new(), cfg.mp.level, cfg.mp.time_slice_cycles),
-                    now: 0,
-                    fnow: 0,
-                    counters: Counters::new(),
-                    l1i: CacheArray::new(cfg.l1i.geometry()?),
-                    l1d: L1DataCache::new(cfg.l1d.geometry()?, cfg.policy),
-                    itlb: Tlb::instruction(),
-                    dtlb: Tlb::data(),
-                    wb: WriteBuffer::new(cfg.write_buffer.depth),
-                    tcache: vec![(u64::MAX, 0); TCACHE_WAYS],
-                    per_proc: Vec::new(),
-                    done: false,
-                })
-            })
+            .map(|_| Core::new(&cfg))
             .collect::<Result<Vec<_>, ConfigError>>()?;
-
-        // Identical cost derivation to the single-CPU simulator.
-        let beats = |line_words: u32| line_words.div_ceil(4);
-        let i_side = cfg.l2.i_side();
-        let d_side = cfg.l2.d_side();
-        let i_hit_cost = i_side.access_cycles + beats(cfg.l1i.line_words) - 1;
-        let d_hit_cost = d_side.access_cycles + beats(cfg.l1d.line_words) - 1;
-        let ref_i_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1i.line_words) - 1;
-        let ref_d_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1d.line_words) - 1;
-        let d_write_access = cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles);
-        let d_write_stream = d_write_access.saturating_sub(2).max(1);
-
-        let oracle = if cfg.diffcheck.enabled {
-            Some(CoherenceOracle::new(n))
-        } else {
-            None
-        };
         Ok(CmpSimulator {
-            multi: n > 1,
-            tlb_penalty: cfg.tlb_miss_penalty as u64,
-            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
-            d_read_bypass: cfg.concurrency.d_read_bypass,
-            d_line_words: cfg.l1d.line_words,
-            split_l2: cfg.l2.is_split(),
-            i_hit_cost,
-            d_hit_cost,
-            ref_i_hit_cost,
-            ref_d_hit_cost,
-            d_write_access,
-            d_write_stream,
-            snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
-            c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
-            inv_cycles: cfg.cmp.invalidate_cycles as u64,
             cores,
-            l2,
-            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
-            mem_i: MemorySystem::new(cfg.memory, false),
-            mapper: PageMapper::new(cfg.page_colors),
-            dir: Directory::new(),
-            bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
-            oracle,
+            ux: Uncore::new(&cfg)?,
+            proto: Protocol {
+                dir: Directory::new(),
+                bus: SnoopBus::new(cfg.cmp.snoop_bus_cycles),
+                oracle: cfg.diffcheck.enabled.then(|| CoherenceOracle::new(n)),
+                snoop_bus_cycles: cfg.cmp.snoop_bus_cycles as u64,
+                c2c_cycles: cfg.cmp.c2c_transfer_cycles as u64,
+                inv_cycles: cfg.cmp.invalidate_cycles as u64,
+            },
             cancel: None,
             cfg,
         })
@@ -269,9 +179,11 @@ impl CmpSimulator {
         );
         let level = self.cfg.mp.level;
         let slice = self.cfg.mp.time_slice_cycles;
-        for (core, traces) in self.cores.iter_mut().zip(per_core) {
-            core.sched = Scheduler::new(traces, level, slice);
-        }
+        let mut scheds: Vec<Scheduler> = per_core
+            .into_iter()
+            .map(|traces| Scheduler::new(traces, level, slice))
+            .collect();
+        let mut done = vec![false; self.cores.len()];
 
         let mut total_instructions = 0u64;
         let mut warm_snapshot: Option<Vec<Counters>> = None;
@@ -288,7 +200,11 @@ impl CmpSimulator {
         };
         let mut termination = Termination::Completed;
         let mut next_poll = next_warm.min(budget_limit).min(next_cancel_check);
-        let oracle_on = self.multi && self.oracle.is_some();
+        // Every coherence action is gated on a second core existing, so a
+        // 1-core run never touches the directory, the bus, the MESI
+        // counters, or the oracle (the identity anchor).
+        let multi = self.cores.len() > 1;
+        let oracle_on = multi && self.proto.oracle.is_some();
 
         loop {
             // Next core by functional-clock order, lowest id on ties
@@ -296,8 +212,8 @@ impl CmpSimulator {
             let mut active = usize::MAX;
             let mut best = u64::MAX;
             for (i, core) in self.cores.iter().enumerate() {
-                if !core.done && core.fnow < best {
-                    best = core.fnow;
+                if !done[i] && core.fnow() < best {
+                    best = core.fnow();
                     active = i;
                 }
             }
@@ -305,19 +221,19 @@ impl CmpSimulator {
                 break;
             }
             let c = active;
-            let fnow = self.cores[c].fnow;
-            let Some(instr) = self.cores[c].sched.next_instruction(fnow) else {
-                self.cores[c].done = true;
+            let Some(instr) = scheds[c].next_instruction(best) else {
+                done[c] = true;
                 continue;
             };
-            self.step_ifetch(c, &instr.ifetch);
-            if let Some(data) = instr.data {
-                self.step_data(c, &data);
+            if !multi {
+                self.cores[c].step_instruction::<false, _>(&mut self.ux, &mut NoCoherence, &instr);
+            } else if oracle_on {
+                self.step_shared::<true>(c, &instr);
+            } else {
+                self.step_shared::<false>(c, &instr);
             }
-            let fnow = self.cores[c].fnow;
-            self.cores[c]
-                .sched
-                .post_instruction(fnow, instr.ifetch.syscall);
+            let fnow = self.cores[c].fnow();
+            scheds[c].post_instruction(fnow, instr.ifetch.syscall);
             total_instructions += 1;
 
             if oracle_on {
@@ -333,7 +249,7 @@ impl CmpSimulator {
                     }
                 }
                 if total_instructions >= next_warm {
-                    warm_snapshot = Some(self.cores.iter().map(|core| core.counters).collect());
+                    warm_snapshot = Some(self.cores.iter().map(|core| *core.counters()).collect());
                     next_warm = u64::MAX;
                 }
                 if total_instructions >= budget_limit {
@@ -344,12 +260,13 @@ impl CmpSimulator {
             }
         }
 
-        for core in &mut self.cores {
-            core.counters.syscall_switches = core.sched.syscall_switches();
-            core.counters.slice_switches = core.sched.slice_switches();
+        for (core, sched) in self.cores.iter_mut().zip(&scheds) {
+            let counters = core.counters_mut();
+            counters.syscall_switches = sched.syscall_switches();
+            counters.slice_switches = sched.slice_switches();
             debug_assert_eq!(
-                core.now,
-                core.counters.total_cycles(),
+                core.now(),
+                core.counters().total_cycles(),
                 "per-core cycle accounting must balance"
             );
         }
@@ -358,8 +275,8 @@ impl CmpSimulator {
             .iter()
             .enumerate()
             .map(|(i, core)| match &warm_snapshot {
-                Some(snaps) => core.counters.since(&snaps[i]),
-                None => core.counters,
+                Some(snaps) => core.counters().since(&snaps[i]),
+                None => *core.counters(),
             })
             .collect();
         let merged = per_core.iter().fold(Counters::new(), |acc, c| acc.accum(c));
@@ -369,7 +286,7 @@ impl CmpSimulator {
         // all of them).
         let mut merged_pp: Vec<ProcCounters> = Vec::new();
         for core in &self.cores {
-            for (idx, p) in core.per_proc.iter().enumerate() {
+            for (idx, p) in core.per_proc().iter().enumerate() {
                 if merged_pp.len() <= idx {
                     merged_pp.resize(idx + 1, ProcCounters::default());
                 }
@@ -389,13 +306,12 @@ impl CmpSimulator {
             .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
             .map(|(i, p)| (Pid::new(i as u8), *p))
             .collect();
-        let completed = self
-            .cores
+        let completed = scheds
             .iter()
-            .flat_map(|core| core.sched.completed().iter().cloned())
+            .flat_map(|sched| sched.completed().iter().cloned())
             .collect();
 
-        crate::record_run(&merged, &self.bus);
+        crate::record_run(&merged, &self.proto.bus);
         let result = SimResult {
             config: self.cfg.clone(),
             counters: merged,
@@ -410,232 +326,70 @@ impl CmpSimulator {
     /// Accesses the coherence oracle has checked so far (`None` when the
     /// oracle is disabled).
     pub fn oracle_checked(&self) -> Option<u64> {
-        self.oracle.as_ref().map(CoherenceOracle::checked)
+        self.proto.oracle.as_ref().map(CoherenceOracle::checked)
     }
 
     fn take_violation(&mut self) -> Option<SimError> {
-        let v = self.oracle.as_ref()?.violation()?.clone();
+        let v = self.proto.oracle.as_ref()?.violation()?.clone();
         Some(SimError::Coherence {
             core: v.core,
-            cycle: self.cores[v.core as usize].now,
+            cycle: self.cores[v.core as usize].now(),
             detail: v.detail,
         })
     }
 
-    // ---- per-core step functions ----
-    //
-    // These mirror the single-CPU simulator's uninstrumented paths
-    // statement for statement; the only additions are the
-    // `self.multi`-gated coherence calls, inserted before the write
-    // buffer / miss service chain of the data side.
-
-    fn translate(&mut self, c: usize, addr: VirtAddr) -> PhysAddr {
-        let key = addr.raw() >> PAGE_SHIFT;
-        let idx = (key as usize) & (TCACHE_WAYS - 1);
-        let (k, ppn) = self.cores[c].tcache[idx];
-        if k == key {
-            return PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset());
-        }
-        let p = self.mapper.translate(addr);
-        self.cores[c].tcache[idx] = (key, p.ppn());
-        p
-    }
-
-    /// This core's L1-D line base for `paddr` (the directory's tracking
-    /// granularity).
-    fn d_line_base(&self, paddr: PhysAddr) -> PhysAddr {
-        PhysAddr::new(paddr.word() & !(self.d_line_words as u64 - 1))
-    }
-
-    fn step_ifetch(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 1 + ev.stall_cycles as u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        let mut missed = false;
-        core.counters.instructions += 1;
-        core.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-        core.fnow += 1 + ev.stall_cycles as u64;
-
-        if !core.itlb.access(ev.addr) {
-            core.counters.itlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        if self.cores[c].l1i.touch(paddr).is_none() {
-            self.cores[c].counters.l1i_misses += 1;
-            missed = true;
-            let mut t = self.cores[c].now + cycles;
-            if !self.concurrent_i_refill {
-                let empty = self.cores[c].wb.empty_at(t);
-                let wait = empty - t;
-                self.cores[c].counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i_miss(c, t, paddr);
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.instructions += 1;
-        p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    fn step_data(&mut self, c: usize, ev: &TraceEvent) {
-        match ev.kind {
-            AccessKind::Load => self.step_load(c, ev),
-            AccessKind::Store => self.step_store(c, ev),
-            AccessKind::IFetch => unreachable!("data step on a fetch"),
-        }
-    }
-
-    fn step_load(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 0u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        core.counters.loads += 1;
-        if !core.dtlb.access(ev.addr) {
-            core.counters.dtlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        let outcome = self.cores[c].l1d.load(paddr);
-        if outcome.hit {
-            if self.multi && self.oracle.is_some() {
-                let line = self.d_line_base(paddr);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.check_load_hit(c, line);
-                }
-            }
-        } else {
-            self.cores[c].counters.l1d_read_misses += 1;
-            let line_base = outcome.fetch.expect("miss implies fetch");
-            if self.multi {
-                cycles += self.coherence_load_fill(c, self.cores[c].now + cycles, line_base);
-            }
-            let mut t = self.cores[c].now + cycles;
-            let wait = self.wb_wait_for_d_miss(c, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(c, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(c, t, line_base);
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.loads += 1;
-        p.cycles += cycles;
-        if !outcome.hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    fn step_store(&mut self, c: usize, ev: &TraceEvent) {
-        let mut cycles = 0u64;
-        let tlb_penalty = self.tlb_penalty;
-        let core = &mut self.cores[c];
-        let l2_before = core.counters.l2i_misses + core.counters.l2d_misses;
-        core.counters.stores += 1;
-        if !core.dtlb.access(ev.addr) {
-            core.counters.dtlb_misses += 1;
-            core.counters.tlb_miss_cycles += tlb_penalty;
-            cycles += tlb_penalty;
-        }
-        let paddr = self.translate(c, ev.addr);
-
-        // The pre-store MESI state must be read before the array changes
-        // (a write-allocate fill would make a stale directory bit look
-        // freshly resident).
-        let line = self.d_line_base(paddr);
-        let prev_local = if self.multi {
-            let resident = self.cores[c].l1d.array().contains(line);
-            self.dir.heal(line, c, resident)
-        } else {
-            MesiState::Invalid
+    /// Steps core `c` through one instruction with the MESI hooks, the
+    /// other cores reachable as remotes.
+    fn step_shared<const HOOKS: bool>(&mut self, c: usize, instr: &Instruction) {
+        let (below, rest) = self.cores.split_at_mut(c);
+        let (core, above) = rest.split_first_mut().expect("active core exists");
+        let mut snoop = Snoop {
+            proto: &mut self.proto,
+            c,
+            below,
+            above,
         };
+        core.step_instruction::<HOOKS, _>(&mut self.ux, &mut snoop, instr);
+    }
+}
 
-        let outcome = self.cores[c].l1d.store(paddr, ev.partial_word);
-        if !outcome.hit {
-            self.cores[c].counters.l1d_write_misses += 1;
-        }
-        if outcome.extra_cycle {
-            self.cores[c].counters.l1_write_cycles += 1;
-            cycles += 1;
-            self.cores[c].fnow += 1;
-        }
-        if self.multi {
-            cycles += self.coherence_store(c, self.cores[c].now + cycles, line, prev_local);
-        }
-        let mut t = self.cores[c].now + cycles;
+/// The protocol as seen by the stepping core `c`: the shared state plus
+/// every other core, by id.
+struct Snoop<'a> {
+    proto: &'a mut Protocol,
+    c: usize,
+    /// Cores `0..c`.
+    below: &'a mut [Core],
+    /// Cores `c + 1..`.
+    above: &'a mut [Core],
+}
 
-        if let Some(word) = outcome.wb_word {
-            let stall = self.enqueue_write(c, t, word);
-            cycles += stall;
-            t += stall;
-        }
-        if let Some(line_base) = outcome.fetch {
-            let wait = self.wb_wait_for_d_miss(c, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(c, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(c, t, line_base);
-        } else if let Some(victim) = outcome.writeback_victim {
-            let stall = self.enqueue_write(c, t, victim);
-            cycles += stall;
-        }
-        self.cores[c].now += cycles;
-
-        let core = &mut self.cores[c];
-        let l2_after = core.counters.l2i_misses + core.counters.l2d_misses;
-        let p = proc_entry(&mut core.per_proc, ev.addr.pid());
-        p.stores += 1;
-        p.cycles += cycles;
-        if !outcome.hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
+impl Snoop<'_> {
+    /// Every core id but the stepping core's.
+    fn remotes(&self) -> impl Iterator<Item = usize> {
+        let c = self.c;
+        (0..self.below.len() + 1 + self.above.len()).filter(move |&m| m != c)
     }
 
-    // ---- coherence actions (multi-core only) ----
+    fn remote(&mut self, m: usize) -> &mut Core {
+        if m < self.c {
+            &mut self.below[m]
+        } else {
+            &mut self.above[m - self.c - 1]
+        }
+    }
 
     /// Collects the healed remote sharers of `line` (cores other than
     /// `c` whose L1-D actually holds it).
     fn remote_sharers(
         &mut self,
-        c: usize,
         line: PhysAddr,
     ) -> ([(usize, MesiState); MAX_CORES as usize], usize) {
         let mut remotes = [(0usize, MesiState::Invalid); MAX_CORES as usize];
         let mut nr = 0;
-        for m in 0..self.cores.len() {
-            if m == c {
-                continue;
-            }
-            let resident = self.cores[m].l1d.array().contains(line);
-            let st = self.dir.heal(line, m, resident);
+        for m in self.remotes() {
+            let resident = self.remote(m).l1d().array().contains(line);
+            let st = self.proto.dir.heal(line, m, resident);
             if st != MesiState::Invalid {
                 remotes[nr] = (m, st);
                 nr += 1;
@@ -643,34 +397,127 @@ impl CmpSimulator {
         }
         (remotes, nr)
     }
+}
+
+impl Coherence for Snoop<'_> {
+    type Prior = MesiState;
+
+    fn before_store(&mut self, core: &Core, line: PhysAddr) -> MesiState {
+        let resident = core.l1d().array().contains(line);
+        self.proto.dir.heal(line, self.c, resident)
+    }
+
+    /// MESI bookkeeping + cost for a store by the stepping core to `line`
+    /// at time `t0` (`prev_local` read before the array changed).
+    fn store(
+        &mut self,
+        core: &mut Core,
+        ux: &mut Uncore,
+        t0: u64,
+        line: PhysAddr,
+        prev_local: MesiState,
+    ) -> u64 {
+        let c = self.c;
+        let (remotes, nr) = self.remote_sharers(line);
+        let mut charge = 0u64;
+        // The directory filters: only stores that must reach another
+        // core's cache (invalidation round) or announce an upgrade of a
+        // Shared copy occupy the bus. Stores hitting a local M/E line
+        // are silent, and store misses with no sharers are satisfied by
+        // the L2 write path alone.
+        if nr > 0 || prev_local == MesiState::Shared {
+            let g = self.proto.bus.transact(c as u32, t0);
+            charge += g.wait + self.proto.snoop_bus_cycles;
+            for &(m, st) in &remotes[..nr] {
+                debug_assert!(
+                    next_state(st, MesiEvent::RemoteWrite).is_ok(),
+                    "remote write is legal in every valid state"
+                );
+                let evicted = self.remote(m).invalidate_d_line(line);
+                if let Some(victim) = evicted {
+                    core.counters_mut().invalidations += 1;
+                    self.remote(m).counters_mut().mesi_to_i += 1;
+                    charge += self.proto.inv_cycles;
+                    if victim.dirty {
+                        // A Modified copy's data is flushed to L2-D as
+                        // part of the invalidation.
+                        ux.l2_dirty_d(line);
+                    }
+                }
+                self.proto.dir.set(line, m, MesiState::Invalid);
+                if self.proto.oracle.is_some() {
+                    let still = self.remote(m).l1d().array().contains(line);
+                    if let Some(o) = self.proto.oracle.as_mut() {
+                        o.note_invalidate(m, line, still);
+                    }
+                }
+            }
+            if prev_local == MesiState::Shared {
+                core.counters_mut().upgrade_misses += 1;
+            }
+        }
+        // Final local state: Modified when the line is resident after
+        // the store (hit, or write-allocate fill); a non-allocating
+        // store miss leaves it Invalid while still having invalidated
+        // the remote copies.
+        let resident = core.l1d().array().contains(line);
+        let new_local = if resident {
+            MesiState::Modified
+        } else {
+            MesiState::Invalid
+        };
+        if resident && prev_local != MesiState::Modified {
+            core.counters_mut().mesi_to_m += 1;
+        }
+        self.proto.dir.set(line, c, new_local);
+        if self.proto.oracle.is_some() {
+            // SWMR: after the invalidation round no other core may hold
+            // the line, whatever state the directory claims.
+            let mut offenders = [0usize; MAX_CORES as usize];
+            let mut no = 0;
+            for m in self.remotes() {
+                if self.remote(m).l1d().array().contains(line) {
+                    offenders[no] = m;
+                    no += 1;
+                }
+            }
+            if let Some(o) = self.proto.oracle.as_mut() {
+                o.note_store(c, line);
+                o.check_swmr(c, line, &offenders[..no]);
+            }
+        }
+        core.counters_mut().coherence_stall_cycles += charge;
+        charge
+    }
 
     /// MESI bookkeeping + cost for a load miss that just filled `line`
-    /// on core `c` at time `t0`; returns the coherence stall.
-    fn coherence_load_fill(&mut self, c: usize, t0: u64, line: PhysAddr) -> u64 {
-        let (remotes, nr) = self.remote_sharers(c, line);
+    /// on the stepping core at time `t0`.
+    fn load_fill(&mut self, core: &mut Core, ux: &mut Uncore, t0: u64, line: PhysAddr) -> u64 {
+        let c = self.c;
+        let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
         if nr > 0 {
             // Remote copies exist: the read goes on the snoop bus so the
             // owners can demote (and a Modified owner can supply).
-            let g = self.bus.transact(c as u32, t0);
-            charge += g.wait + self.snoop_bus_cycles;
+            let g = self.proto.bus.transact(c as u32, t0);
+            charge += g.wait + self.proto.snoop_bus_cycles;
             for &(m, st) in &remotes[..nr] {
                 match st {
                     MesiState::Modified => {
-                        self.cores[c].counters.c2c_transfers += 1;
-                        charge += self.c2c_cycles;
+                        core.counters_mut().c2c_transfers += 1;
+                        charge += self.proto.c2c_cycles;
                         // The owner's writeback lands in the shared L2-D.
-                        self.l2_dirty_d(line);
+                        ux.l2_dirty_d(line);
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("M -> RemoteRead is legal");
-                        self.dir.set(line, m, ns);
-                        self.cores[m].counters.mesi_to_s += 1;
+                        self.proto.dir.set(line, m, ns);
+                        self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Exclusive => {
                         let ns = next_state(st, MesiEvent::RemoteRead)
                             .expect("E -> RemoteRead is legal");
-                        self.dir.set(line, m, ns);
-                        self.cores[m].counters.mesi_to_s += 1;
+                        self.proto.dir.set(line, m, ns);
+                        self.remote(m).counters_mut().mesi_to_s += 1;
                     }
                     MesiState::Shared => {}
                     MesiState::Invalid => unreachable!("healed sharers are valid"),
@@ -683,252 +530,91 @@ impl CmpSimulator {
             MesiEvent::FillExclusive
         };
         let ns = next_state(MesiState::Invalid, fill).expect("fill from I is legal");
-        self.dir.set(line, c, ns);
+        self.proto.dir.set(line, c, ns);
         match ns {
-            MesiState::Shared => self.cores[c].counters.mesi_to_s += 1,
-            MesiState::Exclusive => self.cores[c].counters.mesi_to_e += 1,
+            MesiState::Shared => core.counters_mut().mesi_to_s += 1,
+            MesiState::Exclusive => core.counters_mut().mesi_to_e += 1,
             _ => unreachable!("fills produce E or S"),
         }
-        if let Some(o) = self.oracle.as_mut() {
+        if let Some(o) = self.proto.oracle.as_mut() {
             o.note_fill(c, line);
         }
-        self.cores[c].counters.coherence_stall_cycles += charge;
+        core.counters_mut().coherence_stall_cycles += charge;
         charge
     }
 
-    /// MESI bookkeeping + cost for a store by core `c` to `line` at time
-    /// `t0` (`prev_local` read before the array changed); returns the
-    /// coherence stall.
-    fn coherence_store(&mut self, c: usize, t0: u64, line: PhysAddr, prev_local: MesiState) -> u64 {
-        let (remotes, nr) = self.remote_sharers(c, line);
-        let mut charge = 0u64;
-        // The directory filters: only stores that must reach another
-        // core's cache (invalidation round) or announce an upgrade of a
-        // Shared copy occupy the bus. Stores hitting a local M/E line
-        // are silent, and store misses with no sharers are satisfied by
-        // the L2 write path alone.
-        if nr > 0 || prev_local == MesiState::Shared {
-            let g = self.bus.transact(c as u32, t0);
-            charge += g.wait + self.snoop_bus_cycles;
-            for &(m, st) in &remotes[..nr] {
-                debug_assert!(
-                    next_state(st, MesiEvent::RemoteWrite).is_ok(),
-                    "remote write is legal in every valid state"
-                );
-                let evicted = self.cores[m].l1d.array_mut().invalidate(line);
-                if let Some(victim) = evicted {
-                    self.cores[c].counters.invalidations += 1;
-                    self.cores[m].counters.mesi_to_i += 1;
-                    charge += self.inv_cycles;
-                    if victim.dirty {
-                        // A Modified copy's data is flushed to L2-D as
-                        // part of the invalidation.
-                        self.l2_dirty_d(line);
-                    }
-                }
-                self.dir.set(line, m, MesiState::Invalid);
-                if let Some(o) = self.oracle.as_mut() {
-                    let still = self.cores[m].l1d.array().contains(line);
-                    o.note_invalidate(m, line, still);
-                }
-            }
-            if prev_local == MesiState::Shared {
-                self.cores[c].counters.upgrade_misses += 1;
-            }
+    fn load_hit(&mut self, _: &Core, line: PhysAddr) {
+        if let Some(o) = self.proto.oracle.as_mut() {
+            o.check_load_hit(self.c, line);
         }
-        // Final local state: Modified when the line is resident after
-        // the store (hit, or write-allocate fill); a non-allocating
-        // store miss leaves it Invalid while still having invalidated
-        // the remote copies.
-        let resident = self.cores[c].l1d.array().contains(line);
-        let new_local = if resident {
-            MesiState::Modified
-        } else {
-            MesiState::Invalid
-        };
-        if resident && prev_local != MesiState::Modified {
-            self.cores[c].counters.mesi_to_m += 1;
-        }
-        self.dir.set(line, c, new_local);
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_store(c, line);
-        }
-        if self.oracle.is_some() {
-            // SWMR: after the invalidation round no other core may hold
-            // the line, whatever state the directory claims.
-            let mut offenders = [0usize; MAX_CORES as usize];
-            let mut no = 0;
-            for m in 0..self.cores.len() {
-                if m != c && self.cores[m].l1d.array().contains(line) {
-                    offenders[no] = m;
-                    no += 1;
-                }
-            }
-            if let Some(o) = self.oracle.as_mut() {
-                o.check_swmr(c, line, &offenders[..no]);
-            }
-        }
-        self.cores[c].counters.coherence_stall_cycles += charge;
-        charge
-    }
-
-    // ---- shared-L2 / memory service (identical to the single-CPU
-    // simulator, with counters attributed to the requesting core) ----
-
-    fn l2_touch_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => a.touch(addr).is_some(),
-        }
-    }
-
-    fn l2_touch_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => a.touch(addr).is_some(),
-        }
-    }
-
-    fn l2_fill_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_fill_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_dirty_d(&mut self, addr: PhysAddr) {
-        let (L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. }) = &mut self.l2;
-        if let Some(mut line) = a.touch(addr) {
-            line.set_dirty(true);
-        }
-    }
-
-    fn service_i_miss(&mut self, c: usize, start: u64, paddr: PhysAddr) -> u64 {
-        self.cores[c].counters.l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost as u64;
-        if self.l2_touch_i(paddr) {
-            self.cores[c].counters.l1i_miss_cycles += hit_cost;
-            self.cores[c].fnow += self.ref_i_hit_cost as u64;
-            self.cores[c].l1i.fill(paddr);
-            return hit_cost;
-        }
-        self.cores[c].counters.l2i_misses += 1;
-        let dirty_victim = self.l2_fill_i(paddr);
-        self.cores[c].fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        let svc = if self.split_l2 {
-            self.mem_i.service_miss(start, dirty_victim)
-        } else {
-            self.mem_d.service_miss(start, dirty_victim)
-        };
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        let counters = &mut self.cores[c].counters;
-        counters.l1i_miss_cycles += l1_share;
-        counters.l2i_miss_cycles += service - l1_share;
-        counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        self.cores[c].l1i.fill(paddr);
-        svc.stall_cycles
-    }
-
-    fn service_d_miss(&mut self, c: usize, start: u64, line_base: PhysAddr) -> u64 {
-        self.cores[c].counters.l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost as u64;
-        if self.l2_touch_d(line_base) {
-            self.cores[c].counters.l1d_miss_cycles += hit_cost;
-            self.cores[c].fnow += self.ref_d_hit_cost as u64;
-            return hit_cost;
-        }
-        self.cores[c].counters.l2d_misses += 1;
-        let dirty_victim = self.l2_fill_d(line_base);
-        self.cores[c].fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        let svc = self.mem_d.service_miss(start, dirty_victim);
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        let counters = &mut self.cores[c].counters;
-        counters.l1d_miss_cycles += l1_share;
-        counters.l2d_miss_cycles += service - l1_share;
-        counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn wb_wait_for_d_miss(
-        &mut self,
-        c: usize,
-        start: u64,
-        line_base: PhysAddr,
-        replaced_written: bool,
-    ) -> u64 {
-        let line_words = self.d_line_words;
-        let core = &mut self.cores[c];
-        let until = match self.d_read_bypass {
-            WbBypass::Wait => core.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced_written {
-                    core.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => core
-                .wb
-                .match_line(start, line_base, line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        core.counters.wb_wait_cycles += wait;
-        wait
-    }
-
-    fn enqueue_write(&mut self, c: usize, start: u64, addr: PhysAddr) -> u64 {
-        let free_at = self.cores[c].wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.cores[c].counters.wb_wait_cycles += stall;
-        let extra = self.drain_l2_penalty(c, addr);
-        let core = &mut self.cores[c];
-        let busy_from = free_at.max(core.wb.last_completion());
-        let completes = core.wb.enqueue(
-            free_at,
-            addr,
-            self.d_write_access,
-            self.d_write_stream,
-            extra,
-        );
-        core.counters.l2_drain_busy_cycles += completes - busy_from;
-        stall
-    }
-
-    fn drain_l2_penalty(&mut self, c: usize, addr: PhysAddr) -> u32 {
-        self.cores[c].counters.l2_drain_writes += 1;
-        if self.l2_touch_d(addr) {
-            self.l2_dirty_d(addr);
-            return 0;
-        }
-        self.cores[c].counters.l2_drain_misses += 1;
-        let dirty_victim = self.l2_fill_d(addr);
-        self.l2_dirty_d(addr);
-        self.mem_d.service_miss_raw(dirty_victim).stall_cycles as u32
     }
 }
 
-fn proc_entry(per_proc: &mut Vec<ProcCounters>, pid: Pid) -> &mut ProcCounters {
-    let idx = pid.raw() as usize;
-    if per_proc.len() <= idx {
-        per_proc.resize(idx + 1, ProcCounters::default());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gaas_sim::{CmpConfig, DiffCheckConfig, TraceEvent, VirtAddr, WritePolicy};
+    use gaas_trace::VecTrace;
+
+    /// A data word both cores address through the same page table entry.
+    fn shared(word: u64) -> VirtAddr {
+        VirtAddr::new(Pid::new(7), 0x10000 + word)
     }
-    &mut per_proc[idx]
+
+    fn code(pid: u8, word: u64) -> VirtAddr {
+        VirtAddr::new(Pid::new(pid), word)
+    }
+
+    /// Core 0 loads X, core 1 stores `store_to`, then core 0 loads X
+    /// again from the same fetch line. Functional-clock order runs core
+    /// 1's single instruction between core 0's two (core 0's cold misses
+    /// put its clock far ahead).
+    fn load_store_load(policy: WritePolicy, store_to: u64, oracle: bool) -> CmpResult {
+        let mut b = SimConfig::builder();
+        b.policy(policy);
+        let mut cfg = b.build().expect("valid");
+        cfg.cmp = CmpConfig::with_cores(2);
+        cfg.diffcheck = DiffCheckConfig {
+            enabled: oracle,
+            ..DiffCheckConfig::default()
+        };
+        let core0 = vec![
+            TraceEvent::ifetch(code(1, 0), 0),
+            TraceEvent::load(shared(0)),
+            TraceEvent::ifetch(code(1, 1), 0),
+            TraceEvent::load(shared(1)),
+        ];
+        let core1 = vec![
+            TraceEvent::ifetch(code(2, 0), 0),
+            TraceEvent::store(shared(store_to)),
+        ];
+        let per_core: Vec<Vec<Box<dyn Trace>>> = vec![
+            vec![Box::new(VecTrace::new("c0", core0))],
+            vec![Box::new(VecTrace::new("c1", core1))],
+        ];
+        CmpSimulator::new(cfg)
+            .expect("valid")
+            .run_warmed(per_core, 0)
+            .expect("coherent")
+    }
+
+    #[test]
+    fn remote_invalidation_defeats_the_load_memo() {
+        // A store to X invalidates core 0's copy, so the reload misses; a
+        // store to another line leaves it, so the reload hits (through
+        // the memo when the oracle is off).
+        for (store_to, invalidations, read_misses) in [(2, 1, 2), (64, 0, 1)] {
+            for policy in WritePolicy::all() {
+                for oracle in [false, true] {
+                    let r = load_store_load(policy, store_to, oracle);
+                    let (c0, c1) = (r.per_core[0], r.per_core[1]);
+                    let case = format!("store to {store_to}, {policy:?}, oracle {oracle}");
+                    assert_eq!(c1.invalidations, invalidations, "{case}");
+                    assert_eq!(c0.mesi_to_i, invalidations, "{case}");
+                    assert_eq!(c0.l1d_read_misses, read_misses, "{case}");
+                    assert_eq!(c0.loads, 2, "{case}");
+                }
+            }
+        }
+    }
 }

@@ -19,16 +19,20 @@
 //! the core's no-snoop-hit response).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
+use gaas_cache::PageKeyHasher;
 use gaas_trace::PhysAddr;
 
 use crate::mesi::MesiState;
 
 /// Per-line sharer states for up to [`gaas_sim::MAX_CORES`] cores,
-/// keyed by line-aligned base word address.
+/// keyed by line-aligned base word address. Nothing iterates the map,
+/// so its hasher cannot affect results.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<u64, [MesiState; gaas_sim::MAX_CORES as usize]>,
+    entries:
+        HashMap<u64, [MesiState; gaas_sim::MAX_CORES as usize], BuildHasherDefault<PageKeyHasher>>,
 }
 
 impl Directory {

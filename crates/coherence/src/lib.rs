@@ -16,9 +16,11 @@
 //!   traffic (disjoint workloads generate zero coherence traffic);
 //! * [`oracle`] — a passive version-shadow oracle for the coherence
 //!   invariants (SWMR, no stale read, inclusion under invalidation);
-//! * [`cmp`] — the [`cmp::CmpSimulator`] engine: N replicas of the
-//!   single-CPU simulator's per-core state over the shared L2, with the
-//!   **byte-identical 1-core anchor** to [`gaas_sim::Simulator`].
+//! * [`cmp`] — the [`cmp::CmpSimulator`] engine: N of the single-CPU
+//!   simulator's own per-core pipelines ([`gaas_sim::Core`]) over one
+//!   shared L2 ([`gaas_sim::Uncore`]), with MESI plugged in through the
+//!   [`gaas_sim::Coherence`] hooks and the **byte-identical 1-core
+//!   anchor** to [`gaas_sim::Simulator`].
 //!
 //! Process-wide coherence totals are aggregated across runs (the same
 //! pattern as the experiment layer's memo statistics) for the serve

@@ -43,6 +43,9 @@
 //!   [`config::SimConfig::baseline`] / [`config::SimConfig::optimized`]
 //!   presets;
 //! * [`sim`] — the engine and [`sim::SimResult`];
+//! * [`pipeline`] — the per-core pipeline ([`pipeline::Core`]) over the
+//!   shared L2 and memory ([`pipeline::Uncore`]), with the
+//!   [`pipeline::Coherence`] hooks the CMP engine plugs into;
 //! * [`cpi`] — counters and the Fig. 4 CPI breakdown;
 //! * [`sched`] — the §3 multiprogramming scheduler;
 //! * [`workload`] — ready-made Table 1 workloads;
@@ -53,6 +56,7 @@
 pub mod config;
 pub mod cpi;
 pub mod oracle;
+pub mod pipeline;
 pub mod profile;
 pub mod report;
 pub mod sched;
@@ -66,6 +70,7 @@ pub use config::{
 };
 pub use cpi::{Counters, CpiBreakdown, ProcCounters};
 pub use oracle::{config_fingerprint, DivergenceKind, DivergenceReport};
+pub use pipeline::{Coherence, Core, NoCoherence, Uncore};
 pub use profile::{functional_fingerprint, price_profile, price_profiles, FunctionalProfile};
 pub use sched::SchedSnapshot;
 pub use sim::{

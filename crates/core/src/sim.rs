@@ -18,6 +18,10 @@
 //! The accounting invariant `total cycles = instructions + Σ stall
 //! components` holds exactly (checked with `debug_assert!` and tests).
 //!
+//! The per-event rules live in [`crate::pipeline`]: the simulator owns one
+//! [`Core`] over one [`Uncore`] and drives it from the scheduler; this
+//! module adds the run loop, results and the instrumentation layers.
+//!
 //! With soft-error injection enabled (see `FaultConfig`), faults are
 //! checked when an access *hits* the struck structure — the moment the
 //! corrupted entry would be consumed — and recovery costs (parity
@@ -30,18 +34,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gaas_cache::fault::{
-    resolve, FaultEffect, FaultEvent, FaultInjector, ProtectionMap, Structure,
-};
-use gaas_cache::{
-    CacheArray, L1DataCache, MemorySystem, PageMapper, Tlb, WriteBuffer, WritePolicy,
-};
+use gaas_cache::fault::{FaultEffect, FaultEvent, FaultInjector, ProtectionMap};
+use gaas_cache::Tlb;
 use gaas_telemetry::{Component, CounterId, Registry, Span, SpanRecorder};
-use gaas_trace::{AccessKind, PhysAddr, Trace, TraceEvent, VirtAddr, PAGE_SHIFT};
+use gaas_trace::{AccessKind, Trace, TraceEvent};
 
-use crate::config::{ConfigError, L2Config, MachineCheckPolicy, SeededBug, SimConfig, WbBypass};
+use crate::config::{ConfigError, MachineCheckPolicy, SimConfig};
 use crate::cpi::{Counters, ProcCounters};
-use crate::oracle::{Deltas, DiffState, DivergenceReport, SimStructures};
+use crate::oracle::{DiffState, DivergenceReport};
+use crate::pipeline::{Core, NoCoherence, Uncore};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
 use crate::sched::{SchedSnapshot, Scheduler};
 
@@ -171,7 +172,7 @@ impl CancelToken {
 /// Instructions between cooperative-cancellation polls: coarse enough to
 /// vanish in the hot loop, fine enough (≈ tens of microseconds) that a
 /// cancelled cell stops promptly.
-const CANCEL_CHECK_INTERVAL: u64 = 8192;
+pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -237,33 +238,24 @@ impl SimResult {
     }
 }
 
-enum L2Arrays {
-    Unified(CacheArray),
-    Split { i: CacheArray, d: CacheArray },
-}
-
 /// Live fault-injection state (present only when injection is enabled, so
 /// the fault-free path stays bit-identical to a build without it).
-struct FaultState {
-    injector: FaultInjector,
-    protection: ProtectionMap,
-    ecc_penalty: u64,
+pub(crate) struct FaultState {
+    pub(crate) injector: FaultInjector,
+    pub(crate) protection: ProtectionMap,
+    pub(crate) ecc_penalty: u64,
     /// True for [`MachineCheckPolicy::Halt`].
-    halt: bool,
+    pub(crate) halt: bool,
     /// Per-structure set counts for fault-site reporting, in
-    /// [`Structure::index`] order.
-    sets: [u64; 5],
+    /// [`Structure::index`](gaas_cache::fault::Structure::index) order.
+    pub(crate) sets: [u64; 5],
 }
-
-/// Size of the simulator's internal translation-lookup cache (a software
-/// accelerator, not an architectural structure).
-const TCACHE_WAYS: usize = 256;
 
 /// Live telemetry state (present only when telemetry is enabled, so the
 /// untelemetered path stays bit-identical to a build without it). All
 /// recording is passive: it never charges cycles and never touches the
 /// fault injector's PRNG.
-struct TelemetryState {
+pub(crate) struct TelemetryState {
     reg: Registry,
     spans: SpanRecorder,
     /// Last observed scheduler switch total, for switch-event detection.
@@ -318,6 +310,222 @@ impl TelemetryState {
         }
     }
 }
+/// The simulator's instrumentation layers: soft-error injection, the
+/// lockstep golden-model oracle, the profile recorder and telemetry. The
+/// default value has every layer off, which is how the CMP engine's
+/// uncore keeps it.
+#[derive(Default)]
+pub(crate) struct Instruments {
+    /// Fault-injection state (`None` = injection off, exact legacy path).
+    pub(crate) fault: Option<FaultState>,
+    /// Cached `fault.is_some()`: hot hit paths skip the injector hooks (and
+    /// the dirty-line peek feeding them) on one predictable branch.
+    pub(crate) fault_on: bool,
+    /// Unrecoverable fault awaiting the halt at the instruction boundary.
+    pub(crate) pending_mc: Option<FaultEvent>,
+    /// Cycle of the last checkpoint (restart rollback target).
+    pub(crate) last_checkpoint_cycle: u64,
+    /// Lockstep golden-model state (`None` = oracle off, exact fast path).
+    pub(crate) diff: Option<Box<DiffState>>,
+    /// Cached `diff.is_some()`: the per-event gate is one predictable
+    /// branch with no `Option` load, so the oracle costs nothing when
+    /// off.
+    pub(crate) diff_on: bool,
+    /// Functional-outcome recorder (`None` = normal run; installed by
+    /// [`Simulator::run_profiled`] for the two-phase sweep memoizer).
+    pub(crate) rec: Option<Box<ProfileRecorder>>,
+    /// Telemetry state (`None` = telemetry off, exact fast path).
+    pub(crate) telem: Option<Box<TelemetryState>>,
+    /// Cached `telem.is_some()`: every hot-path hook is one predictable
+    /// branch, mirroring the `fault_on`/`diff_on` gates.
+    pub(crate) telem_on: bool,
+}
+
+impl Instruments {
+    /// The layers `cfg` enables.
+    fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+        let fault = if cfg.fault.enabled() {
+            let f = &cfg.fault;
+            Some(FaultState {
+                injector: FaultInjector::new(f.seed, f.rates, f.multi_bit_frac, f.targeted.clone()),
+                protection: f.protection,
+                ecc_penalty: f.ecc_correction_cycles as u64,
+                halt: f.machine_check == MachineCheckPolicy::Halt,
+                sets: [
+                    cfg.l1i.geometry()?.n_sets(),
+                    cfg.l1d.geometry()?.n_sets(),
+                    cfg.l2.d_side().geometry()?.n_sets(),
+                    8, // the paper's 16-entry 2-way TLBs
+                    cfg.write_buffer.depth as u64,
+                ],
+            })
+        } else {
+            None
+        };
+        let diff = if cfg.diffcheck.enabled {
+            Some(Box::new(DiffState::new(cfg)?))
+        } else {
+            None
+        };
+        let telem = if cfg.telemetry.enabled {
+            Some(Box::new(TelemetryState::new(cfg.telemetry.span_capacity)))
+        } else {
+            None
+        };
+        Ok(Instruments {
+            fault_on: fault.is_some(),
+            fault,
+            diff_on: diff.is_some(),
+            diff,
+            telem_on: telem.is_some(),
+            telem,
+            ..Instruments::default()
+        })
+    }
+
+    /// Whether any layer is attached. When none is, the `HOOKS = false`
+    /// step instantiations (with every hook compiled out, plus the
+    /// last-line/last-page memos) are exact.
+    #[inline]
+    pub(crate) fn active(&self) -> bool {
+        self.fault_on || self.diff_on || self.telem_on || self.rec.is_some()
+    }
+
+    // ---- telemetry hooks ----
+    //
+    // Every hook site is gated on the cached `telem_on` flag (the
+    // `fault_on`/`diff_on` pattern), and the note bodies are `#[cold]`
+    // `#[inline(never)]` so the disabled hot path carries only one
+    // predictable never-taken branch per site. Recording is passive —
+    // no cycles charged, no PRNG touched — so disabled-mode results are
+    // byte-identical by construction.
+
+    /// Notes an L2 instruction-side lookup that hit (an L1-I refill).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_l2_lookup_i(&mut self, start: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_l2_lookup_i);
+        t.spans.record("refill.l1i", Component::L2, start, dur);
+    }
+
+    /// Notes an L2 data-side lookup that hit (an L1-D refill).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_l2_lookup_d(&mut self, start: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_l2_lookup_d);
+        t.spans.record("refill.l1d", Component::L2, start, dur);
+    }
+
+    /// Notes an instruction-side L2 miss serviced from main memory.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_mem_refill_i(&mut self, start: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_mem_refill_i);
+        t.reg.observe("mem.refill.i.cycles", dur);
+        t.spans.record("refill.l2i", Component::Memory, start, dur);
+    }
+
+    /// Notes a data-side L2 miss serviced from main memory.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_mem_refill_d(&mut self, start: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_mem_refill_d);
+        t.reg.observe("mem.refill.d.cycles", dur);
+        t.spans.record("refill.l2d", Component::Memory, start, dur);
+    }
+
+    /// Notes a read miss waiting on previously pending buffered writes.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_wb_wait(&mut self, start: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_wb_read_wait);
+        t.reg.observe("wb.read_wait.cycles", dur);
+        t.spans.record("wb.wait", Component::Wb, start, dur);
+    }
+
+    /// Notes one write entering the buffer: the CPU-visible full-buffer
+    /// stall (if any) and the drain occupancy it schedules.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_wb_enqueue(
+        &mut self,
+        start: u64,
+        stall: u64,
+        busy_from: u64,
+        completes: u64,
+    ) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_wb_enqueue);
+        if stall > 0 {
+            t.reg.inc(t.c_wb_full_stall);
+            t.spans.record("wb.full-stall", Component::Wb, start, stall);
+        }
+        if completes > busy_from {
+            t.spans
+                .record("wb.drain", Component::Wb, busy_from, completes - busy_from);
+        }
+    }
+
+    /// Notes a TLB miss walk (`i_side` selects the TLB) of `dur` cycles.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_tlb_walk(&mut self, i_side: bool, now: u64, dur: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(if i_side {
+            t.c_tlb_walk_i
+        } else {
+            t.c_tlb_walk_d
+        });
+        t.spans.record(
+            if i_side { "tlb.walk.i" } else { "tlb.walk.d" },
+            Component::Tlb,
+            now,
+            dur,
+        );
+    }
+
+    /// Notes scheduler progress: compares the switch total against the
+    /// last observed one and emits an instant event per new switch.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_sched_tick(&mut self, switches: u64, now: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        if switches != t.last_switches {
+            t.reg.add(t.c_sched_switch, switches - t.last_switches);
+            t.spans.instant("sched.switch", Component::Sched, now);
+            t.last_switches = switches;
+        }
+    }
+
+    /// Notes a resolved fault-injection event as an instant span.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_fault(&mut self, effect: FaultEffect, now: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_fault_event);
+        let name = match effect {
+            FaultEffect::Silent => "fault.silent",
+            FaultEffect::Correct => "fault.corrected",
+            FaultEffect::Refetch => "fault.refetch",
+            FaultEffect::MachineCheck => "fault.machine-check",
+        };
+        t.spans.instant(name, Component::Fault, now);
+    }
+
+    /// Notes an oracle divergence as an instant span.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn telem_oracle_divergence(&mut self, now: u64) {
+        let t = self.telem.as_deref_mut().expect("telem_on implies state");
+        t.reg.inc(t.c_oracle_divergence);
+        t.spans.instant("oracle.divergence", Component::Oracle, now);
+    }
+}
 
 /// Everything the telemetry layer recorded over one run: the counter
 /// registry, the retained span timeline (timing-clock cycles), and how
@@ -362,94 +570,12 @@ pub const REF_MEM_DIRTY: u64 = 237;
 /// ```
 pub struct Simulator {
     cfg: SimConfig,
-    now: u64,
-    /// The *functional* clock driving scheduler time-slicing. It advances
-    /// on functional outcomes only — issue + stall cycles, L2 hits at the
-    /// fixed reference access time, memory misses at the reference
-    /// penalties — never on the timing knobs (access times, latencies,
-    /// write-buffer waits, TLB penalties). Two configurations with the
-    /// same geometry therefore schedule the *identical* instruction
-    /// interleaving regardless of their timing points, which is what lets
-    /// the two-phase sweep memoizer (see `profile`) price many timing
-    /// variants from one functional pass.
-    fnow: u64,
-    counters: Counters,
-
-    l1i: CacheArray,
-    l1d: L1DataCache,
-    l2: L2Arrays,
-    wb: WriteBuffer,
-    /// Memory behind L2-D (or the unified L2); carries the dirty buffer.
-    mem_d: MemorySystem,
-    /// Memory behind a split L2-I (no dirty buffer).
-    mem_i: MemorySystem,
-    itlb: Tlb,
-    dtlb: Tlb,
-    mapper: PageMapper,
-    tcache: Vec<(u64, u64)>,
-    /// Per-PID statistics (lazily grown).
-    per_proc: Vec<ProcCounters>,
-
-    /// Virtual line of the immediately preceding ifetch (`u64::MAX` =
-    /// none). A fetch to the same line is a guaranteed ITLB + L1-I hit —
-    /// only ifetches touch those structures, and the previous fetch left
-    /// both entries resident — so the uninstrumented path skips the
-    /// probes entirely. Skipping the duplicate LRU touch is exact: the
-    /// touched way already holds its set's maximum timestamp, so every
-    /// future victim choice is unchanged.
-    last_ifetch_vline: u64,
-    /// Virtual page of the immediately preceding data access (load or
-    /// store); a data access to the same page is a guaranteed DTLB hit
-    /// by the same argument.
-    last_data_vpage: u64,
-    /// Virtual line of the immediately preceding load when it left the
-    /// line resident and loadable; cleared on every store (which may
-    /// change line state) — see `load_memo_ok`.
-    last_load_vline: u64,
-    /// log2(line words) for the two L1 sides (memo key construction).
-    i_line_shift: u32,
-    d_line_shift: u32,
-    /// Load-memo soundness gate: subblock placement decides load hits per
-    /// *word*, which a line-granular memo cannot capture.
-    load_memo_ok: bool,
-
-    /// Precomputed L1 miss service costs for an L2 hit.
-    i_hit_cost: u32,
-    d_hit_cost: u32,
-    /// Functional-clock L2-hit costs at the reference access time (see
-    /// `fnow`): `REF_L2_ACCESS + beats − 1`, independent of the
-    /// configured access times.
-    ref_i_hit_cost: u32,
-    ref_d_hit_cost: u32,
-    /// L2 write access/stream occupancy for write-buffer drains.
-    d_write_access: u32,
-    d_write_stream: u32,
-
-    /// Fault-injection state (`None` = injection off, exact legacy path).
-    fault: Option<FaultState>,
-    /// Cached `fault.is_some()`: hot hit paths skip the injector hooks (and
-    /// the dirty-line peek feeding them) on one predictable branch.
-    fault_on: bool,
-    /// Unrecoverable fault awaiting the halt at the instruction boundary.
-    pending_mc: Option<FaultEvent>,
-    /// Cycle of the last checkpoint (restart rollback target).
-    last_checkpoint_cycle: u64,
-    /// Lockstep golden-model state (`None` = oracle off, exact fast path).
-    diff: Option<Box<DiffState>>,
-    /// Cached `diff.is_some()`: the per-event gate is one predictable
-    /// branch with no `Option` load, so the oracle costs nothing when
-    /// off.
-    diff_on: bool,
+    /// The one CPU (see [`Core`]).
+    core: Core,
+    /// L2, memory and page mapper, plus the instrumentation layers.
+    ux: Uncore,
     /// Cooperative cancellation flag, polled between instruction batches.
     cancel: Option<CancelToken>,
-    /// Functional-outcome recorder (`None` = normal run; installed by
-    /// [`Simulator::run_profiled`] for the two-phase sweep memoizer).
-    rec: Option<Box<ProfileRecorder>>,
-    /// Telemetry state (`None` = telemetry off, exact fast path).
-    telem: Option<Box<TelemetryState>>,
-    /// Cached `telem.is_some()`: every hot-path hook is one predictable
-    /// branch, mirroring the `fault_on`/`diff_on` gates.
-    telem_on: bool,
 }
 
 impl Simulator {
@@ -466,109 +592,14 @@ impl Simulator {
         if cfg.cmp.enabled() {
             return Err(ConfigError::CmpRequiresCoherenceEngine);
         }
-        let l1i = CacheArray::new(cfg.l1i.geometry()?);
-        let l1d = L1DataCache::new(cfg.l1d.geometry()?, cfg.policy);
-        let l2 = match cfg.l2 {
-            L2Config::Unified(s) => L2Arrays::Unified(CacheArray::new(s.geometry()?)),
-            L2Config::Split { i, d } => L2Arrays::Split {
-                i: CacheArray::new(i.geometry()?),
-                d: CacheArray::new(d.geometry()?),
-            },
-        };
-        let wb = WriteBuffer::new(cfg.write_buffer.depth);
-        let mem_d = MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer);
-        let mem_i = MemorySystem::new(cfg.memory, false);
-
-        // Miss service from L2: the access time covers the first 4W beat;
-        // each further 4W beat of the fetch adds a cycle.
-        let beats = |line_words: u32| line_words.div_ceil(4);
-        let i_side = cfg.l2.i_side();
-        let d_side = cfg.l2.d_side();
-        let i_hit_cost = i_side.access_cycles + beats(cfg.l1i.line_words) - 1;
-        let d_hit_cost = d_side.access_cycles + beats(cfg.l1d.line_words) - 1;
-        let ref_i_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1i.line_words) - 1;
-        let ref_d_hit_cost = REF_L2_ACCESS as u32 + beats(cfg.l1d.line_words) - 1;
-        // Drains write at the data side's access time (or the Fig. 5
-        // override); streams overlap the 2-cycle latency.
-        let d_write_access = cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles);
-        let d_write_stream = d_write_access.saturating_sub(2).max(1);
-
-        let fault = if cfg.fault.enabled() {
-            let f = &cfg.fault;
-            Some(FaultState {
-                injector: FaultInjector::new(f.seed, f.rates, f.multi_bit_frac, f.targeted.clone()),
-                protection: f.protection,
-                ecc_penalty: f.ecc_correction_cycles as u64,
-                halt: f.machine_check == MachineCheckPolicy::Halt,
-                sets: [
-                    cfg.l1i.geometry()?.n_sets(),
-                    cfg.l1d.geometry()?.n_sets(),
-                    cfg.l2.d_side().geometry()?.n_sets(),
-                    8, // the paper's 16-entry 2-way TLBs
-                    cfg.write_buffer.depth as u64,
-                ],
-            })
-        } else {
-            None
-        };
-
-        let diff = if cfg.diffcheck.enabled {
-            Some(Box::new(DiffState::new(&cfg)?))
-        } else {
-            None
-        };
-
-        let telem = if cfg.telemetry.enabled {
-            Some(Box::new(TelemetryState::new(cfg.telemetry.span_capacity)))
-        } else {
-            None
-        };
-
-        let page_colors = cfg.page_colors;
-        let diff_on = diff.is_some();
-        let fault_on = fault.is_some();
-        let telem_on = telem.is_some();
-        let i_line_shift = cfg.l1i.line_words.trailing_zeros();
-        let d_line_shift = cfg.l1d.line_words.trailing_zeros();
-        let load_memo_ok = cfg.policy != WritePolicy::Subblock;
+        let core = Core::new(&cfg)?;
+        let mut ux = Uncore::new(&cfg)?;
+        ux.ins = Instruments::new(&cfg)?;
         Ok(Simulator {
             cfg,
-            now: 0,
-            fnow: 0,
-            counters: Counters::new(),
-            l1i,
-            l1d,
-            l2,
-            wb,
-            mem_d,
-            mem_i,
-            itlb: Tlb::instruction(),
-            dtlb: Tlb::data(),
-            mapper: PageMapper::new(page_colors),
-            tcache: vec![(u64::MAX, 0); TCACHE_WAYS],
-            per_proc: Vec::new(),
-            last_ifetch_vline: u64::MAX,
-            last_data_vpage: u64::MAX,
-            last_load_vline: u64::MAX,
-            i_line_shift,
-            d_line_shift,
-            load_memo_ok,
-            i_hit_cost,
-            d_hit_cost,
-            ref_i_hit_cost,
-            ref_d_hit_cost,
-            d_write_access,
-            d_write_stream,
-            fault,
-            fault_on,
-            pending_mc: None,
-            last_checkpoint_cycle: 0,
-            diff,
-            diff_on,
+            core,
+            ux,
             cancel: None,
-            rec: None,
-            telem,
-            telem_on,
         })
     }
 
@@ -586,22 +617,22 @@ impl Simulator {
 
     /// Current simulated cycle.
     pub fn now(&self) -> u64 {
-        self.now
+        self.core.now
     }
 
     /// Counters accumulated so far.
     pub fn counters(&self) -> &Counters {
-        &self.counters
+        &self.core.counters
     }
 
     /// Instruction-TLB state (for reports).
     pub fn itlb(&self) -> &Tlb {
-        &self.itlb
+        &self.core.itlb
     }
 
     /// Data-TLB state (for reports).
     pub fn dtlb(&self) -> &Tlb {
-        &self.dtlb
+        &self.core.dtlb
     }
 
     /// Runs a multiprogramming workload to completion and returns the
@@ -730,7 +761,7 @@ impl Simulator {
     ) -> Result<(SimResult, FunctionalProfile), SimError> {
         let fkey = functional_fingerprint(&self.cfg)
             .expect("run_profiled requires a memoizable configuration");
-        self.rec = Some(Box::new(ProfileRecorder::new()));
+        self.ux.ins.rec = Some(Box::new(ProfileRecorder::new()));
         let (result, _, rec, _) = self.run_sampled_rec(traces, warmup_instructions, 0)?;
         let profile =
             rec.expect("recorder installed above")
@@ -793,7 +824,7 @@ impl Simulator {
         // benchmark kernel — the `false` instantiations of the step
         // functions compile the hook plumbing out entirely. The flags
         // cannot turn on mid-run, so one check up front covers the run.
-        let hooks = self.hooks_active();
+        let hooks = self.ux.ins.active();
         // All periodic thresholds collapse into one merged poll: each
         // fires at an exact instruction count, so checking the minimum
         // and re-deriving it after a hit preserves boundary semantics.
@@ -802,36 +833,30 @@ impl Simulator {
             .min(next_checkpoint)
             .min(budget_limit)
             .min(next_cancel_check);
-        while let Some(instr) = sched.next_instruction(self.fnow) {
+        let (core, ux) = (&mut self.core, &mut self.ux);
+        while let Some(instr) = sched.next_instruction(core.fnow) {
             if hooks {
-                self.step_ifetch_impl::<true>(&instr.ifetch);
-                if let Some(data) = instr.data {
-                    self.step_data_impl::<true>(&data);
+                core.step_instruction::<true, _>(ux, &mut NoCoherence, &instr);
+                sched.post_instruction(core.fnow, instr.ifetch.syscall);
+                if ux.ins.telem_on {
+                    ux.ins.telem_sched_tick(sched.total_switches(), core.now);
                 }
-                sched.post_instruction(self.fnow, instr.ifetch.syscall);
-                if self.telem_on {
-                    let switches = sched.total_switches();
-                    self.telem_sched_tick(switches);
-                }
-                if self.pending_mc.is_some() {
-                    let fault = self.pending_mc.take().expect("just checked");
+                if ux.ins.pending_mc.is_some() {
+                    let fault = ux.ins.pending_mc.take().expect("just checked");
                     return Err(SimError::MachineCheck {
                         fault,
-                        cycle: self.now,
-                        instructions: self.counters.instructions,
+                        cycle: core.now,
+                        instructions: core.counters.instructions,
                     });
                 }
-                if self.diff_on {
-                    if let Some(err) = self.take_divergence() {
+                if ux.ins.diff_on {
+                    if let Some(err) = take_divergence(core, ux) {
                         return Err(err);
                     }
                 }
             } else {
-                self.step_ifetch_impl::<false>(&instr.ifetch);
-                if let Some(data) = instr.data {
-                    self.step_data_impl::<false>(&data);
-                }
-                sched.post_instruction(self.fnow, instr.ifetch.syscall);
+                core.step_instruction::<false, _>(ux, &mut NoCoherence, &instr);
+                sched.post_instruction(core.fnow, instr.ifetch.syscall);
                 // Span drain: step straight over the installed process's
                 // buffered events, checking the same per-instruction
                 // conditions (syscall, slice expiry, merged poll) inline.
@@ -841,7 +866,7 @@ impl Simulator {
                 // which can peek across a batch refill for its data half.
                 let slice_end = sched.slice_end();
                 loop {
-                    if self.counters.instructions >= next_poll {
+                    if core.counters.instructions >= next_poll {
                         break;
                     }
                     let (span, start) = sched.current_span();
@@ -862,52 +887,53 @@ impl Simulator {
                         } else {
                             None
                         };
-                        self.step_ifetch_impl::<false>(&ifetch);
+                        core.step_ifetch::<false>(ux, &ifetch);
                         if let Some(d) = data {
-                            self.step_data_impl::<false>(&d);
+                            core.step_data::<false, _>(ux, &mut NoCoherence, &d);
                         }
-                        if ifetch.syscall || self.fnow >= slice_end {
+                        if ifetch.syscall || core.fnow >= slice_end {
                             rotated = true;
                             rotate_syscall = ifetch.syscall;
                             break;
                         }
-                        if self.counters.instructions >= next_poll {
+                        if core.counters.instructions >= next_poll {
                             break;
                         }
                     }
                     sched.advance(pos - start);
                     if rotated {
-                        sched.post_instruction(self.fnow, rotate_syscall);
+                        sched.post_instruction(core.fnow, rotate_syscall);
                         break;
                     }
                 }
             }
-            if self.counters.instructions >= next_poll {
-                if self.counters.instructions >= next_cancel_check {
-                    next_cancel_check = self.counters.instructions + CANCEL_CHECK_INTERVAL;
+            let retired = core.counters.instructions;
+            if retired >= next_poll {
+                if retired >= next_cancel_check {
+                    next_cancel_check = retired + CANCEL_CHECK_INTERVAL;
                     if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                         return Err(SimError::Cancelled);
                     }
                 }
-                if self.counters.instructions >= next_warm {
-                    warm_snapshot = Some(self.counters);
+                if retired >= next_warm {
+                    warm_snapshot = Some(core.counters);
                     next_warm = u64::MAX;
                 }
-                if self.counters.instructions >= next_window {
-                    windows.push(self.counters.since(&window_start));
-                    window_start = self.counters;
+                if retired >= next_window {
+                    windows.push(core.counters.since(&window_start));
+                    window_start = core.counters;
                     next_window += window_instructions;
                 }
-                if self.counters.instructions >= next_checkpoint {
-                    self.last_checkpoint_cycle = self.now;
+                if retired >= next_checkpoint {
+                    ux.ins.last_checkpoint_cycle = core.now;
                     checkpoints.push(Checkpoint {
-                        cycle: self.now,
-                        instructions: self.counters.instructions,
+                        cycle: core.now,
+                        instructions: retired,
                         sched: sched.snapshot(),
                     });
                     next_checkpoint += checkpoint_interval;
                 }
-                if self.counters.instructions >= budget_limit {
+                if retired >= budget_limit {
                     termination = Termination::BudgetExhausted;
                     break;
                 }
@@ -920,32 +946,35 @@ impl Simulator {
         }
         // One last structural sweep so a divergence in the tail (after the
         // final periodic check) still surfaces.
-        self.diff_final_check();
-        if let Some(err) = self.take_divergence() {
+        if let Some(mut ds) = ux.ins.diff.take() {
+            ds.full_state_check(&core.structures(ux));
+            ux.ins.diff = Some(ds);
+        }
+        if let Some(err) = take_divergence(core, ux) {
             return Err(err);
         }
-        self.counters.syscall_switches = sched.syscall_switches();
-        self.counters.slice_switches = sched.slice_switches();
+        core.counters.syscall_switches = sched.syscall_switches();
+        core.counters.slice_switches = sched.slice_switches();
         debug_assert_eq!(
-            self.now,
-            self.counters.total_cycles(),
+            core.now,
+            core.counters.total_cycles(),
             "cycle accounting must balance"
         );
         // The warm-up snapshot predates the end-of-run switch counts (they
         // are zero mid-run), so the delta keeps the full-run switch totals.
         let counters = match warm_snapshot {
-            Some(snap) => self.counters.since(&snap),
-            None => self.counters,
+            Some(snap) => core.counters.since(&snap),
+            None => core.counters,
         };
-        let per_process = self
+        let per_process = core
             .per_proc
             .iter()
             .enumerate()
             .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
             .map(|(i, p)| (gaas_trace::Pid::new(i as u8), *p))
             .collect();
-        if self.telem_on {
-            self.telem_finalize();
+        if ux.ins.telem_on {
+            telem_finalize(core, ux);
         }
         let result = SimResult {
             config: self.cfg.clone(),
@@ -955,1009 +984,83 @@ impl Simulator {
             termination,
             checkpoints,
         };
-        Ok((result, windows, self.rec.take(), self.telem.take()))
+        Ok((
+            result,
+            windows,
+            self.ux.ins.rec.take(),
+            self.ux.ins.telem.take(),
+        ))
     }
 
     /// Processes a single event outside a scheduled workload (single-process
     /// unit testing and calibration).
     pub fn step(&mut self, ev: &TraceEvent) {
-        if self.hooks_active() {
+        let (core, ux) = (&mut self.core, &mut self.ux);
+        if ux.ins.active() {
             match ev.kind {
-                AccessKind::IFetch => self.step_ifetch_impl::<true>(ev),
-                AccessKind::Load | AccessKind::Store => self.step_data_impl::<true>(ev),
+                AccessKind::IFetch => core.step_ifetch::<true>(ux, ev),
+                AccessKind::Load | AccessKind::Store => {
+                    core.step_data::<true, _>(ux, &mut NoCoherence, ev)
+                }
             }
         } else {
             match ev.kind {
-                AccessKind::IFetch => self.step_ifetch_impl::<false>(ev),
-                AccessKind::Load | AccessKind::Store => self.step_data_impl::<false>(ev),
+                AccessKind::IFetch => core.step_ifetch::<false>(ux, ev),
+                AccessKind::Load | AccessKind::Store => {
+                    core.step_data::<false, _>(ux, &mut NoCoherence, ev)
+                }
             }
         }
     }
-
-    /// Whether any instrumentation layer is attached: fault injection,
-    /// the differential oracle, telemetry, or the profile recorder. When
-    /// all are off the `HOOKS = false` step instantiations (with every
-    /// hook compiled out, plus the last-line/last-page memos) are exact.
-    #[inline]
-    fn hooks_active(&self) -> bool {
-        self.fault_on || self.diff_on || self.telem_on || self.rec.is_some()
-    }
-
-    #[inline]
-    fn proc_entry(&mut self, pid: gaas_trace::Pid) -> &mut ProcCounters {
-        let idx = pid.raw() as usize;
-        if self.per_proc.len() <= idx {
-            self.per_proc.resize(idx + 1, ProcCounters::default());
-        }
-        &mut self.per_proc[idx]
-    }
-
-    #[inline]
-    fn translate(&mut self, addr: VirtAddr) -> PhysAddr {
-        let key = addr.raw() >> PAGE_SHIFT;
-        let idx = (key as usize) & (TCACHE_WAYS - 1);
-        let (k, ppn) = self.tcache[idx];
-        if k == key {
-            return PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset());
-        }
-        let p = self.mapper.translate(addr);
-        self.tcache[idx] = (key, p.ppn());
-        p
-    }
-
-    // ---- differential-oracle hooks ----
 
     /// The pending divergence report, if the oracle tripped (for manual
     /// [`Simulator::step`] users; [`Simulator::run`] surfaces it as
     /// [`SimError::Divergence`]).
     pub fn divergence(&self) -> Option<&DivergenceReport> {
-        self.diff.as_ref().and_then(|d| d.report())
+        self.ux.ins.diff.as_ref().and_then(|d| d.report())
     }
 
     /// Accesses the oracle has cross-checked so far (`None` when the
     /// oracle is disabled).
     pub fn oracle_checked(&self) -> Option<u64> {
-        self.diff.as_ref().map(|d| d.accesses_checked())
+        self.ux.ins.diff.as_ref().map(|d| d.accesses_checked())
     }
+}
 
-    /// Borrowed views of the live structures for oracle checks. For a
-    /// unified L2 both side references alias the single array.
-    fn structures(&self) -> SimStructures<'_> {
-        let (l2i, l2d) = match &self.l2 {
-            L2Arrays::Unified(a) => (a, a),
-            L2Arrays::Split { i, d } => (i, d),
-        };
-        SimStructures {
-            l1i: &self.l1i,
-            l1d: &self.l1d,
-            l2i,
-            l2d,
-            wb: &self.wb,
-        }
+/// Takes a pending divergence as the run-terminating error.
+fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
+    let report = ux.ins.diff.as_mut()?.take_report()?;
+    if ux.ins.telem_on {
+        ux.ins.telem_oracle_divergence(core.now);
     }
+    Some(SimError::Divergence(Box::new(report)))
+}
 
-    /// Cross-checks one completed access against the golden model, then
-    /// applies a due seeded bug (after the check, so the corruption is
-    /// first observed by a *later* access — as a real bug would be).
-    #[cold]
-    #[inline(never)]
-    fn diff_note(&mut self, ev: &TraceEvent, paddr: PhysAddr, before: Counters) {
-        let Some(mut ds) = self.diff.take() else {
-            return;
-        };
-        let actual = Deltas::between(&before, &self.counters);
-        ds.note_access(ev, paddr, actual, &self.structures());
-        if let Some(kind) = ds.bug_due() {
-            let applied = match kind {
-                SeededBug::FlipL1dDirty => match self.l1d.array_mut().peek_mut(paddr) {
-                    Some(mut line) if ev.kind.is_data() => {
-                        let flipped = !line.dirty();
-                        line.set_dirty(flipped);
-                        true
-                    }
-                    _ => false,
-                },
-                SeededBug::InvalidateL1i => {
-                    ev.kind == AccessKind::IFetch && self.l1i.invalidate(paddr).is_some()
-                }
-                SeededBug::DropWriteBufferEntry => self.wb.drop_youngest().is_some(),
-            };
-            if applied {
-                ds.set_bug_applied();
-            }
-        }
-        self.diff = Some(ds);
-    }
-
-    /// Runs the oracle's full structural sweep once (end of run).
-    fn diff_final_check(&mut self) {
-        let Some(mut ds) = self.diff.take() else {
-            return;
-        };
-        ds.full_state_check(&self.structures());
-        self.diff = Some(ds);
-    }
-
-    /// Takes a pending divergence as the run-terminating error.
-    fn take_divergence(&mut self) -> Option<SimError> {
-        let report = self.diff.as_mut()?.take_report()?;
-        if self.telem_on {
-            self.telem_oracle_divergence();
-        }
-        Some(SimError::Divergence(Box::new(report)))
-    }
-
-    // ---- telemetry hooks ----
-    //
-    // Every hook site is gated on the cached `telem_on` flag (the
-    // `fault_on`/`diff_on` pattern), and the note bodies are `#[cold]`
-    // `#[inline(never)]` so the disabled hot path carries only one
-    // predictable never-taken branch per site. Recording is passive —
-    // no cycles charged, no PRNG touched — so disabled-mode results are
-    // byte-identical by construction.
-
-    /// Notes an L2 instruction-side lookup that hit (an L1-I refill).
-    #[cold]
-    #[inline(never)]
-    fn telem_l2_lookup_i(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_l2_lookup_i);
-        t.spans.record("refill.l1i", Component::L2, start, dur);
-    }
-
-    /// Notes an L2 data-side lookup that hit (an L1-D refill).
-    #[cold]
-    #[inline(never)]
-    fn telem_l2_lookup_d(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_l2_lookup_d);
-        t.spans.record("refill.l1d", Component::L2, start, dur);
-    }
-
-    /// Notes an instruction-side L2 miss serviced from main memory.
-    #[cold]
-    #[inline(never)]
-    fn telem_mem_refill_i(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_mem_refill_i);
-        t.reg.observe("mem.refill.i.cycles", dur);
-        t.spans.record("refill.l2i", Component::Memory, start, dur);
-    }
-
-    /// Notes a data-side L2 miss serviced from main memory.
-    #[cold]
-    #[inline(never)]
-    fn telem_mem_refill_d(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_mem_refill_d);
-        t.reg.observe("mem.refill.d.cycles", dur);
-        t.spans.record("refill.l2d", Component::Memory, start, dur);
-    }
-
-    /// Notes a read miss waiting on previously pending buffered writes.
-    #[cold]
-    #[inline(never)]
-    fn telem_wb_wait(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_wb_read_wait);
-        t.reg.observe("wb.read_wait.cycles", dur);
-        t.spans.record("wb.wait", Component::Wb, start, dur);
-    }
-
-    /// Notes one write entering the buffer: the CPU-visible full-buffer
-    /// stall (if any) and the drain occupancy it schedules.
-    #[cold]
-    #[inline(never)]
-    fn telem_wb_enqueue(&mut self, start: u64, stall: u64, busy_from: u64, completes: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_wb_enqueue);
-        if stall > 0 {
-            t.reg.inc(t.c_wb_full_stall);
-            t.spans.record("wb.full-stall", Component::Wb, start, stall);
-        }
-        if completes > busy_from {
-            t.spans
-                .record("wb.drain", Component::Wb, busy_from, completes - busy_from);
-        }
-    }
-
-    /// Notes a TLB miss walk (`i_side` selects the TLB) of `dur` cycles.
-    #[cold]
-    #[inline(never)]
-    fn telem_tlb_walk(&mut self, i_side: bool, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(if i_side {
-            t.c_tlb_walk_i
-        } else {
-            t.c_tlb_walk_d
-        });
-        t.spans.record(
-            if i_side { "tlb.walk.i" } else { "tlb.walk.d" },
-            Component::Tlb,
-            self.now,
-            dur,
-        );
-    }
-
-    /// Notes scheduler progress: compares the switch total against the
-    /// last observed one and emits an instant event per new switch.
-    #[cold]
-    #[inline(never)]
-    fn telem_sched_tick(&mut self, switches: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        if switches != t.last_switches {
-            t.reg.add(t.c_sched_switch, switches - t.last_switches);
-            t.spans.instant("sched.switch", Component::Sched, self.now);
-            t.last_switches = switches;
-        }
-    }
-
-    /// Notes a resolved fault-injection event as an instant span.
-    #[cold]
-    #[inline(never)]
-    fn telem_fault(&mut self, effect: FaultEffect) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_fault_event);
-        let name = match effect {
-            FaultEffect::Silent => "fault.silent",
-            FaultEffect::Correct => "fault.corrected",
-            FaultEffect::Refetch => "fault.refetch",
-            FaultEffect::MachineCheck => "fault.machine-check",
-        };
-        t.spans.instant(name, Component::Fault, self.now);
-    }
-
-    /// Notes an oracle divergence as an instant span.
-    #[cold]
-    #[inline(never)]
-    fn telem_oracle_divergence(&mut self) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_oracle_divergence);
-        t.spans
-            .instant("oracle.divergence", Component::Oracle, self.now);
-    }
-
-    /// End-of-run snapshot of structure-level statistics into the
-    /// registry (final occupancies, TLB traffic, buffer high-water mark)
-    /// so the summary table reflects state the counters alone cannot.
-    #[cold]
-    #[inline(never)]
-    fn telem_finalize(&mut self) {
-        let (l2i_occ, l2d_occ) = match &self.l2 {
-            L2Arrays::Unified(a) => (a.occupancy() as u64, a.occupancy() as u64),
-            L2Arrays::Split { i, d } => (i.occupancy() as u64, d.occupancy() as u64),
-        };
-        let rows = [
-            ("l1i.occupancy", self.l1i.occupancy() as u64),
-            ("l1d.occupancy", self.l1d.array().occupancy() as u64),
-            ("l2i.occupancy", l2i_occ),
-            ("l2d.occupancy", l2d_occ),
-            ("itlb.accesses", self.itlb.accesses()),
-            ("dtlb.accesses", self.dtlb.accesses()),
-            ("wb.peak_depth", self.wb.peak_depth() as u64),
-            ("wb.total_enqueued", self.wb.total_enqueued()),
-            (
-                "mem.demand_misses",
-                self.mem_d.total_misses() + self.mem_i.total_misses(),
-            ),
-        ];
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        for (name, v) in rows {
-            let id = t.reg.counter(name);
-            t.reg.add(id, v);
-        }
-    }
-
-    // ---- L2 helpers ----
-
-    /// Touches the instruction side of L2; on a hit returns whether the
-    /// line was dirty.
-    fn l2_touch_i(&mut self, addr: PhysAddr) -> Option<bool> {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => a.touch(addr).map(|l| l.dirty()),
-        }
-    }
-
-    /// Touches the data side of L2; on a hit returns whether the line was
-    /// dirty.
-    fn l2_touch_d(&mut self, addr: PhysAddr) -> Option<bool> {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => a.touch(addr).map(|l| l.dirty()),
-        }
-    }
-
-    /// Fills the instruction side of L2; returns whether the victim was
-    /// dirty.
-    fn l2_fill_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_fill_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    /// Marks the data-side line for `addr` dirty (after a drain write).
-    fn l2_dirty_d(&mut self, addr: PhysAddr) {
-        let (L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. }) = &mut self.l2;
-        if let Some(mut line) = a.touch(addr) {
-            line.set_dirty(true);
-        }
-    }
-
-    /// Services an instruction-side L1 miss starting at `start`; returns
-    /// total stall cycles, with components attributed.
-    #[cold]
-    #[inline(never)]
-    fn service_i_miss(&mut self, start: u64, paddr: PhysAddr) -> u64 {
-        self.counters.l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost as u64;
-        if let Some(dirty) = self.l2_touch_i(paddr) {
-            self.counters.l1i_miss_cycles += hit_cost;
-            self.fnow += self.ref_i_hit_cost as u64;
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.set_i_outcome(1);
-            }
-            if self.telem_on {
-                self.telem_l2_lookup_i(start, hit_cost);
-            }
-            self.l1i.fill(paddr);
-            return hit_cost + self.fault_on_l2_hit(paddr, dirty, true);
-        }
-        self.counters.l2i_misses += 1;
-        let dirty_victim = self.l2_fill_i(paddr);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.set_i_outcome(if dirty_victim { 3 } else { 2 });
-        }
-        let svc = if self.cfg.l2.is_split() {
-            self.mem_i.service_miss(start, dirty_victim)
-        } else {
-            self.mem_d.service_miss(start, dirty_victim)
-        };
-        if self.telem_on {
-            self.telem_mem_refill_i(start, svc.stall_cycles);
-        }
-        // Attribute up to the L2-hit-equivalent cost to the L1 component and
-        // the excess to the L2 component. An exotic configuration can make
-        // the memory penalty smaller than the hit cost; clamp so the
-        // components still sum to the charged stall.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1i_miss_cycles += l1_share;
-        self.counters.l2i_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        self.l1i.fill(paddr);
-        svc.stall_cycles
-    }
-
-    /// Services a data-side L1 miss (read or write-allocate) starting at
-    /// `start`; returns total stall cycles.
-    #[cold]
-    #[inline(never)]
-    fn service_d_miss(&mut self, start: u64, line_base: PhysAddr) -> u64 {
-        self.counters.l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost as u64;
-        if let Some(dirty) = self.l2_touch_d(line_base) {
-            self.counters.l1d_miss_cycles += hit_cost;
-            self.fnow += self.ref_d_hit_cost as u64;
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.set_d_outcome(1);
-            }
-            if self.telem_on {
-                self.telem_l2_lookup_d(start, hit_cost);
-            }
-            return hit_cost + self.fault_on_l2_hit(line_base, dirty, false);
-        }
-        self.counters.l2d_misses += 1;
-        let dirty_victim = self.l2_fill_d(line_base);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.set_d_outcome(if dirty_victim { 3 } else { 2 });
-        }
-        let svc = self.mem_d.service_miss(start, dirty_victim);
-        if self.telem_on {
-            self.telem_mem_refill_d(start, svc.stall_cycles);
-        }
-        // Same clamped attribution as the instruction side.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1d_miss_cycles += l1_share;
-        self.counters.l2d_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    /// Write-buffer wait (in cycles, attributed) that an L1-D miss must
-    /// take before its L2 fetch, per the configured bypass scheme.
-    fn wb_wait_for_d_miss(
-        &mut self,
-        start: u64,
-        line_base: PhysAddr,
-        replaced_written: bool,
-    ) -> u64 {
-        let line_words = self.cfg.l1d.line_words;
-        let until = match self.cfg.concurrency.d_read_bypass {
-            WbBypass::Wait => self.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced_written {
-                    self.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb
-                .match_line(start, line_base, line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters.wb_wait_cycles += wait;
-        if self.telem_on && wait > 0 {
-            self.telem_wb_wait(start, wait);
-        }
-        wait
-    }
-
-    /// Enqueues a write into the write buffer at `start`, stalling for a
-    /// slot if the buffer is full. Returns the stall (attributed to WB).
-    fn enqueue_write(&mut self, start: u64, addr: PhysAddr) -> u64 {
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.push_addr(addr.word());
-        }
-        let free_at = self.wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.counters.wb_wait_cycles += stall;
-        let enq_time = free_at;
-        // The drain's cost depends on whether it hits in L2-D.
-        let extra = self.drain_l2_penalty(addr);
-        let busy_from = enq_time.max(self.wb.last_completion());
-        let completes = self.wb.enqueue(
-            enq_time,
-            addr,
-            self.d_write_access,
-            self.d_write_stream,
-            extra,
-        );
-        self.counters.l2_drain_busy_cycles += completes - busy_from;
-        if self.telem_on {
-            self.telem_wb_enqueue(start, stall, busy_from, completes);
-        }
-        stall + self.fault_on_wb_write()
-    }
-
-    /// Models the L2 side of one drained write; returns the extra drain
-    /// occupancy when the write misses L2 (write-allocate from memory).
-    fn drain_l2_penalty(&mut self, addr: PhysAddr) -> u32 {
-        self.counters.l2_drain_writes += 1;
-        if self.l2_touch_d(addr).is_some() {
-            self.l2_dirty_d(addr);
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.push_drain(0);
-            }
-            return 0;
-        }
-        self.counters.l2_drain_misses += 1;
-        let dirty_victim = self.l2_fill_d(addr);
-        self.l2_dirty_d(addr);
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.push_drain(if dirty_victim { 2 } else { 1 });
-        }
-        // The drain stalls the buffer, not the CPU, and does not compete
-        // for the dirty buffer: fold the raw penalty into the entry's
-        // occupancy.
-        self.mem_d.service_miss_raw(dirty_victim).stall_cycles as u32
-    }
-
-    // ---- soft-error fault hooks ----
-    //
-    // Faults are checked when an access *hits* the struck structure — the
-    // moment a corrupted entry would be consumed (a deliberate
-    // simplification: flips in lines that are never referenced again are
-    // architecturally silent anyway). With injection off (`fault` is
-    // `None`) every hook returns 0 without touching the PRNG, so the
-    // fault-free path is bit-identical to the legacy simulator.
-
-    /// Consults the injector for one access to `s`; returns the fired
-    /// event with its resolved effect, if any.
-    fn fault_check(&mut self, s: Structure, dirty: bool) -> Option<(FaultEvent, FaultEffect)> {
-        let fs = self.fault.as_mut()?;
-        let ev = fs.injector.check(s, fs.sets[s.index()])?;
-        self.counters.faults_injected += 1;
-        let effect = resolve(fs.protection.get(s), dirty, ev.multi_bit);
-        Some((ev, effect))
-    }
-
-    /// Applies a resolved fault effect: updates the fault counters,
-    /// charges `recovery_cycles`, and arms the configured machine-check
-    /// response. Returns the stall cycles the faulting access absorbs.
-    fn apply_fault(&mut self, ev: FaultEvent, effect: FaultEffect, refetch_cost: u64) -> u64 {
-        if self.telem_on {
-            self.telem_fault(effect);
-        }
-        match effect {
-            FaultEffect::Silent => {
-                self.counters.faults_silent += 1;
-                0
-            }
-            FaultEffect::Correct => {
-                self.counters.faults_corrected += 1;
-                let p = self.fault.as_ref().map_or(0, |f| f.ecc_penalty);
-                self.counters.recovery_cycles += p;
-                p
-            }
-            FaultEffect::Refetch => {
-                self.counters.fault_refetches += 1;
-                self.counters.recovery_cycles += refetch_cost;
-                refetch_cost
-            }
-            FaultEffect::MachineCheck => {
-                self.counters.machine_checks += 1;
-                if self.fault.as_ref().is_some_and(|f| f.halt) {
-                    // Halt at the current instruction boundary; the run
-                    // loop surfaces the error.
-                    self.pending_mc = Some(ev);
-                    0
-                } else {
-                    // Checkpoint restart: deterministic re-execution from
-                    // the last checkpoint costs the cycles since it, and
-                    // the restart point becomes the implicit checkpoint.
-                    let rollback = self.now.saturating_sub(self.last_checkpoint_cycle);
-                    self.counters.recovery_cycles += rollback;
-                    self.last_checkpoint_cycle = self.now;
-                    rollback
-                }
-            }
-        }
-    }
-
-    /// Fault check for a TLB hit (shared by both TLBs; entries are never
-    /// the only copy, so "dirty" never applies). A parity refetch re-walks
-    /// the page tables at the configured TLB miss penalty.
-    #[inline]
-    fn fault_on_tlb_hit(&mut self) -> u64 {
-        if !self.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(Structure::Tlb, false) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            self.cfg.tlb_miss_penalty as u64
-        } else {
-            0
-        };
-        self.apply_fault(ev, effect, cost)
-    }
-
-    /// Fault check for an L1-I hit (instruction lines are never dirty).
-    #[inline]
-    fn fault_on_l1i_hit(&mut self, paddr: PhysAddr) -> u64 {
-        if !self.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(Structure::L1I, false) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            self.refetch_from_l2_i(paddr)
-        } else {
-            0
-        };
-        self.apply_fault(ev, effect, cost)
-    }
-
-    /// Fault check for an L1-D hit. Under write-back a dirty line is the
-    /// only copy of its data; the write-through policies stream every
-    /// write out through the buffer, so their L1 copies are always clean
-    /// (the line's written mark notwithstanding).
-    #[inline]
-    fn fault_on_l1d_hit(&mut self, paddr: PhysAddr) -> u64 {
-        if !self.fault_on {
-            return 0; // skip the dirty-line peek along with the check
-        }
-        let dirty = !self.cfg.policy.is_write_through()
-            && self.l1d.array().peek(paddr).is_some_and(|l| l.dirty);
-        let Some((ev, effect)) = self.fault_check(Structure::L1D, dirty) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            self.refetch_from_l2_d(paddr)
-        } else {
-            0
-        };
-        self.apply_fault(ev, effect, cost)
-    }
-
-    /// Fault check for a demand L2 hit (either side; background drains are
-    /// not checked). A clean line refetches from main memory in place.
-    #[inline]
-    fn fault_on_l2_hit(&mut self, _paddr: PhysAddr, dirty: bool, i_side: bool) -> u64 {
-        if !self.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(Structure::L2, dirty) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            if i_side && self.cfg.l2.is_split() {
-                self.mem_i.service_miss_raw(false).stall_cycles
-            } else {
-                self.mem_d.service_miss_raw(false).stall_cycles
-            }
-        } else {
-            0
-        };
-        self.apply_fault(ev, effect, cost)
-    }
-
-    /// Fault check for a write entering the write buffer. In-flight store
-    /// data is always the only copy, hence always dirty: parity can only
-    /// detect (machine check), ECC corrects.
-    #[inline]
-    fn fault_on_wb_write(&mut self) -> u64 {
-        if !self.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(Structure::WriteBuffer, true) else {
-            return 0;
-        };
-        self.apply_fault(ev, effect, 0)
-    }
-
-    /// Real refill cycles for refetching a clean L1-I line: L2-I hit cost,
-    /// or a main-memory fetch filling L2. Demand miss-ratio counters stay
-    /// untouched — recovery traffic is reported via the fault counters.
-    fn refetch_from_l2_i(&mut self, paddr: PhysAddr) -> u64 {
-        if self.l2_touch_i(paddr).is_some() {
-            return self.i_hit_cost as u64;
-        }
-        let dirty_victim = self.l2_fill_i(paddr);
-        let svc = if self.cfg.l2.is_split() {
-            self.mem_i.service_miss_raw(dirty_victim)
-        } else {
-            self.mem_d.service_miss_raw(dirty_victim)
-        };
-        svc.stall_cycles
-    }
-
-    /// Real refill cycles for refetching a clean L1-D line from L2/memory.
-    fn refetch_from_l2_d(&mut self, paddr: PhysAddr) -> u64 {
-        if self.l2_touch_d(paddr).is_some() {
-            return self.d_hit_cost as u64;
-        }
-        let dirty_victim = self.l2_fill_d(paddr);
-        self.mem_d.service_miss_raw(dirty_victim).stall_cycles
-    }
-
-    #[inline]
-    fn step_ifetch_impl<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        // Uninstrumented fast path: a fetch from the line the previous
-        // fetch ended on is a guaranteed ITLB + L1-I hit (only ifetches
-        // touch either structure), and the hit path consumes the physical
-        // address nowhere, so the probes are skipped outright.
-        let vline = ev.addr.raw() >> self.i_line_shift;
-        if !HOOKS && vline == self.last_ifetch_vline {
-            let cycles = 1 + ev.stall_cycles as u64;
-            self.counters.instructions += 1;
-            self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-            self.fnow += cycles;
-            self.now += cycles;
-            let p = self.proc_entry(ev.addr.pid());
-            p.instructions += 1;
-            p.cycles += cycles;
-            return;
-        }
-        let diff_before = if HOOKS && self.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 1 + ev.stall_cycles as u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        let mut missed = false;
-        self.counters.instructions += 1;
-        self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-        self.fnow += 1 + ev.stall_cycles as u64;
-
-        let itlb_hit = self.itlb.access(ev.addr);
-        if HOOKS {
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.begin_instr(ev.addr.pid().raw(), ev.stall_cycles, !itlb_hit);
-            }
-        }
-        if itlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit();
-            }
-        } else {
-            self.counters.itlb_misses += 1;
-            let p = self.cfg.tlb_miss_penalty as u64;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && self.telem_on {
-                self.telem_tlb_walk(true, p);
-            }
-        }
-        let paddr = self.translate(ev.addr);
-
-        if self.l1i.touch(paddr).is_some() {
-            if HOOKS {
-                cycles += self.fault_on_l1i_hit(paddr);
-            }
-        } else {
-            self.counters.l1i_misses += 1;
-            missed = true;
-            let mut t = self.now + cycles;
-            // Base rule: instruction misses wait for the write buffer to
-            // empty (keeps the unified L2 consistent). The §9 concurrent
-            // refill drops this when L2 is split.
-            if !self.cfg.concurrency.concurrent_i_refill {
-                let empty = self.wb.empty_at(t);
-                let wait = empty - t;
-                self.counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i_miss(t, paddr);
-        }
-        self.now += cycles;
-        if !HOOKS {
-            // Hit or refill, the line is now resident; arm the memo. The
-            // hooked instantiations never read it (faults and the canary
-            // can invalidate lines behind it).
-            self.last_ifetch_vline = vline;
-        }
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ev, paddr, before);
-            }
-        }
-
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let p = self.proc_entry(ev.addr.pid());
-        p.instructions += 1;
-        p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    #[inline]
-    fn step_data_impl<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        match ev.kind {
-            AccessKind::Load => self.step_load_impl::<HOOKS>(ev),
-            AccessKind::Store => self.step_store_impl::<HOOKS>(ev),
-            AccessKind::IFetch => unreachable!("data step on a fetch"),
-        }
-    }
-
-    #[inline]
-    fn step_load_impl<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        // Uninstrumented fast path: a load from the line the previous
-        // load hit (with no intervening store or load miss — both clear
-        // the memo) is a guaranteed DTLB + L1-D hit with zero charged
-        // cycles; line state cannot have changed in between. Gated off
-        // under subblock placement, where load hits are per-word.
-        let vline = ev.addr.raw() >> self.d_line_shift;
-        if !HOOKS && vline == self.last_load_vline {
-            self.counters.loads += 1;
-            let p = self.proc_entry(ev.addr.pid());
-            p.loads += 1;
-            return;
-        }
-        let diff_before = if HOOKS && self.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 0u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        self.counters.loads += 1;
-        let vpage = ev.addr.raw() >> PAGE_SHIFT;
-        // Same page as the previous data access: guaranteed DTLB hit
-        // (only data accesses touch the DTLB; short-circuit skips the
-        // probe, which is LRU-exact for a repeated most-recent key).
-        let dtlb_hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(ev.addr);
-        if !HOOKS {
-            self.last_data_vpage = vpage;
-        }
-        if HOOKS {
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.begin_load(!dtlb_hit);
-            }
-        }
-        if dtlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit();
-            }
-        } else {
-            self.counters.dtlb_misses += 1;
-            let p = self.cfg.tlb_miss_penalty as u64;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && self.telem_on {
-                self.telem_tlb_walk(false, p);
-            }
-        }
-        let paddr = self.translate(ev.addr);
-
-        let outcome = self.l1d.load(paddr);
-        if !HOOKS {
-            // A hit leaves the line loadable; a miss refills it fully
-            // (clearing any write-only mark), so either way the line is
-            // loadable now. Stores clear the memo.
-            self.last_load_vline = if self.load_memo_ok { vline } else { u64::MAX };
-        }
-        if outcome.hit {
-            if HOOKS {
-                cycles += self.fault_on_l1d_hit(paddr);
-            }
-        } else {
-            self.counters.l1d_read_misses += 1;
-            let line_base = outcome.fetch.expect("miss implies fetch");
-            if HOOKS {
-                if let Some(r) = self.rec.as_deref_mut() {
-                    r.load_miss(
-                        outcome.replaced_written_line,
-                        outcome.writeback_victim.is_some(),
-                        line_base.word(),
-                    );
-                }
-            }
-            let mut t = self.now + cycles;
-            // Wait on *previously pending* writes per the bypass rule; the
-            // victim this very miss displaces drains in the background
-            // while the refill proceeds (that is what the buffer is for).
-            let wait = self.wb_wait_for_d_miss(t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(t, line_base);
-        }
-        self.now += cycles;
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ev, paddr, before);
-            }
-        }
-
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let hit = outcome.hit;
-        let p = self.proc_entry(ev.addr.pid());
-        p.loads += 1;
-        p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
-    }
-
-    #[inline]
-    fn step_store_impl<const HOOKS: bool>(&mut self, ev: &TraceEvent) {
-        let diff_before = if HOOKS && self.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 0u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        self.counters.stores += 1;
-        let vpage = ev.addr.raw() >> PAGE_SHIFT;
-        let dtlb_hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(ev.addr);
-        if !HOOKS {
-            self.last_data_vpage = vpage;
-            // Stores change line state (dirty / write-only / valid bits)
-            // and may evict, so the load memo cannot survive one.
-            self.last_load_vline = u64::MAX;
-        }
-        if dtlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit();
-            }
-        } else {
-            self.counters.dtlb_misses += 1;
-            let p = self.cfg.tlb_miss_penalty as u64;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && self.telem_on {
-                self.telem_tlb_walk(false, p);
-            }
-        }
-        let paddr = self.translate(ev.addr);
-
-        let outcome = self.l1d.store(paddr, ev.partial_word);
-        if HOOKS {
-            if let Some(r) = self.rec.as_deref_mut() {
-                r.begin_store(
-                    !dtlb_hit,
-                    outcome.hit,
-                    outcome.extra_cycle,
-                    outcome.wb_word.is_some(),
-                    outcome.fetch.is_some(),
-                    outcome.writeback_victim.is_some(),
-                    outcome.replaced_written_line,
-                );
-            }
-        }
-        if outcome.hit {
-            if HOOKS {
-                cycles += self.fault_on_l1d_hit(paddr);
-            }
-        } else {
-            self.counters.l1d_write_misses += 1;
-        }
-        if outcome.extra_cycle {
-            self.counters.l1_write_cycles += 1;
-            cycles += 1;
-            self.fnow += 1;
-        }
-        let mut t = self.now + cycles;
-
-        // Write-through: the word enters the write buffer.
-        if let Some(word) = outcome.wb_word {
-            let stall = self.enqueue_write(t, word);
-            cycles += stall;
-            t += stall;
-        }
-        // Write-back allocate: the fetch behaves like a read miss — it
-        // waits on previously pending writes, while the victim this miss
-        // displaces drains in the background during the refill.
-        if let Some(line_base) = outcome.fetch {
-            if HOOKS {
-                if let Some(r) = self.rec.as_deref_mut() {
-                    r.push_addr(line_base.word());
-                }
-            }
-            let wait = self.wb_wait_for_d_miss(t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(t, line_base);
-        } else if let Some(victim) = outcome.writeback_victim {
-            let stall = self.enqueue_write(t, victim);
-            cycles += stall;
-        }
-        self.now += cycles;
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ev, paddr, before);
-            }
-        }
-
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let hit = outcome.hit;
-        let p = self.proc_entry(ev.addr.pid());
-        p.stores += 1;
-        p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
+/// End-of-run snapshot of structure-level statistics into the telemetry
+/// registry (final occupancies, TLB traffic, buffer high-water mark) so
+/// the summary table reflects state the counters alone cannot.
+#[cold]
+#[inline(never)]
+fn telem_finalize(core: &Core, ux: &mut Uncore) {
+    let s = core.structures(ux);
+    let rows = [
+        ("l1i.occupancy", s.l1i.occupancy() as u64),
+        ("l1d.occupancy", s.l1d.array().occupancy() as u64),
+        ("l2i.occupancy", s.l2i.occupancy() as u64),
+        ("l2d.occupancy", s.l2d.occupancy() as u64),
+        ("itlb.accesses", core.itlb.accesses()),
+        ("dtlb.accesses", core.dtlb.accesses()),
+        ("wb.peak_depth", s.wb.peak_depth() as u64),
+        ("wb.total_enqueued", s.wb.total_enqueued()),
+        (
+            "mem.demand_misses",
+            ux.mem_d.total_misses() + ux.mem_i.total_misses(),
+        ),
+    ];
+    let t = ux.ins.telem.as_deref_mut().expect("telem_on implies state");
+    for (name, v) in rows {
+        let id = t.reg.counter(name);
+        t.reg.add(id, v);
     }
 }
 
@@ -1975,8 +1078,9 @@ pub fn run(cfg: SimConfig, traces: Vec<Box<dyn Trace>>) -> Result<SimResult, Sim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::L2Config;
     use gaas_cache::WritePolicy;
-    use gaas_trace::{Pid, VecTrace};
+    use gaas_trace::{Pid, VecTrace, VirtAddr};
 
     fn va(w: u64) -> VirtAddr {
         VirtAddr::new(Pid::new(0), w)

@@ -13,7 +13,10 @@
 //!   works, and coherence CPI scales with sharing, not core count;
 //! * **oracle smoke** — a 2-core run with real sharing and the
 //!   coherence oracle enabled completes with zero invariant violations
-//!   while actually exercising the protocol (invalidations observed).
+//!   while actually exercising the protocol (invalidations observed);
+//! * **oracle neutrality** — 2- and 4-core sharing runs produce the same
+//!   counters with the oracle on (every load hit checked, memos off) as
+//!   with it off (memos on), under every write policy.
 
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
@@ -140,4 +143,33 @@ fn coherence_counters_accumulate_into_process_totals() {
         after.invalidations - before.invalidations >= r.result.counters.invalidations,
         "run's invalidations folded into the process totals"
     );
+}
+
+#[test]
+fn oracle_on_and_off_sharing_runs_count_identically() {
+    for cores in [2u32, 4] {
+        for policy in WritePolicy::all() {
+            let mut b = SimConfig::builder();
+            b.policy(policy);
+            let mut cfg = b.build().expect("valid");
+            cfg.cmp = CmpConfig {
+                cores,
+                shared_frac: 0.2,
+                shared_words: 4096,
+                migration_interval: 1000,
+                ..CmpConfig::default()
+            };
+            let off = runner::run_standard_cmp(cfg.clone(), SCALE, None).expect("oracle off");
+            cfg.diffcheck = DiffCheckConfig {
+                enabled: true,
+                ..DiffCheckConfig::default()
+            };
+            let on = runner::run_standard_cmp(cfg, SCALE, None).expect("oracle on");
+            let summary = format!("{cores} cores, {policy:?}");
+            assert!(off.result.counters.invalidations > 0, "{summary}: sharing");
+            assert_eq!(on.result.counters, off.result.counters, "{summary}");
+            assert_eq!(on.per_core, off.per_core, "{summary}");
+            assert_eq!(on.result.per_process, off.result.per_process, "{summary}");
+        }
+    }
 }
