@@ -41,9 +41,10 @@
 //!   disabled mode (the hooks behind the cached enable flag must stay
 //!   within 3% of the pre-telemetry throughput);
 //! * **copricing** — one baseline-geometry functional profile priced as a
-//!   4-variant group both ways: four serial [`price_profile`] replays vs.
-//!   one [`price_profiles`] co-priced streaming pass (N lanes in
-//!   lockstep over a single token decode). Records both wall-clocks, the
+//!   4-variant group both ways: N one-lane co-priced passes
+//!   ([`price_profile`], one token decode each) vs. one 4-lane
+//!   [`price_profiles`] pass (the lanes in lockstep over a single token
+//!   decode). Records both wall-clocks, the
 //!   speedup, byte-identity of the results, and the `--copricing-min`
 //!   gate outcome; measured even under `--kernel-only`;
 //! * **coherence** — the CMP engine: a 2-core sharing run's throughput
@@ -626,9 +627,10 @@ fn main() {
 }
 
 /// Prices one baseline-geometry 4-lane timing group (L2 access 2/4/6/8)
-/// from a single functional profile, serially and co-priced, best-of-K
-/// each. The profile is recorded once up front — both timed paths replay
-/// the same token stream, so the comparison isolates the replay cost.
+/// from a single functional profile as N one-lane co-priced passes and
+/// as one 4-lane pass, best-of-K each. The profile is recorded once up
+/// front — both timed paths replay the same token stream, so the
+/// comparison isolates what sharing one decode across the lanes saves.
 fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
     let base = SimConfig::baseline();
     let (_, profile) = Simulator::new(base.clone())

@@ -12,6 +12,8 @@
 //! invariant `total cycles = instructions + Σ components` is maintained by
 //! construction and checked in tests.
 
+use gaas_cache::MissService;
+
 /// Raw event and cycle counters accumulated by a simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -113,6 +115,31 @@ impl Counters {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Counters::default()
+    }
+
+    /// Charges an L1 refill that missed L2 (instruction side when
+    /// `instruction_side`): the service cycles up to the L2-hit cost
+    /// `hit_cost` go to the L1 miss component, the excess to the L2 miss
+    /// component, and the dirty-buffer wait to its own. An exotic
+    /// configuration can make the memory penalty smaller than the hit
+    /// cost; the clamp keeps the components summing to the charged stall.
+    #[inline]
+    pub(crate) fn charge_l2_miss_refill(
+        &mut self,
+        instruction_side: bool,
+        svc: MissService,
+        hit_cost: u64,
+    ) {
+        let service = svc.stall_cycles - svc.dirty_buffer_wait;
+        let l1_share = service.min(hit_cost);
+        if instruction_side {
+            self.l1i_miss_cycles += l1_share;
+            self.l2i_miss_cycles += service - l1_share;
+        } else {
+            self.l1d_miss_cycles += l1_share;
+            self.l2d_miss_cycles += service - l1_share;
+        }
+        self.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
     }
 
     /// Field-wise difference `self − earlier`: the counters accumulated

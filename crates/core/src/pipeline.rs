@@ -101,6 +101,42 @@ impl Coherence for NoCoherence {
     fn load_hit(&mut self, _: &Core, _: PhysAddr) {}
 }
 
+/// Cycles an L1 refill of `line_words` takes from an L2 hit: the access
+/// time covers the first 4W beat; each further 4W beat adds a cycle.
+fn l2_hit_cost(access_cycles: u32, line_words: u32) -> u64 {
+    u64::from(access_cycles + line_words.div_ceil(4) - 1)
+}
+
+/// The L2 cycle costs a configuration's timing knobs derive — the one
+/// derivation the simulator's [`Uncore`] and the profile pricer share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct L2Costs {
+    /// L1-I refill cost on an L2 hit.
+    pub(crate) i_hit: u64,
+    /// L1-D refill cost on an L2 hit.
+    pub(crate) d_hit: u64,
+    /// L2 write access occupancy of one write-buffer drain.
+    pub(crate) drain_access: u32,
+    /// Occupancy of a drain streamed behind the previous one.
+    pub(crate) drain_stream: u32,
+}
+
+impl L2Costs {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        // Drains write at the data side's access time (or the Fig. 5
+        // override); streams overlap the 2-cycle latency.
+        let drain_access = cfg
+            .l2_drain_access_override
+            .unwrap_or(cfg.l2.d_side().access_cycles);
+        L2Costs {
+            i_hit: l2_hit_cost(cfg.l2.i_side().access_cycles, cfg.l1i.line_words),
+            d_hit: l2_hit_cost(cfg.l2.d_side().access_cycles, cfg.l1d.line_words),
+            drain_access,
+            drain_stream: drain_access.saturating_sub(2).max(1),
+        }
+    }
+}
+
 enum L2Arrays {
     Unified(CacheArray),
     Split { i: CacheArray, d: CacheArray },
@@ -122,17 +158,12 @@ pub struct Uncore {
     d_read_bypass: WbBypass,
     d_line_words: u32,
     split_l2: bool,
-    /// Precomputed L1 miss service costs for an L2 hit.
-    i_hit_cost: u32,
-    d_hit_cost: u32,
+    /// The L2 hit and drain costs the timing knobs derive.
+    costs: L2Costs,
     /// Functional-clock L2-hit costs at the reference access time (see
-    /// [`Core`]'s `fnow`): `REF_L2_ACCESS + beats − 1`, independent of
-    /// the configured access times.
-    ref_i_hit_cost: u32,
-    ref_d_hit_cost: u32,
-    /// L2 write access/stream occupancy for write-buffer drains.
-    d_write_access: u32,
-    d_write_stream: u32,
+    /// [`Core`]'s `fnow`), independent of the configured access times.
+    ref_i_hit_cost: u64,
+    ref_d_hit_cost: u64,
 
     /// The single-CPU simulator's instrumentation layers (all off unless
     /// [`Simulator`](crate::Simulator) installs them).
@@ -153,14 +184,7 @@ impl Uncore {
                 d: CacheArray::new(d.geometry()?),
             },
         };
-        // Miss service from L2: the access time covers the first 4W beat;
-        // each further 4W beat of the fetch adds a cycle.
-        let beats = |line_words: u32| line_words.div_ceil(4);
-        let i_side = cfg.l2.i_side();
-        let d_side = cfg.l2.d_side();
-        // Drains write at the data side's access time (or the Fig. 5
-        // override); streams overlap the 2-cycle latency.
-        let d_write_access = cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles);
+        let ref_access = REF_L2_ACCESS as u32;
         Ok(Uncore {
             l2,
             mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
@@ -171,12 +195,9 @@ impl Uncore {
             d_read_bypass: cfg.concurrency.d_read_bypass,
             d_line_words: cfg.l1d.line_words,
             split_l2: cfg.l2.is_split(),
-            i_hit_cost: i_side.access_cycles + beats(cfg.l1i.line_words) - 1,
-            d_hit_cost: d_side.access_cycles + beats(cfg.l1d.line_words) - 1,
-            ref_i_hit_cost: REF_L2_ACCESS as u32 + beats(cfg.l1i.line_words) - 1,
-            ref_d_hit_cost: REF_L2_ACCESS as u32 + beats(cfg.l1d.line_words) - 1,
-            d_write_access,
-            d_write_stream: d_write_access.saturating_sub(2).max(1),
+            costs: L2Costs::new(cfg),
+            ref_i_hit_cost: l2_hit_cost(ref_access, cfg.l1i.line_words),
+            ref_d_hit_cost: l2_hit_cost(ref_access, cfg.l1d.line_words),
             ins: Instruments::default(),
         })
     }
@@ -239,7 +260,7 @@ impl Uncore {
     /// untouched — recovery traffic is reported via the fault counters.
     fn refetch_from_l2_i(&mut self, paddr: PhysAddr) -> u64 {
         if self.l2_touch_i(paddr).is_some() {
-            return self.i_hit_cost as u64;
+            return self.costs.i_hit;
         }
         let dirty_victim = self.l2_fill_i(paddr);
         self.mem_for_i().service_miss_raw(dirty_victim).stall_cycles
@@ -248,7 +269,7 @@ impl Uncore {
     /// Real refill cycles for refetching a clean L1-D line from L2/memory.
     fn refetch_from_l2_d(&mut self, paddr: PhysAddr) -> u64 {
         if self.l2_touch_d(paddr).is_some() {
-            return self.d_hit_cost as u64;
+            return self.costs.d_hit;
         }
         let dirty_victim = self.l2_fill_d(paddr);
         self.mem_d.service_miss_raw(dirty_victim).stall_cycles
@@ -453,10 +474,10 @@ impl Core {
     #[inline(never)]
     fn service_i_miss(&mut self, ux: &mut Uncore, start: u64, paddr: PhysAddr) -> u64 {
         self.counters.l2i_accesses += 1;
-        let hit_cost = ux.i_hit_cost as u64;
+        let hit_cost = ux.costs.i_hit;
         if let Some(dirty) = ux.l2_touch_i(paddr) {
             self.counters.l1i_miss_cycles += hit_cost;
-            self.fnow += ux.ref_i_hit_cost as u64;
+            self.fnow += ux.ref_i_hit_cost;
             if let Some(r) = ux.ins.rec.as_deref_mut() {
                 r.set_i_outcome(1);
             }
@@ -480,15 +501,7 @@ impl Core {
         if ux.ins.telem_on {
             ux.ins.telem_mem_refill_i(start, svc.stall_cycles);
         }
-        // Attribute up to the L2-hit-equivalent cost to the L1 component and
-        // the excess to the L2 component. An exotic configuration can make
-        // the memory penalty smaller than the hit cost; clamp so the
-        // components still sum to the charged stall.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1i_miss_cycles += l1_share;
-        self.counters.l2i_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        self.counters.charge_l2_miss_refill(true, svc, hit_cost);
         self.l1i.fill(paddr);
         svc.stall_cycles
     }
@@ -499,10 +512,10 @@ impl Core {
     #[inline(never)]
     fn service_d_miss(&mut self, ux: &mut Uncore, start: u64, line_base: PhysAddr) -> u64 {
         self.counters.l2d_accesses += 1;
-        let hit_cost = ux.d_hit_cost as u64;
+        let hit_cost = ux.costs.d_hit;
         if let Some(dirty) = ux.l2_touch_d(line_base) {
             self.counters.l1d_miss_cycles += hit_cost;
-            self.fnow += ux.ref_d_hit_cost as u64;
+            self.fnow += ux.ref_d_hit_cost;
             if let Some(r) = ux.ins.rec.as_deref_mut() {
                 r.set_d_outcome(1);
             }
@@ -525,12 +538,7 @@ impl Core {
         if ux.ins.telem_on {
             ux.ins.telem_mem_refill_d(start, svc.stall_cycles);
         }
-        // Same clamped attribution as the instruction side.
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1d_miss_cycles += l1_share;
-        self.counters.l2d_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        self.counters.charge_l2_miss_refill(false, svc, hit_cost);
         svc.stall_cycles
     }
 
@@ -578,9 +586,13 @@ impl Core {
         // The drain's cost depends on whether it hits in L2-D.
         let extra = self.drain_l2_penalty(ux, addr);
         let busy_from = enq_time.max(self.wb.last_completion());
-        let completes =
-            self.wb
-                .enqueue(enq_time, addr, ux.d_write_access, ux.d_write_stream, extra);
+        let completes = self.wb.enqueue(
+            enq_time,
+            addr,
+            ux.costs.drain_access,
+            ux.costs.drain_stream,
+            extra,
+        );
         self.counters.l2_drain_busy_cycles += completes - busy_from;
         if ux.ins.telem_on {
             ux.ins.telem_wb_enqueue(start, stall, busy_from, completes);

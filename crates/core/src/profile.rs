@@ -16,11 +16,13 @@
 //!    compact byte-token stream (typically ~1.1 bytes/instruction): TLB
 //!    hit/miss, L1/L2 hit/miss with victim dirtiness, write-policy
 //!    outcomes, and the physical addresses the write buffer needs.
-//! 2. **Timing pass** — [`price_profile`] replays the token stream under
-//!    any timing point of the same geometry, re-running the *exact* cycle
-//!    arithmetic of the live simulator (write-buffer occupancy, dirty
-//!    buffer, drain streaming) against fresh timing state. The result is
-//!    byte-identical to a full simulation of that configuration.
+//! 2. **Timing pass** — [`price_profiles`] replays the token stream under
+//!    any timing points of the same geometry, re-running the simulator's
+//!    cycle rules (write-buffer occupancy, dirty buffer, drain streaming)
+//!    against fresh timing state. It takes the L2 costs and the split of
+//!    refill cycles between CPI components from the code the simulator's
+//!    core uses. Each result is byte-identical to a full simulation of
+//!    that configuration; [`price_profile`] is the one-variant call.
 //!
 //! The split is sound because the simulator's scheduler runs on a
 //! *functional clock* (see `Simulator::fnow`) that advances only on
@@ -38,8 +40,9 @@
 //! state is laid out structure-of-arrays (`now`, counters, write-buffer
 //! occupancy planes) so the inner loop is branch-light, and the
 //! write-buffer line probe compares a whole lane window with one
-//! XOR/mask/compare per word ([`gaas_cache::line_member_mask`]). Results
-//! are byte-identical to N independent [`price_profile`] calls.
+//! XOR/mask/compare per word ([`gaas_cache::line_member_mask`]). A lane's
+//! result does not depend on the other lanes: pricing N variants together
+//! gives what N one-lane passes give.
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -54,7 +57,7 @@
 //! build, so the memoizer can never silently group configurations that
 //! differ functionally.
 
-use gaas_cache::{line_member_mask, MainMemory, MemorySystem, WriteBuffer, WritePolicy};
+use gaas_cache::{line_member_mask, MainMemory, MemorySystem, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
 use gaas_trace::{PhysAddr, Pid};
 
@@ -62,6 +65,7 @@ use crate::config::{
     ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WbBypass, WriteBufferConfig,
 };
 use crate::cpi::{Counters, ProcCounters};
+use crate::pipeline::L2Costs;
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -506,7 +510,8 @@ pub fn functional_fingerprint(cfg: &SimConfig) -> Option<u64> {
 // ---- timing pricer ----
 
 /// Prices a [`FunctionalProfile`] under `cfg`'s timing point, producing a
-/// [`SimResult`] byte-identical to a full simulation of `cfg`.
+/// [`SimResult`] byte-identical to a full simulation of `cfg`: a one-lane
+/// [`price_profiles`].
 ///
 /// # Errors
 ///
@@ -514,375 +519,28 @@ pub fn functional_fingerprint(cfg: &SimConfig) -> Option<u64> {
 ///
 /// # Panics
 ///
-/// Panics when `cfg` is not a timing variant of the profiled geometry
-/// (`functional_fingerprint(cfg) != Some(profile.fkey)`) — grouping
-/// mistakes are programming errors, not recoverable conditions.
+/// Panics when `cfg` is not a timing variant of the profiled geometry.
 pub fn price_profile(cfg: &SimConfig, profile: &FunctionalProfile) -> Result<SimResult, SimError> {
-    cfg.validate()?;
-    assert_eq!(
-        functional_fingerprint(cfg),
-        Some(profile.fkey),
-        "price_profile requires a timing variant of the profiled geometry"
-    );
-
-    // Twin of `Simulator::new`'s cost derivation.
-    let beats = |line_words: u32| line_words.div_ceil(4);
-    let i_side = cfg.l2.i_side();
-    let d_side = cfg.l2.d_side();
-    let mut p = Pricer {
-        cfg,
-        ops: &profile.ops,
-        addrs: U64StreamCursor::new(&profile.addr_blocks),
-        i: 0,
-        now: 0,
-        counters: Counters::new(),
-        per_proc: Vec::new(),
-        cur_pid: 0,
-        wb: WriteBuffer::new(cfg.write_buffer.depth),
-        mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
-        mem_i: MemorySystem::new(cfg.memory, false),
-        i_hit_cost: (i_side.access_cycles + beats(cfg.l1i.line_words) - 1) as u64,
-        d_hit_cost: (d_side.access_cycles + beats(cfg.l1d.line_words) - 1) as u64,
-        d_write_access: cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles),
-        d_write_stream: 0,
-    };
-    p.d_write_stream = p.d_write_access.saturating_sub(2).max(1);
-
-    let mut warm_snapshot: Option<Counters> = None;
-    while p.i < p.ops.len() {
-        let b = p.ops[p.i];
-        p.i += 1;
-        if b & CONTROL == CONTROL {
-            p.cur_pid = p.ops[p.i];
-            p.i += 1;
-            continue;
-        }
-        p.replay_ifetch(b);
-        match b & CONTROL {
-            KIND_LOAD => p.replay_load(),
-            KIND_STORE => p.replay_store(),
-            _ => {}
-        }
-        if profile.warmup > 0 && p.counters.instructions == profile.warmup {
-            warm_snapshot = Some(p.counters);
-        }
-    }
-    debug_assert_eq!(p.i, p.ops.len(), "ops stream fully consumed");
-    debug_assert!(p.addrs.finished(), "addrs stream fully consumed");
-    debug_assert_eq!(
-        p.now,
-        p.counters.total_cycles(),
-        "cycle accounting must balance"
-    );
-
-    p.counters.syscall_switches = profile.syscall_switches;
-    p.counters.slice_switches = profile.slice_switches;
-    let counters = match warm_snapshot {
-        Some(snap) => p.counters.since(&snap),
-        None => p.counters,
-    };
-    let per_process = p
-        .per_proc
-        .iter()
-        .enumerate()
-        .filter(|(_, pc)| pc.instructions > 0 || pc.loads > 0 || pc.stores > 0)
-        .map(|(i, pc)| (Pid::new(i as u8), *pc))
-        .collect();
-    Ok(SimResult {
-        config: cfg.clone(),
-        counters,
-        completed: profile.completed.clone(),
-        per_process,
-        termination: if profile.budget_exhausted {
-            Termination::BudgetExhausted
-        } else {
-            Termination::Completed
-        },
-        checkpoints: Vec::new(),
-    })
+    let mut results = price_profiles(std::slice::from_ref(cfg), profile)?;
+    Ok(results.pop().expect("one result per lane"))
 }
-
-/// Replays a token stream against fresh timing state, twinning the live
-/// simulator's cycle arithmetic step for step.
-struct Pricer<'a> {
-    cfg: &'a SimConfig,
-    ops: &'a [u8],
-    /// Streaming decoder over the compressed address side channel: one
-    /// block of scratch at a time, never the whole materialized stream.
-    addrs: U64StreamCursor<'a>,
-    i: usize,
-    now: u64,
-    counters: Counters,
-    per_proc: Vec<ProcCounters>,
-    cur_pid: u8,
-    wb: WriteBuffer,
-    mem_d: MemorySystem,
-    mem_i: MemorySystem,
-    i_hit_cost: u64,
-    d_hit_cost: u64,
-    d_write_access: u32,
-    d_write_stream: u32,
-}
-
-impl Pricer<'_> {
-    fn next_op(&mut self) -> u8 {
-        let b = self.ops[self.i];
-        self.i += 1;
-        b
-    }
-
-    fn next_addr(&mut self) -> PhysAddr {
-        PhysAddr::new(self.addrs.next_value().expect("addrs stream underrun"))
-    }
-
-    fn proc_entry(&mut self) -> &mut ProcCounters {
-        let idx = self.cur_pid as usize;
-        if self.per_proc.len() <= idx {
-            self.per_proc.resize(idx + 1, ProcCounters::default());
-        }
-        &mut self.per_proc[idx]
-    }
-
-    fn charge_tlb_miss(&mut self, instruction_side: bool, cycles: &mut u64) {
-        if instruction_side {
-            self.counters.itlb_misses += 1;
-        } else {
-            self.counters.dtlb_misses += 1;
-        }
-        let p = self.cfg.tlb_miss_penalty as u64;
-        self.counters.tlb_miss_cycles += p;
-        *cycles += p;
-    }
-
-    fn replay_ifetch(&mut self, b: u8) {
-        let mut stall = ((b >> 2) & 0x07) as u64;
-        if stall == STALL_ESCAPE as u64 {
-            stall = self.next_op() as u64;
-        }
-        let outcome = b & OUTCOME_MASK;
-        let mut cycles = 1 + stall;
-        self.counters.instructions += 1;
-        self.counters.cpu_stall_cycles += stall;
-        if b & I_TLB_MISS != 0 {
-            self.charge_tlb_miss(true, &mut cycles);
-        }
-        let missed = outcome != 0;
-        if missed {
-            self.counters.l1i_misses += 1;
-            let mut t = self.now + cycles;
-            if !self.cfg.concurrency.concurrent_i_refill {
-                let empty = self.wb.empty_at(t);
-                let wait = empty - t;
-                self.counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i(t, outcome);
-        }
-        self.now += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry();
-        p.instructions += 1;
-        p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
-    }
-
-    fn service_i(&mut self, start: u64, outcome: u8) -> u64 {
-        self.counters.l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost;
-        if outcome == 1 {
-            self.counters.l1i_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters.l2i_misses += 1;
-        let svc = if self.cfg.l2.is_split() {
-            self.mem_i.service_miss(start, outcome == 3)
-        } else {
-            self.mem_d.service_miss(start, outcome == 3)
-        };
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1i_miss_cycles += l1_share;
-        self.counters.l2i_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn service_d(&mut self, start: u64, outcome: u8) -> u64 {
-        self.counters.l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost;
-        if outcome == 1 {
-            self.counters.l1d_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters.l2d_misses += 1;
-        let svc = self.mem_d.service_miss(start, outcome == 3);
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters.l1d_miss_cycles += l1_share;
-        self.counters.l2d_miss_cycles += service - l1_share;
-        self.counters.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
-        svc.stall_cycles
-    }
-
-    fn wb_wait_for_d_miss(&mut self, start: u64, line_base: PhysAddr, replaced: bool) -> u64 {
-        let until = match self.cfg.concurrency.d_read_bypass {
-            WbBypass::Wait => self.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced {
-                    self.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb
-                .match_line(start, line_base, self.cfg.l1d.line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters.wb_wait_cycles += wait;
-        wait
-    }
-
-    fn replay_enqueue(&mut self, start: u64) -> u64 {
-        let addr = self.next_addr();
-        let free_at = self.wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.counters.wb_wait_cycles += stall;
-        let code = self.next_op();
-        self.counters.l2_drain_writes += 1;
-        let extra = if code == 0 {
-            0
-        } else {
-            self.counters.l2_drain_misses += 1;
-            self.mem_d.service_miss_raw(code == 2).stall_cycles as u32
-        };
-        let busy_from = free_at.max(self.wb.last_completion());
-        let completes = self.wb.enqueue(
-            free_at,
-            addr,
-            self.d_write_access,
-            self.d_write_stream,
-            extra,
-        );
-        self.counters.l2_drain_busy_cycles += completes - busy_from;
-        stall
-    }
-
-    fn replay_load(&mut self) {
-        let b = self.next_op();
-        let outcome = b & OUTCOME_MASK;
-        let mut cycles = 0u64;
-        self.counters.loads += 1;
-        if b & LOAD_DTLB != 0 {
-            self.charge_tlb_miss(false, &mut cycles);
-        }
-        if outcome != 0 {
-            self.counters.l1d_read_misses += 1;
-            let line_base = self.next_addr();
-            let mut t = self.now + cycles;
-            let wait = self.wb_wait_for_d_miss(t, line_base, b & LOAD_REPLACED != 0);
-            cycles += wait;
-            t += wait;
-            if b & LOAD_VICTIM != 0 {
-                let stall = self.replay_enqueue(t);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(t, outcome);
-        }
-        self.now += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry();
-        p.loads += 1;
-        p.cycles += cycles;
-        if outcome != 0 {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
-    }
-
-    fn replay_store(&mut self) {
-        let b = self.next_op();
-        let (mut outcome, mut replaced) = (0u8, false);
-        if b & STORE_FETCH != 0 {
-            let ext = self.next_op();
-            outcome = ext & OUTCOME_MASK;
-            replaced = ext & EXT_REPLACED != 0;
-        }
-        let mut cycles = 0u64;
-        self.counters.stores += 1;
-        if b & STORE_DTLB != 0 {
-            self.charge_tlb_miss(false, &mut cycles);
-        }
-        let hit = b & STORE_HIT != 0;
-        if !hit {
-            self.counters.l1d_write_misses += 1;
-        }
-        if b & STORE_EXTRA != 0 {
-            self.counters.l1_write_cycles += 1;
-            cycles += 1;
-        }
-        let mut t = self.now + cycles;
-        if b & STORE_WB_WORD != 0 {
-            let stall = self.replay_enqueue(t);
-            cycles += stall;
-            t += stall;
-        }
-        if b & STORE_FETCH != 0 {
-            let line_base = self.next_addr();
-            let wait = self.wb_wait_for_d_miss(t, line_base, replaced);
-            cycles += wait;
-            t += wait;
-            if b & STORE_VICTIM != 0 {
-                let stall = self.replay_enqueue(t);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(t, outcome);
-        } else if b & STORE_VICTIM != 0 {
-            cycles += self.replay_enqueue(t);
-        }
-        self.now += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry();
-        p.stores += 1;
-        p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
-    }
-}
-
-// ---- multi-variant co-pricer ----
 
 /// Prices **every** timing variant in `cfgs` against one
 /// [`FunctionalProfile`] in a single pass over the token/address stream,
 /// returning one [`SimResult`] per config, in order — each byte-identical
-/// to what [`price_profile`] (and hence a full simulation) produces.
+/// to a full simulation of that config.
 ///
-/// Where N separate [`price_profile`] calls decode the same token stream
-/// N times, this engine decodes each instruction record once and applies
-/// it to N variant *lanes* advanced in lockstep; see the module docs for
-/// the lane layout. The address side channel streams through one shared
+/// Where N separate replays would decode the same token stream N times,
+/// this engine decodes each instruction record once and applies it to N
+/// variant *lanes* advanced in lockstep; see the module docs for the
+/// lane layout. The address side channel streams through one shared
 /// block cursor, so every decoded batch is consumed by all lanes before
 /// the next block is touched.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Config`] when any config fails validation (the
-/// caller falls back to per-variant pricing / full simulation).
+/// campaign then simulates the group's members individually).
 ///
 /// # Panics
 ///
@@ -918,8 +576,8 @@ pub fn price_profiles(
     // cost a handful of scalar adds each; the per-lane loop runs only on
     // the flush that precedes a miss, a PID switch, or the warmup
     // boundary. This is what makes N-lane co-pricing cheaper than N
-    // replays: the scalar pricer pays the full per-event bookkeeping per
-    // lane, the co-pricer pays it per *run*.
+    // replays: a per-event replay pays the full bookkeeping per lane, the
+    // co-pricer pays it per *run*.
     let mut pend = PendingRun::default();
     // Architectural instruction count so far (lane-independent), kept
     // outside the lanes so the warmup boundary check stays scalar.
@@ -986,8 +644,8 @@ pub fn price_profiles(
                         outcome = ext & OUTCOME_MASK;
                         replaced = ext & EXT_REPLACED != 0;
                     }
-                    // Side-channel consumption order mirrors the scalar
-                    // replay: wb word, fetched line base, victim.
+                    // Side-channel consumption order mirrors the
+                    // recording run: wb word, fetched line base, victim.
                     let mut wb_word = None;
                     if sb & STORE_WB_WORD != 0 {
                         let addr = next_addr(&mut addrs);
@@ -1090,15 +748,16 @@ impl PendingRun {
     }
 }
 
-/// Lane-parallel replay state for [`price_profiles`]: the scalar
-/// [`Pricer`]'s fields twinned per lane, structure-of-arrays. The
-/// write buffers of all lanes live in two packed planes (`wb_addr`,
-/// `wb_done`) of `wb_stride` slots per lane — lane `l`'s FIFO ring is
-/// `plane[l * stride ..][slot]` — so the §9 associative-bypass line
-/// probe scans one lane window with [`line_member_mask`] (one
-/// XOR/mask/compare per word, no per-slot branching). Buffer *depth* is
-/// a timing knob, so lanes may use fewer slots than the stride
-/// (`stride = max(depth)` across the group).
+/// Lane-parallel replay state for [`price_profiles`]: the timing state of
+/// one [`Core`](crate::Core) and its [`Uncore`](crate::Uncore) per lane,
+/// structure-of-arrays, minus everything the profile already decided
+/// (arrays, TLBs, clocks other than `now`). The write buffers of all
+/// lanes live in two packed planes (`wb_addr`, `wb_done`) of `wb_stride`
+/// slots per lane — lane `l`'s FIFO ring is `plane[l * stride ..][slot]`
+/// — so the §9 associative-bypass line probe scans one lane window with
+/// [`line_member_mask`] (one XOR/mask/compare per word, no per-slot
+/// branching). Buffer *depth* is a timing knob, so lanes may use fewer
+/// slots than the stride (`stride = max(depth)` across the group).
 struct CoPricer {
     n: usize,
     now: Vec<u64>,
@@ -1109,7 +768,7 @@ struct CoPricer {
     // Write-buffer planes + per-lane ring bookkeeping. Completion times
     // are strictly increasing in enqueue order and lane time never goes
     // backwards, so retirement pops a ring prefix (head/len), exactly
-    // like the scalar buffer's lazy `advance`.
+    // like `gaas_cache::WriteBuffer`'s lazy `advance`.
     wb_stride: usize,
     wb_addr: Vec<u64>,
     wb_done: Vec<u64>,
@@ -1119,11 +778,8 @@ struct CoPricer {
     wb_depth: Vec<usize>,
     mem_d: Vec<MemorySystem>,
     mem_i: Vec<MemorySystem>,
-    // Per-lane timing constants (the scalar pricer's derived costs).
-    i_hit_cost: Vec<u64>,
-    d_hit_cost: Vec<u64>,
-    d_write_access: Vec<u32>,
-    d_write_stream: Vec<u32>,
+    // Per-lane timing constants.
+    costs: Vec<L2Costs>,
     tlb_penalty: Vec<u64>,
     bypass: Vec<WbBypass>,
     concurrent_i_refill: Vec<bool>,
@@ -1137,9 +793,8 @@ struct CoPricer {
 impl CoPricer {
     fn new(cfgs: &[SimConfig]) -> Self {
         let n = cfgs.len();
-        let beats = |line_words: u32| line_words.div_ceil(4);
         let stride = cfgs.iter().map(|c| c.write_buffer.depth).max().unwrap_or(1);
-        let mut p = CoPricer {
+        CoPricer {
             n,
             now: vec![0; n],
             counters: vec![Counters::new(); n],
@@ -1152,42 +807,25 @@ impl CoPricer {
             wb_head: vec![0; n],
             wb_len: vec![0; n],
             wb_last: vec![0; n],
-            wb_depth: Vec::with_capacity(n),
-            mem_d: Vec::with_capacity(n),
-            mem_i: Vec::with_capacity(n),
-            i_hit_cost: Vec::with_capacity(n),
-            d_hit_cost: Vec::with_capacity(n),
-            d_write_access: Vec::with_capacity(n),
-            d_write_stream: Vec::with_capacity(n),
-            tlb_penalty: Vec::with_capacity(n),
-            bypass: Vec::with_capacity(n),
-            concurrent_i_refill: Vec::with_capacity(n),
-            split_l2: Vec::with_capacity(n),
+            wb_depth: cfgs.iter().map(|c| c.write_buffer.depth).collect(),
+            mem_d: cfgs
+                .iter()
+                .map(|c| MemorySystem::new(c.memory, c.concurrency.l2d_dirty_buffer))
+                .collect(),
+            mem_i: cfgs
+                .iter()
+                .map(|c| MemorySystem::new(c.memory, false))
+                .collect(),
+            costs: cfgs.iter().map(L2Costs::new).collect(),
+            tlb_penalty: cfgs.iter().map(|c| c.tlb_miss_penalty as u64).collect(),
+            bypass: cfgs.iter().map(|c| c.concurrency.d_read_bypass).collect(),
+            concurrent_i_refill: cfgs
+                .iter()
+                .map(|c| c.concurrency.concurrent_i_refill)
+                .collect(),
+            split_l2: cfgs.iter().map(|c| c.l2.is_split()).collect(),
             d_line_mask: u64::from(cfgs[0].l1d.line_words) - 1,
-        };
-        for cfg in cfgs {
-            let i_side = cfg.l2.i_side();
-            let d_side = cfg.l2.d_side();
-            p.wb_depth.push(cfg.write_buffer.depth);
-            p.mem_d.push(MemorySystem::new(
-                cfg.memory,
-                cfg.concurrency.l2d_dirty_buffer,
-            ));
-            p.mem_i.push(MemorySystem::new(cfg.memory, false));
-            p.i_hit_cost
-                .push((i_side.access_cycles + beats(cfg.l1i.line_words) - 1) as u64);
-            p.d_hit_cost
-                .push((d_side.access_cycles + beats(cfg.l1d.line_words) - 1) as u64);
-            let access = cfg.l2_drain_access_override.unwrap_or(d_side.access_cycles);
-            p.d_write_access.push(access);
-            p.d_write_stream.push(access.saturating_sub(2).max(1));
-            p.tlb_penalty.push(cfg.tlb_miss_penalty as u64);
-            p.bypass.push(cfg.concurrency.d_read_bypass);
-            p.concurrent_i_refill
-                .push(cfg.concurrency.concurrent_i_refill);
-            p.split_l2.push(cfg.l2.is_split());
         }
-        p
     }
 
     fn switch_pid(&mut self, pid: u8) {
@@ -1234,7 +872,7 @@ impl CoPricer {
         *pend = PendingRun::default();
     }
 
-    // -- write buffer (twin of gaas_cache::WriteBuffer over the planes) --
+    // -- write buffer (gaas_cache::WriteBuffer's rules over the planes) --
 
     #[inline]
     fn wb_advance(&mut self, l: usize, now: u64) {
@@ -1279,8 +917,8 @@ impl CoPricer {
     fn wb_enqueue(&mut self, l: usize, enq_time: u64, addr: PhysAddr, extra: u32) -> u64 {
         self.wb_advance(l, enq_time);
         debug_assert!(self.wb_len[l] < self.wb_depth[l], "enqueue into full wb");
-        let isolated = enq_time + self.d_write_access[l] as u64;
-        let streamed = self.wb_last[l] + self.d_write_stream[l] as u64;
+        let isolated = enq_time + self.costs[l].drain_access as u64;
+        let streamed = self.wb_last[l] + self.costs[l].drain_stream as u64;
         let completes = isolated.max(streamed) + extra as u64;
         let depth = self.wb_depth[l];
         let mut slot = self.wb_head[l] + self.wb_len[l];
@@ -1336,7 +974,7 @@ impl CoPricer {
         None
     }
 
-    // -- per-lane replay arithmetic (twin of the scalar `Pricer`) --
+    // -- per-lane replay arithmetic (the `Core` step rules, outcomes given) --
 
     fn proc_entry(&mut self, l: usize) -> &mut ProcCounters {
         let idx = self.cur_pid;
@@ -1394,7 +1032,7 @@ impl CoPricer {
 
     fn service_i(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
         self.counters[l].l2i_accesses += 1;
-        let hit_cost = self.i_hit_cost[l];
+        let hit_cost = self.costs[l].i_hit;
         if outcome == 1 {
             self.counters[l].l1i_miss_cycles += hit_cost;
             return hit_cost;
@@ -1405,28 +1043,20 @@ impl CoPricer {
         } else {
             self.mem_d[l].service_miss(start, outcome == 3)
         };
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters[l].l1i_miss_cycles += l1_share;
-        self.counters[l].l2i_miss_cycles += service - l1_share;
-        self.counters[l].dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        self.counters[l].charge_l2_miss_refill(true, svc, hit_cost);
         svc.stall_cycles
     }
 
     fn service_d(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
         self.counters[l].l2d_accesses += 1;
-        let hit_cost = self.d_hit_cost[l];
+        let hit_cost = self.costs[l].d_hit;
         if outcome == 1 {
             self.counters[l].l1d_miss_cycles += hit_cost;
             return hit_cost;
         }
         self.counters[l].l2d_misses += 1;
         let svc = self.mem_d[l].service_miss(start, outcome == 3);
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        self.counters[l].l1d_miss_cycles += l1_share;
-        self.counters[l].l2d_miss_cycles += service - l1_share;
-        self.counters[l].dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        self.counters[l].charge_l2_miss_refill(false, svc, hit_cost);
         svc.stall_cycles
     }
 
@@ -1828,13 +1458,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "timing variant")]
+    #[should_panic(expected = "timing variants")]
     fn pricing_rejects_a_different_geometry() {
         let (_, profile) = profile_for(&SimConfig::baseline());
         let mut b = SimConfig::builder();
         b.l1_line(8);
         let other = b.build().expect("valid");
         let _ = price_profile(&other, &profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "timing variants")]
+    fn co_pricing_rejects_a_different_geometry() {
+        // A foreign geometry in a later lane of a group: every lane is checked.
+        let (_, profile) = profile_for(&SimConfig::baseline());
+        let mut b = SimConfig::builder();
+        b.l1_line(8);
+        let other = b.build().expect("valid");
+        let _ = price_profiles(&[SimConfig::baseline(), other], &profile);
     }
 
     #[test]
@@ -1908,24 +1549,11 @@ mod tests {
         let base = SimConfig::baseline();
         let (_, profile) = profile_for(&base);
         let one = price_profiles(std::slice::from_ref(&base), &profile).expect("one lane");
-        assert_identical(
-            &one[0],
-            &price_profile(&base, &profile).expect("priced"),
-            "single lane",
-        );
+        assert_eq!(one.len(), 1);
+        assert_identical(&one[0], &direct(&base), "single lane");
         assert!(price_profiles(&[], &profile)
             .expect("empty group")
             .is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "timing variants")]
-    fn co_pricing_rejects_a_different_geometry() {
-        let (_, profile) = profile_for(&SimConfig::baseline());
-        let mut b = SimConfig::builder();
-        b.l1_line(8);
-        let other = b.build().expect("valid");
-        let _ = price_profiles(&[SimConfig::baseline(), other], &profile);
     }
 
     #[test]

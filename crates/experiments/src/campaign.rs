@@ -63,8 +63,8 @@ use std::time::{Duration, Instant};
 
 use gaas_sim::config::SimConfig;
 use gaas_sim::{
-    config_fingerprint, functional_fingerprint, price_profile, price_profiles, CancelToken,
-    CmpConfig, Counters, FunctionalProfile, Pid, ProcCounters, SimError, SimResult, Termination,
+    config_fingerprint, functional_fingerprint, price_profiles, CancelToken, CmpConfig, Counters,
+    FunctionalProfile, Pid, ProcCounters, SimError, SimResult, Termination,
 };
 
 use crate::json::{self, Json};
@@ -184,8 +184,8 @@ static CO_PRICED_LANES: AtomicU64 = AtomicU64::new(0);
 /// shared decode pass instead of one per variant).
 static REPLAY_PASSES_SAVED: AtomicU64 = AtomicU64::new(0);
 
-/// Groups whose co-priced pass failed and fell back to per-variant
-/// single-lane pricing.
+/// Co-priced groups whose pass failed and fell back to individual
+/// simulation.
 static CO_PRICER_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Enables or disables sweep memoization process-wide.
@@ -212,7 +212,8 @@ pub struct MemoStats {
     pub copriced_lanes: u64,
     /// Token-replay passes avoided by co-pricing (lanes − 1 per group).
     pub replay_passes_saved: u64,
-    /// Groups that fell back from the co-pricer to per-variant pricing.
+    /// Co-priced groups whose pass failed and fell back to individual
+    /// simulation.
     pub copricer_fallbacks: u64,
 }
 
@@ -1164,10 +1165,6 @@ pub fn dispatch(cfg: &SimConfig, scale: f64) -> CellResult {
     }
 }
 
-/// Runs every member of a group as its own full isolated simulation (the
-/// non-memoized path: singleton groups, memoization off, and the
-/// fallback after any group failure). Each result carries its
-/// retryable-failure tag for the quarantine decision.
 /// Prices every config in `cfgs` from one [`FunctionalProfile`] — the
 /// single pricing path both of [`run_group`]'s memoized branches
 /// (cross-request cache hit; miss after the lead's functional pass) go
@@ -1175,12 +1172,10 @@ pub fn dispatch(cfg: &SimConfig, scale: f64) -> CellResult {
 ///
 /// The group is priced by **one** co-priced streaming pass
 /// ([`price_profiles`]: one token decode, N variant lanes in lockstep).
-/// If that pass reports an error, the group falls back to per-variant
-/// single-lane pricing ([`price_profile`]) so one bad lane costs only
-/// its own replay; an error there propagates to the caller's
-/// group-level fallback (individual full simulations). Poison checks run
-/// first, per member, so chaos quarantine lands on exactly the poisoned
-/// cell(s).
+/// If that pass reports an error, it is counted as a co-pricer fallback
+/// and propagates to the caller's group-level fallback, which simulates
+/// every member individually. Poison checks run first, per member, so
+/// chaos quarantine lands on exactly the poisoned cell(s).
 fn price_members(
     cfgs: &[SimConfig],
     profile: &FunctionalProfile,
@@ -1191,25 +1186,25 @@ fn price_members(
     if cfgs.is_empty() {
         return Ok(Vec::new());
     }
-    match price_profiles(cfgs, profile) {
-        Ok(results) => {
-            let lanes = cfgs.len() as u64;
-            CO_PRICED_GROUPS.fetch_add(1, Ordering::Relaxed);
-            CO_PRICED_LANES.fetch_add(lanes, Ordering::Relaxed);
-            REPLAY_PASSES_SAVED.fetch_add(lanes - 1, Ordering::Relaxed);
-            pool::telemetry_count("campaign.copriced_groups", 1);
-            pool::telemetry_count("campaign.copriced_lanes", lanes);
-            pool::telemetry_count("campaign.replay_passes_saved", lanes - 1);
-            Ok(results)
-        }
-        Err(_) => {
-            CO_PRICER_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-            pool::telemetry_count("campaign.copricer_fallbacks", 1);
-            cfgs.iter().map(|cfg| price_profile(cfg, profile)).collect()
-        }
-    }
+    let results = price_profiles(cfgs, profile).map_err(|e| {
+        CO_PRICER_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+        pool::telemetry_count("campaign.copricer_fallbacks", 1);
+        e
+    })?;
+    let lanes = cfgs.len() as u64;
+    CO_PRICED_GROUPS.fetch_add(1, Ordering::Relaxed);
+    CO_PRICED_LANES.fetch_add(lanes, Ordering::Relaxed);
+    REPLAY_PASSES_SAVED.fetch_add(lanes - 1, Ordering::Relaxed);
+    pool::telemetry_count("campaign.copriced_groups", 1);
+    pool::telemetry_count("campaign.copriced_lanes", lanes);
+    pool::telemetry_count("campaign.replay_passes_saved", lanes - 1);
+    Ok(results)
 }
 
+/// Runs every member of a group as its own full isolated simulation (the
+/// non-memoized path: singleton groups, memoization off, and the
+/// fallback after any group failure). Each result carries its
+/// retryable-failure tag for the quarantine decision.
 fn run_members_individually(
     cfgs: &[SimConfig],
     members: &[usize],

@@ -1,10 +1,11 @@
 //! Co-pricing differential: [`price_profiles`] (one streaming token
 //! replay, N variant lanes in lockstep) must produce `SimResult`s
-//! byte-identical to per-variant [`price_profile`] across a seeded sweep
-//! of geometry groups with mixed lane counts (1, 2, 4, 7), and the
-//! campaign fallback path — a group containing a lane the co-pricer
-//! rejects — must leave the sweep byte-identical to the non-memoized
-//! run while reporting the fallback in [`campaign::MemoStats`].
+//! byte-identical to a full simulation of every cell, and to one-lane
+//! [`price_profile`] of that cell, across a seeded sweep of geometry
+//! groups with mixed lane counts (1, 2, 4, 7). The campaign fallback path
+//! — a group containing a lane the co-pricer rejects — must leave the
+//! sweep byte-identical to the non-memoized run while reporting the
+//! fallback in [`campaign::MemoStats`].
 //!
 //! Lives in its own integration-test binary because
 //! [`campaign::set_memoize`] and the memo-stat counters are
@@ -136,9 +137,10 @@ fn assert_result_identical(co: &SimResult, single: &SimResult, what: &str) {
     assert_eq!(co.config, single.config, "{what}: config echo");
 }
 
-/// The tentpole differential: for eight geometry groups with lane counts
-/// cycling through 1, 2, 4, and 7, one co-priced pass must match
-/// per-variant single-lane pricing byte for byte.
+/// The differential: for eight geometry groups with lane counts cycling
+/// through 1, 2, 4, and 7, every lane of one co-priced pass must match a
+/// full warmed simulation of its cell byte for byte, and a one-lane pass
+/// of the same cell (lanes do not affect each other).
 #[test]
 fn copriced_groups_match_per_variant_pricing() {
     let geoms = geometries();
@@ -162,16 +164,21 @@ fn copriced_groups_match_per_variant_pricing() {
         let co = price_profiles(&cfgs, &profile).expect("co-priced group");
         assert_eq!(co.len(), lanes);
         for (l, (co_r, cfg)) in co.iter().zip(&cfgs).enumerate() {
-            let single = price_profile(cfg, &profile).expect("single-lane pricing");
-            assert_result_identical(co_r, &single, &format!("group {g} lane {l}"));
+            let full = Simulator::new(cfg.clone())
+                .expect("valid variant")
+                .run_warmed(workload::subset(4, SCALE), WARMUP)
+                .expect("full simulation");
+            assert_result_identical(co_r, &full, &format!("group {g} lane {l} vs full run"));
+            let single = price_profile(cfg, &profile).expect("one-lane pricing");
+            assert_result_identical(co_r, &single, &format!("group {g} lane {l} vs one lane"));
         }
     }
 }
 
 /// Fallback path, end to end through the campaign: a geometry group
 /// whose second member is invalid (write-buffer depth 0 — a timing
-/// field, so it still joins the group) must drive the co-pricer to its
-/// per-variant fallback and then the group to individual full
+/// field, so it still joins the group) must fail its co-priced pass,
+/// count one co-pricer fallback, and send the group to individual full
 /// simulations — with every valid cell byte-identical to the
 /// non-memoized sweep and the bad cell failing identically in both.
 #[test]
