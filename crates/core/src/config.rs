@@ -355,9 +355,13 @@ impl DiffCheckConfig {
 /// CPI stacks; see `gaas-telemetry` and DESIGN.md §11).
 ///
 /// The default is *off*: the simulator caches the flag once at
-/// construction (like the fault/diffcheck gates) and the hot path pays
-/// one predictable never-taken branch, so disabled runs are
-/// byte-identical to a build without telemetry at all.
+/// construction (like the fault/diffcheck gates) and each note site —
+/// an L1 miss, a TLB walk, write-buffer traffic, a context switch —
+/// pays one predictable branch, so disabled runs are byte-identical to
+/// a build without telemetry at all. Enabling it keeps the bare kernel:
+/// a run whose only instrumentation is telemetry still uses the memos
+/// and the span drain, and records exactly what the every-event loop
+/// would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for counter/span/window recording.

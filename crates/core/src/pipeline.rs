@@ -18,15 +18,22 @@
 //!
 //! # The memos
 //!
-//! The uninstrumented instantiation (`HOOKS = false`) skips work that
+//! The bare-kernel instantiation (`HOOKS = false`) skips work that
 //! cannot change any counter or replacement decision: a fetch from the
 //! line the previous fetch ended on, a data access to the page of the
 //! previous data access, and a load from the line the previous load left
 //! loadable. Only the owning core touches its L1s and TLBs, with one
 //! exception: a remote store's invalidation, which goes through
-//! [`Core::invalidate_d_line`] and clears the load memo. The instrumented
-//! instantiation (`HOOKS = true`) never reads the memos, so every access
-//! reaches every hook.
+//! [`Core::invalidate_d_line`] and clears the load memo. The hooked
+//! instantiation (`HOOKS = true`) serves the layers that must see every
+//! access — fault injection, the lockstep oracle and the profile
+//! recorder — and never reads the memos.
+//!
+//! Telemetry is not one of them. Its notes sit on L1 misses, TLB walks
+//! and write-buffer traffic, and what a memo skips is by construction a
+//! TLB or L1 hit that touches no buffer, so the skipped work would have
+//! noted nothing. The telemetry sites are therefore gated on `telem_on`
+//! alone and fire identically in both instantiations.
 
 use gaas_cache::fault::{resolve, FaultEffect, FaultEvent, Structure};
 use gaas_cache::{CacheArray, L1DataCache, Line, MemorySystem, PageMapper, Tlb, WriteBuffer};
@@ -468,6 +475,24 @@ impl Core {
         ux.ins.diff = Some(ds);
     }
 
+    /// Charges a TLB miss walk (`i_side` selects the TLB); returns its
+    /// cycles, attributed to the TLB component.
+    #[cold]
+    #[inline(never)]
+    fn tlb_walk(&mut self, ux: &mut Uncore, i_side: bool) -> u64 {
+        if i_side {
+            self.counters.itlb_misses += 1;
+        } else {
+            self.counters.dtlb_misses += 1;
+        }
+        let p = ux.tlb_penalty;
+        self.counters.tlb_miss_cycles += p;
+        if ux.ins.telem_on {
+            ux.ins.telem_tlb_walk(i_side, self.now, p);
+        }
+        p
+    }
+
     /// Services an instruction-side L1 miss starting at `start`; returns
     /// total stall cycles, with components attributed.
     #[cold]
@@ -795,8 +820,9 @@ impl Core {
     // ---- the per-event timing rules ----
 
     /// Steps one scheduled instruction: its fetch, then its data
-    /// reference, if any. `HOOKS = true` runs the attached
-    /// instrumentation and skips the memos; `false` is the bare kernel.
+    /// reference, if any. `HOOKS = true` runs the every-event layers
+    /// (fault injection, the oracle, the profile recorder) and skips the
+    /// memos; `false` is the bare kernel. Telemetry notes fire in both.
     #[inline]
     pub fn step_instruction<const HOOKS: bool, C: Coherence>(
         &mut self,
@@ -853,13 +879,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(ux);
             }
         } else {
-            self.counters.itlb_misses += 1;
-            let p = ux.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && ux.ins.telem_on {
-                ux.ins.telem_tlb_walk(true, self.now, p);
-            }
+            cycles += self.tlb_walk(ux, true);
         }
         let paddr = self.translate(ux, ev.addr);
 
@@ -968,13 +988,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(ux);
             }
         } else {
-            self.counters.dtlb_misses += 1;
-            let p = ux.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && ux.ins.telem_on {
-                ux.ins.telem_tlb_walk(false, self.now, p);
-            }
+            cycles += self.tlb_walk(ux, false);
         }
         let paddr = self.translate(ux, ev.addr);
 
@@ -1064,13 +1078,7 @@ impl Core {
                 cycles += self.fault_on_tlb_hit(ux);
             }
         } else {
-            self.counters.dtlb_misses += 1;
-            let p = ux.tlb_penalty;
-            self.counters.tlb_miss_cycles += p;
-            cycles += p;
-            if HOOKS && ux.ins.telem_on {
-                ux.ins.telem_tlb_walk(false, self.now, p);
-            }
+            cycles += self.tlb_walk(ux, false);
         }
         let paddr = self.translate(ux, ev.addr);
 

@@ -132,7 +132,7 @@ pub struct SchedSnapshot {
 /// let mut sched = Scheduler::new(vec![Box::new(t) as Box<dyn Trace>], 8, 500_000);
 /// let instr = sched.next_instruction(0).expect("one instruction");
 /// assert!(instr.data.is_none());
-/// sched.post_instruction(1, false);
+/// assert!(!sched.post_instruction(1, false), "slice not expired: no switch");
 /// assert!(sched.next_instruction(1).is_none(), "workload exhausted");
 /// ```
 pub struct Scheduler {
@@ -202,13 +202,6 @@ impl Scheduler {
     /// Time-slice context switches taken so far.
     pub fn slice_switches(&self) -> u64 {
         self.slice_switches
-    }
-
-    /// All context switches taken so far (voluntary + time-slice); the
-    /// telemetry layer polls this between instructions to turn switch
-    /// count changes into scheduler events.
-    pub fn total_switches(&self) -> u64 {
-        self.syscall_switches + self.slice_switches
     }
 
     /// Names of benchmarks that have terminated, in completion order.
@@ -336,18 +329,23 @@ impl Scheduler {
 
     /// Reports the completion of the current instruction at cycle `now`;
     /// rotates the run queue on a voluntary syscall or slice expiry.
+    /// Returns whether it rotated, i.e. whether this call took one
+    /// context switch (the only place the switch totals change).
     #[inline]
-    pub fn post_instruction(&mut self, now: u64, was_syscall: bool) {
-        let Some(idx) = self.current else { return };
+    pub fn post_instruction(&mut self, now: u64, was_syscall: bool) -> bool {
+        let Some(idx) = self.current else {
+            return false;
+        };
         if was_syscall {
             self.syscall_switches += 1;
         } else if now >= self.slice_end {
             self.slice_switches += 1;
         } else {
-            return;
+            return false;
         }
         self.run_queue.push_back(idx);
         self.current = None;
+        true
     }
 }
 
@@ -389,7 +387,7 @@ mod tests {
         let mut s = Scheduler::new(vec![a, b], 2, 10);
         let i1 = s.next_instruction(0).expect("a first");
         assert_eq!(i1.ifetch.addr.pid(), Pid::new(0));
-        s.post_instruction(10, false); // slice expired
+        assert!(s.post_instruction(10, false), "slice expired: rotated");
         assert_eq!(s.slice_switches(), 1);
         let i2 = s.next_instruction(10).expect("b next");
         assert_eq!(i2.ifetch.addr.pid(), Pid::new(1));
@@ -402,7 +400,7 @@ mod tests {
         let mut s = Scheduler::new(vec![a, b], 2, 1_000_000);
         let i1 = s.next_instruction(0).expect("a");
         assert!(i1.ifetch.syscall);
-        s.post_instruction(1, true);
+        assert!(s.post_instruction(1, true), "syscall: rotated");
         assert_eq!(s.syscall_switches(), 1);
         let i2 = s.next_instruction(1).expect("b");
         assert_eq!(i2.ifetch.addr.pid(), Pid::new(1));
@@ -414,7 +412,10 @@ mod tests {
         let b = trace("b", vec![ev_i(1, 0)]);
         let mut s = Scheduler::new(vec![a, b], 2, 100);
         s.next_instruction(0);
-        s.post_instruction(1, false);
+        assert!(
+            !s.post_instruction(1, false),
+            "inside the slice: no rotation"
+        );
         let i = s.next_instruction(1).expect("still a");
         assert_eq!(i.ifetch.addr.pid(), Pid::new(0));
         assert_eq!(s.slice_switches(), 0);

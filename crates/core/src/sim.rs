@@ -258,8 +258,6 @@ pub(crate) struct FaultState {
 pub(crate) struct TelemetryState {
     reg: Registry,
     spans: SpanRecorder,
-    /// Last observed scheduler switch total, for switch-event detection.
-    last_switches: u64,
     // Pre-registered counter handles, so hot-path bumps are one indexed
     // add with no name lookup.
     c_l2_lookup_i: CounterId,
@@ -294,7 +292,6 @@ impl TelemetryState {
         TelemetryState {
             reg,
             spans: SpanRecorder::new(span_capacity),
-            last_switches: 0,
             c_l2_lookup_i,
             c_l2_lookup_d,
             c_mem_refill_i,
@@ -383,12 +380,16 @@ impl Instruments {
         })
     }
 
-    /// Whether any layer is attached. When none is, the `HOOKS = false`
-    /// step instantiations (with every hook compiled out, plus the
-    /// last-line/last-page memos) are exact.
+    /// Whether a layer that must see every event is attached: fault
+    /// injection, the lockstep oracle or the profile recorder. When none
+    /// is, the `HOOKS = false` step instantiations (with those hooks
+    /// compiled out, plus the last-line/last-page memos) are exact.
+    /// Telemetry does not count: its notes fire only on L1 misses, TLB
+    /// walks, write-buffer traffic and context switches, none of which a
+    /// memo skips, so a telemetry-only run steps the bare kernel.
     #[inline]
     pub(crate) fn active(&self) -> bool {
-        self.fault_on || self.diff_on || self.telem_on || self.rec.is_some()
+        self.fault_on || self.diff_on || self.rec.is_some()
     }
 
     // ---- telemetry hooks ----
@@ -489,17 +490,14 @@ impl Instruments {
         );
     }
 
-    /// Notes scheduler progress: compares the switch total against the
-    /// last observed one and emits an instant event per new switch.
+    /// Notes one context switch (a rotation reported by
+    /// [`Scheduler::post_instruction`]) as an instant event.
     #[cold]
     #[inline(never)]
-    pub(crate) fn telem_sched_tick(&mut self, switches: u64, now: u64) {
+    pub(crate) fn telem_sched_switch(&mut self, now: u64) {
         let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        if switches != t.last_switches {
-            t.reg.add(t.c_sched_switch, switches - t.last_switches);
-            t.spans.instant("sched.switch", Component::Sched, now);
-            t.last_switches = switches;
-        }
+        t.reg.inc(t.c_sched_switch);
+        t.spans.instant("sched.switch", Component::Sched, now);
     }
 
     /// Notes a resolved fault-injection event as an instant span.
@@ -818,12 +816,14 @@ impl Simulator {
         // time-slice context switches then land on identical instruction
         // boundaries for every timing variant of one cache geometry.
         //
-        // The loop is specialized on `hooks`: when every instrumentation
-        // layer (fault injection, differential oracle, telemetry,
-        // profile recorder) is off — the common case and the whole
-        // benchmark kernel — the `false` instantiations of the step
-        // functions compile the hook plumbing out entirely. The flags
-        // cannot turn on mid-run, so one check up front covers the run.
+        // The loop is specialized on `hooks`: when no layer that must see
+        // every event (fault injection, differential oracle, profile
+        // recorder) is attached — the common case and the whole benchmark
+        // kernel — the `false` instantiations of the step functions
+        // compile that plumbing out and use the memos and the span drain.
+        // Telemetry rides either loop: its notes sit on miss, walk, buffer
+        // and switch paths that no memo skips. The flags cannot turn on
+        // mid-run, so one check up front covers the run.
         let hooks = self.ux.ins.active();
         // All periodic thresholds collapse into one merged poll: each
         // fires at an exact instruction count, so checking the minimum
@@ -837,9 +837,8 @@ impl Simulator {
         while let Some(instr) = sched.next_instruction(core.fnow) {
             if hooks {
                 core.step_instruction::<true, _>(ux, &mut NoCoherence, &instr);
-                sched.post_instruction(core.fnow, instr.ifetch.syscall);
-                if ux.ins.telem_on {
-                    ux.ins.telem_sched_tick(sched.total_switches(), core.now);
+                if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
+                    ux.ins.telem_sched_switch(core.now);
                 }
                 if ux.ins.pending_mc.is_some() {
                     let fault = ux.ins.pending_mc.take().expect("just checked");
@@ -856,7 +855,9 @@ impl Simulator {
                 }
             } else {
                 core.step_instruction::<false, _>(ux, &mut NoCoherence, &instr);
-                sched.post_instruction(core.fnow, instr.ifetch.syscall);
+                if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
+                    ux.ins.telem_sched_switch(core.now);
+                }
                 // Span drain: step straight over the installed process's
                 // buffered events, checking the same per-instruction
                 // conditions (syscall, slice expiry, merged poll) inline.
@@ -902,7 +903,9 @@ impl Simulator {
                     }
                     sched.advance(pos - start);
                     if rotated {
-                        sched.post_instruction(core.fnow, rotate_syscall);
+                        if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
+                            ux.ins.telem_sched_switch(core.now);
+                        }
                         break;
                     }
                 }
@@ -1039,17 +1042,22 @@ fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
 /// End-of-run snapshot of structure-level statistics into the telemetry
 /// registry (final occupancies, TLB traffic, buffer high-water mark) so
 /// the summary table reflects state the counters alone cannot.
+///
+/// TLB traffic comes from the counters, not the TLBs' own probe counts:
+/// the memos skip probes, while every fetch and every data access is one
+/// TLB access architecturally (and one probe on the every-event path).
 #[cold]
 #[inline(never)]
 fn telem_finalize(core: &Core, ux: &mut Uncore) {
     let s = core.structures(ux);
+    let c = &core.counters;
     let rows = [
         ("l1i.occupancy", s.l1i.occupancy() as u64),
         ("l1d.occupancy", s.l1d.array().occupancy() as u64),
         ("l2i.occupancy", s.l2i.occupancy() as u64),
         ("l2d.occupancy", s.l2d.occupancy() as u64),
-        ("itlb.accesses", core.itlb.accesses()),
-        ("dtlb.accesses", core.dtlb.accesses()),
+        ("itlb.accesses", c.instructions),
+        ("dtlb.accesses", c.loads + c.stores),
         ("wb.peak_depth", s.wb.peak_depth() as u64),
         ("wb.total_enqueued", s.wb.total_enqueued()),
         (
@@ -1624,5 +1632,77 @@ mod tests {
         assert_eq!(p1.instructions, 3000);
         assert_eq!(p1.loads, 3000);
         assert!(p1.cpi() >= 1.0);
+    }
+
+    // ---- telemetry ----
+
+    /// Every registry row of a telemetry run, less the process-wide
+    /// `arena.*` counters (their reuse count differs between two runs in
+    /// one process). Histograms compare through their full `Debug` form.
+    fn registry_rows(report: &TelemetryReport) -> Vec<String> {
+        let reg = &report.registry;
+        reg.counters()
+            .filter(|(name, _)| !name.starts_with("arena."))
+            .map(|(name, v)| format!("{name} {v}"))
+            .chain(reg.histograms().map(|(name, h)| format!("{name} {h:?}")))
+            .collect()
+    }
+
+    #[test]
+    fn telemetry_only_runs_ride_the_bare_kernel_and_record_identically() {
+        use crate::config::{DiffCheckConfig, TelemetryConfig};
+        // Telemetry alone must select the memoized, span-draining
+        // `HOOKS = false` loop; adding the oracle forces the every-event
+        // loop. What telemetry records must not depend on which loop ran.
+        // A 200-cycle time slice puts context switches both after the
+        // outer step and inside the span drain.
+        let telemetry = TelemetryConfig {
+            window_instructions: 20_000,
+            ..TelemetryConfig::on()
+        };
+        for policy in WritePolicy::all() {
+            let run_with = |oracle: bool| {
+                let mut b = SimConfig::builder();
+                b.policy(policy).time_slice(200).telemetry(telemetry);
+                if oracle {
+                    b.diffcheck(DiffCheckConfig::on());
+                }
+                let sim = Simulator::new(b.build().expect("valid")).expect("constructs");
+                assert_eq!(
+                    sim.ux.ins.active(),
+                    oracle,
+                    "{policy:?}: only the oracle may send a telemetry run down the hooked loop"
+                );
+                sim.run_telemetry(crate::workload::standard(5e-4), 50_000)
+                    .expect("runs")
+            };
+            let (fast, fast_windows, fast_report) = run_with(false);
+            let (every, every_windows, every_report) = run_with(true);
+            assert_eq!(fast.counters, every.counters, "{policy:?}: counters");
+            assert_eq!(
+                fast.per_process, every.per_process,
+                "{policy:?}: per-process rows"
+            );
+            assert!(fast_windows.len() > 1, "{policy:?}: several windows");
+            let switches = fast.counters.syscall_switches + fast.counters.slice_switches;
+            assert!(switches > 0, "{policy:?}: the slice must expire");
+            assert_eq!(
+                fast_report.registry.value_of("sched.switch"),
+                Some(switches),
+                "{policy:?}: one switch note per context switch"
+            );
+            assert_eq!(fast_windows, every_windows, "{policy:?}: windows");
+            assert!(!fast_report.spans.is_empty(), "{policy:?}: spans recorded");
+            assert_eq!(fast_report.spans, every_report.spans, "{policy:?}: spans");
+            assert_eq!(
+                fast_report.spans_dropped, every_report.spans_dropped,
+                "{policy:?}: dropped spans"
+            );
+            assert_eq!(
+                registry_rows(&fast_report),
+                registry_rows(&every_report),
+                "{policy:?}: registry counters and histograms"
+            );
+        }
     }
 }
