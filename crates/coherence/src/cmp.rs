@@ -226,7 +226,11 @@ impl CmpSimulator {
                 continue;
             };
             if !multi {
-                self.cores[c].step_instruction::<false, _>(&mut self.ux, &mut NoCoherence, &instr);
+                self.cores[c].step_instruction::<false, false, _>(
+                    &mut self.ux,
+                    &mut NoCoherence,
+                    &instr,
+                );
             } else if oracle_on {
                 self.step_shared::<true>(c, &instr);
             } else {
@@ -349,7 +353,7 @@ impl CmpSimulator {
             below,
             above,
         };
-        core.step_instruction::<HOOKS, _>(&mut self.ux, &mut snoop, instr);
+        core.step_instruction::<HOOKS, false, _>(&mut self.ux, &mut snoop, instr);
     }
 }
 

@@ -26,14 +26,22 @@
 //! exception: a remote store's invalidation, which goes through
 //! [`Core::invalidate_d_line`] and clears the load memo. The hooked
 //! instantiation (`HOOKS = true`) serves the layers that must see every
-//! access — fault injection, the lockstep oracle and the profile
-//! recorder — and never reads the memos.
+//! access — fault injection and the lockstep oracle — and never reads
+//! the memos.
 //!
 //! Telemetry is not one of them. Its notes sit on L1 misses, TLB walks
 //! and write-buffer traffic, and what a memo skips is by construction a
 //! TLB or L1 hit that touches no buffer, so the skipped work would have
 //! noted nothing. The telemetry sites are therefore gated on `telem_on`
 //! alone and fire identically in both instantiations.
+//!
+//! Nor is the profile recorder. It notes every instruction, but a memo
+//! skip is an ITLB plus L1-I hit, or a DTLB plus L1-D load hit, whose
+//! tokens carry no outcome: the two memo paths emit those hit tokens
+//! themselves. The recorder sites are gated on a second const generic,
+//! `REC`, which a run sets exactly when a recorder is attached, so a
+//! functional pass steps the bare kernel and a run without a recorder
+//! carries none of its branches.
 
 use gaas_cache::fault::{resolve, FaultEffect, FaultEvent, Structure};
 use gaas_cache::{CacheArray, L1DataCache, Line, MemorySystem, PageMapper, Tlb, WriteBuffer};
@@ -821,31 +829,42 @@ impl Core {
 
     /// Steps one scheduled instruction: its fetch, then its data
     /// reference, if any. `HOOKS = true` runs the every-event layers
-    /// (fault injection, the oracle, the profile recorder) and skips the
-    /// memos; `false` is the bare kernel. Telemetry notes fire in both.
+    /// (fault injection, the oracle) and skips the memos; `false` is the
+    /// bare kernel. `REC = true` notes every instruction to the attached
+    /// profile recorder. Telemetry notes fire in every instantiation.
     #[inline]
-    pub fn step_instruction<const HOOKS: bool, C: Coherence>(
+    pub fn step_instruction<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
         instr: &Instruction,
     ) {
-        self.step_ifetch::<HOOKS>(ux, &instr.ifetch);
+        self.step_ifetch::<HOOKS, REC>(ux, &instr.ifetch);
         if let Some(data) = &instr.data {
-            self.step_data::<HOOKS, C>(ux, coh, data);
+            self.step_data::<HOOKS, REC, C>(ux, coh, data);
         }
     }
 
     /// Steps one instruction fetch (see [`Core::step_instruction`] for
-    /// `HOOKS`).
+    /// `HOOKS` and `REC`).
     #[inline]
-    pub(crate) fn step_ifetch<const HOOKS: bool>(&mut self, ux: &mut Uncore, ev: &TraceEvent) {
+    pub(crate) fn step_ifetch<const HOOKS: bool, const REC: bool>(
+        &mut self,
+        ux: &mut Uncore,
+        ev: &TraceEvent,
+    ) {
         // Uninstrumented fast path: a fetch from the line the previous
         // fetch ended on is a guaranteed ITLB + L1-I hit (only ifetches
         // touch either structure), and the hit path consumes the physical
-        // address nowhere, so the probes are skipped outright.
+        // address nowhere, so the probes are skipped outright. The
+        // recorder notes the hit (no ITLB miss, outcome 0) here.
         let vline = ev.addr.raw() >> self.i_line_shift;
         if !HOOKS && vline == self.last_ifetch_vline {
+            if REC {
+                ux.ins
+                    .recorder()
+                    .begin_instr(ev.addr.pid().raw(), ev.stall_cycles, false);
+            }
             let cycles = 1 + ev.stall_cycles as u64;
             self.counters.instructions += 1;
             self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
@@ -869,10 +888,10 @@ impl Core {
         self.fnow += 1 + ev.stall_cycles as u64;
 
         let itlb_hit = self.itlb.access(ev.addr);
-        if HOOKS {
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.begin_instr(ev.addr.pid().raw(), ev.stall_cycles, !itlb_hit);
-            }
+        if REC {
+            ux.ins
+                .recorder()
+                .begin_instr(ev.addr.pid().raw(), ev.stall_cycles, !itlb_hit);
         }
         if itlb_hit {
             if HOOKS {
@@ -927,23 +946,23 @@ impl Core {
     }
 
     /// Steps one load or store (see [`Core::step_instruction`] for
-    /// `HOOKS`).
+    /// `HOOKS` and `REC`).
     #[inline]
-    pub(crate) fn step_data<const HOOKS: bool, C: Coherence>(
+    pub(crate) fn step_data<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
         ev: &TraceEvent,
     ) {
         match ev.kind {
-            AccessKind::Load => self.step_load::<HOOKS, C>(ux, coh, ev),
-            AccessKind::Store => self.step_store::<HOOKS, C>(ux, coh, ev),
+            AccessKind::Load => self.step_load::<HOOKS, REC, C>(ux, coh, ev),
+            AccessKind::Store => self.step_store::<HOOKS, REC, C>(ux, coh, ev),
             AccessKind::IFetch => unreachable!("data step on a fetch"),
         }
     }
 
     #[inline]
-    fn step_load<const HOOKS: bool, C: Coherence>(
+    fn step_load<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
@@ -954,9 +973,13 @@ impl Core {
         // — all clear the memo) is a guaranteed DTLB + L1-D hit with zero
         // charged cycles; line state cannot have changed in between.
         // Gated off under subblock placement, where load hits are
-        // per-word.
+        // per-word. The recorder notes the hit (no DTLB miss, outcome 0)
+        // here.
         let vline = ev.addr.raw() >> self.d_line_shift;
         if !HOOKS && vline == self.last_load_vline {
+            if REC {
+                ux.ins.recorder().begin_load(false);
+            }
             self.counters.loads += 1;
             let p = self.proc_entry(ev.addr.pid());
             p.loads += 1;
@@ -978,10 +1001,8 @@ impl Core {
         if !HOOKS {
             self.last_data_vpage = vpage;
         }
-        if HOOKS {
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.begin_load(!dtlb_hit);
-            }
+        if REC {
+            ux.ins.recorder().begin_load(!dtlb_hit);
         }
         if dtlb_hit {
             if HOOKS {
@@ -1007,14 +1028,12 @@ impl Core {
         } else {
             self.counters.l1d_read_misses += 1;
             let line_base = outcome.fetch.expect("miss implies fetch");
-            if HOOKS {
-                if let Some(r) = ux.ins.rec.as_deref_mut() {
-                    r.load_miss(
-                        outcome.replaced_written_line,
-                        outcome.writeback_victim.is_some(),
-                        line_base.word(),
-                    );
-                }
+            if REC {
+                ux.ins.recorder().load_miss(
+                    outcome.replaced_written_line,
+                    outcome.writeback_victim.is_some(),
+                    line_base.word(),
+                );
             }
             let t0 = self.now + cycles;
             cycles += coh.load_fill(self, ux, t0, line_base);
@@ -1051,7 +1070,7 @@ impl Core {
     }
 
     #[inline]
-    fn step_store<const HOOKS: bool, C: Coherence>(
+    fn step_store<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
@@ -1085,18 +1104,16 @@ impl Core {
         let line = self.d_line_base(paddr);
         let prior = coh.before_store(self, line);
         let outcome = self.l1d.store(paddr, ev.partial_word);
-        if HOOKS {
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.begin_store(
-                    !dtlb_hit,
-                    outcome.hit,
-                    outcome.extra_cycle,
-                    outcome.wb_word.is_some(),
-                    outcome.fetch.is_some(),
-                    outcome.writeback_victim.is_some(),
-                    outcome.replaced_written_line,
-                );
-            }
+        if REC {
+            ux.ins.recorder().begin_store(
+                !dtlb_hit,
+                outcome.hit,
+                outcome.extra_cycle,
+                outcome.wb_word.is_some(),
+                outcome.fetch.is_some(),
+                outcome.writeback_victim.is_some(),
+                outcome.replaced_written_line,
+            );
         }
         if outcome.hit {
             if HOOKS {
@@ -1124,10 +1141,8 @@ impl Core {
         // waits on previously pending writes, while the victim this miss
         // displaces drains in the background during the refill.
         if let Some(line_base) = outcome.fetch {
-            if HOOKS {
-                if let Some(r) = ux.ins.rec.as_deref_mut() {
-                    r.push_addr(line_base.word());
-                }
+            if REC {
+                ux.ins.recorder().push_addr(line_base.word());
             }
             let wait = self.wb_wait_for_d_miss(ux, t, line_base, outcome.replaced_written_line);
             cycles += wait;

@@ -15,7 +15,9 @@
 //!    recorder captures every instruction's functional outcome into a
 //!    compact byte-token stream (typically ~1.1 bytes/instruction): TLB
 //!    hit/miss, L1/L2 hit/miss with victim dirtiness, write-policy
-//!    outcomes, and the physical addresses the write buffer needs.
+//!    outcomes, and the physical addresses the write buffer needs. The
+//!    pass steps the bare kernel, memos and span drain included: a memo
+//!    skip is a TLB plus L1 hit, and the memo paths record its token.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
 //!    any timing points of the same geometry, re-running the simulator's
 //!    cycle rules (write-buffer occupancy, dirty buffer, drain streaming)
@@ -131,12 +133,12 @@ pub struct FunctionalProfile {
     /// at the same boundary.
     pub warmup: u64,
     /// Packed per-instruction outcome tokens.
-    ops: Vec<u8>,
+    pub(crate) ops: Vec<u8>,
     /// Physical word addresses for the write-buffer replay, stored as
     /// codec-v3 blocks ([`encode_u64_stream`]) and streamed block-at-a-
     /// time during pricing. Clustered write-buffer/line-base addresses
     /// delta-compress 2–4× versus the 8 B/entry packed form.
-    addr_blocks: Vec<u8>,
+    pub(crate) addr_blocks: Vec<u8>,
     /// Number of addresses encoded in `addr_blocks`.
     addr_count: u64,
     /// Benchmarks in completion order (scheduler outcome, functional).

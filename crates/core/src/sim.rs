@@ -44,7 +44,7 @@ use crate::cpi::{Counters, ProcCounters};
 use crate::oracle::{DiffState, DivergenceReport};
 use crate::pipeline::{Core, NoCoherence, Uncore};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
-use crate::sched::{SchedSnapshot, Scheduler};
+use crate::sched::{Instruction, SchedSnapshot, Scheduler};
 
 /// Error from building or running a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -381,15 +381,32 @@ impl Instruments {
     }
 
     /// Whether a layer that must see every event is attached: fault
-    /// injection, the lockstep oracle or the profile recorder. When none
-    /// is, the `HOOKS = false` step instantiations (with those hooks
-    /// compiled out, plus the last-line/last-page memos) are exact.
+    /// injection or the lockstep oracle. When neither is, the
+    /// `HOOKS = false` step instantiations (with those hooks compiled
+    /// out, plus the last-line/last-page memos) are exact.
+    ///
     /// Telemetry does not count: its notes fire only on L1 misses, TLB
     /// walks, write-buffer traffic and context switches, none of which a
-    /// memo skips, so a telemetry-only run steps the bare kernel.
+    /// memo skips. Nor does the profile recorder: a memo skip is an ITLB
+    /// plus L1-I hit or a DTLB plus L1-D load hit, and the memo paths
+    /// record those hit tokens themselves (in the `REC = true`
+    /// instantiation, selected per run). Either rides the bare kernel.
     #[inline]
     pub(crate) fn active(&self) -> bool {
-        self.fault_on || self.diff_on || self.rec.is_some()
+        self.fault_on || self.diff_on
+    }
+
+    /// Attaches a fresh profile recorder.
+    pub(crate) fn install_recorder(&mut self) {
+        self.rec = Some(Box::new(ProfileRecorder::new()));
+    }
+
+    /// The attached profile recorder; only the `REC = true` step
+    /// instantiations call it, and a run selects those only when one is
+    /// attached.
+    #[inline]
+    pub(crate) fn recorder(&mut self) -> &mut ProfileRecorder {
+        self.rec.as_deref_mut().expect("REC implies a recorder")
     }
 
     // ---- telemetry hooks ----
@@ -759,7 +776,7 @@ impl Simulator {
     ) -> Result<(SimResult, FunctionalProfile), SimError> {
         let fkey = functional_fingerprint(&self.cfg)
             .expect("run_profiled requires a memoizable configuration");
-        self.ux.ins.rec = Some(Box::new(ProfileRecorder::new()));
+        self.ux.ins.install_recorder();
         let (result, _, rec, _) = self.run_sampled_rec(traces, warmup_instructions, 0)?;
         let profile =
             rec.expect("recorder installed above")
@@ -817,14 +834,18 @@ impl Simulator {
         // boundaries for every timing variant of one cache geometry.
         //
         // The loop is specialized on `hooks`: when no layer that must see
-        // every event (fault injection, differential oracle, profile
-        // recorder) is attached — the common case and the whole benchmark
-        // kernel — the `false` instantiations of the step functions
-        // compile that plumbing out and use the memos and the span drain.
-        // Telemetry rides either loop: its notes sit on miss, walk, buffer
-        // and switch paths that no memo skips. The flags cannot turn on
-        // mid-run, so one check up front covers the run.
+        // every event (fault injection, differential oracle) is attached —
+        // the common case, the whole benchmark kernel and every functional
+        // pass — the `false` instantiations of the step functions compile
+        // that plumbing out and use the memos and the span drain.
+        // Telemetry and the profile recorder ride either loop: telemetry's
+        // notes sit on miss, walk, buffer and switch paths that no memo
+        // skips, and the memo paths record their hit tokens themselves.
+        // The recorder's notes are compiled in only when `rec` holds, so
+        // a run without one carries none of their branches. The layers
+        // cannot attach mid-run, so one check up front covers the run.
         let hooks = self.ux.ins.active();
+        let rec = self.ux.ins.rec.is_some();
         // All periodic thresholds collapse into one merged poll: each
         // fires at an exact instruction count, so checking the minimum
         // and re-deriving it after a hit preserves boundary semantics.
@@ -836,7 +857,11 @@ impl Simulator {
         let (core, ux) = (&mut self.core, &mut self.ux);
         while let Some(instr) = sched.next_instruction(core.fnow) {
             if hooks {
-                core.step_instruction::<true, _>(ux, &mut NoCoherence, &instr);
+                if rec {
+                    core.step_instruction::<true, true, _>(ux, &mut NoCoherence, &instr);
+                } else {
+                    core.step_instruction::<true, false, _>(ux, &mut NoCoherence, &instr);
+                }
                 if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
                     ux.ins.telem_sched_switch(core.now);
                 }
@@ -853,62 +878,10 @@ impl Simulator {
                         return Err(err);
                     }
                 }
+            } else if rec {
+                step_bare::<true>(core, ux, &mut sched, &instr, next_poll);
             } else {
-                core.step_instruction::<false, _>(ux, &mut NoCoherence, &instr);
-                if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-                    ux.ins.telem_sched_switch(core.now);
-                }
-                // Span drain: step straight over the installed process's
-                // buffered events, checking the same per-instruction
-                // conditions (syscall, slice expiry, merged poll) inline.
-                // `post_instruction` on a non-rotating instruction is a
-                // no-op, so reporting only the rotating one is exact. The
-                // buffer's final event is left for `next_instruction`,
-                // which can peek across a batch refill for its data half.
-                let slice_end = sched.slice_end();
-                loop {
-                    if core.counters.instructions >= next_poll {
-                        break;
-                    }
-                    let (span, start) = sched.current_span();
-                    let end = span.len();
-                    if end - start < 2 {
-                        break;
-                    }
-                    let mut pos = start;
-                    let mut rotated = false;
-                    let mut rotate_syscall = false;
-                    while pos + 1 < end {
-                        let ifetch = span[pos];
-                        pos += 1;
-                        let d = span[pos];
-                        let data = if d.kind.is_data() {
-                            pos += 1;
-                            Some(d)
-                        } else {
-                            None
-                        };
-                        core.step_ifetch::<false>(ux, &ifetch);
-                        if let Some(d) = data {
-                            core.step_data::<false, _>(ux, &mut NoCoherence, &d);
-                        }
-                        if ifetch.syscall || core.fnow >= slice_end {
-                            rotated = true;
-                            rotate_syscall = ifetch.syscall;
-                            break;
-                        }
-                        if core.counters.instructions >= next_poll {
-                            break;
-                        }
-                    }
-                    sched.advance(pos - start);
-                    if rotated {
-                        if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
-                            ux.ins.telem_sched_switch(core.now);
-                        }
-                        break;
-                    }
-                }
+                step_bare::<false>(core, ux, &mut sched, &instr, next_poll);
             }
             let retired = core.counters.instructions;
             if retired >= next_poll {
@@ -1001,16 +974,16 @@ impl Simulator {
         let (core, ux) = (&mut self.core, &mut self.ux);
         if ux.ins.active() {
             match ev.kind {
-                AccessKind::IFetch => core.step_ifetch::<true>(ux, ev),
+                AccessKind::IFetch => core.step_ifetch::<true, false>(ux, ev),
                 AccessKind::Load | AccessKind::Store => {
-                    core.step_data::<true, _>(ux, &mut NoCoherence, ev)
+                    core.step_data::<true, false, _>(ux, &mut NoCoherence, ev)
                 }
             }
         } else {
             match ev.kind {
-                AccessKind::IFetch => core.step_ifetch::<false>(ux, ev),
+                AccessKind::IFetch => core.step_ifetch::<false, false>(ux, ev),
                 AccessKind::Load | AccessKind::Store => {
-                    core.step_data::<false, _>(ux, &mut NoCoherence, ev)
+                    core.step_data::<false, false, _>(ux, &mut NoCoherence, ev)
                 }
             }
         }
@@ -1027,6 +1000,74 @@ impl Simulator {
     /// oracle is disabled).
     pub fn oracle_checked(&self) -> Option<u64> {
         self.ux.ins.diff.as_ref().map(|d| d.accesses_checked())
+    }
+}
+
+/// One pass of the bare-kernel run loop: the scheduled instruction, then
+/// a span drain up to the next rotation or poll. `REC` compiles the
+/// profile recorder's notes in; the run selects it once, like `hooks`.
+#[inline(always)]
+fn step_bare<const REC: bool>(
+    core: &mut Core,
+    ux: &mut Uncore,
+    sched: &mut Scheduler,
+    instr: &Instruction,
+    next_poll: u64,
+) {
+    core.step_instruction::<false, REC, _>(ux, &mut NoCoherence, instr);
+    if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
+        ux.ins.telem_sched_switch(core.now);
+    }
+    // Span drain: step straight over the installed process's buffered
+    // events, checking the same per-instruction conditions (syscall,
+    // slice expiry, merged poll) inline. `post_instruction` on a
+    // non-rotating instruction is a no-op, so reporting only the rotating
+    // one is exact. The buffer's final event is left for
+    // `next_instruction`, which can peek across a batch refill for its
+    // data half.
+    let slice_end = sched.slice_end();
+    loop {
+        if core.counters.instructions >= next_poll {
+            break;
+        }
+        let (span, start) = sched.current_span();
+        let end = span.len();
+        if end - start < 2 {
+            break;
+        }
+        let mut pos = start;
+        let mut rotated = false;
+        let mut rotate_syscall = false;
+        while pos + 1 < end {
+            let ifetch = span[pos];
+            pos += 1;
+            let d = span[pos];
+            let data = if d.kind.is_data() {
+                pos += 1;
+                Some(d)
+            } else {
+                None
+            };
+            core.step_ifetch::<false, REC>(ux, &ifetch);
+            if let Some(d) = data {
+                core.step_data::<false, REC, _>(ux, &mut NoCoherence, &d);
+            }
+            if ifetch.syscall || core.fnow >= slice_end {
+                rotated = true;
+                rotate_syscall = ifetch.syscall;
+                break;
+            }
+            if core.counters.instructions >= next_poll {
+                break;
+            }
+        }
+        sched.advance(pos - start);
+        if rotated {
+            if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
+                ux.ins.telem_sched_switch(core.now);
+            }
+            break;
+        }
     }
 }
 
@@ -1702,6 +1743,74 @@ mod tests {
                 registry_rows(&fast_report),
                 registry_rows(&every_report),
                 "{policy:?}: registry counters and histograms"
+            );
+        }
+    }
+    #[test]
+    fn recorder_only_runs_ride_the_bare_kernel_and_record_identically() {
+        use crate::config::DiffCheckConfig;
+        use crate::profile::price_profile;
+        use gaas_trace::codec::U64StreamCursor;
+        // The recorder alone must select the memoized, span-draining
+        // `HOOKS = false` loop. `run_profiled` refuses the oracle, so the
+        // every-event recording installs the recorder by hand on an
+        // oracle-on simulator. The profile must not depend on the loop;
+        // subblock placement gates the load memo off.
+        const WARMUP: u64 = 50_000;
+        let addrs = |p: &FunctionalProfile| {
+            let mut cur = U64StreamCursor::new(&p.addr_blocks);
+            std::iter::from_fn(|| cur.next_value()).collect::<Vec<_>>()
+        };
+        for policy in WritePolicy::all() {
+            let mut b = SimConfig::builder();
+            b.policy(policy).time_slice(200);
+            let cfg = b.build().expect("valid");
+            let mut sim = Simulator::new(cfg.clone()).expect("constructs");
+            sim.ux.ins.install_recorder();
+            assert!(
+                !sim.ux.ins.active(),
+                "{policy:?}: the recorder alone must step the bare kernel"
+            );
+            let (fast_result, fast) = sim
+                .run_profiled(crate::workload::standard(5e-4), WARMUP)
+                .expect("runs");
+
+            b.diffcheck(DiffCheckConfig::on());
+            let mut sim = Simulator::new(b.build().expect("valid")).expect("constructs");
+            sim.ux.ins.install_recorder();
+            assert!(
+                sim.ux.ins.active(),
+                "{policy:?}: the oracle forces the hooked loop"
+            );
+            let (every_result, _, rec, _) = sim
+                .run_sampled_rec(crate::workload::standard(5e-4), WARMUP, 0)
+                .expect("runs");
+            let fkey = functional_fingerprint(&cfg).expect("memoizable");
+            let every = rec.expect("installed").finish(fkey, WARMUP, &every_result);
+
+            assert_eq!(
+                fast_result.counters, every_result.counters,
+                "{policy:?}: counters"
+            );
+            assert!(
+                fast.syscall_switches + fast.slice_switches > 0,
+                "{policy:?}: the slice must expire"
+            );
+            assert_eq!(fast.ops, every.ops, "{policy:?}: ops bytes");
+            assert!(fast.addr_count() > 0, "{policy:?}: addresses recorded");
+            assert_eq!(addrs(&fast), addrs(&every), "{policy:?}: addresses");
+            let priced = [&fast, &every].map(|p| price_profile(&cfg, p).expect("prices"));
+            assert_eq!(
+                priced[0].counters, priced[1].counters,
+                "{policy:?}: priced counters"
+            );
+            assert_eq!(
+                priced[0].per_process, priced[1].per_process,
+                "{policy:?}: priced rows"
+            );
+            assert_eq!(
+                priced[0].counters, fast_result.counters,
+                "{policy:?}: priced vs run"
             );
         }
     }

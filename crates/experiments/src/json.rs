@@ -136,15 +136,22 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// harness writes is a few levels deep; the bound keeps a hostile request
+/// line from recursing the parser through the thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing garbage is an error).
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or of
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -158,6 +165,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +213,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -213,6 +222,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -354,5 +378,28 @@ impl Parser<'_> {
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).expect_err("a million open brackets must not parse");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = parse(&at_limit).expect("the limit itself parses");
+        for _ in 1..MAX_DEPTH {
+            v = v.as_arr().expect("array")[0].clone();
+        }
+        assert_eq!(v, Json::Arr(Vec::new()));
+        let over = format!("[{at_limit}]");
+        assert!(parse(&over).is_err(), "one level past the limit");
     }
 }

@@ -23,8 +23,11 @@
 //!
 //! `retry_after_ms` is present exactly when a refusal is retryable
 //! backpressure; its absence means the request itself is invalid.
+//!
+//! A request line longer than [`MAX_REQUEST_BYTES`] gets one error
+//! response, and the connection is closed.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,6 +39,13 @@ use gaas_experiments::json::{self, Json};
 use gaas_experiments::{durability, interrupt};
 
 use crate::engine::{JobInfo, ServerCore, StatsSnapshot, Submission};
+
+/// Longest request line the daemon reads, newline excluded. The largest
+/// legitimate request is a spec of
+/// [`MAX_CELLS`](crate::spec::MAX_CELLS) cells, each a handful of
+/// knobs: a few hundred KB. Without a cap, a client that never sends a
+/// newline grows the daemon's memory without limit.
+pub const MAX_REQUEST_BYTES: usize = 4 << 20;
 
 /// Runs the accept loop until [`ServerCore`] shutdown is requested via
 /// the `shutdown` op or a process interrupt. Returns once the listener
@@ -88,13 +98,24 @@ fn handle_connection(stream: TcpStream, core: &ServerCore, stop: &AtomicBool) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        // One byte past the cap tells an oversized line from one that
+        // ends exactly at it.
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let response = err_response(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
+            let _ = writer.write_all(format!("{}\n", response.to_text()).as_bytes());
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -364,6 +385,12 @@ mod tests {
         let (resp, stop) = handle_request("not json", &core);
         assert!(!stop);
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let (resp, _) = handle_request(&"[".repeat(1_000_000), &core);
+        assert!(resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("request is not valid JSON: nesting deeper than"));
         let (resp, _) = handle_request(r#"{"op":"status"}"#, &core);
         assert!(resp
             .get("error")

@@ -5,7 +5,8 @@
 //! every test serializes on one lock — two live cores must never execute
 //! jobs concurrently in one process.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::io::{BufRead, BufReader, Write};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use gaas_experiments::durability;
@@ -46,15 +47,20 @@ fn wait_idle(core: &ServerCore) {
     }
 }
 
-#[test]
-fn submit_status_result_roundtrip_over_tcp() {
-    let _guard = serial();
-    durability::set_durable_sync(false);
-    let dir = fresh_dir("tcp");
-    let core = std::sync::Arc::new(ServerCore::open(ServeConfig::new(&dir)).expect("open core"));
+/// A daemon core over `dir` served on a loopback listener thread, and
+/// the address it listens on.
+fn listen(
+    dir: &std::path::Path,
+    cfg: ServeConfig,
+) -> (
+    Arc<ServerCore>,
+    String,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let core = Arc::new(ServerCore::open(cfg).expect("open core"));
     let server = {
-        let core = std::sync::Arc::clone(&core);
-        let dir = dir.clone();
+        let core = Arc::clone(&core);
+        let dir = dir.to_path_buf();
         std::thread::spawn(move || net::serve(&core, &dir, 0))
     };
     // The addr file is committed atomically once the listener is up.
@@ -70,7 +76,11 @@ fn submit_status_result_roundtrip_over_tcp() {
         );
         std::thread::sleep(Duration::from_millis(10));
     };
-    let ping = net::client_roundtrip(&addr, r#"{"op":"ping"}"#).expect("ping");
+    (core, addr, server)
+}
+
+fn assert_pings(addr: &str) {
+    let ping = net::client_roundtrip(addr, r#"{"op":"ping"}"#).expect("ping");
     assert_eq!(
         json::parse(&ping)
             .unwrap()
@@ -78,6 +88,15 @@ fn submit_status_result_roundtrip_over_tcp() {
             .and_then(Json::as_bool),
         Some(true)
     );
+}
+
+#[test]
+fn submit_status_result_roundtrip_over_tcp() {
+    let _guard = serial();
+    durability::set_durable_sync(false);
+    let dir = fresh_dir("tcp");
+    let (core, addr, server) = listen(&dir, ServeConfig::new(&dir));
+    assert_pings(&addr);
 
     let resp = net::client_roundtrip(&addr, &format!(r#"{{"op":"submit","spec":{SPEC}}}"#))
         .expect("submit");
@@ -135,6 +154,55 @@ fn submit_status_result_roundtrip_over_tcp() {
             .and_then(Json::as_bool),
         Some(true)
     );
+    server.join().expect("server thread").expect("serve ok");
+    core.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversized_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    let _guard = serial();
+    durability::set_durable_sync(false);
+    let dir = fresh_dir("oversize");
+    let (core, addr, server) = listen(
+        &dir,
+        ServeConfig {
+            start_paused: true,
+            ..ServeConfig::new(&dir)
+        },
+    );
+    // One byte past the cap and no newline: the daemon must answer
+    // without waiting for the line to end.
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    (&stream)
+        .write_all(&vec![b' '; net::MAX_REQUEST_BYTES + 1])
+        .expect("send oversized line");
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    let resp = json::parse(line.trim()).expect("response json");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(
+        resp.get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("request line exceeds"),
+        "{resp:?}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("clean close"),
+        0,
+        "the connection is closed after the error"
+    );
+    drop(reader);
+    drop(stream);
+
+    assert_pings(&addr);
+    net::client_roundtrip(&addr, r#"{"op":"shutdown"}"#).expect("shutdown");
     server.join().expect("server thread").expect("serve ok");
     core.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
