@@ -22,7 +22,7 @@
 //! promotion writes into the *same* stripe — for the study's geometries
 //! (`assoc <= 4`) a hit plus promote touches a single 64-byte host cache
 //! line. Tags hold the line-aligned base word address directly
-//! ([`INVALID_TAG`] marks an empty way; real physical word addresses
+//! (`INVALID_TAG` marks an empty way; real physical word addresses
 //! never reach it), so no tag reconstruction is needed on hit.
 //!
 //! The rarely-written payload bits (dirty / write-only / subblock valid)

@@ -34,7 +34,7 @@
 //!
 //! Same seed + same rates + same access sequence ⇒ the identical fault
 //! sites, every run. All randomness flows from one
-//! [`SmallRng`](gaas_trace::rng::SmallRng) owned by the injector.
+//! [`SmallRng`] owned by the injector.
 //!
 //! # Examples
 //!

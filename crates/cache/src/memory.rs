@@ -56,7 +56,6 @@ pub struct MemorySystem {
     timing: MainMemory,
     /// `Some(busy_until)` when the dirty buffer is enabled.
     dirty_buffer: Option<u64>,
-    dirty_buffer_enabled: bool,
     /// Counts for reports.
     clean_misses: u64,
     dirty_misses: u64,
@@ -68,7 +67,6 @@ impl MemorySystem {
         MemorySystem {
             timing,
             dirty_buffer: dirty_buffer.then_some(0),
-            dirty_buffer_enabled: dirty_buffer,
             clean_misses: 0,
             dirty_misses: 0,
         }
@@ -77,11 +75,6 @@ impl MemorySystem {
     /// The configured timing.
     pub fn timing(&self) -> MainMemory {
         self.timing
-    }
-
-    /// Whether the dirty buffer is enabled.
-    pub fn has_dirty_buffer(&self) -> bool {
-        self.dirty_buffer_enabled
     }
 
     /// Services an L2 miss beginning at cycle `now`; `dirty_victim` says

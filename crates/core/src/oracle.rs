@@ -5,7 +5,7 @@
 //! bookkeeping bugs. This module keeps a second, deliberately *boring*
 //! model of the two-level hierarchy: per-set recency lists of plain line
 //! structs, no cycle accounting at all. With
-//! [`DiffCheckConfig`](crate::config::DiffCheckConfig) enabled the
+//! [`DiffCheckConfig`] enabled the
 //! simulator consults the golden model after every reference and
 //! cross-checks:
 //!

@@ -11,7 +11,7 @@
 //! This module splits the simulation accordingly:
 //!
 //! 1. **Functional pass** — one full simulation per geometry, run with a
-//!    [`ProfileRecorder`] attached ([`Simulator::run_profiled`]). The
+//!    [`ProfileRecorder`] attached ([`Simulator::run_profiled`](crate::Simulator::run_profiled)). The
 //!    recorder captures every instruction's functional outcome into a
 //!    compact byte-token stream (typically ~1.1 bytes/instruction): TLB
 //!    hit/miss, L1/L2 hit/miss with victim dirtiness, write-policy
@@ -450,8 +450,10 @@ pub fn functional_fingerprint(cfg: &SimConfig) -> Option<u64> {
         || cmp.enabled()
     {
         // `cmp` is disqualifying because the CMP engine interleaves cores
-        // by timing-clock order and charges coherence traffic — outcomes
-        // are not a pure function of one geometry's stream.
+        // by functional-clock order over a shared L2 and charges coherence
+        // traffic — each core's outcomes depend on the other cores'
+        // accesses, so they are not a pure function of one geometry's
+        // stream.
         return None;
     }
 

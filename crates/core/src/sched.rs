@@ -187,13 +187,6 @@ impl Scheduler {
         }
     }
 
-    /// Name of the process that would run next (for reports/tests).
-    pub fn current_name(&self) -> Option<&str> {
-        self.current
-            .and_then(|i| self.procs[i].as_ref())
-            .map(|p| p.name.as_str())
-    }
-
     /// Voluntary-syscall context switches taken so far.
     pub fn syscall_switches(&self) -> u64 {
         self.syscall_switches

@@ -9,7 +9,7 @@
 //! reproduces the exact same fault schedule on every run.
 //!
 //! Injected fault classes (all drawn from the vendored
-//! [`SmallRng`](gaas_trace::rng::SmallRng)):
+//! [`SmallRng`]):
 //!
 //! * **torn writes** — the write that dies at a scheduled crash point is
 //!   truncated at a seeded byte offset, exactly the prefix a power cut

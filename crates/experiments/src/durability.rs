@@ -12,7 +12,7 @@
 //!    though the rename "succeeded" — the directory entry made it to
 //!    media, the data didn't.
 //! 2. **A test seam.** Every operation consults the
-//!    [`chaos`](crate::chaos) shim first, so seeded torn writes, bit
+//!    [`chaos`] shim first, so seeded torn writes, bit
 //!    flips, failed renames, short reads, and process crashes exercise
 //!    the exact code paths production uses.
 //! 3. **An error budget.** [`retrying`] wraps transient-failure-prone

@@ -6,7 +6,7 @@
 //!   by the isolation layer and by tests that want exact control;
 //! * [`run_standard_cell`] — one *campaign cell*: isolated behind
 //!   `catch_unwind` + timeout, journaled when a
-//!   [`campaign`](crate::campaign) is active; failures degrade to
+//!   [`campaign`] is active; failures degrade to
 //!   [`CellResult::Failed`] so a sweep renders gaps instead of dying;
 //! * [`run_standard`] — the historical panicking convenience wrapper
 //!   (now routed through the cell layer).
@@ -153,7 +153,7 @@ pub fn run_standard_profiled_cancellable(
 }
 
 /// Runs one campaign cell: through the active
-/// [`campaign`](crate::campaign) when one is activated (journaled,
+/// [`campaign`] when one is activated (journaled,
 /// resumable), otherwise isolated on a worker thread with `catch_unwind`.
 pub fn run_standard_cell(cfg: &SimConfig, scale: f64) -> CellResult {
     campaign::dispatch(cfg, scale)

@@ -6,7 +6,7 @@
 //! (DESIGN §13):
 //!
 //! 1. **Shed cache first.** The cross-request
-//!    [`profile_cache`](gaas_experiments::profile_cache) holds a byte
+//!    [`profile_cache`] holds a byte
 //!    budget and evicts LRU profiles (or refuses oversize ones) before
 //!    anything client-visible degrades — a cache miss costs wall-clock,
 //!    never correctness.

@@ -102,11 +102,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Remaining instruction budget.
-    pub fn remaining_instructions(&self) -> u64 {
-        self.budget
-    }
-
     /// The PID this generator stamps on addresses.
     pub fn pid(&self) -> Pid {
         self.pid

@@ -191,36 +191,34 @@ fn seeded_mutations_are_always_detected_never_misparsed() {
 }
 
 #[test]
-fn legacy_v1_journal_loads_and_upgrades() {
-    let dir = tmp_dir("legacy");
+fn retired_v1_journal_is_recomputed_and_rewritten() {
+    let dir = tmp_dir("retired-v1");
     let journal = dir.join("soak.journal");
-    // A handcrafted version-1 document: one decodable cell (keyed like a
-    // real one would be) and one mangled cell.
+    // A version-1 document (one JSON object, a retired format) holding a
+    // cell keyed like a real one would be.
     let cfgs = cheap_failing_configs();
     let key = campaign::cell_key(&cfgs[0], SCALE);
     let text = format!(
         "{{\"version\":1,\"cells\":{{\"{key}\":{{\"status\":\"failed\",\
-         \"error\":\"legacy typed error\",\"attempts\":1}},\
-         \"mangled\":{{\"status\":\"failed\",\"error\":7}}}}}}\n"
+         \"error\":\"legacy typed error\",\"attempts\":1}}}}}}\n"
     );
-    std::fs::write(&journal, text).expect("write legacy");
+    std::fs::write(&journal, text).expect("write v1");
 
     let insp = campaign::inspect_journal(&journal).expect("inspect");
-    assert_eq!(insp.version, 1);
-    assert_eq!(insp.dropped, 1, "the mangled cell only loses itself");
-    assert_eq!(insp.records, vec![(key, RecordStatus::Failed)]);
+    assert_eq!(insp.version, 0, "version 1 is no longer recognized");
+    assert_eq!(insp.dropped, 1, "the one-line document is dropped whole");
+    assert!(insp.records.is_empty());
 
-    // Opening with resume reuses the surviving legacy cell, and the
-    // first new record rewrites the file in version-2 framing.
+    // Opening with resume is not an error: the cell is recomputed, and
+    // the first record rewrites the file in version-2 framing.
     let mut c = Campaign::open(&journal, true, CellOptions::default()).expect("open");
-    assert!(!c.cell(&cfgs[0], SCALE).is_done(), "reused legacy failure");
-    let _ = c.cell(&cfgs[1], SCALE);
-    assert_eq!(c.stats().reused, 1);
+    assert!(!c.cell(&cfgs[0], SCALE).is_done(), "cheap cells fail");
+    assert_eq!(c.stats().reused, 0);
     drop(c);
-    let upgraded = campaign::inspect_journal(&journal).expect("inspect");
-    assert_eq!(upgraded.version, 2, "first write upgrades the format");
-    assert_eq!(upgraded.dropped, 0);
-    assert_eq!(upgraded.records.len(), 2);
+    let rewritten = campaign::inspect_journal(&journal).expect("inspect");
+    assert_eq!(rewritten.version, 2, "first write leaves a version-2 file");
+    assert_eq!(rewritten.dropped, 0);
+    assert_eq!(rewritten.records, vec![(key, RecordStatus::Failed)]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
