@@ -97,6 +97,17 @@ pub struct StoreOutcome {
     pub replaced_written_line: bool,
 }
 
+/// Whether a resident line with these marks serves a load of word
+/// `word` under `policy`.
+#[inline(always)]
+fn serves_load(policy: WritePolicy, write_only: bool, subblock_valid: u32, word: u32) -> bool {
+    match policy {
+        WritePolicy::WriteBack | WritePolicy::WriteMissInvalidate => true,
+        WritePolicy::WriteOnly => !write_only,
+        WritePolicy::Subblock => subblock_valid & (1 << word) != 0,
+    }
+}
+
 /// The primary data cache: a [`CacheArray`] plus write-policy semantics.
 #[derive(Debug, Clone)]
 pub struct L1DataCache {
@@ -142,11 +153,7 @@ impl L1DataCache {
     pub fn load(&mut self, addr: PhysAddr) -> LoadOutcome {
         let word = self.array.geometry().word_in_line(addr);
         let hit = match self.array.touch(addr) {
-            Some(line) => match self.policy {
-                WritePolicy::WriteBack | WritePolicy::WriteMissInvalidate => true,
-                WritePolicy::WriteOnly => !line.write_only(),
-                WritePolicy::Subblock => line.subblock_valid() & (1 << word) != 0,
-            },
+            Some(line) => serves_load(self.policy, line.write_only(), line.subblock_valid(), word),
             None => false,
         };
         if hit {
@@ -182,6 +189,16 @@ impl L1DataCache {
             writeback_victim: wb_victim,
             replaced_written_line: victim_dirty && self.policy.is_write_through(),
         }
+    }
+
+    /// Whether [`L1DataCache::load`] of `addr` would hit, without
+    /// touching LRU state.
+    #[inline]
+    pub fn load_would_hit(&self, addr: PhysAddr) -> bool {
+        let word = self.array.geometry().word_in_line(addr);
+        self.array.peek(addr).is_some_and(|line| {
+            serves_load(self.policy, line.write_only, line.subblock_valid, word)
+        })
     }
 
     /// Performs a store. `partial_word` marks a sub-word write (§6: these
@@ -710,6 +727,28 @@ mod prop_tests {
                 }
                 for line in c.array().iter() {
                     assert_eq!(line.subblock_valid & !0b1111, 0, "stray valid bits");
+                }
+            }
+        }
+    }
+
+    /// `load_would_hit` predicts every load's hit flag under every
+    /// policy.
+    #[test]
+    fn load_would_hit_predicts_load() {
+        let mut rng = SmallRng::seed_from_u64(0xA5);
+        for policy in WritePolicy::all() {
+            let geom = CacheGeometry::new(64, 4, 2).expect("valid");
+            let mut c = L1DataCache::new(geom, policy);
+            for op in random_ops(&mut rng, 400) {
+                match op {
+                    Op::Load(a) => {
+                        let predicted = c.load_would_hit(PhysAddr::new(a));
+                        assert_eq!(c.load(PhysAddr::new(a)).hit, predicted, "{policy:?}");
+                    }
+                    Op::Store(a, p) => {
+                        c.store(PhysAddr::new(a), p);
+                    }
                 }
             }
         }

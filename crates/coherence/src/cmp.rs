@@ -13,19 +13,73 @@
 //!
 //! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`] on
 //! the same configuration and workload (test-enforced), by
-//! construction: it steps the same [`gaas_sim::Core`] code with the
-//! same [`gaas_sim::NoCoherence`] hooks, and every coherence action is
-//! gated on a second core existing. That identity pins all CMP results
-//! to the validated single-CPU model: whatever a multi-core run shows
-//! beyond the 1-core anchor is attributable to sharing, not to engine
-//! drift.
+//! construction: its turns are [`gaas_sim::step_bare`] with the same
+//! [`gaas_sim::NoCoherence`] hooks and [`gaas_sim::WholeSpan`] bound —
+//! `Simulator`'s own span drain — and every coherence action is gated
+//! on a second core existing. That identity pins all CMP results to the
+//! validated single-CPU model: whatever a multi-core run shows beyond
+//! the 1-core anchor is attributable to sharing, not to engine drift.
+//!
+//! ## The turn rule
+//!
+//! The reference schedule is the lockstep interleave by functional
+//! clock: one instruction at a time from the core with the lowest
+//! `(fnow, id)`. A multi-core run with the oracle off reaches the same
+//! result in turns, each one span drain of one core:
+//!
+//! * **Exact steps.** The core with the lowest `(fnow, id)` steps while
+//!   its key stays below the runner-up's. No other core's `fnow` moves
+//!   meanwhile — coherence charges only timing clocks — so these are
+//!   exactly the steps lockstep would take next.
+//! * **Run-ahead.** Past the runner-up's key, the core continues only
+//!   through instructions [`Core::local_step`] proves core-local: a
+//!   fetch by the fetch memo or a cached-translation L1-I hit, plus no
+//!   data reference, the load memo, an L1-D load hit, or a write-back
+//!   store hit, on a PID the core owns. Such a step touches only this
+//!   core's L1s, TLBs, clocks, counters and memos and the directory
+//!   entries of its private lines. Another core's step touches none of
+//!   that but this core's shared lines (an invalidation, which also
+//!   clears the load memo — a cache of facts the full path re-derives)
+//!   and its coherence counters (sums), so the two commute: moving
+//!   local steps ahead of other cores' steps cannot change a result.
+//! * **Horizon.** A run-ahead stops `HORIZON` (1024) cycles past the
+//!   runner-up's `fnow`. Every stepped instruction then started below
+//!   the lowest pending `fnow` plus the horizon, so at most
+//!   `N · HORIZON` instructions of other cores that lockstep would have
+//!   run first are still missing, and exact steps run them first.
+//! * **Poll margin.** No run-ahead starts within `2·N·(HORIZON + 2)`
+//!   instructions of the next warm-up or budget boundary, so by the
+//!   boundary the missing steps have run and the warm-up snapshot and
+//!   the budget stop see the exact lockstep prefix. The cancel poll
+//!   needs no margin: a cancelled run returns no counters.
+//!
+//! Oracle-on runs stay in lockstep on the instrumented (`HOOKS = true`)
+//! path, so every load hit reaches the oracle and oracle-on results are
+//! the exactness reference for the run-ahead (test-enforced across core
+//! counts, write policies, migration intervals and L2 organizations).
+//!
+//! ## PID ownership
+//!
+//! Each PID but [`gaas_trace::SHARED_PID`] is private to the first core
+//! that references its data, claimed on an exact step; a data reference
+//! from any other core fails the run with [`SimError::PidOwnership`],
+//! oracle on or off. The run-ahead relies on this contract: a line of a
+//! private PID can be in one core's L1-D only, so no remote store can
+//! invalidate it. The standard CMP workload satisfies it by
+//! construction (each benchmark runs on one core; shared references use
+//! the shared PID).
+//!
+//! The contract also keeps private lines out of the directory: with no
+//! remote copy possible, a private line is Modified exactly when it is
+//! resident and written since its fill, Exclusive when resident and
+//! clean, and no action on it involves the bus, so the hooks read its
+//! state off the owner's L1-D. With the oracle on, private lines take
+//! the directory path, so the oracle-on reference checks this too.
 //!
 //! Multi-core runs keep the pipeline's same-line and same-page memos: a
 //! remote invalidation clears the victim core's load memo (see
-//! [`gaas_sim::Core::invalidate_d_line`]). With the coherence oracle on,
-//! the cores step through the instrumented instantiation, which never
-//! reads the memos, so every load hit reaches the oracle.
-//!
+//! [`gaas_sim::Core::invalidate_d_line`]).
+
 //! ## Coherence charging
 //!
 //! Coherence costs are charged to the requesting core's *timing* clock
@@ -51,13 +105,12 @@
 use gaas_mcm::SnoopBus;
 use gaas_sim::config::{ConfigError, SimConfig};
 use gaas_sim::cpi::{Counters, ProcCounters};
-use gaas_sim::sched::{Instruction, Scheduler};
-use gaas_sim::sim::CANCEL_CHECK_INTERVAL;
+use gaas_sim::sched::Scheduler;
 use gaas_sim::{
-    CancelToken, Coherence, Core, NoCoherence, SimError, SimResult, Termination, Trace, Uncore,
-    MAX_CORES,
+    step_bare, CancelToken, Coherence, Core, NoCoherence, Polls, SimError, SimResult, Termination,
+    Trace, TraceEvent, Turn, Uncore, WholeSpan, MAX_CORES,
 };
-use gaas_trace::{PhysAddr, Pid};
+use gaas_trace::{PhysAddr, Pid, SHARED_PID};
 
 use crate::directory::Directory;
 use crate::mesi::{next_state, MesiEvent, MesiState};
@@ -152,16 +205,29 @@ impl CmpSimulator {
     /// completion, discarding the statistics of the first
     /// `warmup_instructions` instructions *summed over all cores*.
     ///
-    /// Cores interleave by functional-clock order (earliest `fnow`
-    /// executes next; ties resolve to the lowest core id), which makes
-    /// the interleaving deterministic and independent of timing knobs —
-    /// the same property the single-CPU scheduler has.
+    /// The result is that of the lockstep interleave by functional-clock
+    /// order: one instruction at a time from the core with the lowest
+    /// `(fnow, id)`, which makes the interleaving deterministic and
+    /// independent of timing knobs — the same property the single-CPU
+    /// scheduler has. A 1-core run is `Simulator`'s own drain. A
+    /// multi-core run with the coherence oracle on steps in that
+    /// lockstep on the instrumented path. With it off, each turn is one
+    /// span drain ([`gaas_sim::step_bare`]) that steps exactly while the
+    /// core's `(fnow, id)` stays below the runner-up's, then runs ahead
+    /// through instructions [`Core::local_step`] proves core-local, on
+    /// PIDs the core owns, up to `HORIZON` cycles past the runner-up's
+    /// `fnow`; no run-ahead starts within `2·N·(HORIZON + 2)`
+    /// instructions of the warm-up or budget boundary, so both see the
+    /// lockstep prefix (see the module docs for why this is exact). The
+    /// first core to reference a PID's data owns it for the run.
     ///
     /// # Errors
     ///
-    /// [`SimError::Cancelled`] when the token fires, and
+    /// [`SimError::Cancelled`] when the token fires,
     /// [`SimError::Coherence`] when the coherence oracle (enabled via
-    /// `diffcheck.enabled`) observes an invariant violation.
+    /// `diffcheck.enabled`) observes an invariant violation, and
+    /// [`SimError::PidOwnership`] when two cores make data references to
+    /// one PID other than [`gaas_trace::SHARED_PID`], oracle on or off.
     ///
     /// # Panics
     ///
@@ -183,84 +249,96 @@ impl CmpSimulator {
             .into_iter()
             .map(|traces| Scheduler::new(traces, level, slice))
             .collect();
-        let mut done = vec![false; self.cores.len()];
-
-        let mut total_instructions = 0u64;
+        let n = self.cores.len();
+        let mut done = vec![false; n];
+        let mut polls = Polls::new(&self.cfg, warmup_instructions, 0, self.cancel.is_some());
         let mut warm_snapshot: Option<Vec<Counters>> = None;
-        let mut next_warm = if warmup_instructions > 0 {
-            warmup_instructions
-        } else {
-            u64::MAX
-        };
-        let budget_limit = self.cfg.instruction_budget.unwrap_or(u64::MAX);
-        let mut next_cancel_check = if self.cancel.is_some() {
-            CANCEL_CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
         let mut termination = Termination::Completed;
-        let mut next_poll = next_warm.min(budget_limit).min(next_cancel_check);
+        let mut total_instructions = 0u64;
+        let mut owners = [UNOWNED; 256];
         // Every coherence action is gated on a second core existing, so a
         // 1-core run never touches the directory, the bus, the MESI
         // counters, or the oracle (the identity anchor).
-        let multi = self.cores.len() > 1;
-        let oracle_on = multi && self.proto.oracle.is_some();
+        let multi = n > 1;
+        let lockstep = multi && self.proto.oracle.is_some();
+        let poll_margin = 2 * n as u64 * (HORIZON + 2);
 
         loop {
-            // Next core by functional-clock order, lowest id on ties
-            // (degenerates to strictly sequential execution at 1 core).
-            let mut active = usize::MAX;
-            let mut best = u64::MAX;
+            // The turn goes to the lowest (fnow, id); the runner-up's
+            // key bounds its exact steps.
+            let mut first: Option<(u64, usize)> = None;
+            let mut second: Option<(u64, usize)> = None;
             for (i, core) in self.cores.iter().enumerate() {
-                if !done[i] && core.fnow() < best {
-                    best = core.fnow();
-                    active = i;
+                if done[i] {
+                    continue;
+                }
+                let key = (core.fnow(), i);
+                if first.map_or(true, |f| key < f) {
+                    second = first;
+                    first = Some(key);
+                } else if second.map_or(true, |s| key < s) {
+                    second = Some(key);
                 }
             }
-            if active == usize::MAX {
+            let Some((fnow, c)) = first else {
                 break;
-            }
-            let c = active;
-            let Some(instr) = scheds[c].next_instruction(best) else {
+            };
+            let Some(instr) = scheds[c].next_instruction(fnow) else {
                 done[c] = true;
                 continue;
             };
+            let before = self.cores[c].counters().instructions;
             if !multi {
-                self.cores[c].step_instruction::<false, false, _>(
+                step_bare::<false, _, _>(
+                    &mut self.cores[c],
                     &mut self.ux,
                     &mut NoCoherence,
+                    &mut WholeSpan,
+                    &mut scheds[c],
                     &instr,
+                    polls.next(),
                 );
-            } else if oracle_on {
-                self.step_shared::<true>(c, &instr);
-            } else {
-                self.step_shared::<false>(c, &instr);
-            }
-            let fnow = self.cores[c].fnow();
-            scheds[c].post_instruction(fnow, instr.ifetch.syscall);
-            total_instructions += 1;
-
-            if oracle_on {
+            } else if lockstep {
+                claim(&mut owners, c, instr.data.as_ref())?;
+                self.with_snoop(c, |core, ux, snoop| {
+                    core.step_instruction::<true, false, _>(ux, snoop, &instr);
+                });
+                scheds[c].post_instruction(self.cores[c].fnow(), instr.ifetch.syscall);
                 if let Some(err) = self.take_violation() {
                     return Err(err);
                 }
+            } else {
+                // (fnow, c) < (f, r) exactly when fnow < f + [c < r].
+                let exact_end = second.map_or(u64::MAX, |(f, r)| f + u64::from(c < r));
+                let exact_room = polls.next_exact().saturating_sub(total_instructions);
+                let mut turn = CoreTurn {
+                    id: c,
+                    owners: &mut owners,
+                    exact_end,
+                    ahead_end: exact_end.saturating_add(HORIZON),
+                    ahead_instructions: before
+                        .saturating_add(exact_room.saturating_sub(poll_margin)),
+                    refused: None,
+                };
+                let poll = before + (polls.next() - total_instructions);
+                let sched = &mut scheds[c];
+                self.with_snoop(c, |core, ux, snoop| {
+                    step_bare::<false, _, _>(core, ux, snoop, &mut turn, sched, &instr, poll);
+                });
+                if let Some(err) = turn.refused {
+                    return Err(err);
+                }
             }
-            if total_instructions >= next_poll {
-                if total_instructions >= next_cancel_check {
-                    next_cancel_check = total_instructions + CANCEL_CHECK_INTERVAL;
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        return Err(SimError::Cancelled);
-                    }
-                }
-                if total_instructions >= next_warm {
+            total_instructions += self.cores[c].counters().instructions - before;
+            if total_instructions >= polls.next() {
+                let due = polls.fire(total_instructions, self.cancel.as_ref())?;
+                if due.warm {
                     warm_snapshot = Some(self.cores.iter().map(|core| *core.counters()).collect());
-                    next_warm = u64::MAX;
                 }
-                if total_instructions >= budget_limit {
+                if due.budget {
                     termination = Termination::BudgetExhausted;
                     break;
                 }
-                next_poll = next_warm.min(budget_limit).min(next_cancel_check);
             }
         }
 
@@ -342,9 +420,9 @@ impl CmpSimulator {
         })
     }
 
-    /// Steps core `c` through one instruction with the MESI hooks, the
+    /// Runs `f` on core `c`, the uncore, and the MESI hooks with the
     /// other cores reachable as remotes.
-    fn step_shared<const HOOKS: bool>(&mut self, c: usize, instr: &Instruction) {
+    fn with_snoop(&mut self, c: usize, f: impl FnOnce(&mut Core, &mut Uncore, &mut Snoop<'_>)) {
         let (below, rest) = self.cores.split_at_mut(c);
         let (core, above) = rest.split_first_mut().expect("active core exists");
         let mut snoop = Snoop {
@@ -353,7 +431,71 @@ impl CmpSimulator {
             below,
             above,
         };
-        core.step_instruction::<HOOKS, false, _>(&mut self.ux, &mut snoop, instr);
+        f(core, &mut self.ux, &mut snoop)
+    }
+}
+
+/// How far past the runner-up's functional clock a core runs ahead
+/// through core-local instructions, in cycles.
+const HORIZON: u64 = 1024;
+
+/// The `owners` entry of a PID whose data no core has referenced yet.
+const UNOWNED: u8 = u8::MAX;
+
+/// Claims the data reference's PID for core `c` on its first reference,
+/// and refuses a reference to a PID another core has claimed. The
+/// shared PID belongs to no core.
+fn claim(owners: &mut [u8; 256], c: usize, data: Option<&TraceEvent>) -> Result<(), SimError> {
+    let Some(pid) = data.map(|d| d.addr.pid()).filter(|&p| p != SHARED_PID) else {
+        return Ok(());
+    };
+    let owner = &mut owners[usize::from(pid.raw())];
+    if *owner == UNOWNED {
+        *owner = c as u8;
+    }
+    if usize::from(*owner) == c {
+        Ok(())
+    } else {
+        Err(SimError::PidOwnership {
+            pid: pid.raw(),
+            owner: u32::from(*owner),
+            core: c as u32,
+        })
+    }
+}
+
+/// One multi-core turn of core `id` (see the module docs): exact steps
+/// while `fnow < exact_end`, then core-local steps on owned PIDs while
+/// `fnow < ahead_end` and the core has retired fewer than
+/// `ahead_instructions`.
+struct CoreTurn<'a> {
+    id: usize,
+    owners: &'a mut [u8; 256],
+    exact_end: u64,
+    ahead_end: u64,
+    ahead_instructions: u64,
+    /// The ownership error that ended the turn, if one did.
+    refused: Option<SimError>,
+}
+
+impl Turn for CoreTurn<'_> {
+    #[inline(always)]
+    fn admit(&mut self, core: &Core, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
+        if core.fnow() < self.exact_end {
+            return match claim(self.owners, self.id, data) {
+                Ok(()) => true,
+                Err(err) => {
+                    self.refused = Some(err);
+                    false
+                }
+            };
+        }
+        core.fnow() < self.ahead_end
+            && core.counters().instructions < self.ahead_instructions
+            && data.map_or(true, |d| {
+                usize::from(self.owners[usize::from(d.addr.pid().raw())]) == self.id
+            })
+            && core.local_step(ifetch, data)
     }
 }
 
@@ -369,6 +511,12 @@ struct Snoop<'a> {
 }
 
 impl Snoop<'_> {
+    /// Whether `pid`'s lines bypass the directory (see "PID ownership"
+    /// in the module docs).
+    fn bypasses(&self, pid: Pid) -> bool {
+        pid != SHARED_PID && self.proto.oracle.is_none()
+    }
+
     /// Every core id but the stepping core's.
     fn remotes(&self) -> impl Iterator<Item = usize> {
         let c = self.c;
@@ -406,7 +554,16 @@ impl Snoop<'_> {
 impl Coherence for Snoop<'_> {
     type Prior = MesiState;
 
-    fn before_store(&mut self, core: &Core, line: PhysAddr) -> MesiState {
+    fn before_store(&mut self, core: &Core, line: PhysAddr, pid: Pid) -> MesiState {
+        if self.bypasses(pid) {
+            // A private line is Modified exactly when resident and
+            // written since its fill, Exclusive when resident and clean.
+            return match core.l1d().array().peek(line) {
+                None => MesiState::Invalid,
+                Some(l) if l.dirty => MesiState::Modified,
+                Some(_) => MesiState::Exclusive,
+            };
+        }
         let resident = core.l1d().array().contains(line);
         self.proto.dir.heal(line, self.c, resident)
     }
@@ -419,8 +576,16 @@ impl Coherence for Snoop<'_> {
         ux: &mut Uncore,
         t0: u64,
         line: PhysAddr,
+        pid: Pid,
         prev_local: MesiState,
     ) -> u64 {
+        if self.bypasses(pid) {
+            // No remote copies: a silent upgrade to Modified if resident.
+            if prev_local != MesiState::Modified && core.l1d().array().contains(line) {
+                core.counters_mut().mesi_to_m += 1;
+            }
+            return 0;
+        }
         let c = self.c;
         let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
@@ -496,7 +661,19 @@ impl Coherence for Snoop<'_> {
 
     /// MESI bookkeeping + cost for a load miss that just filled `line`
     /// on the stepping core at time `t0`.
-    fn load_fill(&mut self, core: &mut Core, ux: &mut Uncore, t0: u64, line: PhysAddr) -> u64 {
+    fn load_fill(
+        &mut self,
+        core: &mut Core,
+        ux: &mut Uncore,
+        t0: u64,
+        line: PhysAddr,
+        pid: Pid,
+    ) -> u64 {
+        if self.bypasses(pid) {
+            // No remote copies: an Exclusive fill.
+            core.counters_mut().mesi_to_e += 1;
+            return 0;
+        }
         let c = self.c;
         let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
@@ -557,23 +734,25 @@ impl Coherence for Snoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaas_sim::{CmpConfig, DiffCheckConfig, TraceEvent, VirtAddr, WritePolicy};
+    use gaas_sim::{CmpConfig, DiffCheckConfig, VirtAddr, WritePolicy};
     use gaas_trace::VecTrace;
 
     /// A data word both cores address through the same page table entry.
     fn shared(word: u64) -> VirtAddr {
-        VirtAddr::new(Pid::new(7), 0x10000 + word)
+        VirtAddr::new(SHARED_PID, 0x10000 + word)
     }
 
     fn code(pid: u8, word: u64) -> VirtAddr {
         VirtAddr::new(Pid::new(pid), word)
     }
 
-    /// Core 0 loads X, core 1 stores `store_to`, then core 0 loads X
-    /// again from the same fetch line. Functional-clock order runs core
-    /// 1's single instruction between core 0's two (core 0's cold misses
-    /// put its clock far ahead).
-    fn load_store_load(policy: WritePolicy, store_to: u64, oracle: bool) -> CmpResult {
+    /// Runs one trace per core on a 2-core machine.
+    fn run_two(
+        policy: WritePolicy,
+        oracle: bool,
+        core0: Vec<TraceEvent>,
+        core1: Vec<TraceEvent>,
+    ) -> Result<CmpResult, SimError> {
         let mut b = SimConfig::builder();
         b.policy(policy);
         let mut cfg = b.build().expect("valid");
@@ -582,6 +761,20 @@ mod tests {
             enabled: oracle,
             ..DiffCheckConfig::default()
         };
+        let per_core: Vec<Vec<Box<dyn Trace>>> = vec![
+            vec![Box::new(VecTrace::new("c0", core0))],
+            vec![Box::new(VecTrace::new("c1", core1))],
+        ];
+        CmpSimulator::new(cfg)
+            .expect("valid")
+            .run_warmed(per_core, 0)
+    }
+
+    /// Core 0 loads X, core 1 stores `store_to`, then core 0 loads X
+    /// again from the same fetch line. Functional-clock order runs core
+    /// 1's single instruction between core 0's two (core 0's cold misses
+    /// put its clock far ahead).
+    fn load_store_load(policy: WritePolicy, store_to: u64, oracle: bool) -> CmpResult {
         let core0 = vec![
             TraceEvent::ifetch(code(1, 0), 0),
             TraceEvent::load(shared(0)),
@@ -592,14 +785,7 @@ mod tests {
             TraceEvent::ifetch(code(2, 0), 0),
             TraceEvent::store(shared(store_to)),
         ];
-        let per_core: Vec<Vec<Box<dyn Trace>>> = vec![
-            vec![Box::new(VecTrace::new("c0", core0))],
-            vec![Box::new(VecTrace::new("c1", core1))],
-        ];
-        CmpSimulator::new(cfg)
-            .expect("valid")
-            .run_warmed(per_core, 0)
-            .expect("coherent")
+        run_two(policy, oracle, core0, core1).expect("coherent")
     }
 
     #[test]
@@ -619,6 +805,32 @@ mod tests {
                     assert_eq!(c0.loads, 2, "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn two_cores_referencing_one_private_pid_is_refused() {
+        // Core 1 stores to the page core 0 loaded from under PID 7: the
+        // first reference claims the PID for core 0, the second is an
+        // error whether the cores step in lockstep or run ahead.
+        let private = VirtAddr::new(Pid::new(7), 0x10000);
+        for oracle in [false, true] {
+            let core0 = vec![TraceEvent::ifetch(code(1, 0), 0), TraceEvent::load(private)];
+            let core1 = vec![
+                TraceEvent::ifetch(code(2, 0), 0),
+                TraceEvent::store(private),
+            ];
+            let err = run_two(WritePolicy::WriteBack, oracle, core0, core1)
+                .expect_err("a second core touched a private PID");
+            assert_eq!(
+                err,
+                SimError::PidOwnership {
+                    pid: 7,
+                    owner: 0,
+                    core: 1
+                },
+                "oracle {oracle}"
+            );
         }
     }
 }

@@ -74,7 +74,8 @@ pub use pipeline::{Coherence, Core, NoCoherence, Uncore};
 pub use profile::{functional_fingerprint, price_profile, price_profiles, FunctionalProfile};
 pub use sched::SchedSnapshot;
 pub use sim::{
-    run, CancelToken, Checkpoint, SimError, SimResult, Simulator, TelemetryReport, Termination,
+    run, step_bare, CancelToken, Checkpoint, Due, Polls, SimError, SimResult, Simulator,
+    TelemetryReport, Termination, Turn, WholeSpan,
 };
 
 // Re-export the substrate vocabulary so downstream users need only this

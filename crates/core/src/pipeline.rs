@@ -44,8 +44,10 @@
 //! carries none of its branches.
 
 use gaas_cache::fault::{resolve, FaultEffect, FaultEvent, Structure};
-use gaas_cache::{CacheArray, L1DataCache, Line, MemorySystem, PageMapper, Tlb, WriteBuffer};
-use gaas_trace::{AccessKind, PhysAddr, TraceEvent, VirtAddr, PAGE_SHIFT};
+use gaas_cache::{
+    CacheArray, L1DataCache, Line, MemorySystem, PageMapper, Tlb, WriteBuffer, WritePolicy,
+};
+use gaas_trace::{AccessKind, PhysAddr, Pid, TraceEvent, VirtAddr, PAGE_SHIFT};
 
 use crate::config::{ConfigError, L2Config, SeededBug, SimConfig, WbBypass};
 use crate::cpi::{Counters, ProcCounters};
@@ -66,27 +68,35 @@ pub trait Coherence {
     /// What [`Coherence::before_store`] hands to [`Coherence::store`].
     type Prior: Copy;
 
-    /// Reads the stepping core's state for the L1-D line `line` before a
-    /// store changes the array (a write-allocate fill would otherwise make
-    /// a stale record look freshly resident).
-    fn before_store(&mut self, core: &Core, line: PhysAddr) -> Self::Prior;
+    /// Reads the stepping core's state for the L1-D line `line` of a
+    /// page of `pid` before a store changes the array (a write-allocate
+    /// fill would otherwise make a stale record look freshly resident).
+    fn before_store(&mut self, core: &Core, line: PhysAddr, pid: Pid) -> Self::Prior;
 
-    /// Protocol action for a store to `line` at time `t0`, after the L1-D
-    /// array took it and before any write-buffer traffic; returns the
-    /// stall charged to the core.
+    /// Protocol action for a store to `line` (a page of `pid`) at time
+    /// `t0`, after the L1-D array took it and before any write-buffer
+    /// traffic; returns the stall charged to the core.
     fn store(
         &mut self,
         core: &mut Core,
         ux: &mut Uncore,
         t0: u64,
         line: PhysAddr,
+        pid: Pid,
         prior: Self::Prior,
     ) -> u64;
 
-    /// Protocol action for a load miss that just filled `line` at time
-    /// `t0`, before the write-buffer wait; returns the stall charged to
-    /// the core.
-    fn load_fill(&mut self, core: &mut Core, ux: &mut Uncore, t0: u64, line: PhysAddr) -> u64;
+    /// Protocol action for a load miss that just filled `line` (a page
+    /// of `pid`) at time `t0`, before the write-buffer wait; returns the
+    /// stall charged to the core.
+    fn load_fill(
+        &mut self,
+        core: &mut Core,
+        ux: &mut Uncore,
+        t0: u64,
+        line: PhysAddr,
+        pid: Pid,
+    ) -> u64;
 
     /// Observes a load hit on `line` (no cycles).
     fn load_hit(&mut self, core: &Core, line: PhysAddr);
@@ -100,15 +110,15 @@ impl Coherence for NoCoherence {
     type Prior = ();
 
     #[inline(always)]
-    fn before_store(&mut self, _: &Core, _: PhysAddr) {}
+    fn before_store(&mut self, _: &Core, _: PhysAddr, _: Pid) {}
 
     #[inline(always)]
-    fn store(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr, _: ()) -> u64 {
+    fn store(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr, _: Pid, _: ()) -> u64 {
         0
     }
 
     #[inline(always)]
-    fn load_fill(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr) -> u64 {
+    fn load_fill(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr, _: Pid) -> u64 {
         0
     }
 
@@ -364,7 +374,7 @@ impl Core {
             last_load_vline: u64::MAX,
             i_line_shift: cfg.l1i.line_words.trailing_zeros(),
             d_line_shift: cfg.l1d.line_words.trailing_zeros(),
-            load_memo_ok: cfg.policy != gaas_cache::WritePolicy::Subblock,
+            load_memo_ok: cfg.policy != WritePolicy::Subblock,
         })
     }
 
@@ -437,6 +447,15 @@ impl Core {
         &mut self.per_proc[idx]
     }
 
+    /// `addr`'s translation when the translation cache holds it (the
+    /// probe [`Core::translate`] makes, without the mapper fallback).
+    #[inline(always)]
+    fn cached_translation(&self, addr: VirtAddr) -> Option<PhysAddr> {
+        let key = addr.raw() >> PAGE_SHIFT;
+        let (k, ppn) = self.tcache[(key as usize) & (TCACHE_WAYS - 1)];
+        (k == key).then(|| PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset()))
+    }
+
     #[inline]
     fn translate(&mut self, ux: &mut Uncore, addr: VirtAddr) -> PhysAddr {
         let key = addr.raw() >> PAGE_SHIFT;
@@ -448,6 +467,48 @@ impl Core {
         let p = ux.mapper.translate(addr);
         self.tcache[idx] = (key, p.ppn());
         p
+    }
+
+    /// Whether the bare kernel (`HOOKS = false`) would step this
+    /// instruction on this core's private state alone: no L2, memory,
+    /// write-buffer or page-mapper traffic and no snoop-bus transaction.
+    /// That holds when the fetch rides the fetch memo or hits L1-I
+    /// through a cached translation, and the data reference, if any,
+    /// rides the load memo, is an L1-D load hit, or is a write-back
+    /// store hit, each through a cached translation. TLB walks stay
+    /// local (they charge only this core's counters). Read-only: the
+    /// answer is a prediction the step then realizes.
+    ///
+    /// The answer covers this core's structures only. Whether another
+    /// core can reach the same lines (a remote invalidation, or the
+    /// [`Coherence`] hooks a store calls) is the caller's to rule out:
+    /// the CMP engine requires a PID the core owns.
+    pub fn local_step(&self, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
+        if ifetch.addr.raw() >> self.i_line_shift != self.last_ifetch_vline
+            && !self
+                .cached_translation(ifetch.addr)
+                .is_some_and(|p| self.l1i.contains(p))
+        {
+            return false;
+        }
+        let Some(d) = data else {
+            return true;
+        };
+        match d.kind {
+            AccessKind::Load => {
+                d.addr.raw() >> self.d_line_shift == self.last_load_vline
+                    || self
+                        .cached_translation(d.addr)
+                        .is_some_and(|p| self.l1d.load_would_hit(p))
+            }
+            AccessKind::Store => {
+                self.l1d.policy() == WritePolicy::WriteBack
+                    && self
+                        .cached_translation(d.addr)
+                        .is_some_and(|p| self.l1d.array().contains(p))
+            }
+            AccessKind::IFetch => false,
+        }
     }
 
     /// Cross-checks one completed access against the golden model, then
@@ -1036,7 +1097,7 @@ impl Core {
                 );
             }
             let t0 = self.now + cycles;
-            cycles += coh.load_fill(self, ux, t0, line_base);
+            cycles += coh.load_fill(self, ux, t0, line_base, ev.addr.pid());
             let mut t = self.now + cycles;
             // Wait on *previously pending* writes per the bypass rule; the
             // victim this very miss displaces drains in the background
@@ -1102,7 +1163,7 @@ impl Core {
         let paddr = self.translate(ux, ev.addr);
 
         let line = self.d_line_base(paddr);
-        let prior = coh.before_store(self, line);
+        let prior = coh.before_store(self, line, ev.addr.pid());
         let outcome = self.l1d.store(paddr, ev.partial_word);
         if REC {
             ux.ins.recorder().begin_store(
@@ -1128,7 +1189,7 @@ impl Core {
             self.fnow += 1;
         }
         let t0 = self.now + cycles;
-        cycles += coh.store(self, ux, t0, line, prior);
+        cycles += coh.store(self, ux, t0, line, ev.addr.pid(), prior);
         let mut t = self.now + cycles;
 
         // Write-through: the word enters the write buffer.

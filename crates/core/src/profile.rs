@@ -412,7 +412,7 @@ fn hash_l2_side(h: &mut Fnv, s: &L2Side) {
 /// |---|---|
 /// | functional | `l1i`, `l1d`, `policy`, `l2` shape (organization, sizes, assocs, line sizes), `mp`, `page_colors`, `instruction_budget` |
 /// | timing | L2 `access_cycles`, `write_buffer`, `concurrency`, `memory`, `tlb_miss_penalty`, `l2_drain_access_override` |
-/// | disqualifying | `fault` (when enabled), `diffcheck` (when enabled), `checkpoint_interval` (when nonzero), `telemetry` (when enabled), `cmp` (when enabled: multi-core interleaving and coherence traffic make outcomes timing-coupled) |
+/// | disqualifying | `fault` (when enabled), `diffcheck` (when enabled), `checkpoint_interval` (when nonzero), `telemetry` (when enabled), `cmp` (when enabled: cores interleave by functional clock over a shared L2, so each core's outcomes depend on the other cores' accesses) |
 ///
 /// The destructuring below is deliberately exhaustive (no `..`): adding a
 /// field to [`SimConfig`] fails to compile until it is classified here,

@@ -42,7 +42,7 @@ use gaas_trace::{AccessKind, Trace, TraceEvent};
 use crate::config::{ConfigError, MachineCheckPolicy, SimConfig};
 use crate::cpi::{Counters, ProcCounters};
 use crate::oracle::{DiffState, DivergenceReport};
-use crate::pipeline::{Core, NoCoherence, Uncore};
+use crate::pipeline::{Coherence, Core, NoCoherence, Uncore};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
 use crate::sched::{Instruction, SchedSnapshot, Scheduler};
 
@@ -89,6 +89,19 @@ pub enum SimError {
         /// Which invariant failed, with the evidence.
         detail: String,
     },
+    /// Two cores of a CMP run made data references to one private PID.
+    /// Every PID but `gaas_trace::SHARED_PID` belongs to the first core
+    /// that references its data; the CMP engine's run-ahead relies on no
+    /// other core ever touching those lines — produced by the
+    /// `gaas-coherence` engine, never by this single-CPU simulator.
+    PidOwnership {
+        /// The private PID.
+        pid: u8,
+        /// The core that claimed it.
+        owner: u32,
+        /// The second core, whose data reference was refused.
+        core: u32,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -116,6 +129,11 @@ impl fmt::Display for SimError {
                 f,
                 "coherence invariant violated on core {core} at cycle {cycle}: {detail}"
             ),
+            SimError::PidOwnership { pid, owner, core } => write!(
+                f,
+                "core {core} referenced data of PID {pid}, which is private to core {owner} \
+                 (only the shared PID may be referenced from several cores)"
+            ),
         }
     }
 }
@@ -128,7 +146,8 @@ impl std::error::Error for SimError {
             | SimError::Divergence(_)
             | SimError::Timeout { .. }
             | SimError::Cancelled
-            | SimError::Coherence { .. } => None,
+            | SimError::Coherence { .. }
+            | SimError::PidOwnership { .. } => None,
         }
     }
 }
@@ -173,6 +192,113 @@ impl CancelToken {
 /// vanish in the hot loop, fine enough (≈ tens of microseconds) that a
 /// cancelled cell stops promptly.
 pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
+
+/// A run's periodic thresholds — the warm-up snapshot, counter windows,
+/// checkpoints, the instruction budget and the cancel poll — merged into
+/// one poll. Each fires at an exact retired-instruction count, so
+/// checking the minimum and re-deriving it after a hit preserves
+/// boundary semantics. Disabled features get `u64::MAX` thresholds: the
+/// per-instruction poll is then a never-taken compare instead of flag
+/// re-checks.
+#[derive(Debug, Clone)]
+pub struct Polls {
+    warm: u64,
+    window: u64,
+    window_len: u64,
+    checkpoint: u64,
+    checkpoint_len: u64,
+    budget: u64,
+    cancel: u64,
+    next: u64,
+}
+
+/// The thresholds one [`Polls::fire`] found due; the caller takes the
+/// matching snapshots.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Due {
+    /// The warm-up ended: snapshot the counters to subtract.
+    pub warm: bool,
+    /// A counter window closed.
+    pub window: bool,
+    /// A checkpoint is due.
+    pub checkpoint: bool,
+    /// The instruction budget is spent: stop the run.
+    pub budget: bool,
+}
+
+impl Polls {
+    /// The thresholds of a run of `cfg` that discards `warmup`
+    /// instructions, samples a window every `window` instructions (0
+    /// disables sampling), and polls a cancel token when `cancellable`.
+    pub fn new(cfg: &SimConfig, warmup: u64, window: u64, cancellable: bool) -> Self {
+        let every = |n: u64| if n > 0 { n } else { u64::MAX };
+        let mut polls = Polls {
+            warm: every(warmup),
+            window: every(window),
+            window_len: window,
+            checkpoint: every(cfg.checkpoint_interval),
+            checkpoint_len: cfg.checkpoint_interval,
+            budget: cfg.instruction_budget.unwrap_or(u64::MAX),
+            cancel: if cancellable {
+                CANCEL_CHECK_INTERVAL
+            } else {
+                u64::MAX
+            },
+            next: 0,
+        };
+        polls.next = polls.next_exact().min(polls.cancel);
+        polls
+    }
+
+    /// The retired-instruction count of the next poll.
+    #[inline(always)]
+    pub fn next(&self) -> u64 {
+        self.next
+    }
+
+    /// The next threshold that must see the exact instruction prefix:
+    /// every one but the cancel poll, since a cancelled run returns no
+    /// counters.
+    pub fn next_exact(&self) -> u64 {
+        self.warm
+            .min(self.window)
+            .min(self.checkpoint)
+            .min(self.budget)
+    }
+
+    /// Fires every threshold at or below `retired`, re-arming the
+    /// periodic ones.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Cancelled`] when the cancel poll is due and `cancel`
+    /// has fired.
+    #[cold]
+    pub fn fire(&mut self, retired: u64, cancel: Option<&CancelToken>) -> Result<Due, SimError> {
+        let mut due = Due::default();
+        if retired >= self.cancel {
+            self.cancel = retired + CANCEL_CHECK_INTERVAL;
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(SimError::Cancelled);
+            }
+        }
+        if retired >= self.warm {
+            due.warm = true;
+            self.warm = u64::MAX;
+        }
+        if retired >= self.window {
+            due.window = true;
+            self.window += self.window_len;
+        }
+        if retired >= self.checkpoint {
+            due.checkpoint = true;
+            self.checkpoint += self.checkpoint_len;
+        }
+        due.budget = retired >= self.budget;
+        self.next = self.next_exact().min(self.cancel);
+        Ok(due)
+    }
+}
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -803,32 +929,14 @@ impl Simulator {
         let mut warm_snapshot: Option<Counters> = None;
         let mut windows = Vec::new();
         let mut window_start = Counters::new();
-        // Disabled features get `u64::MAX` thresholds: the per-instruction
-        // poll is then a never-taken compare instead of flag re-checks.
-        let mut next_window = if window_instructions > 0 {
-            window_instructions
-        } else {
-            u64::MAX
-        };
-        let mut next_warm = if warmup_instructions > 0 {
-            warmup_instructions
-        } else {
-            u64::MAX
-        };
-        let budget_limit = self.cfg.instruction_budget.unwrap_or(u64::MAX);
         let mut checkpoints = Vec::new();
-        let checkpoint_interval = self.cfg.checkpoint_interval;
-        let mut next_checkpoint = if checkpoint_interval > 0 {
-            checkpoint_interval
-        } else {
-            u64::MAX
-        };
         let mut termination = Termination::Completed;
-        let mut next_cancel_check = if self.cancel.is_some() {
-            CANCEL_CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
+        let mut polls = Polls::new(
+            &self.cfg,
+            warmup_instructions,
+            window_instructions,
+            self.cancel.is_some(),
+        );
         // The scheduler sees the *functional* clock, not the timing clock:
         // time-slice context switches then land on identical instruction
         // boundaries for every timing variant of one cache geometry.
@@ -846,14 +954,7 @@ impl Simulator {
         // cannot attach mid-run, so one check up front covers the run.
         let hooks = self.ux.ins.active();
         let rec = self.ux.ins.rec.is_some();
-        // All periodic thresholds collapse into one merged poll: each
-        // fires at an exact instruction count, so checking the minimum
-        // and re-deriving it after a hit preserves boundary semantics.
-        let mut next_poll = next_warm
-            .min(next_window)
-            .min(next_checkpoint)
-            .min(budget_limit)
-            .min(next_cancel_check);
+        let mut next_poll = polls.next();
         let (core, ux) = (&mut self.core, &mut self.ux);
         while let Some(instr) = sched.next_instruction(core.fnow) {
             if hooks {
@@ -879,45 +980,49 @@ impl Simulator {
                     }
                 }
             } else if rec {
-                step_bare::<true>(core, ux, &mut sched, &instr, next_poll);
+                step_bare::<true, _, _>(
+                    core,
+                    ux,
+                    &mut NoCoherence,
+                    &mut WholeSpan,
+                    &mut sched,
+                    &instr,
+                    next_poll,
+                );
             } else {
-                step_bare::<false>(core, ux, &mut sched, &instr, next_poll);
+                step_bare::<false, _, _>(
+                    core,
+                    ux,
+                    &mut NoCoherence,
+                    &mut WholeSpan,
+                    &mut sched,
+                    &instr,
+                    next_poll,
+                );
             }
             let retired = core.counters.instructions;
             if retired >= next_poll {
-                if retired >= next_cancel_check {
-                    next_cancel_check = retired + CANCEL_CHECK_INTERVAL;
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        return Err(SimError::Cancelled);
-                    }
-                }
-                if retired >= next_warm {
+                let due = polls.fire(retired, self.cancel.as_ref())?;
+                next_poll = polls.next();
+                if due.warm {
                     warm_snapshot = Some(core.counters);
-                    next_warm = u64::MAX;
                 }
-                if retired >= next_window {
+                if due.window {
                     windows.push(core.counters.since(&window_start));
                     window_start = core.counters;
-                    next_window += window_instructions;
                 }
-                if retired >= next_checkpoint {
+                if due.checkpoint {
                     ux.ins.last_checkpoint_cycle = core.now;
                     checkpoints.push(Checkpoint {
                         cycle: core.now,
                         instructions: retired,
                         sched: sched.snapshot(),
                     });
-                    next_checkpoint += checkpoint_interval;
                 }
-                if retired >= budget_limit {
+                if due.budget {
                     termination = Termination::BudgetExhausted;
                     break;
                 }
-                next_poll = next_warm
-                    .min(next_window)
-                    .min(next_checkpoint)
-                    .min(budget_limit)
-                    .min(next_cancel_check);
             }
         }
         // One last structural sweep so a divergence in the tail (after the
@@ -1003,18 +1108,51 @@ impl Simulator {
     }
 }
 
-/// One pass of the bare-kernel run loop: the scheduled instruction, then
-/// a span drain up to the next rotation or poll. `REC` compiles the
-/// profile recorder's notes in; the run selects it once, like `hooks`.
+/// Where a span drain's turn ends, asked before each instruction the
+/// drain would step. [`Simulator`] drains with [`WholeSpan`], which
+/// admits everything, so its drain stops only at a rotation, the end of
+/// the buffered span or the poll; the CMP engine's turn also stops
+/// where another core must step first.
+pub trait Turn {
+    /// Whether `core` steps the instruction `ifetch` (with its data
+    /// reference `data`) in this turn. A refusal ends the turn before
+    /// the instruction, which stays buffered for the next turn.
+    fn admit(&mut self, core: &Core, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool;
+}
+
+/// The single-CPU [`Turn`]: every instruction is admitted.
+#[derive(Debug, Clone, Copy)]
+pub struct WholeSpan;
+
+impl Turn for WholeSpan {
+    #[inline(always)]
+    fn admit(&mut self, _: &Core, _: &TraceEvent, _: Option<&TraceEvent>) -> bool {
+        true
+    }
+}
+
+/// One turn of the bare-kernel run loop: the scheduled instruction, then
+/// a span drain up to the next rotation, the poll at `next_poll` retired
+/// instructions, or the first instruction `turn` refuses. The first
+/// instruction passes through `turn` too; when it is refused nothing
+/// steps. `REC` compiles the profile recorder's notes in; the run
+/// selects it once, like `hooks`. `C` and `T` are [`NoCoherence`] and
+/// [`WholeSpan`] for [`Simulator`], whose instantiation compiles every
+/// hook and turn check out.
 #[inline(always)]
-fn step_bare<const REC: bool>(
+pub fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     core: &mut Core,
     ux: &mut Uncore,
+    coh: &mut C,
+    turn: &mut T,
     sched: &mut Scheduler,
     instr: &Instruction,
     next_poll: u64,
 ) {
-    core.step_instruction::<false, REC, _>(ux, &mut NoCoherence, instr);
+    if !turn.admit(core, &instr.ifetch, instr.data.as_ref()) {
+        return;
+    }
+    core.step_instruction::<false, REC, C>(ux, coh, instr);
     if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
         ux.ins.telem_sched_switch(core.now);
     }
@@ -1038,19 +1176,19 @@ fn step_bare<const REC: bool>(
         let mut pos = start;
         let mut rotated = false;
         let mut rotate_syscall = false;
+        let mut refused = false;
         while pos + 1 < end {
             let ifetch = span[pos];
-            pos += 1;
-            let d = span[pos];
-            let data = if d.kind.is_data() {
-                pos += 1;
-                Some(d)
-            } else {
-                None
-            };
+            let d = span[pos + 1];
+            let data = d.kind.is_data().then_some(d);
+            if !turn.admit(core, &ifetch, data.as_ref()) {
+                refused = true;
+                break;
+            }
+            pos += 1 + usize::from(data.is_some());
             core.step_ifetch::<false, REC>(ux, &ifetch);
             if let Some(d) = data {
-                core.step_data::<false, REC, _>(ux, &mut NoCoherence, &d);
+                core.step_data::<false, REC, C>(ux, coh, &d);
             }
             if ifetch.syscall || core.fnow >= slice_end {
                 rotated = true;
@@ -1066,6 +1204,9 @@ fn step_bare<const REC: bool>(
             if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
                 ux.ins.telem_sched_switch(core.now);
             }
+            break;
+        }
+        if refused {
             break;
         }
     }

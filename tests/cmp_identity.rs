@@ -16,11 +16,18 @@
 //!   while actually exercising the protocol (invalidations observed);
 //! * **oracle neutrality** — 2- and 4-core sharing runs produce the same
 //!   counters with the oracle on (every load hit checked, memos off) as
-//!   with it off (memos on), under every write policy.
+//!   with it off (memos on), under every write policy;
+//! * **run-ahead exactness** — oracle-on runs step the cores in lockstep
+//!   and oracle-off runs let each core run ahead through core-local
+//!   instructions, so equal results across core counts, write policies,
+//!   migration intervals, L2 organizations and a budget stop show that
+//!   the run-ahead reorders only steps that commute.
 
+use gaas_coherence::CmpResult;
+use gaas_experiments::fig_cmp;
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
-use gaas_sim::{CmpConfig, DiffCheckConfig, L2Config, WritePolicy};
+use gaas_sim::{CmpConfig, DiffCheckConfig, L2Config, Termination, WritePolicy};
 use gaas_trace::rng::SmallRng;
 
 const SCALE: f64 = 5e-5;
@@ -159,17 +166,66 @@ fn oracle_on_and_off_sharing_runs_count_identically() {
                 migration_interval: 1000,
                 ..CmpConfig::default()
             };
-            let off = runner::run_standard_cmp(cfg.clone(), SCALE, None).expect("oracle off");
-            cfg.diffcheck = DiffCheckConfig {
-                enabled: true,
-                ..DiffCheckConfig::default()
-            };
-            let on = runner::run_standard_cmp(cfg, SCALE, None).expect("oracle on");
             let summary = format!("{cores} cores, {policy:?}");
+            let off = assert_run_ahead_matches_lockstep(cfg, &summary);
             assert!(off.result.counters.invalidations > 0, "{summary}: sharing");
-            assert_eq!(on.result.counters, off.result.counters, "{summary}");
-            assert_eq!(on.per_core, off.per_core, "{summary}");
-            assert_eq!(on.result.per_process, off.result.per_process, "{summary}");
         }
     }
+}
+
+/// Runs `cfg` through the CMP engine with the coherence oracle off (run
+/// ahead) and on (lockstep), asserting every result field matches.
+fn assert_run_ahead_matches_lockstep(mut cfg: SimConfig, summary: &str) -> CmpResult {
+    let ahead = runner::run_standard_cmp(cfg.clone(), SCALE, None).expect("oracle off");
+    cfg.diffcheck = DiffCheckConfig {
+        enabled: true,
+        ..DiffCheckConfig::default()
+    };
+    let lockstep = runner::run_standard_cmp(cfg, SCALE, None).expect("oracle on");
+    let (a, l) = (&ahead.result, &lockstep.result);
+    assert_eq!(a.counters, l.counters, "counters: {summary}");
+    assert_eq!(ahead.per_core, lockstep.per_core, "per_core: {summary}");
+    assert_eq!(a.per_process, l.per_process, "per_process: {summary}");
+    assert_eq!(a.completed, l.completed, "completed: {summary}");
+    assert_eq!(a.termination, l.termination, "termination: {summary}");
+    ahead
+}
+
+#[test]
+fn run_ahead_matches_lockstep() {
+    for cores in [2u32, 3, 4, 8] {
+        for policy in WritePolicy::all() {
+            for migration_interval in [0u64, 128] {
+                for split in [false, true] {
+                    let mut b = SimConfig::builder();
+                    b.policy(policy);
+                    if split {
+                        b.l2(L2Config::split_even(fig_cmp::L2_TOTAL_WORDS, 1, 6));
+                    }
+                    b.cmp(CmpConfig {
+                        cores,
+                        migration_interval,
+                        ..fig_cmp::sharing()
+                    });
+                    let cfg = b.build().expect("valid");
+                    let summary = format!(
+                        "{cores} cores, {policy:?}, migration {migration_interval}, split {split}"
+                    );
+                    let r = assert_run_ahead_matches_lockstep(cfg, &summary);
+                    // Static hot windows are disjoint; rotating ones meet.
+                    let invalidations = r.result.counters.invalidations;
+                    assert_eq!(invalidations > 0, migration_interval > 0, "{summary}");
+                }
+            }
+        }
+    }
+    // A budget stop past the 40 % warm-up, well short of the end.
+    let mut b = SimConfig::builder();
+    b.cmp(CmpConfig {
+        cores: 4,
+        ..fig_cmp::sharing()
+    });
+    b.instruction_budget(runner::suite_instructions(SCALE) * 7 / 10);
+    let r = assert_run_ahead_matches_lockstep(b.build().expect("valid"), "budget stop");
+    assert_eq!(r.result.termination, Termination::BudgetExhausted);
 }
