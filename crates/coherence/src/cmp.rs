@@ -1,85 +1,33 @@
 //! The CMP engine: N cores' private L1 front ends over the shared L2.
 //!
-//! [`CmpSimulator`] owns N [`gaas_sim::Core`]s — the single-CPU
-//! simulator's own per-core pipeline (L1-I/L1-D, TLBs, write buffer,
-//! timing and functional clocks, counters, memos) — in front of one
-//! shared [`gaas_sim::Uncore`] (the L2 arrays, main-memory system, page
-//! mapper), each core with its own scheduler. It keeps the L1-D copies
-//! coherent with a directory-filtered MESI invalidation protocol (see
-//! [`crate::mesi`], [`crate::directory`]) that plugs into the pipeline
-//! through the [`gaas_sim::Coherence`] hooks.
+//! [`CmpSimulator`] runs N [`gaas_sim::Core`]s — the single-CPU
+//! simulator's own per-core pipeline — over one shared
+//! [`gaas_sim::Uncore`], each core with its own scheduler, through the
+//! single-CPU simulator's own run loop, [`gaas_sim::run_cores`] (whose
+//! docs give the turn rule, the run-ahead and PID ownership). This
+//! module adds the protocol that loop steps the cores against: MESI
+//! invalidation filtered by a directory (see [`crate::mesi`],
+//! [`crate::directory`]), plugged in through the
+//! [`gaas_sim::Coherence`] hooks.
 //!
-//! ## The 1-core identity anchor
+//! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`]
+//! (test-enforced) by construction: the loop steps a lone core with no
+//! coherence hooks whichever engine runs it. Whatever a multi-core run
+//! shows beyond that anchor is attributable to sharing, not to engine
+//! drift.
 //!
-//! A 1-core CMP run is **byte-identical** to [`gaas_sim::Simulator`] on
-//! the same configuration and workload (test-enforced), by
-//! construction: its turns are [`gaas_sim::step_bare`] with the same
-//! [`gaas_sim::NoCoherence`] hooks and [`gaas_sim::WholeSpan`] bound —
-//! `Simulator`'s own span drain — and every coherence action is gated
-//! on a second core existing. That identity pins all CMP results to the
-//! validated single-CPU model: whatever a multi-core run shows beyond
-//! the 1-core anchor is attributable to sharing, not to engine drift.
+//! ## Private lines bypass the directory
 //!
-//! ## The turn rule
-//!
-//! The reference schedule is the lockstep interleave by functional
-//! clock: one instruction at a time from the core with the lowest
-//! `(fnow, id)`. A multi-core run with the oracle off reaches the same
-//! result in turns, each one span drain of one core:
-//!
-//! * **Exact steps.** The core with the lowest `(fnow, id)` steps while
-//!   its key stays below the runner-up's. No other core's `fnow` moves
-//!   meanwhile — coherence charges only timing clocks — so these are
-//!   exactly the steps lockstep would take next.
-//! * **Run-ahead.** Past the runner-up's key, the core continues only
-//!   through instructions [`Core::local_step`] proves core-local: a
-//!   fetch by the fetch memo or a cached-translation L1-I hit, plus no
-//!   data reference, the load memo, an L1-D load hit, or a write-back
-//!   store hit, on a PID the core owns. Such a step touches only this
-//!   core's L1s, TLBs, clocks, counters and memos and the directory
-//!   entries of its private lines. Another core's step touches none of
-//!   that but this core's shared lines (an invalidation, which also
-//!   clears the load memo — a cache of facts the full path re-derives)
-//!   and its coherence counters (sums), so the two commute: moving
-//!   local steps ahead of other cores' steps cannot change a result.
-//! * **Horizon.** A run-ahead stops `HORIZON` (1024) cycles past the
-//!   runner-up's `fnow`. Every stepped instruction then started below
-//!   the lowest pending `fnow` plus the horizon, so at most
-//!   `N · HORIZON` instructions of other cores that lockstep would have
-//!   run first are still missing, and exact steps run them first.
-//! * **Poll margin.** No run-ahead starts within `2·N·(HORIZON + 2)`
-//!   instructions of the next warm-up or budget boundary, so by the
-//!   boundary the missing steps have run and the warm-up snapshot and
-//!   the budget stop see the exact lockstep prefix. The cancel poll
-//!   needs no margin: a cancelled run returns no counters.
-//!
-//! Oracle-on runs stay in lockstep on the instrumented (`HOOKS = true`)
-//! path, so every load hit reaches the oracle and oracle-on results are
-//! the exactness reference for the run-ahead (test-enforced across core
-//! counts, write policies, migration intervals and L2 organizations).
-//!
-//! ## PID ownership
-//!
-//! Each PID but [`gaas_trace::SHARED_PID`] is private to the first core
-//! that references its data, claimed on an exact step; a data reference
-//! from any other core fails the run with [`SimError::PidOwnership`],
-//! oracle on or off. The run-ahead relies on this contract: a line of a
-//! private PID can be in one core's L1-D only, so no remote store can
-//! invalidate it. The standard CMP workload satisfies it by
-//! construction (each benchmark runs on one core; shared references use
-//! the shared PID).
-//!
-//! The contract also keeps private lines out of the directory: with no
-//! remote copy possible, a private line is Modified exactly when it is
-//! resident and written since its fill, Exclusive when resident and
-//! clean, and no action on it involves the bus, so the hooks read its
-//! state off the owner's L1-D. With the oracle on, private lines take
-//! the directory path, so the oracle-on reference checks this too.
-//!
-//! Multi-core runs keep the pipeline's same-line and same-page memos: a
-//! remote invalidation clears the victim core's load memo (see
+//! The run loop makes each PID but [`gaas_trace::SHARED_PID`] private
+//! to the first core that references its data, so a private line has no
+//! remote copy: it is Modified exactly when resident and written since
+//! its fill, Exclusive when resident and clean, and never needs the
+//! bus, so the hooks read its state off the owner's L1-D. With the
+//! oracle on, private lines take the directory path, so the oracle-on
+//! (lockstep) reference checks this too. A remote invalidation clears
+//! the victim core's load memo (see
 //! [`gaas_sim::Core::invalidate_d_line`]).
-
+//!
 //! ## Coherence charging
 //!
 //! Coherence costs are charged to the requesting core's *timing* clock
@@ -104,11 +52,9 @@
 
 use gaas_mcm::SnoopBus;
 use gaas_sim::config::{ConfigError, SimConfig};
-use gaas_sim::cpi::{Counters, ProcCounters};
-use gaas_sim::sched::Scheduler;
+use gaas_sim::cpi::Counters;
 use gaas_sim::{
-    step_bare, CancelToken, Coherence, Core, NoCoherence, Polls, SimError, SimResult, Termination,
-    Trace, TraceEvent, Turn, Uncore, WholeSpan, MAX_CORES,
+    run_cores, CancelToken, Coherence, Core, RunSpec, SimError, SimResult, Trace, Uncore, MAX_CORES,
 };
 use gaas_trace::{PhysAddr, Pid, SHARED_PID};
 
@@ -160,21 +106,10 @@ impl CmpSimulator {
     /// `SimConfig::validate` rejects for CMP-enabled configurations).
     pub fn new(cfg: SimConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        // For CMP-enabled configs validate() already rejects these; a
-        // plain 1-core config could still carry them, and this engine
-        // would silently ignore them — refuse instead.
-        if cfg.fault.enabled() {
-            return Err(ConfigError::CmpWithFaultInjection);
-        }
-        if cfg.telemetry.enabled {
-            return Err(ConfigError::CmpWithTelemetry);
-        }
-        if cfg.checkpoint_interval != 0 {
-            return Err(ConfigError::CmpWithCheckpointing);
-        }
-        if cfg.diffcheck.seeded_bug.is_some() {
-            return Err(ConfigError::CmpWithSeededBug);
-        }
+        // For CMP-enabled configs validate() already ran this check; a
+        // plain 1-core config could still carry the refused features,
+        // and this engine would silently ignore them — refuse instead.
+        cfg.check_cmp_support()?;
         let n = cfg.cmp.cores as usize;
         let cores = (0..n)
             .map(|_| Core::new(&cfg))
@@ -202,24 +137,11 @@ impl CmpSimulator {
     }
 
     /// Runs `per_core` workloads (one trace list per core) to
-    /// completion, discarding the statistics of the first
-    /// `warmup_instructions` instructions *summed over all cores*.
-    ///
-    /// The result is that of the lockstep interleave by functional-clock
-    /// order: one instruction at a time from the core with the lowest
-    /// `(fnow, id)`, which makes the interleaving deterministic and
-    /// independent of timing knobs — the same property the single-CPU
-    /// scheduler has. A 1-core run is `Simulator`'s own drain. A
-    /// multi-core run with the coherence oracle on steps in that
-    /// lockstep on the instrumented path. With it off, each turn is one
-    /// span drain ([`gaas_sim::step_bare`]) that steps exactly while the
-    /// core's `(fnow, id)` stays below the runner-up's, then runs ahead
-    /// through instructions [`Core::local_step`] proves core-local, on
-    /// PIDs the core owns, up to `HORIZON` cycles past the runner-up's
-    /// `fnow`; no run-ahead starts within `2·N·(HORIZON + 2)`
-    /// instructions of the warm-up or budget boundary, so both see the
-    /// lockstep prefix (see the module docs for why this is exact). The
-    /// first core to reference a PID's data owns it for the run.
+    /// completion through [`gaas_sim::run_cores`], discarding the
+    /// statistics of the first `warmup_instructions` instructions
+    /// *summed over all cores*. The result is that of the lockstep
+    /// interleave by functional clock, in which a multi-core run with
+    /// the coherence oracle on steps.
     ///
     /// # Errors
     ///
@@ -227,7 +149,7 @@ impl CmpSimulator {
     /// [`SimError::Coherence`] when the coherence oracle (enabled via
     /// `diffcheck.enabled`) observes an invariant violation, and
     /// [`SimError::PidOwnership`] when two cores make data references to
-    /// one PID other than [`gaas_trace::SHARED_PID`], oracle on or off.
+    /// one PID other than [`gaas_trace::SHARED_PID`].
     ///
     /// # Panics
     ///
@@ -238,264 +160,46 @@ impl CmpSimulator {
         per_core: Vec<Vec<Box<dyn Trace>>>,
         warmup_instructions: u64,
     ) -> Result<CmpResult, SimError> {
-        assert_eq!(
-            per_core.len(),
-            self.cores.len(),
-            "one trace list per configured core"
-        );
-        let level = self.cfg.mp.level;
-        let slice = self.cfg.mp.time_slice_cycles;
-        let mut scheds: Vec<Scheduler> = per_core
-            .into_iter()
-            .map(|traces| Scheduler::new(traces, level, slice))
-            .collect();
-        let n = self.cores.len();
-        let mut done = vec![false; n];
-        let mut polls = Polls::new(&self.cfg, warmup_instructions, 0, self.cancel.is_some());
-        let mut warm_snapshot: Option<Vec<Counters>> = None;
-        let mut termination = Termination::Completed;
-        let mut total_instructions = 0u64;
-        let mut owners = [UNOWNED; 256];
-        // Every coherence action is gated on a second core existing, so a
-        // 1-core run never touches the directory, the bus, the MESI
-        // counters, or the oracle (the identity anchor).
-        let multi = n > 1;
-        let lockstep = multi && self.proto.oracle.is_some();
-        let poll_margin = 2 * n as u64 * (HORIZON + 2);
-
-        loop {
-            // The turn goes to the lowest (fnow, id); the runner-up's
-            // key bounds its exact steps.
-            let mut first: Option<(u64, usize)> = None;
-            let mut second: Option<(u64, usize)> = None;
-            for (i, core) in self.cores.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let key = (core.fnow(), i);
-                if first.map_or(true, |f| key < f) {
-                    second = first;
-                    first = Some(key);
-                } else if second.map_or(true, |s| key < s) {
-                    second = Some(key);
-                }
-            }
-            let Some((fnow, c)) = first else {
-                break;
-            };
-            let Some(instr) = scheds[c].next_instruction(fnow) else {
-                done[c] = true;
-                continue;
-            };
-            let before = self.cores[c].counters().instructions;
-            if !multi {
-                step_bare::<false, _, _>(
-                    &mut self.cores[c],
-                    &mut self.ux,
-                    &mut NoCoherence,
-                    &mut WholeSpan,
-                    &mut scheds[c],
-                    &instr,
-                    polls.next(),
-                );
-            } else if lockstep {
-                claim(&mut owners, c, instr.data.as_ref())?;
-                self.with_snoop(c, |core, ux, snoop| {
-                    core.step_instruction::<true, false, _>(ux, snoop, &instr);
-                });
-                scheds[c].post_instruction(self.cores[c].fnow(), instr.ifetch.syscall);
-                if let Some(err) = self.take_violation() {
-                    return Err(err);
-                }
-            } else {
-                // (fnow, c) < (f, r) exactly when fnow < f + [c < r].
-                let exact_end = second.map_or(u64::MAX, |(f, r)| f + u64::from(c < r));
-                let exact_room = polls.next_exact().saturating_sub(total_instructions);
-                let mut turn = CoreTurn {
-                    id: c,
-                    owners: &mut owners,
-                    exact_end,
-                    ahead_end: exact_end.saturating_add(HORIZON),
-                    ahead_instructions: before
-                        .saturating_add(exact_room.saturating_sub(poll_margin)),
-                    refused: None,
-                };
-                let poll = before + (polls.next() - total_instructions);
-                let sched = &mut scheds[c];
-                self.with_snoop(c, |core, ux, snoop| {
-                    step_bare::<false, _, _>(core, ux, snoop, &mut turn, sched, &instr, poll);
-                });
-                if let Some(err) = turn.refused {
-                    return Err(err);
-                }
-            }
-            total_instructions += self.cores[c].counters().instructions - before;
-            if total_instructions >= polls.next() {
-                let due = polls.fire(total_instructions, self.cancel.as_ref())?;
-                if due.warm {
-                    warm_snapshot = Some(self.cores.iter().map(|core| *core.counters()).collect());
-                }
-                if due.budget {
-                    termination = Termination::BudgetExhausted;
-                    break;
-                }
-            }
-        }
-
-        for (core, sched) in self.cores.iter_mut().zip(&scheds) {
-            let counters = core.counters_mut();
-            counters.syscall_switches = sched.syscall_switches();
-            counters.slice_switches = sched.slice_switches();
-            debug_assert_eq!(
-                core.now(),
-                core.counters().total_cycles(),
-                "per-core cycle accounting must balance"
-            );
-        }
-        let per_core: Vec<Counters> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| match &warm_snapshot {
-                Some(snaps) => core.counters().since(&snaps[i]),
-                None => *core.counters(),
-            })
-            .collect();
-        let merged = per_core.iter().fold(Counters::new(), |acc, c| acc.accum(c));
-
-        // Per-process stats merged by PID across cores (a benchmark runs
-        // on exactly one core, but the shared pseudo-process appears on
-        // all of them).
-        let mut merged_pp: Vec<ProcCounters> = Vec::new();
-        for core in &self.cores {
-            for (idx, p) in core.per_proc().iter().enumerate() {
-                if merged_pp.len() <= idx {
-                    merged_pp.resize(idx + 1, ProcCounters::default());
-                }
-                let m = &mut merged_pp[idx];
-                m.instructions += p.instructions;
-                m.cycles += p.cycles;
-                m.loads += p.loads;
-                m.stores += p.stores;
-                m.l1i_misses += p.l1i_misses;
-                m.l1d_misses += p.l1d_misses;
-                m.l2_misses += p.l2_misses;
-            }
-        }
-        let per_process = merged_pp
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
-            .map(|(i, p)| (Pid::new(i as u8), *p))
-            .collect();
-        let completed = scheds
-            .iter()
-            .flat_map(|sched| sched.completed().iter().cloned())
-            .collect();
-
-        crate::record_run(&merged, &self.proto.bus);
-        let result = SimResult {
-            config: self.cfg.clone(),
-            counters: merged,
-            completed,
-            per_process,
-            termination,
-            checkpoints: Vec::new(),
+        let spec = RunSpec {
+            cfg: &self.cfg,
+            warmup: warmup_instructions,
+            window: 0,
+            cancel: self.cancel.as_ref(),
         };
-        Ok(CmpResult { result, per_core })
-    }
-
-    /// Accesses the coherence oracle has checked so far (`None` when the
-    /// oracle is disabled).
-    pub fn oracle_checked(&self) -> Option<u64> {
-        self.proto.oracle.as_ref().map(CoherenceOracle::checked)
-    }
-
-    fn take_violation(&mut self) -> Option<SimError> {
-        let v = self.proto.oracle.as_ref()?.violation()?.clone();
-        Some(SimError::Coherence {
-            core: v.core,
-            cycle: self.cores[v.core as usize].now(),
-            detail: v.detail,
+        let (cores, ux, proto) = (&mut self.cores, &mut self.ux, &mut self.proto);
+        let out = run_cores(cores, ux, proto, per_core, &spec)?;
+        crate::record_run(&out.result.counters, &self.proto.bus);
+        Ok(CmpResult {
+            result: out.result,
+            per_core: out.per_core,
         })
     }
+}
 
-    /// Runs `f` on core `c`, the uncore, and the MESI hooks with the
-    /// other cores reachable as remotes.
-    fn with_snoop(&mut self, c: usize, f: impl FnOnce(&mut Core, &mut Uncore, &mut Snoop<'_>)) {
-        let (below, rest) = self.cores.split_at_mut(c);
-        let (core, above) = rest.split_first_mut().expect("active core exists");
-        let mut snoop = Snoop {
-            proto: &mut self.proto,
+impl gaas_sim::Protocol for Protocol {
+    type Hooks<'a> = Snoop<'a>;
+
+    fn hooks<'a>(
+        &'a mut self,
+        c: usize,
+        below: &'a mut [Core],
+        above: &'a mut [Core],
+    ) -> Snoop<'a> {
+        Snoop {
+            proto: self,
             c,
             below,
             above,
-        };
-        f(core, &mut self.ux, &mut snoop)
-    }
-}
-
-/// How far past the runner-up's functional clock a core runs ahead
-/// through core-local instructions, in cycles.
-const HORIZON: u64 = 1024;
-
-/// The `owners` entry of a PID whose data no core has referenced yet.
-const UNOWNED: u8 = u8::MAX;
-
-/// Claims the data reference's PID for core `c` on its first reference,
-/// and refuses a reference to a PID another core has claimed. The
-/// shared PID belongs to no core.
-fn claim(owners: &mut [u8; 256], c: usize, data: Option<&TraceEvent>) -> Result<(), SimError> {
-    let Some(pid) = data.map(|d| d.addr.pid()).filter(|&p| p != SHARED_PID) else {
-        return Ok(());
-    };
-    let owner = &mut owners[usize::from(pid.raw())];
-    if *owner == UNOWNED {
-        *owner = c as u8;
-    }
-    if usize::from(*owner) == c {
-        Ok(())
-    } else {
-        Err(SimError::PidOwnership {
-            pid: pid.raw(),
-            owner: u32::from(*owner),
-            core: c as u32,
-        })
-    }
-}
-
-/// One multi-core turn of core `id` (see the module docs): exact steps
-/// while `fnow < exact_end`, then core-local steps on owned PIDs while
-/// `fnow < ahead_end` and the core has retired fewer than
-/// `ahead_instructions`.
-struct CoreTurn<'a> {
-    id: usize,
-    owners: &'a mut [u8; 256],
-    exact_end: u64,
-    ahead_end: u64,
-    ahead_instructions: u64,
-    /// The ownership error that ended the turn, if one did.
-    refused: Option<SimError>,
-}
-
-impl Turn for CoreTurn<'_> {
-    #[inline(always)]
-    fn admit(&mut self, core: &Core, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
-        if core.fnow() < self.exact_end {
-            return match claim(self.owners, self.id, data) {
-                Ok(()) => true,
-                Err(err) => {
-                    self.refused = Some(err);
-                    false
-                }
-            };
         }
-        core.fnow() < self.ahead_end
-            && core.counters().instructions < self.ahead_instructions
-            && data.map_or(true, |d| {
-                usize::from(self.owners[usize::from(d.addr.pid().raw())]) == self.id
-            })
-            && core.local_step(ifetch, data)
+    }
+
+    fn lockstep(&self) -> bool {
+        self.oracle.is_some()
+    }
+
+    fn violation(&self) -> Option<(u32, String)> {
+        let v = self.oracle.as_ref()?.violation()?;
+        Some((v.core, v.detail.clone()))
     }
 }
 
@@ -734,7 +438,7 @@ impl Coherence for Snoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaas_sim::{CmpConfig, DiffCheckConfig, VirtAddr, WritePolicy};
+    use gaas_sim::{CmpConfig, DiffCheckConfig, TraceEvent, VirtAddr, WritePolicy};
     use gaas_trace::VecTrace;
 
     /// A data word both cores address through the same page table entry.

@@ -832,18 +832,31 @@ impl SimConfig {
             return Err(ConfigError::ZeroSharedFootprint);
         }
         if self.cmp.enabled() {
-            if self.fault.enabled() {
-                return Err(ConfigError::CmpWithFaultInjection);
-            }
-            if self.telemetry.enabled {
-                return Err(ConfigError::CmpWithTelemetry);
-            }
-            if self.checkpoint_interval != 0 {
-                return Err(ConfigError::CmpWithCheckpointing);
-            }
-            if self.diffcheck.seeded_bug.is_some() {
-                return Err(ConfigError::CmpWithSeededBug);
-            }
+            self.check_cmp_support()?;
+        }
+        Ok(())
+    }
+
+    /// Refuses what the CMP engine does not implement (fault injection,
+    /// telemetry, checkpointing, seeded bugs) with the matching
+    /// `ConfigError::CmpWith*`: for CMP-enabled configurations in
+    /// [`SimConfig::validate`], and in the CMP engine for every config.
+    ///
+    /// # Errors
+    ///
+    /// The refusal of the first such feature.
+    pub fn check_cmp_support(&self) -> Result<(), ConfigError> {
+        if self.fault.enabled() {
+            return Err(ConfigError::CmpWithFaultInjection);
+        }
+        if self.telemetry.enabled {
+            return Err(ConfigError::CmpWithTelemetry);
+        }
+        if self.checkpoint_interval != 0 {
+            return Err(ConfigError::CmpWithCheckpointing);
+        }
+        if self.diffcheck.seeded_bug.is_some() {
+            return Err(ConfigError::CmpWithSeededBug);
         }
         Ok(())
     }

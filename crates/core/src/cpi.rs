@@ -388,6 +388,18 @@ pub struct ProcCounters {
 }
 
 impl ProcCounters {
+    /// Adds `other`'s statistics into these (one PID's rows from
+    /// several cores).
+    pub(crate) fn add(&mut self, other: &ProcCounters) {
+        self.instructions += other.instructions;
+        self.cycles += other.cycles;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.l1i_misses += other.l1i_misses;
+        self.l1d_misses += other.l1d_misses;
+        self.l2_misses += other.l2_misses;
+    }
+
     /// Cycles per instruction for this process.
     pub fn cpi(&self) -> f64 {
         if self.instructions == 0 {

@@ -42,7 +42,8 @@
 //! * [`config`] — architecture description, builder, and the
 //!   [`config::SimConfig::baseline`] / [`config::SimConfig::optimized`]
 //!   presets;
-//! * [`sim`] — the engine and [`sim::SimResult`];
+//! * [`sim`] — the engine, [`sim::SimResult`], and the run loop both
+//!   engines drive ([`sim::run_cores`]);
 //! * [`pipeline`] — the per-core pipeline ([`pipeline::Core`]) over the
 //!   shared L2 and memory ([`pipeline::Uncore`]), with the
 //!   [`pipeline::Coherence`] hooks the CMP engine plugs into;
@@ -74,8 +75,8 @@ pub use pipeline::{Coherence, Core, NoCoherence, Uncore};
 pub use profile::{functional_fingerprint, price_profile, price_profiles, FunctionalProfile};
 pub use sched::SchedSnapshot;
 pub use sim::{
-    run, step_bare, CancelToken, Checkpoint, Due, Polls, SimError, SimResult, Simulator,
-    TelemetryReport, Termination, Turn, WholeSpan,
+    run, run_cores, CancelToken, Checkpoint, Protocol, RunOutput, RunSpec, SimError, SimResult,
+    Simulator, TelemetryReport, Termination,
 };
 
 // Re-export the substrate vocabulary so downstream users need only this

@@ -778,19 +778,9 @@ impl DiffState {
         self.bug_applied = true;
     }
 
-    /// The pending divergence report, if a cross-check tripped.
-    pub(crate) fn report(&self) -> Option<&DivergenceReport> {
-        self.report.as_ref()
-    }
-
     /// Takes the pending divergence report.
     pub(crate) fn take_report(&mut self) -> Option<DivergenceReport> {
         self.report.take()
-    }
-
-    /// Accesses checked so far.
-    pub(crate) fn accesses_checked(&self) -> u64 {
-        self.access_index
     }
 }
 

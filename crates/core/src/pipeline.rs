@@ -13,8 +13,11 @@
 //! [`Simulator`](crate::Simulator) owns one core and one uncore. The CMP
 //! engine (`gaas-coherence`) owns N cores over one uncore and plugs its
 //! MESI protocol in through the [`Coherence`] hook trait; the single-CPU
-//! instantiation uses [`NoCoherence`], whose empty hooks compile out. A
-//! 1-core CMP run therefore executes exactly the single-CPU code.
+//! instantiation uses [`NoCoherence`], whose empty hooks compile out.
+//! Both engines step their cores through one run loop,
+//! [`run_cores`](crate::run_cores), which steps a lone core with
+//! [`NoCoherence`], so a 1-core CMP run executes exactly the single-CPU
+//! code.
 //!
 //! # The memos
 //!
@@ -320,8 +323,8 @@ pub struct Core {
     l1i: CacheArray,
     l1d: L1DataCache,
     wb: WriteBuffer,
-    pub(crate) itlb: Tlb,
-    pub(crate) dtlb: Tlb,
+    itlb: Tlb,
+    dtlb: Tlb,
     tcache: Vec<(u64, u64)>,
     /// Per-PID statistics (lazily grown).
     pub(crate) per_proc: Vec<ProcCounters>,
@@ -378,30 +381,10 @@ impl Core {
         })
     }
 
-    /// The timing clock (cycles charged so far).
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The functional clock (see the field docs); schedulers run on it.
-    pub fn fnow(&self) -> u64 {
-        self.fnow
-    }
-
-    /// Counters accumulated so far.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Counters, mutably: for the components the core's own rules do not
-    /// charge (scheduler switches, coherence actions).
+    /// Counters, mutably: for the coherence actions, which the core's
+    /// own rules do not charge.
     pub fn counters_mut(&mut self) -> &mut Counters {
         &mut self.counters
-    }
-
-    /// Per-PID statistics, indexed by raw PID.
-    pub fn per_proc(&self) -> &[ProcCounters] {
-        &self.per_proc
     }
 
     /// The primary data cache.
@@ -482,8 +465,8 @@ impl Core {
     /// The answer covers this core's structures only. Whether another
     /// core can reach the same lines (a remote invalidation, or the
     /// [`Coherence`] hooks a store calls) is the caller's to rule out:
-    /// the CMP engine requires a PID the core owns.
-    pub fn local_step(&self, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
+    /// the run loop requires a PID the core owns.
+    pub(crate) fn local_step(&self, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
         if ifetch.addr.raw() >> self.i_line_shift != self.last_ifetch_vline
             && !self
                 .cached_translation(ifetch.addr)
@@ -894,7 +877,7 @@ impl Core {
     /// bare kernel. `REC = true` notes every instruction to the attached
     /// profile recorder. Telemetry notes fire in every instantiation.
     #[inline]
-    pub fn step_instruction<const HOOKS: bool, const REC: bool, C: Coherence>(
+    pub(crate) fn step_instruction<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,

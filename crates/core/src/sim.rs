@@ -19,8 +19,12 @@
 //! components` holds exactly (checked with `debug_assert!` and tests).
 //!
 //! The per-event rules live in [`crate::pipeline`]: the simulator owns one
-//! [`Core`] over one [`Uncore`] and drives it from the scheduler; this
-//! module adds the run loop, results and the instrumentation layers.
+//! [`Core`] over one [`Uncore`]; this module adds the run loop, results
+//! and the instrumentation layers. The run loop, [`run_cores`], is the
+//! one both engines drive: it steps N cores over one uncore, each fed by
+//! its own scheduler and stepping against a [`Protocol`]'s coherence
+//! hooks. `Simulator` runs it on its one core with [`NoCoherence`]; the
+//! `gaas-coherence` CMP engine runs it on N cores with MESI.
 //!
 //! With soft-error injection enabled (see `FaultConfig`), faults are
 //! checked when an access *hits* the struck structure — the moment the
@@ -35,7 +39,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gaas_cache::fault::{FaultEffect, FaultEvent, FaultInjector, ProtectionMap};
-use gaas_cache::Tlb;
 use gaas_telemetry::{Component, CounterId, Registry, Span, SpanRecorder};
 use gaas_trace::{AccessKind, Trace, TraceEvent};
 
@@ -79,8 +82,9 @@ pub enum SimError {
     Cancelled,
     /// The coherence oracle observed a protocol invariant violation in a
     /// CMP run (stale read, multiple writers, or a copy surviving its
-    /// invalidation) — produced by the `gaas-coherence` engine, never by
-    /// this single-CPU simulator.
+    /// invalidation): [`run_cores`] returns it after a lockstep step
+    /// when the [`Protocol`] reports one, which only the `gaas-coherence`
+    /// engine's MESI protocol does.
     Coherence {
         /// Core on which the violation was observed.
         core: u32,
@@ -91,9 +95,9 @@ pub enum SimError {
     },
     /// Two cores of a CMP run made data references to one private PID.
     /// Every PID but `gaas_trace::SHARED_PID` belongs to the first core
-    /// that references its data; the CMP engine's run-ahead relies on no
-    /// other core ever touching those lines — produced by the
-    /// `gaas-coherence` engine, never by this single-CPU simulator.
+    /// that references its data; the multi-core run-ahead of
+    /// [`run_cores`] relies on no other core ever touching those lines.
+    /// A 1-core run never returns it.
     PidOwnership {
         /// The private PID.
         pid: u8,
@@ -191,7 +195,7 @@ impl CancelToken {
 /// Instructions between cooperative-cancellation polls: coarse enough to
 /// vanish in the hot loop, fine enough (≈ tens of microseconds) that a
 /// cancelled cell stops promptly.
-pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
+pub(crate) const CANCEL_CHECK_INTERVAL: u64 = 8192;
 
 /// A run's periodic thresholds — the warm-up snapshot, counter windows,
 /// checkpoints, the instruction budget and the cancel poll — merged into
@@ -201,7 +205,7 @@ pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
 /// per-instruction poll is then a never-taken compare instead of flag
 /// re-checks.
 #[derive(Debug, Clone)]
-pub struct Polls {
+pub(crate) struct Polls {
     warm: u64,
     window: u64,
     window_len: u64,
@@ -215,7 +219,7 @@ pub struct Polls {
 /// The thresholds one [`Polls::fire`] found due; the caller takes the
 /// matching snapshots.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Due {
+pub(crate) struct Due {
     /// The warm-up ended: snapshot the counters to subtract.
     pub warm: bool,
     /// A counter window closed.
@@ -766,16 +770,6 @@ impl Simulator {
         &self.core.counters
     }
 
-    /// Instruction-TLB state (for reports).
-    pub fn itlb(&self) -> &Tlb {
-        &self.core.itlb
-    }
-
-    /// Data-TLB state (for reports).
-    pub fn dtlb(&self) -> &Tlb {
-        &self.core.dtlb
-    }
-
     /// Runs a multiprogramming workload to completion and returns the
     /// accumulated result.
     ///
@@ -815,14 +809,13 @@ impl Simulator {
     /// Returns [`SimError::MachineCheck`] when an injected fault is
     /// unrecoverable under the halt policy.
     pub fn run_sampled(
-        self,
+        mut self,
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
         window_instructions: u64,
     ) -> Result<(SimResult, Vec<Counters>), SimError> {
-        let (result, windows, _, _) =
-            self.run_sampled_rec(traces, warmup_instructions, window_instructions)?;
-        Ok((result, windows))
+        let out = self.drive(traces, warmup_instructions, window_instructions)?;
+        Ok((out.result, out.windows))
     }
 
     /// Runs a workload with telemetry recording, returning the result,
@@ -837,7 +830,7 @@ impl Simulator {
     ///
     /// Same failure modes as [`Simulator::run_warmed`].
     pub fn run_telemetry(
-        self,
+        mut self,
         traces: Vec<Box<dyn Trace>>,
         warmup_instructions: u64,
     ) -> Result<(SimResult, Vec<Counters>, TelemetryReport), SimError> {
@@ -846,9 +839,12 @@ impl Simulator {
         } else {
             0
         };
-        let (result, windows, _, telem) =
-            self.run_sampled_rec(traces, warmup_instructions, window)?;
-        let report = telem
+        let out = self.drive(traces, warmup_instructions, window)?;
+        let report = self
+            .ux
+            .ins
+            .telem
+            .take()
             .map(|t| {
                 let mut registry = t.reg;
                 // Process-wide trace-arena health at the end of the run:
@@ -876,7 +872,7 @@ impl Simulator {
                 }
             })
             .unwrap_or_default();
-        Ok((result, windows, report))
+        Ok((out.result, out.windows, report))
     }
 
     /// Runs a workload with a [`ProfileRecorder`] attached, returning the
@@ -903,174 +899,28 @@ impl Simulator {
         let fkey = functional_fingerprint(&self.cfg)
             .expect("run_profiled requires a memoizable configuration");
         self.ux.ins.install_recorder();
-        let (result, _, rec, _) = self.run_sampled_rec(traces, warmup_instructions, 0)?;
-        let profile =
-            rec.expect("recorder installed above")
-                .finish(fkey, warmup_instructions, &result);
+        let result = self.drive(traces, warmup_instructions, 0)?.result;
+        let rec = self.ux.ins.rec.take().expect("recorder installed above");
+        let profile = rec.finish(fkey, warmup_instructions, &result);
         Ok((result, profile))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_sampled_rec(
-        mut self,
+    /// Runs `traces` through [`run_cores`] on this one core; the
+    /// recorder and telemetry state stay on `self.ux` for the caller.
+    fn drive(
+        &mut self,
         traces: Vec<Box<dyn Trace>>,
-        warmup_instructions: u64,
-        window_instructions: u64,
-    ) -> Result<
-        (
-            SimResult,
-            Vec<Counters>,
-            Option<Box<ProfileRecorder>>,
-            Option<Box<TelemetryState>>,
-        ),
-        SimError,
-    > {
-        let mut sched = Scheduler::new(traces, self.cfg.mp.level, self.cfg.mp.time_slice_cycles);
-        let mut warm_snapshot: Option<Counters> = None;
-        let mut windows = Vec::new();
-        let mut window_start = Counters::new();
-        let mut checkpoints = Vec::new();
-        let mut termination = Termination::Completed;
-        let mut polls = Polls::new(
-            &self.cfg,
-            warmup_instructions,
-            window_instructions,
-            self.cancel.is_some(),
-        );
-        // The scheduler sees the *functional* clock, not the timing clock:
-        // time-slice context switches then land on identical instruction
-        // boundaries for every timing variant of one cache geometry.
-        //
-        // The loop is specialized on `hooks`: when no layer that must see
-        // every event (fault injection, differential oracle) is attached —
-        // the common case, the whole benchmark kernel and every functional
-        // pass — the `false` instantiations of the step functions compile
-        // that plumbing out and use the memos and the span drain.
-        // Telemetry and the profile recorder ride either loop: telemetry's
-        // notes sit on miss, walk, buffer and switch paths that no memo
-        // skips, and the memo paths record their hit tokens themselves.
-        // The recorder's notes are compiled in only when `rec` holds, so
-        // a run without one carries none of their branches. The layers
-        // cannot attach mid-run, so one check up front covers the run.
-        let hooks = self.ux.ins.active();
-        let rec = self.ux.ins.rec.is_some();
-        let mut next_poll = polls.next();
-        let (core, ux) = (&mut self.core, &mut self.ux);
-        while let Some(instr) = sched.next_instruction(core.fnow) {
-            if hooks {
-                if rec {
-                    core.step_instruction::<true, true, _>(ux, &mut NoCoherence, &instr);
-                } else {
-                    core.step_instruction::<true, false, _>(ux, &mut NoCoherence, &instr);
-                }
-                if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-                    ux.ins.telem_sched_switch(core.now);
-                }
-                if ux.ins.pending_mc.is_some() {
-                    let fault = ux.ins.pending_mc.take().expect("just checked");
-                    return Err(SimError::MachineCheck {
-                        fault,
-                        cycle: core.now,
-                        instructions: core.counters.instructions,
-                    });
-                }
-                if ux.ins.diff_on {
-                    if let Some(err) = take_divergence(core, ux) {
-                        return Err(err);
-                    }
-                }
-            } else if rec {
-                step_bare::<true, _, _>(
-                    core,
-                    ux,
-                    &mut NoCoherence,
-                    &mut WholeSpan,
-                    &mut sched,
-                    &instr,
-                    next_poll,
-                );
-            } else {
-                step_bare::<false, _, _>(
-                    core,
-                    ux,
-                    &mut NoCoherence,
-                    &mut WholeSpan,
-                    &mut sched,
-                    &instr,
-                    next_poll,
-                );
-            }
-            let retired = core.counters.instructions;
-            if retired >= next_poll {
-                let due = polls.fire(retired, self.cancel.as_ref())?;
-                next_poll = polls.next();
-                if due.warm {
-                    warm_snapshot = Some(core.counters);
-                }
-                if due.window {
-                    windows.push(core.counters.since(&window_start));
-                    window_start = core.counters;
-                }
-                if due.checkpoint {
-                    ux.ins.last_checkpoint_cycle = core.now;
-                    checkpoints.push(Checkpoint {
-                        cycle: core.now,
-                        instructions: retired,
-                        sched: sched.snapshot(),
-                    });
-                }
-                if due.budget {
-                    termination = Termination::BudgetExhausted;
-                    break;
-                }
-            }
-        }
-        // One last structural sweep so a divergence in the tail (after the
-        // final periodic check) still surfaces.
-        if let Some(mut ds) = ux.ins.diff.take() {
-            ds.full_state_check(&core.structures(ux));
-            ux.ins.diff = Some(ds);
-        }
-        if let Some(err) = take_divergence(core, ux) {
-            return Err(err);
-        }
-        core.counters.syscall_switches = sched.syscall_switches();
-        core.counters.slice_switches = sched.slice_switches();
-        debug_assert_eq!(
-            core.now,
-            core.counters.total_cycles(),
-            "cycle accounting must balance"
-        );
-        // The warm-up snapshot predates the end-of-run switch counts (they
-        // are zero mid-run), so the delta keeps the full-run switch totals.
-        let counters = match warm_snapshot {
-            Some(snap) => core.counters.since(&snap),
-            None => core.counters,
+        warmup: u64,
+        window: u64,
+    ) -> Result<RunOutput, SimError> {
+        let spec = RunSpec {
+            cfg: &self.cfg,
+            warmup,
+            window,
+            cancel: self.cancel.as_ref(),
         };
-        let per_process = core
-            .per_proc
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
-            .map(|(i, p)| (gaas_trace::Pid::new(i as u8), *p))
-            .collect();
-        if ux.ins.telem_on {
-            telem_finalize(core, ux);
-        }
-        let result = SimResult {
-            config: self.cfg.clone(),
-            counters,
-            completed: sched.completed().to_vec(),
-            per_process,
-            termination,
-            checkpoints,
-        };
-        Ok((
-            result,
-            windows,
-            self.ux.ins.rec.take(),
-            self.ux.ins.telem.take(),
-        ))
+        let core = std::slice::from_mut(&mut self.core);
+        run_cores(core, &mut self.ux, &mut NoCoherence, vec![traces], &spec)
     }
 
     /// Processes a single event outside a scheduled workload (single-process
@@ -1093,27 +943,410 @@ impl Simulator {
             }
         }
     }
+}
 
-    /// The pending divergence report, if the oracle tripped (for manual
-    /// [`Simulator::step`] users; [`Simulator::run`] surfaces it as
-    /// [`SimError::Divergence`]).
-    pub fn divergence(&self) -> Option<&DivergenceReport> {
-        self.ux.ins.diff.as_ref().and_then(|d| d.report())
+/// The coherence protocol the cores of a [`run_cores`] run step
+/// against: [`NoCoherence`] for [`Simulator`], MESI for the CMP engine.
+pub trait Protocol {
+    /// The [`Coherence`] hooks one core steps against.
+    type Hooks<'a>: Coherence
+    where
+        Self: 'a;
+
+    /// The hooks core `c` steps against, with the other cores reachable
+    /// as remotes: `below` holds cores `0..c`, `above` cores `c + 1..`.
+    fn hooks<'a>(
+        &'a mut self,
+        c: usize,
+        below: &'a mut [Core],
+        above: &'a mut [Core],
+    ) -> Self::Hooks<'a>;
+
+    /// Whether a multi-core run steps in lockstep on the instrumented
+    /// path (a coherence oracle is attached).
+    fn lockstep(&self) -> bool {
+        false
     }
 
-    /// Accesses the oracle has cross-checked so far (`None` when the
-    /// oracle is disabled).
-    pub fn oracle_checked(&self) -> Option<u64> {
-        self.ux.ins.diff.as_ref().map(|d| d.accesses_checked())
+    /// The invariant violation a lockstep step exposed: the core it was
+    /// observed on, and the evidence.
+    fn violation(&self) -> Option<(u32, String)> {
+        None
+    }
+}
+
+impl Protocol for NoCoherence {
+    type Hooks<'a> = NoCoherence;
+
+    fn hooks<'a>(&'a mut self, _: usize, _: &'a mut [Core], _: &'a mut [Core]) -> NoCoherence {
+        NoCoherence
+    }
+}
+
+/// What one [`run_cores`] call runs.
+#[derive(Debug)]
+pub struct RunSpec<'a> {
+    /// The configuration (its checkpoint interval and instruction
+    /// budget are polled).
+    pub cfg: &'a SimConfig,
+    /// Instructions, summed over the cores, whose statistics are
+    /// discarded.
+    pub warmup: u64,
+    /// Instructions per counter window (0 disables sampling).
+    pub window: u64,
+    /// The cooperative-cancellation token.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+/// What a [`run_cores`] run produced, warm-up excluded throughout.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The result merged over every core.
+    pub result: SimResult,
+    /// Per-core counters, index = core id.
+    pub per_core: Vec<Counters>,
+    /// Deltas of the merged counters, one per window.
+    pub windows: Vec<Counters>,
+}
+
+/// How far past the runner-up's functional clock a core runs ahead
+/// through core-local instructions, in cycles.
+const HORIZON: u64 = 1024;
+
+/// The `owners` entry of a PID whose data no core has referenced yet.
+const UNOWNED: u8 = u8::MAX;
+
+/// The run loop of both engines: `cores` over one uncore, each fed by
+/// its own scheduler over its list of `traces`, until every scheduler
+/// runs dry or the instruction budget is spent.
+///
+/// The result is that of the lockstep interleave by functional clock:
+/// one instruction at a time from the core with the lowest `(fnow, id)`.
+/// The loop reaches it in turns (DESIGN.md §16 argues exactness):
+///
+/// * **One core.** A turn is one span drain up to the next rotation or
+///   poll, stepping [`NoCoherence`] and admitting every instruction,
+///   whichever engine runs it: no pick, ownership check or turn bound.
+/// * **Exact steps.** Of several cores, the lowest `(fnow, id)` steps
+///   while its key stays below the runner-up's. Coherence charges only
+///   timing clocks, so no other key moves: lockstep takes these next.
+/// * **Run-ahead.** Past that key the core continues only through
+///   instructions `Core::local_step` proves core-local, on PIDs it
+///   owns. Such a step touches only this core's state and its private
+///   lines, so it commutes with every other core's step.
+/// * **Horizon and poll margin.** A run-ahead stops `HORIZON` (1024)
+///   cycles past the runner-up's `fnow`, so at most `N · HORIZON` steps
+///   lockstep would run first are missing, and no run-ahead starts
+///   within `2·N·(HORIZON + 2)` instructions of the next warm-up,
+///   window, checkpoint or budget poll: each sees the exact lockstep
+///   prefix. A cancelled run returns no counters, so the cancel poll
+///   needs no margin.
+/// * **Lockstep.** A run with fault injection or the golden-model
+///   oracle, or a multi-core run whose protocol asks for it, steps one
+///   instruction per turn on the instrumented path, then checks for a
+///   machine check, a divergence and a coherence violation.
+///
+/// Each PID but [`gaas_trace::SHARED_PID`] is private to the first core
+/// that references its data (the standard CMP workload runs each
+/// benchmark on one core and puts shared data on the shared PID). The
+/// instruments on `ux` and checkpoints observe one core: a multi-core
+/// run carries none.
+///
+/// # Errors
+///
+/// [`SimError::Cancelled`], [`SimError::MachineCheck`],
+/// [`SimError::Divergence`], [`SimError::Coherence`] when the protocol
+/// reports a violation, and [`SimError::PidOwnership`] when a second
+/// core references a private PID's data.
+///
+/// # Panics
+///
+/// Panics unless there is one trace list per core, and at least one core.
+pub fn run_cores<P: Protocol>(
+    cores: &mut [Core],
+    ux: &mut Uncore,
+    proto: &mut P,
+    traces: Vec<Vec<Box<dyn Trace>>>,
+    spec: &RunSpec<'_>,
+) -> Result<RunOutput, SimError> {
+    let n = cores.len();
+    assert!(n > 0 && traces.len() == n, "one trace list per core");
+    let mp = &spec.cfg.mp;
+    let mut scheds: Vec<Scheduler> = traces
+        .into_iter()
+        .map(|list| Scheduler::new(list, mp.level, mp.time_slice_cycles))
+        .collect();
+    let multi = n > 1;
+    let ins = &ux.ins;
+    debug_assert!(!multi || !(ins.active() || ins.rec.is_some() || ins.telem_on));
+    let mut polls = Polls::new(spec.cfg, spec.warmup, spec.window, spec.cancel.is_some());
+    let mut next_poll = polls.next();
+    let mut warm_snapshot: Option<Vec<Counters>> = None;
+    let mut windows = Vec::new();
+    let mut window_start = Counters::new();
+    let mut checkpoints = Vec::new();
+    let mut termination = Termination::Completed;
+    let mut retired = 0u64;
+    let mut done = vec![false; n];
+    let mut owners = [UNOWNED; 256];
+    let poll_margin = 2 * n as u64 * (HORIZON + 2);
+    // Schedulers run on the *functional* clock, so context switches land
+    // on the same instruction for every timing variant of one geometry.
+    // Without a layer that must see every event, the `HOOKS = false`
+    // step instantiations use the memos and the span drain; telemetry
+    // rides them too (no memo skips a note site), and `REC` compiles the
+    // recorder's notes in only when one is attached.
+    let hooks = ins.active() || (multi && proto.lockstep());
+    let rec = ins.rec.is_some();
+    loop {
+        let picked = if multi {
+            pick(cores, &done)
+        } else {
+            (!done[0]).then_some((0, u64::MAX))
+        };
+        let Some((c, exact_end)) = picked else { break };
+        let Some(instr) = scheds[c].next_instruction(cores[c].fnow) else {
+            done[c] = true;
+            continue;
+        };
+        let (below, rest) = cores.split_at_mut(c);
+        let (core, above) = rest.split_first_mut().expect("picked core exists");
+        let sched = &mut scheds[c];
+        let before = core.counters.instructions;
+        // The poll, in this core's retired instructions.
+        let poll = before + (next_poll - retired);
+        if hooks && multi {
+            claim(&mut owners, c, instr.data.as_ref())?;
+            let coh = &mut proto.hooks(c, below, above);
+            step_hooked(core, ux, coh, sched, &instr, rec)?;
+        } else if hooks {
+            step_hooked(core, ux, &mut NoCoherence, sched, &instr, rec)?;
+        } else if !multi {
+            let (coh, whole) = (&mut NoCoherence, &mut WholeSpan);
+            if rec {
+                step_bare::<true, _, _>(core, ux, coh, whole, sched, &instr, poll);
+            } else {
+                step_bare::<false, _, _>(core, ux, coh, whole, sched, &instr, poll);
+            }
+        } else {
+            let room = polls.next_exact().saturating_sub(retired);
+            let mut turn = CoreTurn {
+                id: c,
+                owners: &mut owners,
+                exact_end,
+                ahead_end: exact_end.saturating_add(HORIZON),
+                ahead_instructions: before.saturating_add(room.saturating_sub(poll_margin)),
+                refused: None,
+            };
+            let coh = &mut proto.hooks(c, below, above);
+            step_bare::<false, _, _>(core, ux, coh, &mut turn, sched, &instr, poll);
+            if let Some(err) = turn.refused {
+                return Err(err);
+            }
+        }
+        if hooks {
+            if let Some((id, detail)) = proto.violation() {
+                let cycle = cores[id as usize].now;
+                return Err(SimError::Coherence {
+                    core: id,
+                    cycle,
+                    detail,
+                });
+            }
+        }
+        retired += cores[c].counters.instructions - before;
+        if retired >= next_poll {
+            let due = polls.fire(retired, spec.cancel)?;
+            next_poll = polls.next();
+            if due.warm {
+                warm_snapshot = Some(cores.iter().map(|core| core.counters).collect());
+            }
+            if due.window {
+                let total = sum(cores.iter().map(|core| &core.counters));
+                windows.push(total.since(&window_start));
+                window_start = total;
+            }
+            if due.checkpoint {
+                ux.ins.last_checkpoint_cycle = cores[0].now;
+                checkpoints.push(Checkpoint {
+                    cycle: cores[0].now,
+                    instructions: retired,
+                    sched: scheds[0].snapshot(),
+                });
+            }
+            if due.budget {
+                termination = Termination::BudgetExhausted;
+                break;
+            }
+        }
+    }
+    // One last structural sweep so a divergence in the tail (after the
+    // final periodic check) still surfaces.
+    if let Some(mut ds) = ux.ins.diff.take() {
+        ds.full_state_check(&cores[0].structures(ux));
+        ux.ins.diff = Some(ds);
+    }
+    if let Some(err) = take_divergence(&cores[0], ux) {
+        return Err(err);
+    }
+    let mut per_proc: Vec<ProcCounters> = Vec::new();
+    for (core, sched) in cores.iter_mut().zip(&scheds) {
+        core.counters.syscall_switches = sched.syscall_switches();
+        core.counters.slice_switches = sched.slice_switches();
+        debug_assert_eq!(
+            core.now,
+            core.counters.total_cycles(),
+            "cycles must balance"
+        );
+        // Rows merge by PID: the shared pseudo-process runs on every core.
+        if per_proc.len() < core.per_proc.len() {
+            per_proc.resize(core.per_proc.len(), ProcCounters::default());
+        }
+        for (row, p) in per_proc.iter_mut().zip(&core.per_proc) {
+            row.add(p);
+        }
+    }
+    // The warm-up snapshot predates the end-of-run switch counts (they
+    // are zero mid-run), so the delta keeps the full-run switch totals.
+    let per_core: Vec<Counters> = cores
+        .iter()
+        .enumerate()
+        .map(|(i, core)| match &warm_snapshot {
+            Some(snaps) => core.counters.since(&snaps[i]),
+            None => core.counters,
+        })
+        .collect();
+    if ux.ins.telem_on {
+        telem_finalize(&cores[0], ux);
+    }
+    let result = SimResult {
+        config: spec.cfg.clone(),
+        counters: sum(&per_core),
+        completed: scheds.iter().flat_map(|s| s.completed().to_vec()).collect(),
+        per_process: per_proc
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
+            .map(|(i, p)| (gaas_trace::Pid::new(i as u8), *p))
+            .collect(),
+        termination,
+        checkpoints,
+    };
+    Ok(RunOutput {
+        result,
+        per_core,
+        windows,
+    })
+}
+
+/// The sum of `counters`.
+fn sum<'a>(counters: impl IntoIterator<Item = &'a Counters>) -> Counters {
+    let zero = Counters::new();
+    counters.into_iter().fold(zero, |acc, c| acc.accum(c))
+}
+
+/// The next multi-core turn: the core with the lowest `(fnow, id)` not
+/// `done`, and the end of its exact steps, the first `fnow` at which its
+/// key passes the runner-up's `(f, r)`: `fnow < f + [c < r]`.
+fn pick(cores: &[Core], done: &[bool]) -> Option<(usize, u64)> {
+    let keys = cores
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !done[i])
+        .map(|(i, core)| (core.fnow, i));
+    let (_, c) = keys.clone().min()?;
+    let second = keys.filter(|&(_, i)| i != c).min();
+    Some((c, second.map_or(u64::MAX, |(f, r)| f + u64::from(c < r))))
+}
+
+/// One lockstep step on the instrumented (`HOOKS = true`) path, then
+/// its checks: a pending machine check, and a divergence. Kept out of
+/// line: inlined, it bloats the loop around the bare kernel's drain,
+/// which measurably slowed the single-CPU kernel.
+#[inline(never)]
+fn step_hooked<C: Coherence>(
+    core: &mut Core,
+    ux: &mut Uncore,
+    coh: &mut C,
+    sched: &mut Scheduler,
+    instr: &Instruction,
+    rec: bool,
+) -> Result<(), SimError> {
+    if rec {
+        core.step_instruction::<true, true, C>(ux, coh, instr);
+    } else {
+        core.step_instruction::<true, false, C>(ux, coh, instr);
+    }
+    if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
+        ux.ins.telem_sched_switch(core.now);
+    }
+    if let Some(fault) = ux.ins.pending_mc.take() {
+        return Err(SimError::MachineCheck {
+            fault,
+            cycle: core.now,
+            instructions: core.counters.instructions,
+        });
+    }
+    take_divergence(core, ux).map_or(Ok(()), Err)
+}
+
+/// Claims the data reference's PID for core `c` on its first reference,
+/// and refuses a reference to a PID another core has claimed. The
+/// shared PID belongs to no core.
+fn claim(owners: &mut [u8; 256], c: usize, data: Option<&TraceEvent>) -> Result<(), SimError> {
+    let pid = match data.map(|d| d.addr.pid()) {
+        Some(pid) if pid != gaas_trace::SHARED_PID => pid,
+        _ => return Ok(()),
+    };
+    let owner = &mut owners[usize::from(pid.raw())];
+    if *owner == UNOWNED {
+        *owner = c as u8;
+    }
+    if usize::from(*owner) == c {
+        return Ok(());
+    }
+    Err(SimError::PidOwnership {
+        pid: pid.raw(),
+        owner: u32::from(*owner),
+        core: c as u32,
+    })
+}
+
+/// One multi-core turn of core `id` (see [`run_cores`]): exact steps
+/// while `fnow < exact_end`, then core-local steps on owned PIDs while
+/// `fnow < ahead_end` and the core has retired fewer than
+/// `ahead_instructions`.
+struct CoreTurn<'a> {
+    id: usize,
+    owners: &'a mut [u8; 256],
+    exact_end: u64,
+    ahead_end: u64,
+    ahead_instructions: u64,
+    /// The ownership error that ended the turn, if one did.
+    refused: Option<SimError>,
+}
+
+impl Turn for CoreTurn<'_> {
+    #[inline(always)]
+    fn admit(&mut self, core: &Core, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
+        if core.fnow < self.exact_end {
+            let claimed = claim(self.owners, self.id, data);
+            return claimed.map_err(|err| self.refused = Some(err)).is_ok();
+        }
+        let owned = |d: &TraceEvent| usize::from(self.owners[usize::from(d.addr.pid().raw())]);
+        core.fnow < self.ahead_end
+            && core.counters.instructions < self.ahead_instructions
+            && data.map_or(true, |d| owned(d) == self.id)
+            && core.local_step(ifetch, data)
     }
 }
 
 /// Where a span drain's turn ends, asked before each instruction the
-/// drain would step. [`Simulator`] drains with [`WholeSpan`], which
+/// drain would step. A 1-core run drains with [`WholeSpan`], which
 /// admits everything, so its drain stops only at a rotation, the end of
-/// the buffered span or the poll; the CMP engine's turn also stops
-/// where another core must step first.
-pub trait Turn {
+/// the buffered span or the poll; a multi-core turn ([`CoreTurn`]) also
+/// stops where another core must step first.
+pub(crate) trait Turn {
     /// Whether `core` steps the instruction `ifetch` (with its data
     /// reference `data`) in this turn. A refusal ends the turn before
     /// the instruction, which stays buffered for the next turn.
@@ -1122,7 +1355,7 @@ pub trait Turn {
 
 /// The single-CPU [`Turn`]: every instruction is admitted.
 #[derive(Debug, Clone, Copy)]
-pub struct WholeSpan;
+pub(crate) struct WholeSpan;
 
 impl Turn for WholeSpan {
     #[inline(always)]
@@ -1137,10 +1370,10 @@ impl Turn for WholeSpan {
 /// instruction passes through `turn` too; when it is refused nothing
 /// steps. `REC` compiles the profile recorder's notes in; the run
 /// selects it once, like `hooks`. `C` and `T` are [`NoCoherence`] and
-/// [`WholeSpan`] for [`Simulator`], whose instantiation compiles every
+/// [`WholeSpan`] for a 1-core run, whose instantiation compiles every
 /// hook and turn check out.
 #[inline(always)]
-pub fn step_bare<const REC: bool, C: Coherence, T: Turn>(
+pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     core: &mut Core,
     ux: &mut Uncore,
     coh: &mut C,
@@ -1923,11 +2156,13 @@ mod tests {
                 sim.ux.ins.active(),
                 "{policy:?}: the oracle forces the hooked loop"
             );
-            let (every_result, _, rec, _) = sim
-                .run_sampled_rec(crate::workload::standard(5e-4), WARMUP, 0)
-                .expect("runs");
+            let every_result = sim
+                .drive(crate::workload::standard(5e-4), WARMUP, 0)
+                .expect("runs")
+                .result;
             let fkey = functional_fingerprint(&cfg).expect("memoizable");
-            let every = rec.expect("installed").finish(fkey, WARMUP, &every_result);
+            let rec = sim.ux.ins.rec.take().expect("installed");
+            let every = rec.finish(fkey, WARMUP, &every_result);
 
             assert_eq!(
                 fast_result.counters, every_result.counters,

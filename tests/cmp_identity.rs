@@ -1,12 +1,16 @@
 //! The CMP engine's correctness anchor: a 1-core CMP run is
 //! **byte-identical** to the validated single-CPU simulator.
 //!
-//! Three angles:
+//! Several angles:
 //!
 //! * **identity fuzz** — seeded random configurations (L2 organization,
-//!   write policy, drain timing, multiprogramming level all vary) run
-//!   through both engines; every counter, every per-process row and the
-//!   completion order must match exactly;
+//!   write policy, drain timing, multiprogramming level all vary, and
+//!   one round stops on the instruction budget) run through both
+//!   engines; every counter, every per-process row, the completion order
+//!   and the termination must match exactly;
+//! * **refusals** — the features the CMP engine lacks are refused for
+//!   CMP configurations and by the CMP engine, and the single-CPU
+//!   simulator refuses CMP configurations;
 //! * **directory filtering** — a 2-core run of *disjoint* processes
 //!   generates zero coherence traffic (no invalidations, no
 //!   cache-to-cache transfers, no coherence stall): the snoop filter
@@ -23,11 +27,14 @@
 //!   migration intervals, L2 organizations and a budget stop show that
 //!   the run-ahead reorders only steps that commute.
 
-use gaas_coherence::CmpResult;
+use gaas_coherence::{CmpResult, CmpSimulator};
 use gaas_experiments::fig_cmp;
 use gaas_experiments::runner;
 use gaas_sim::config::SimConfig;
-use gaas_sim::{CmpConfig, DiffCheckConfig, L2Config, Termination, WritePolicy};
+use gaas_sim::{
+    CmpConfig, ConfigError, DiffCheckConfig, FaultRates, L2Config, SeededBug, SeededBugSpec,
+    Simulator, TelemetryConfig, Termination, WritePolicy,
+};
 use gaas_trace::rng::SmallRng;
 
 const SCALE: f64 = 5e-5;
@@ -58,8 +65,13 @@ fn random_config(rng: &mut SmallRng) -> SimConfig {
 #[test]
 fn one_core_cmp_is_byte_identical_to_the_single_cpu_simulator() {
     let mut rng = SmallRng::seed_from_u64(0xC0_1DE7);
-    for round in 0..8 {
-        let cfg = random_config(&mut rng);
+    for round in 0..9 {
+        let mut cfg = random_config(&mut rng);
+        // The last round stops on the budget, past the 40 % warm-up.
+        let budget = round == 8;
+        if budget {
+            cfg.instruction_budget = Some(runner::suite_instructions(SCALE) * 7 / 10);
+        }
         let summary = format!("round {round}: {cfg}");
         let base = runner::run_standard_raw(cfg.clone(), SCALE).expect("base engine");
         let cmp = runner::run_standard_cmp(cfg, SCALE, None).expect("cmp engine");
@@ -75,9 +87,56 @@ fn one_core_cmp_is_byte_identical_to_the_single_cpu_simulator() {
             cmp.result.completed, base.completed,
             "completion-order drift in {summary}"
         );
+        assert_eq!(
+            cmp.result.termination, base.termination,
+            "termination drift in {summary}"
+        );
+        assert_eq!(
+            base.termination == Termination::BudgetExhausted,
+            budget,
+            "{summary}"
+        );
         assert_eq!(cmp.per_core.len(), 1, "{summary}");
         assert_eq!(cmp.per_core[0], base.counters, "{summary}");
     }
+}
+
+#[test]
+fn features_the_cmp_engine_lacks_are_refused_on_every_path() {
+    use ConfigError::*;
+    for refusal in [
+        CmpWithFaultInjection,
+        CmpWithTelemetry,
+        CmpWithCheckpointing,
+        CmpWithSeededBug,
+    ] {
+        let mut cfg = SimConfig::baseline();
+        match refusal {
+            CmpWithFaultInjection => cfg.fault.rates = FaultRates::uniform(1e-6),
+            CmpWithTelemetry => cfg.telemetry = TelemetryConfig::on(),
+            CmpWithCheckpointing => cfg.checkpoint_interval = 10_000,
+            _ => {
+                cfg.diffcheck = DiffCheckConfig {
+                    seeded_bug: Some(SeededBugSpec {
+                        access: 100,
+                        kind: SeededBug::FlipL1dDirty,
+                    }),
+                    ..DiffCheckConfig::on()
+                }
+            }
+        }
+        // A 1-core config is valid, but the CMP engine refuses it; a
+        // 2-core config fails validation in the builder.
+        let one_core = CmpSimulator::new(cfg.clone()).err();
+        assert_eq!(one_core, Some(refusal.clone()), "1 core");
+        let mut b = cfg.to_builder();
+        b.cmp(CmpConfig::with_cores(2));
+        assert_eq!(b.build().err(), Some(refusal), "2 cores");
+    }
+    let mut two_cores = SimConfig::baseline();
+    two_cores.cmp = CmpConfig::with_cores(2);
+    let refusal = Simulator::new(two_cores).err();
+    assert_eq!(refusal, Some(CmpRequiresCoherenceEngine));
 }
 
 #[test]
