@@ -337,36 +337,6 @@ fn hit_mask(tags: &[u64], base: u64) -> u32 {
     }
 }
 
-/// Multi-lane line-membership probe over a packed word plane: bit *i*
-/// of the result is set iff `words[i]` lies inside the
-/// `line_mask + 1`-word line starting at `base`. `base` must be
-/// line-aligned and `line_mask` must be `line_words - 1` for a
-/// power-of-two line, so membership reduces to one XOR/mask/compare per
-/// word — no per-slot branching, no subtraction-with-carry range check:
-///
-/// ```text
-/// bit i = ((words[i] ^ base) & !line_mask) == 0
-/// ```
-///
-/// The multi-variant co-pricer lays N lanes' write-buffer slots out as
-/// one flat plane (`lane * stride + slot`) and scans a whole lane window
-/// — or several — with a single call; callers mask the result against
-/// their own occupancy bits. Slices longer than 64 words are rejected
-/// (the mask would overflow).
-#[inline(always)]
-#[must_use]
-pub fn line_member_mask(words: &[u64], base: u64, line_mask: u64) -> u64 {
-    debug_assert!(words.len() <= 64, "mask overflows past 64 slots");
-    debug_assert_eq!(base & line_mask, 0, "base must be line-aligned");
-    debug_assert!((line_mask.wrapping_add(1)).is_power_of_two());
-    let keep = !line_mask;
-    let mut m = 0u64;
-    for (i, &w) in words.iter().enumerate() {
-        m |= u64::from((w ^ base) & keep == 0) << i;
-    }
-    m
-}
-
 /// Index of the minimum element of `lru` (first minimum on ties),
 /// matching `Iterator::min_by_key` over way order. Invalid ways hold 0,
 /// below every live timestamp, so this is also the "first invalid way,
@@ -695,40 +665,6 @@ mod tests {
             };
             assert_eq!(g.full_subblock_mask(), full);
         }
-    }
-
-    #[test]
-    fn line_member_mask_matches_scalar_containment() {
-        // Cross-check the SWAR form against the obvious range check for
-        // every line length the study uses and a grab-bag of addresses.
-        for line_words in [1u64, 2, 4, 8, 16, 32] {
-            let line_mask = line_words - 1;
-            let words: Vec<u64> =
-                [0u64, 3, 7, 8, 31, 32, 33, 63, 64, 100, 4095, 4096, 1 << 29].to_vec();
-            for base_word in [0u64, 32, 64, 4096] {
-                let base = base_word & !line_mask;
-                let mask = line_member_mask(&words, base, line_mask);
-                for (i, &w) in words.iter().enumerate() {
-                    let inside = w >= base && w < base + line_words;
-                    assert_eq!(
-                        mask >> i & 1 == 1,
-                        inside,
-                        "line_words {line_words} base {base} word {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn line_member_mask_lane_windows() {
-        // Two 4-slot lanes packed in one plane: each lane's window is
-        // probed independently and the bit positions stay lane-local.
-        let plane = [8u64, 9, 100, 11, 200, 10, 8, 300];
-        let m0 = line_member_mask(&plane[0..4], 8, 3);
-        let m1 = line_member_mask(&plane[4..8], 8, 3);
-        assert_eq!(m0, 0b1011);
-        assert_eq!(m1, 0b0110);
     }
 
     #[test]

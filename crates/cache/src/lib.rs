@@ -55,9 +55,7 @@ pub mod tlb;
 pub mod write_buffer;
 
 pub use array::reference::RefCacheArray;
-pub use array::{
-    line_member_mask, CacheArray, CacheGeometry, Evicted, GeometryError, Line, LineRef,
-};
+pub use array::{CacheArray, CacheGeometry, Evicted, GeometryError, Line, LineRef};
 pub use classify::{MissClass, ThreeCClassifier, ThreeCCounts};
 pub use fault::{
     resolve, FaultEffect, FaultEvent, FaultInjector, FaultRates, Protection, ProtectionMap,

@@ -17,12 +17,10 @@
 //! "when has the entry matching this line drained?" and charges stall
 //! cycles accordingly.
 
-use std::collections::VecDeque;
-
 use gaas_trace::PhysAddr;
 
 /// One queued write with its precomputed drain-completion time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WbEntry {
     /// The written word (write-through) or the victim line base
     /// (write-back).
@@ -50,8 +48,11 @@ pub struct WbEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    depth: usize,
-    entries: VecDeque<WbEntry>,
+    /// A fixed ring of `depth` slots; the live queue is the `len` slots
+    /// from `head` on, oldest first, wrapping at the end.
+    slots: Box<[WbEntry]>,
+    head: usize,
+    len: usize,
     /// Completion time of the most recently enqueued entry (streaming
     /// overlap reference), persisting after the queue empties.
     last_completion: u64,
@@ -70,35 +71,41 @@ impl WriteBuffer {
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "write buffer needs at least one slot");
         WriteBuffer {
-            depth,
-            entries: VecDeque::with_capacity(depth),
+            slots: vec![WbEntry::default(); depth].into_boxed_slice(),
+            head: 0,
+            len: 0,
             last_completion: 0,
             enqueued: 0,
             peak: 0,
         }
     }
 
-    /// Buffer capacity in entries.
-    pub fn depth(&self) -> usize {
-        self.depth
+    /// Ring index of the `j`-th live entry (0 = oldest).
+    #[inline]
+    fn slot(&self, j: usize) -> usize {
+        let (s, n) = (self.head + j, self.slots.len());
+        if s >= n {
+            s - n
+        } else {
+            s
+        }
     }
 
     /// Retires entries whose drain completed by `now`.
     #[inline]
     pub fn advance(&mut self, now: u64) {
-        while let Some(front) = self.entries.front() {
-            if front.completes_at <= now {
-                self.entries.pop_front();
-            } else {
-                break;
-            }
+        // Completion times strictly increase in enqueue order, so the
+        // drained entries are always a prefix of the queue.
+        while self.len > 0 && self.slots[self.head].completes_at <= now {
+            self.head = self.slot(1);
+            self.len -= 1;
         }
     }
 
     /// Entries still queued at `now` (after retirement).
     pub fn occupancy(&mut self, now: u64) -> usize {
         self.advance(now);
-        self.entries.len()
+        self.len
     }
 
     /// Cycle by which a slot is free, i.e. the earliest time an enqueue can
@@ -106,10 +113,11 @@ impl WriteBuffer {
     #[inline]
     pub fn slot_free_at(&mut self, now: u64) -> u64 {
         self.advance(now);
-        if self.entries.len() < self.depth {
+        if self.len < self.slots.len() {
             now
         } else {
-            self.entries[self.entries.len() - self.depth].completes_at
+            // Full: the oldest entry frees the slot.
+            self.slots[self.head].completes_at
         }
     }
 
@@ -117,7 +125,8 @@ impl WriteBuffer {
     #[inline]
     pub fn empty_at(&mut self, now: u64) -> u64 {
         self.advance(now);
-        self.entries.back().map_or(now, |e| e.completes_at.max(now))
+        let youngest = self.entries().next_back();
+        youngest.map_or(now, |e| e.completes_at.max(now))
     }
 
     /// Enqueues a write at `enq_time` with a drain occupancy given by
@@ -146,16 +155,18 @@ impl WriteBuffer {
     ) -> u64 {
         self.advance(enq_time);
         debug_assert!(
-            self.entries.len() < self.depth,
+            self.len < self.slots.len(),
             "enqueue into full write buffer"
         );
         let isolated = enq_time + access_time as u64;
         let streamed = self.last_completion + stream_occupancy as u64;
         let completes_at = isolated.max(streamed) + extra_penalty as u64;
-        self.entries.push_back(WbEntry { addr, completes_at });
+        let tail = self.slot(self.len);
+        self.slots[tail] = WbEntry { addr, completes_at };
+        self.len += 1;
         self.last_completion = completes_at;
         self.enqueued += 1;
-        self.peak = self.peak.max(self.entries.len());
+        self.peak = self.peak.max(self.len);
         completes_at
     }
 
@@ -168,8 +179,7 @@ impl WriteBuffer {
         self.advance(now);
         let lo = line_base.word();
         let hi = lo + line_words as u64;
-        self.entries
-            .iter()
+        self.entries()
             .rev()
             .find(|e| (lo..hi).contains(&e.addr.word()))
             .map(|e| e.completes_at)
@@ -203,8 +213,8 @@ impl WriteBuffer {
     /// *without* retiring drained entries first. Because retirement is
     /// lazy, the live queue is always a suffix of the enqueue history —
     /// the invariant the differential oracle checks.
-    pub fn entries(&self) -> impl Iterator<Item = &WbEntry> {
-        self.entries.iter()
+    pub fn entries(&self) -> impl DoubleEndedIterator<Item = &WbEntry> {
+        (0..self.len).map(|j| &self.slots[self.slot(j)])
     }
 
     /// Removes and returns the most recently enqueued entry, if any.
@@ -214,7 +224,8 @@ impl WriteBuffer {
     /// oracle notices); the architecture itself never loses buffer
     /// entries.
     pub fn drop_youngest(&mut self) -> Option<WbEntry> {
-        self.entries.pop_back()
+        self.len = self.len.checked_sub(1)?;
+        Some(self.slots[self.slot(self.len)])
     }
 }
 

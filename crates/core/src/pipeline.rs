@@ -165,6 +165,118 @@ impl L2Costs {
     }
 }
 
+// ---- the write-buffer rules ----
+//
+// `Core` wraps these with its telemetry, recorder and fault hooks; the
+// profile co-pricer calls them per lane on recorded outcomes.
+
+/// The configuration knobs the write-buffer rules read: the §9
+/// concurrency switches and the L1-D line the associative bypass probes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WbRules {
+    concurrent_i_refill: bool,
+    bypass: WbBypass,
+    d_line_words: u32,
+}
+
+impl WbRules {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        WbRules {
+            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
+            bypass: cfg.concurrency.d_read_bypass,
+            d_line_words: cfg.l1d.line_words,
+        }
+    }
+}
+
+/// The base instruction-miss rule: the refill waits for the write buffer
+/// to empty, which keeps the unified L2 consistent. The §9 concurrent
+/// refill (split L2 only) drops the wait. Returns the wait, charged to
+/// the write buffer.
+#[inline]
+pub(crate) fn i_miss_wb_wait(
+    wb: &mut WriteBuffer,
+    counters: &mut Counters,
+    rules: WbRules,
+    start: u64,
+) -> u64 {
+    if rules.concurrent_i_refill {
+        return 0;
+    }
+    let wait = wb.empty_at(start) - start;
+    counters.wb_wait_cycles += wait;
+    wait
+}
+
+/// The wait an L1-D miss takes for the write buffer before its L2 fetch,
+/// per the §9 bypass scheme: drain everything (`Wait`), drain only when
+/// the replaced line was written (`DirtyBit`), or drain up to the
+/// youngest entry in the fetched line (`Associative`). Returns the wait,
+/// charged to the write buffer.
+#[inline]
+pub(crate) fn d_miss_wb_wait(
+    wb: &mut WriteBuffer,
+    counters: &mut Counters,
+    rules: WbRules,
+    start: u64,
+    line_base: PhysAddr,
+    replaced_written: bool,
+) -> u64 {
+    let until = match rules.bypass {
+        WbBypass::Wait => wb.empty_at(start),
+        WbBypass::DirtyBit if replaced_written => wb.empty_at(start),
+        WbBypass::DirtyBit => start,
+        WbBypass::Associative => wb
+            .match_line(start, line_base, rules.d_line_words)
+            .map_or(start, |t| t.max(start)),
+    };
+    let wait = until - start;
+    counters.wb_wait_cycles += wait;
+    wait
+}
+
+/// One write entering the write buffer (see [`enqueue_drain`]): the
+/// cycles the writer stalled for a free slot, and the span
+/// `busy_from..completes` its drain occupies L2.
+pub(crate) struct Enqueued {
+    pub(crate) stall: u64,
+    pub(crate) busy_from: u64,
+    pub(crate) completes: u64,
+}
+
+/// Enqueues a write at `start`, stalling for a slot if the buffer is
+/// full. `extra` is the drain's L2 write-miss penalty. The stall is
+/// charged to the write buffer and the drain's L2 occupancy to
+/// `l2_drain_busy_cycles`.
+#[inline]
+pub(crate) fn enqueue_drain(
+    wb: &mut WriteBuffer,
+    counters: &mut Counters,
+    costs: &L2Costs,
+    start: u64,
+    addr: PhysAddr,
+    extra: u32,
+) -> Enqueued {
+    let enq_time = wb.slot_free_at(start);
+    let stall = enq_time - start;
+    counters.wb_wait_cycles += stall;
+    counters.l2_drain_writes += 1;
+    let busy_from = enq_time.max(wb.last_completion());
+    let completes = wb.enqueue(
+        enq_time,
+        addr,
+        costs.drain_access,
+        costs.drain_stream,
+        extra,
+    );
+    counters.l2_drain_busy_cycles += completes - busy_from;
+    Enqueued {
+        stall,
+        busy_from,
+        completes,
+    }
+}
+
 enum L2Arrays {
     Unified(CacheArray),
     Split { i: CacheArray, d: CacheArray },
@@ -182,10 +294,8 @@ pub struct Uncore {
     mapper: PageMapper,
 
     tlb_penalty: u64,
-    concurrent_i_refill: bool,
-    d_read_bypass: WbBypass,
-    d_line_words: u32,
     split_l2: bool,
+    wb_rules: WbRules,
     /// The L2 hit and drain costs the timing knobs derive.
     costs: L2Costs,
     /// Functional-clock L2-hit costs at the reference access time (see
@@ -219,10 +329,8 @@ impl Uncore {
             mem_i: MemorySystem::new(cfg.memory, false),
             mapper: PageMapper::new(cfg.page_colors),
             tlb_penalty: cfg.tlb_miss_penalty as u64,
-            concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
-            d_read_bypass: cfg.concurrency.d_read_bypass,
-            d_line_words: cfg.l1d.line_words,
             split_l2: cfg.l2.is_split(),
+            wb_rules: WbRules::new(cfg),
             costs: L2Costs::new(cfg),
             ref_i_hit_cost: l2_hit_cost(ref_access, cfg.l1i.line_words),
             ref_d_hit_cost: l2_hit_cost(ref_access, cfg.l1d.line_words),
@@ -619,8 +727,7 @@ impl Core {
         svc.stall_cycles
     }
 
-    /// Write-buffer wait (in cycles, attributed) that an L1-D miss must
-    /// take before its L2 fetch, per the configured bypass scheme.
+    /// [`d_miss_wb_wait`] with its telemetry note.
     fn wb_wait_for_d_miss(
         &mut self,
         ux: &mut Uncore,
@@ -628,59 +735,47 @@ impl Core {
         line_base: PhysAddr,
         replaced_written: bool,
     ) -> u64 {
-        let until = match ux.d_read_bypass {
-            WbBypass::Wait => self.wb.empty_at(start),
-            WbBypass::DirtyBit => {
-                if replaced_written {
-                    self.wb.empty_at(start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb
-                .match_line(start, line_base, ux.d_line_words)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters.wb_wait_cycles += wait;
+        let wait = d_miss_wb_wait(
+            &mut self.wb,
+            &mut self.counters,
+            ux.wb_rules,
+            start,
+            line_base,
+            replaced_written,
+        );
         if ux.ins.telem_on && wait > 0 {
             ux.ins.telem_wb_wait(start, wait);
         }
         wait
     }
 
-    /// Enqueues a write into the write buffer at `start`, stalling for a
-    /// slot if the buffer is full. Returns the stall (attributed to WB).
+    /// Enqueues a write into the write buffer at `start` ([`enqueue_drain`]
+    /// with the drain's L2 side played out first). Returns the stall
+    /// (attributed to WB).
     fn enqueue_write(&mut self, ux: &mut Uncore, start: u64, addr: PhysAddr) -> u64 {
         if let Some(r) = ux.ins.rec.as_deref_mut() {
             r.push_addr(addr.word());
         }
-        let free_at = self.wb.slot_free_at(start);
-        let stall = free_at - start;
-        self.counters.wb_wait_cycles += stall;
-        let enq_time = free_at;
         // The drain's cost depends on whether it hits in L2-D.
         let extra = self.drain_l2_penalty(ux, addr);
-        let busy_from = enq_time.max(self.wb.last_completion());
-        let completes = self.wb.enqueue(
-            enq_time,
+        let e = enqueue_drain(
+            &mut self.wb,
+            &mut self.counters,
+            &ux.costs,
+            start,
             addr,
-            ux.costs.drain_access,
-            ux.costs.drain_stream,
             extra,
         );
-        self.counters.l2_drain_busy_cycles += completes - busy_from;
         if ux.ins.telem_on {
-            ux.ins.telem_wb_enqueue(start, stall, busy_from, completes);
+            ux.ins
+                .telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
         }
-        stall + self.fault_on_wb_write(ux)
+        e.stall + self.fault_on_wb_write(ux)
     }
 
     /// Models the L2 side of one drained write; returns the extra drain
     /// occupancy when the write misses L2 (write-allocate from memory).
     fn drain_l2_penalty(&mut self, ux: &mut Uncore, addr: PhysAddr) -> u32 {
-        self.counters.l2_drain_writes += 1;
         if ux.l2_touch_d(addr).is_some() {
             ux.l2_dirty_d(addr);
             if let Some(r) = ux.ins.rec.as_deref_mut() {
@@ -953,18 +1048,9 @@ impl Core {
         } else {
             self.counters.l1i_misses += 1;
             missed = true;
-            let mut t = self.now + cycles;
-            // Base rule: instruction misses wait for the write buffer to
-            // empty (keeps the unified L2 consistent). The §9 concurrent
-            // refill drops this when L2 is split.
-            if !ux.concurrent_i_refill {
-                let empty = self.wb.empty_at(t);
-                let wait = empty - t;
-                self.counters.wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i_miss(ux, t, paddr);
+            let start = self.now + cycles;
+            let wait = i_miss_wb_wait(&mut self.wb, &mut self.counters, ux.wb_rules, start);
+            cycles += wait + self.service_i_miss(ux, start + wait, paddr);
         }
         self.now += cycles;
         if !HOOKS {

@@ -21,13 +21,14 @@
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
 //!    any timing points of the same geometry, re-running the simulator's
 //!    cycle rules (write-buffer occupancy, dirty buffer, drain streaming)
-//!    against fresh timing state. It takes the L2 costs and the split of
-//!    refill cycles between CPI components from the code the simulator's
-//!    core uses. Each result is byte-identical to a full simulation of
-//!    that configuration; [`price_profile`] is the one-variant call.
+//!    against fresh timing state. It takes the L2 costs, the split of
+//!    refill cycles between CPI components and the write-buffer rules
+//!    from the code the simulator's core uses. Each result is
+//!    byte-identical to a full simulation of that configuration;
+//!    [`price_profile`] is the one-variant call.
 //!
 //! The split is sound because the simulator's scheduler runs on a
-//! *functional clock* (see `Simulator::fnow`) that advances only on
+//! *functional clock* (see `Core::fnow`) that advances only on
 //! functional outcomes: every timing variant of one geometry executes the
 //! identical instruction interleaving.
 //!
@@ -39,12 +40,10 @@
 //! stream advances N variant *lanes* in lockstep. Each instruction record
 //! is decoded once into locals (stall, TLB bits, outcomes, drain codes,
 //! side-channel addresses) and then applied to every lane; per-lane timing
-//! state is laid out structure-of-arrays (`now`, counters, write-buffer
-//! occupancy planes) so the inner loop is branch-light, and the
-//! write-buffer line probe compares a whole lane window with one
-//! XOR/mask/compare per word ([`gaas_cache::line_member_mask`]). A lane's
-//! result does not depend on the other lanes: pricing N variants together
-//! gives what N one-lane passes give.
+//! state is laid out structure-of-arrays (`now`, counters, one
+//! [`gaas_cache::WriteBuffer`] per lane). A lane's result does not depend
+//! on the other lanes: pricing N variants together gives what N one-lane
+//! passes give.
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -59,15 +58,15 @@
 //! build, so the memoizer can never silently group configurations that
 //! differ functionally.
 
-use gaas_cache::{line_member_mask, MainMemory, MemorySystem, WritePolicy};
+use gaas_cache::{MainMemory, MemorySystem, WriteBuffer, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
 use gaas_trace::{PhysAddr, Pid};
 
 use crate::config::{
-    ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WbBypass, WriteBufferConfig,
+    ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WriteBufferConfig,
 };
 use crate::cpi::{Counters, ProcCounters};
-use crate::pipeline::L2Costs;
+use crate::pipeline::{d_miss_wb_wait, enqueue_drain, i_miss_wb_wait, L2Costs, WbRules};
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -755,13 +754,9 @@ impl PendingRun {
 /// Lane-parallel replay state for [`price_profiles`]: the timing state of
 /// one [`Core`](crate::Core) and its [`Uncore`](crate::Uncore) per lane,
 /// structure-of-arrays, minus everything the profile already decided
-/// (arrays, TLBs, clocks other than `now`). The write buffers of all
-/// lanes live in two packed planes (`wb_addr`, `wb_done`) of `wb_stride`
-/// slots per lane — lane `l`'s FIFO ring is `plane[l * stride ..][slot]`
-/// — so the §9 associative-bypass line probe scans one lane window with
-/// [`line_member_mask`] (one XOR/mask/compare per word, no per-slot
-/// branching). Buffer *depth* is a timing knob, so lanes may use fewer
-/// slots than the stride (`stride = max(depth)` across the group).
+/// (arrays, TLBs, clocks other than `now`). Each lane holds its own
+/// [`WriteBuffer`] (buffer depth is a timing knob) and drives it with the
+/// core's write-buffer rules.
 struct CoPricer {
     n: usize,
     now: Vec<u64>,
@@ -769,35 +764,19 @@ struct CoPricer {
     warm_snapshot: Vec<Counters>,
     per_proc: Vec<Vec<ProcCounters>>,
     cur_pid: usize,
-    // Write-buffer planes + per-lane ring bookkeeping. Completion times
-    // are strictly increasing in enqueue order and lane time never goes
-    // backwards, so retirement pops a ring prefix (head/len), exactly
-    // like `gaas_cache::WriteBuffer`'s lazy `advance`.
-    wb_stride: usize,
-    wb_addr: Vec<u64>,
-    wb_done: Vec<u64>,
-    wb_head: Vec<usize>,
-    wb_len: Vec<usize>,
-    wb_last: Vec<u64>,
-    wb_depth: Vec<usize>,
+    wb: Vec<WriteBuffer>,
     mem_d: Vec<MemorySystem>,
     mem_i: Vec<MemorySystem>,
     // Per-lane timing constants.
     costs: Vec<L2Costs>,
     tlb_penalty: Vec<u64>,
-    bypass: Vec<WbBypass>,
-    concurrent_i_refill: Vec<bool>,
     split_l2: Vec<bool>,
-    /// `l1d.line_words - 1`; the line length is functional, hence
-    /// identical across lanes, and recorded line bases are line-aligned —
-    /// the two facts [`line_member_mask`] relies on.
-    d_line_mask: u64,
+    wb_rules: Vec<WbRules>,
 }
 
 impl CoPricer {
     fn new(cfgs: &[SimConfig]) -> Self {
         let n = cfgs.len();
-        let stride = cfgs.iter().map(|c| c.write_buffer.depth).max().unwrap_or(1);
         CoPricer {
             n,
             now: vec![0; n],
@@ -805,13 +784,10 @@ impl CoPricer {
             warm_snapshot: Vec::new(),
             per_proc: vec![Vec::new(); n],
             cur_pid: 0,
-            wb_stride: stride,
-            wb_addr: vec![0; n * stride],
-            wb_done: vec![0; n * stride],
-            wb_head: vec![0; n],
-            wb_len: vec![0; n],
-            wb_last: vec![0; n],
-            wb_depth: cfgs.iter().map(|c| c.write_buffer.depth).collect(),
+            wb: cfgs
+                .iter()
+                .map(|c| WriteBuffer::new(c.write_buffer.depth))
+                .collect(),
             mem_d: cfgs
                 .iter()
                 .map(|c| MemorySystem::new(c.memory, c.concurrency.l2d_dirty_buffer))
@@ -822,13 +798,8 @@ impl CoPricer {
                 .collect(),
             costs: cfgs.iter().map(L2Costs::new).collect(),
             tlb_penalty: cfgs.iter().map(|c| c.tlb_miss_penalty as u64).collect(),
-            bypass: cfgs.iter().map(|c| c.concurrency.d_read_bypass).collect(),
-            concurrent_i_refill: cfgs
-                .iter()
-                .map(|c| c.concurrency.concurrent_i_refill)
-                .collect(),
             split_l2: cfgs.iter().map(|c| c.l2.is_split()).collect(),
-            d_line_mask: u64::from(cfgs[0].l1d.line_words) - 1,
+            wb_rules: cfgs.iter().map(WbRules::new).collect(),
         }
     }
 
@@ -876,108 +847,6 @@ impl CoPricer {
         *pend = PendingRun::default();
     }
 
-    // -- write buffer (gaas_cache::WriteBuffer's rules over the planes) --
-
-    #[inline]
-    fn wb_advance(&mut self, l: usize, now: u64) {
-        let base = l * self.wb_stride;
-        let depth = self.wb_depth[l];
-        let mut head = self.wb_head[l];
-        let mut len = self.wb_len[l];
-        while len > 0 && self.wb_done[base + head] <= now {
-            head += 1;
-            if head == depth {
-                head = 0;
-            }
-            len -= 1;
-        }
-        self.wb_head[l] = head;
-        self.wb_len[l] = len;
-    }
-
-    #[inline]
-    fn wb_slot_free_at(&mut self, l: usize, now: u64) -> u64 {
-        self.wb_advance(l, now);
-        if self.wb_len[l] < self.wb_depth[l] {
-            now
-        } else {
-            // Full: the oldest live entry frees the slot.
-            self.wb_done[l * self.wb_stride + self.wb_head[l]]
-        }
-    }
-
-    #[inline]
-    fn wb_empty_at(&mut self, l: usize, now: u64) -> u64 {
-        self.wb_advance(l, now);
-        if self.wb_len[l] == 0 {
-            now
-        } else {
-            // The youngest live entry is the last enqueued one.
-            self.wb_last[l].max(now)
-        }
-    }
-
-    #[inline]
-    fn wb_enqueue(&mut self, l: usize, enq_time: u64, addr: PhysAddr, extra: u32) -> u64 {
-        self.wb_advance(l, enq_time);
-        debug_assert!(self.wb_len[l] < self.wb_depth[l], "enqueue into full wb");
-        let isolated = enq_time + self.costs[l].drain_access as u64;
-        let streamed = self.wb_last[l] + self.costs[l].drain_stream as u64;
-        let completes = isolated.max(streamed) + extra as u64;
-        let depth = self.wb_depth[l];
-        let mut slot = self.wb_head[l] + self.wb_len[l];
-        if slot >= depth {
-            slot -= depth;
-        }
-        let at = l * self.wb_stride + slot;
-        self.wb_addr[at] = addr.word();
-        self.wb_done[at] = completes;
-        self.wb_len[l] += 1;
-        self.wb_last[l] = completes;
-        completes
-    }
-
-    /// Completion time of the youngest live entry whose address falls in
-    /// the L1-D line at `line_base` — the §9 associative-bypass probe.
-    fn wb_match_line(&mut self, l: usize, now: u64, line_base: PhysAddr) -> Option<u64> {
-        self.wb_advance(l, now);
-        let base = l * self.wb_stride;
-        let depth = self.wb_depth[l];
-        let head = self.wb_head[l];
-        let len = self.wb_len[l];
-        if depth <= 64 {
-            let mask = line_member_mask(
-                &self.wb_addr[base..base + depth],
-                line_base.word(),
-                self.d_line_mask,
-            );
-            for j in (0..len).rev() {
-                let mut slot = head + j;
-                if slot >= depth {
-                    slot -= depth;
-                }
-                if mask >> slot & 1 == 1 {
-                    return Some(self.wb_done[base + slot]);
-                }
-            }
-        } else {
-            // Degenerate deep buffers overflow the 64-bit probe mask;
-            // fall back to scalar compares, youngest first.
-            let keep = !self.d_line_mask;
-            let want = line_base.word();
-            for j in (0..len).rev() {
-                let mut slot = head + j;
-                if slot >= depth {
-                    slot -= depth;
-                }
-                if self.wb_addr[base + slot] & keep == want {
-                    return Some(self.wb_done[base + slot]);
-                }
-            }
-        }
-        None
-    }
-
     // -- per-lane replay arithmetic (the `Core` step rules, outcomes given) --
 
     fn proc_entry(&mut self, l: usize) -> &mut ProcCounters {
@@ -1011,15 +880,14 @@ impl CoPricer {
         let missed = outcome != 0;
         if missed {
             self.counters[l].l1i_misses += 1;
-            let mut t = self.now[l] + cycles;
-            if !self.concurrent_i_refill[l] {
-                let empty = self.wb_empty_at(l, t);
-                let wait = empty - t;
-                self.counters[l].wb_wait_cycles += wait;
-                cycles += wait;
-                t = empty;
-            }
-            cycles += self.service_i(l, t, outcome);
+            let start = self.now[l] + cycles;
+            let wait = i_miss_wb_wait(
+                &mut self.wb[l],
+                &mut self.counters[l],
+                self.wb_rules[l],
+                start,
+            );
+            cycles += wait + self.service_i(l, start + wait, outcome);
         }
         self.now[l] += cycles;
         let l2_missed = outcome >= 2;
@@ -1071,39 +939,32 @@ impl CoPricer {
         line_base: PhysAddr,
         replaced: bool,
     ) -> u64 {
-        let until = match self.bypass[l] {
-            WbBypass::Wait => self.wb_empty_at(l, start),
-            WbBypass::DirtyBit => {
-                if replaced {
-                    self.wb_empty_at(l, start)
-                } else {
-                    start
-                }
-            }
-            WbBypass::Associative => self
-                .wb_match_line(l, start, line_base)
-                .map_or(start, |t| t.max(start)),
-        };
-        let wait = until - start;
-        self.counters[l].wb_wait_cycles += wait;
-        wait
+        d_miss_wb_wait(
+            &mut self.wb[l],
+            &mut self.counters[l],
+            self.wb_rules[l],
+            start,
+            line_base,
+            replaced,
+        )
     }
 
     fn apply_enqueue(&mut self, l: usize, start: u64, addr: PhysAddr, code: u8) -> u64 {
-        let free_at = self.wb_slot_free_at(l, start);
-        let stall = free_at - start;
-        self.counters[l].wb_wait_cycles += stall;
-        self.counters[l].l2_drain_writes += 1;
         let extra = if code == 0 {
             0
         } else {
             self.counters[l].l2_drain_misses += 1;
             self.mem_d[l].service_miss_raw(code == 2).stall_cycles as u32
         };
-        let busy_from = free_at.max(self.wb_last[l]);
-        let completes = self.wb_enqueue(l, free_at, addr, extra);
-        self.counters[l].l2_drain_busy_cycles += completes - busy_from;
-        stall
+        enqueue_drain(
+            &mut self.wb[l],
+            &mut self.counters[l],
+            &self.costs[l],
+            start,
+            addr,
+            extra,
+        )
+        .stall
     }
 
     fn apply_load(
@@ -1248,7 +1109,7 @@ impl CoPricer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DiffCheckConfig, FaultConfig};
+    use crate::config::{DiffCheckConfig, FaultConfig, WbBypass};
     use crate::sim::Simulator;
     use crate::workload;
     use gaas_cache::fault::FaultRates;
@@ -1518,7 +1379,7 @@ mod tests {
     #[test]
     fn co_pricing_matches_across_concurrency_modes() {
         // The §9 switches change which write-buffer probe each lane runs
-        // (wait / dirty-bit / associative SWAR probe) — all three in one
+        // (wait / dirty-bit / associative line probe) — all three in one
         // lockstep group, against the optimized split-L2 geometry.
         let opt = SimConfig::optimized();
         let (_, profile) = profile_for(&opt);
@@ -1544,6 +1405,11 @@ mod tests {
                 co_res,
                 &price_profile(cfg, &profile).expect("priced"),
                 &format!("concurrency lane {k}"),
+            );
+            assert_identical(
+                co_res,
+                &direct(cfg),
+                &format!("concurrency lane {k} vs direct"),
             );
         }
     }

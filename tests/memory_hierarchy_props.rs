@@ -5,6 +5,8 @@
 //! vendored deterministic PRNG ([`gaas_trace::rng::SmallRng`]), so every
 //! failure reproduces exactly from the fixed seed baked into the test.
 
+use std::collections::VecDeque;
+
 use gaas_cache::{CacheArray, CacheGeometry, PageMapper, Tlb, WriteBuffer};
 use gaas_trace::rng::SmallRng;
 use gaas_trace::{PhysAddr, Pid, VirtAddr};
@@ -113,28 +115,68 @@ fn cache_occupancy_never_exceeds_capacity() {
 
 #[test]
 fn write_buffer_completions_are_fifo_and_monotone() {
+    // The ring buffer against a `VecDeque` model with the same lazy
+    // retirement, at depths on both sides of 64 and across ring
+    // wrap-around.
     let mut rng = SmallRng::seed_from_u64(0xB2);
     for _ in 0..CASES {
-        let n = rng.gen_range(1usize..64);
-        let writes: Vec<(u64, u32)> = (0..n)
-            .map(|_| (rng.gen_range(0u64..1000), rng.gen_range(2u32..12)))
-            .collect();
-        let mut wb = WriteBuffer::new(8);
+        let depth = rng.gen_range(1usize..81);
+        let mut wb = WriteBuffer::new(depth);
+        let mut model: VecDeque<(u64, u64)> = VecDeque::new();
+        let retire = |model: &mut VecDeque<(u64, u64)>, now: u64| {
+            while model.front().is_some_and(|&(_, done)| done <= now) {
+                model.pop_front();
+            }
+        };
         let mut now = 0u64;
         let mut last_completion = 0u64;
-        for (gap, access) in writes {
-            now += gap;
-            let enq = wb.slot_free_at(now).max(now);
-            let done = wb.enqueue(
-                enq,
-                PhysAddr::new(now),
-                access,
-                access.saturating_sub(2).max(1),
-                0,
-            );
-            assert!(done >= enq, "completion precedes enqueue");
-            assert!(done >= last_completion, "FIFO order violated");
-            last_completion = done;
+        for _ in 0..rng.gen_range(1usize..400) {
+            now += rng.gen_range(0u64..8);
+            match rng.gen_range(0u32..10) {
+                0..=5 => {
+                    let enq = wb.slot_free_at(now);
+                    retire(&mut model, now);
+                    let want = if model.len() < depth { now } else { model[0].1 };
+                    assert_eq!(enq, want, "slot_free_at");
+                    retire(&mut model, enq);
+                    let access = rng.gen_range(2u32..12);
+                    let stream = access.saturating_sub(2).max(1);
+                    let addr = rng.gen_range(0u64..64);
+                    let done = wb.enqueue(enq, PhysAddr::new(addr), access, stream, 0);
+                    let want = (enq + u64::from(access)).max(last_completion + u64::from(stream));
+                    assert_eq!(done, want, "drain completion");
+                    assert!(done >= enq, "completion precedes enqueue");
+                    assert!(done >= last_completion, "FIFO order violated");
+                    model.push_back((addr, done));
+                    last_completion = done;
+                }
+                6 => {
+                    retire(&mut model, now);
+                    let want = model.back().map_or(now, |&(_, done)| done.max(now));
+                    assert_eq!(wb.empty_at(now), want, "empty_at");
+                }
+                7 | 8 => {
+                    let line_words = 1u32 << rng.gen_range(0u32..4);
+                    let base = rng.gen_range(0u64..64) & !u64::from(line_words - 1);
+                    retire(&mut model, now);
+                    let want = model
+                        .iter()
+                        .rev()
+                        .find(|&&(a, _)| (base..base + u64::from(line_words)).contains(&a))
+                        .map(|&(_, done)| done);
+                    let got = wb.match_line(now, PhysAddr::new(base), line_words);
+                    assert_eq!(got, want, "match_line finds the youngest match");
+                }
+                _ => {
+                    let got = wb.drop_youngest().map(|e| (e.addr.word(), e.completes_at));
+                    assert_eq!(got, model.pop_back(), "drop_youngest");
+                }
+            }
+            let live: Vec<(u64, u64)> = wb
+                .entries()
+                .map(|e| (e.addr.word(), e.completes_at))
+                .collect();
+            assert!(live.iter().eq(model.iter()), "entries() order");
         }
         // Eventually drains completely.
         assert!(wb.is_empty(last_completion));
