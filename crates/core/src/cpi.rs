@@ -12,7 +12,7 @@
 //! invariant `total cycles = instructions + Σ components` is maintained by
 //! construction and checked in tests.
 
-use gaas_cache::MissService;
+use gaas_trace::Pid;
 
 /// Raw event and cycle counters accumulated by a simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,31 +115,6 @@ impl Counters {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Counters::default()
-    }
-
-    /// Charges an L1 refill that missed L2 (instruction side when
-    /// `instruction_side`): the service cycles up to the L2-hit cost
-    /// `hit_cost` go to the L1 miss component, the excess to the L2 miss
-    /// component, and the dirty-buffer wait to its own. An exotic
-    /// configuration can make the memory penalty smaller than the hit
-    /// cost; the clamp keeps the components summing to the charged stall.
-    #[inline]
-    pub(crate) fn charge_l2_miss_refill(
-        &mut self,
-        instruction_side: bool,
-        svc: MissService,
-        hit_cost: u64,
-    ) {
-        let service = svc.stall_cycles - svc.dirty_buffer_wait;
-        let l1_share = service.min(hit_cost);
-        if instruction_side {
-            self.l1i_miss_cycles += l1_share;
-            self.l2i_miss_cycles += service - l1_share;
-        } else {
-            self.l1d_miss_cycles += l1_share;
-            self.l2d_miss_cycles += service - l1_share;
-        }
-        self.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
     }
 
     /// Field-wise difference `self − earlier`: the counters accumulated
@@ -385,6 +360,27 @@ pub struct ProcCounters {
     pub l1d_misses: u64,
     /// L2 misses taken (both sides, demand only).
     pub l2_misses: u64,
+}
+
+/// The rows of `rows` for the PIDs that ran, keyed by PID: a result's
+/// `per_process`.
+pub(crate) fn ran_rows(rows: &[ProcCounters]) -> Vec<(Pid, ProcCounters)> {
+    rows.iter()
+        .enumerate()
+        .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
+        .map(|(i, p)| (Pid::new(i as u8), *p))
+        .collect()
+}
+
+/// The row of `rows` for `pid`, growing `rows` to reach it (per-process
+/// rows grow lazily, as PIDs first run).
+#[inline]
+pub(crate) fn proc_row(rows: &mut Vec<ProcCounters>, pid: u8) -> &mut ProcCounters {
+    let idx = usize::from(pid);
+    if rows.len() <= idx {
+        rows.resize(idx + 1, ProcCounters::default());
+    }
+    &mut rows[idx]
 }
 
 impl ProcCounters {

@@ -53,7 +53,7 @@ use gaas_cache::{
 use gaas_trace::{AccessKind, PhysAddr, Pid, TraceEvent, VirtAddr, PAGE_SHIFT};
 
 use crate::config::{ConfigError, L2Config, SeededBug, SimConfig, WbBypass};
-use crate::cpi::{Counters, ProcCounters};
+use crate::cpi::{proc_row, Counters, ProcCounters};
 use crate::oracle::{Deltas, SimStructures};
 use crate::sched::Instruction;
 use crate::sim::{Instruments, REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
@@ -135,107 +135,242 @@ fn l2_hit_cost(access_cycles: u32, line_words: u32) -> u64 {
     u64::from(access_cycles + line_words.div_ceil(4) - 1)
 }
 
-/// The L2 cycle costs a configuration's timing knobs derive — the one
-/// derivation the simulator's [`Uncore`] and the profile pricer share.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct L2Costs {
-    /// L1-I refill cost on an L2 hit.
-    pub(crate) i_hit: u64,
-    /// L1-D refill cost on an L2 hit.
-    pub(crate) d_hit: u64,
-    /// L2 write access occupancy of one write-buffer drain.
-    pub(crate) drain_access: u32,
-    /// Occupancy of a drain streamed behind the previous one.
-    pub(crate) drain_stream: u32,
+/// Functional-clock cost of an L1 refill whose L2 lookup had `outcome`
+/// (see [`Core`]'s `fnow`): the reference L2 hit cost `ref_hit`, or a
+/// memory miss at the reference penalties.
+fn ref_refill_cost(ref_hit: u64, outcome: u8) -> u64 {
+    match outcome {
+        1 => ref_hit,
+        2 => REF_MEM_CLEAN,
+        _ => REF_MEM_DIRTY,
+    }
 }
 
-impl L2Costs {
+/// What each outcome costs under one configuration's timing knobs: the
+/// TLB walk, the L1 refills from L2 or memory, and the write-buffer rules.
+/// Its methods are the only code that prices an outcome. [`Core`] calls
+/// them on the outcomes its arrays decide (through the [`Uncore`] that
+/// holds the shared memory systems), each profile co-pricer lane on the
+/// outcomes a functional pass recorded.
+///
+/// L2 outcome codes are the profile's: 1 = hit, 2 = miss with a clean
+/// victim, 3 = miss with a dirty victim. Drain codes are one less: 0 = L2
+/// hit, 1/2 = miss with a clean/dirty victim.
+pub(crate) struct Timing {
+    /// Memory behind L2-D (or the unified L2); carries the dirty buffer.
+    mem_d: MemorySystem,
+    /// Memory behind a split L2-I (no dirty buffer).
+    mem_i: MemorySystem,
+    split_l2: bool,
+    tlb_penalty: u64,
+    /// L1-I and L1-D refill costs on an L2 hit.
+    i_hit: u64,
+    d_hit: u64,
+    /// L2 write access occupancy of one write-buffer drain, and of a
+    /// drain streamed behind the previous one.
+    drain_access: u32,
+    drain_stream: u32,
+    /// The §9 concurrency switches and the L1-D line the associative
+    /// bypass probes.
+    concurrent_i_refill: bool,
+    bypass: WbBypass,
+    d_line_words: u32,
+}
+
+impl Timing {
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         // Drains write at the data side's access time (or the Fig. 5
         // override); streams overlap the 2-cycle latency.
         let drain_access = cfg
             .l2_drain_access_override
             .unwrap_or(cfg.l2.d_side().access_cycles);
-        L2Costs {
+        Timing {
+            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
+            mem_i: MemorySystem::new(cfg.memory, false),
+            split_l2: cfg.l2.is_split(),
+            tlb_penalty: cfg.tlb_miss_penalty as u64,
             i_hit: l2_hit_cost(cfg.l2.i_side().access_cycles, cfg.l1i.line_words),
             d_hit: l2_hit_cost(cfg.l2.d_side().access_cycles, cfg.l1d.line_words),
             drain_access,
             drain_stream: drain_access.saturating_sub(2).max(1),
-        }
-    }
-}
-
-// ---- the write-buffer rules ----
-//
-// `Core` wraps these with its telemetry, recorder and fault hooks; the
-// profile co-pricer calls them per lane on recorded outcomes.
-
-/// The configuration knobs the write-buffer rules read: the §9
-/// concurrency switches and the L1-D line the associative bypass probes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WbRules {
-    concurrent_i_refill: bool,
-    bypass: WbBypass,
-    d_line_words: u32,
-}
-
-impl WbRules {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
-        WbRules {
             concurrent_i_refill: cfg.concurrency.concurrent_i_refill,
             bypass: cfg.concurrency.d_read_bypass,
             d_line_words: cfg.l1d.line_words,
         }
     }
-}
 
-/// The base instruction-miss rule: the refill waits for the write buffer
-/// to empty, which keeps the unified L2 consistent. The §9 concurrent
-/// refill (split L2 only) drops the wait. Returns the wait, charged to
-/// the write buffer.
-#[inline]
-pub(crate) fn i_miss_wb_wait(
-    wb: &mut WriteBuffer,
-    counters: &mut Counters,
-    rules: WbRules,
-    start: u64,
-) -> u64 {
-    if rules.concurrent_i_refill {
-        return 0;
+    /// Cycles one TLB miss walk takes.
+    pub(crate) fn tlb_penalty(&self) -> u64 {
+        self.tlb_penalty
     }
-    let wait = wb.empty_at(start) - start;
-    counters.wb_wait_cycles += wait;
-    wait
+
+    /// Demand and drain misses the memory systems have serviced.
+    pub(crate) fn memory_misses(&self) -> u64 {
+        self.mem_d.total_misses() + self.mem_i.total_misses()
+    }
+
+    /// The memory system behind the instruction or data side.
+    fn mem(&mut self, i_side: bool) -> &mut MemorySystem {
+        if i_side && self.split_l2 {
+            &mut self.mem_i
+        } else {
+            &mut self.mem_d
+        }
+    }
+
+    /// Charges a TLB miss walk (`i_side` selects the TLB); returns its
+    /// cycles, attributed to the TLB component.
+    #[inline]
+    pub(crate) fn tlb_walk(&self, c: &mut Counters, i_side: bool) -> u64 {
+        if i_side {
+            c.itlb_misses += 1;
+        } else {
+            c.dtlb_misses += 1;
+        }
+        c.tlb_miss_cycles += self.tlb_penalty;
+        self.tlb_penalty
+    }
+
+    /// Charges an L1-I refill that starts at `start` and finds `outcome`
+    /// in L2; returns its stall.
+    pub(crate) fn i_refill(&mut self, c: &mut Counters, start: u64, outcome: u8) -> u64 {
+        self.refill(c, true, start, outcome)
+    }
+
+    /// Charges an L1-D refill (read or write-allocate) that starts at
+    /// `start` and finds `outcome` in L2; returns its stall.
+    pub(crate) fn d_refill(&mut self, c: &mut Counters, start: u64, outcome: u8) -> u64 {
+        self.refill(c, false, start, outcome)
+    }
+
+    /// An L2 hit costs the side's hit cost, charged to the L1 miss
+    /// component. Of a memory miss's service time, the first hit-cost
+    /// cycles go to the L1 miss component, the excess to the L2 miss
+    /// component, and the dirty-buffer wait to its own. An exotic
+    /// configuration can make the memory penalty smaller than the hit
+    /// cost; the clamp keeps the components summing to the charged stall.
+    fn refill(&mut self, c: &mut Counters, i_side: bool, start: u64, outcome: u8) -> u64 {
+        let (hit_cost, accesses, misses, l1_cycles, l2_cycles) = if i_side {
+            (
+                self.i_hit,
+                &mut c.l2i_accesses,
+                &mut c.l2i_misses,
+                &mut c.l1i_miss_cycles,
+                &mut c.l2i_miss_cycles,
+            )
+        } else {
+            (
+                self.d_hit,
+                &mut c.l2d_accesses,
+                &mut c.l2d_misses,
+                &mut c.l1d_miss_cycles,
+                &mut c.l2d_miss_cycles,
+            )
+        };
+        *accesses += 1;
+        if outcome == 1 {
+            *l1_cycles += hit_cost;
+            return hit_cost;
+        }
+        *misses += 1;
+        let svc = self.mem(i_side).service_miss(start, outcome == 3);
+        let service = svc.stall_cycles - svc.dirty_buffer_wait;
+        let l1_share = service.min(hit_cost);
+        *l1_cycles += l1_share;
+        *l2_cycles += service - l1_share;
+        c.dirty_buffer_wait_cycles += svc.dirty_buffer_wait;
+        svc.stall_cycles
+    }
+
+    /// Cycles a soft-error refetch takes from L2 (`outcome` 1, at the hit
+    /// cost) or from memory at the raw penalties, which leave the dirty
+    /// buffer to demand misses.
+    pub(crate) fn refetch(&mut self, i_side: bool, outcome: u8) -> u64 {
+        match (outcome, i_side) {
+            (1, true) => self.i_hit,
+            (1, false) => self.d_hit,
+            _ => self.mem(i_side).service_miss_raw(outcome == 3).stall_cycles,
+        }
+    }
+
+    /// The base instruction-miss rule: the refill waits for the write
+    /// buffer to empty, which keeps the unified L2 consistent. The §9
+    /// concurrent refill (split L2 only) drops the wait. Returns the wait,
+    /// charged to the write buffer.
+    #[inline]
+    pub(crate) fn i_miss_wait(&self, wb: &mut WriteBuffer, c: &mut Counters, start: u64) -> u64 {
+        if self.concurrent_i_refill {
+            return 0;
+        }
+        let wait = wb.empty_at(start) - start;
+        c.wb_wait_cycles += wait;
+        wait
+    }
+
+    /// The wait an L1-D miss takes for the write buffer before its L2
+    /// fetch, per the §9 bypass scheme: drain everything (`Wait`), drain
+    /// only when the replaced line was written (`DirtyBit`), or drain up
+    /// to the youngest entry in the fetched line (`Associative`). Returns
+    /// the wait, charged to the write buffer.
+    #[inline]
+    pub(crate) fn d_miss_wait(
+        &self,
+        wb: &mut WriteBuffer,
+        c: &mut Counters,
+        start: u64,
+        line_base: PhysAddr,
+        replaced_written: bool,
+    ) -> u64 {
+        let until = match self.bypass {
+            WbBypass::Wait => wb.empty_at(start),
+            WbBypass::DirtyBit if replaced_written => wb.empty_at(start),
+            WbBypass::DirtyBit => start,
+            WbBypass::Associative => wb
+                .match_line(start, line_base, self.d_line_words)
+                .map_or(start, |t| t.max(start)),
+        };
+        let wait = until - start;
+        c.wb_wait_cycles += wait;
+        wait
+    }
+
+    /// Enqueues a write of `addr` at `start` whose drain had L2-D outcome
+    /// `drain`, stalling for a slot if the buffer is full. A drain miss
+    /// stalls the buffer, not the CPU, and does not compete for the dirty
+    /// buffer: its raw memory penalty folds into the entry's occupancy.
+    /// The stall is charged to the write buffer and the drain's L2
+    /// occupancy to `l2_drain_busy_cycles`.
+    #[inline]
+    pub(crate) fn enqueue(
+        &mut self,
+        wb: &mut WriteBuffer,
+        c: &mut Counters,
+        start: u64,
+        addr: PhysAddr,
+        drain: u8,
+    ) -> Enqueued {
+        let extra = if drain == 0 {
+            0
+        } else {
+            c.l2_drain_misses += 1;
+            self.mem_d.service_miss_raw(drain == 2).stall_cycles as u32
+        };
+        let enq_time = wb.slot_free_at(start);
+        let stall = enq_time - start;
+        c.wb_wait_cycles += stall;
+        c.l2_drain_writes += 1;
+        let busy_from = enq_time.max(wb.last_completion());
+        let completes = wb.enqueue(enq_time, addr, self.drain_access, self.drain_stream, extra);
+        c.l2_drain_busy_cycles += completes - busy_from;
+        Enqueued {
+            stall,
+            busy_from,
+            completes,
+        }
+    }
 }
 
-/// The wait an L1-D miss takes for the write buffer before its L2 fetch,
-/// per the §9 bypass scheme: drain everything (`Wait`), drain only when
-/// the replaced line was written (`DirtyBit`), or drain up to the
-/// youngest entry in the fetched line (`Associative`). Returns the wait,
-/// charged to the write buffer.
-#[inline]
-pub(crate) fn d_miss_wb_wait(
-    wb: &mut WriteBuffer,
-    counters: &mut Counters,
-    rules: WbRules,
-    start: u64,
-    line_base: PhysAddr,
-    replaced_written: bool,
-) -> u64 {
-    let until = match rules.bypass {
-        WbBypass::Wait => wb.empty_at(start),
-        WbBypass::DirtyBit if replaced_written => wb.empty_at(start),
-        WbBypass::DirtyBit => start,
-        WbBypass::Associative => wb
-            .match_line(start, line_base, rules.d_line_words)
-            .map_or(start, |t| t.max(start)),
-    };
-    let wait = until - start;
-    counters.wb_wait_cycles += wait;
-    wait
-}
-
-/// One write entering the write buffer (see [`enqueue_drain`]): the
+/// One write entering the write buffer (see [`Timing::enqueue`]): the
 /// cycles the writer stalled for a free slot, and the span
 /// `busy_from..completes` its drain occupies L2.
 pub(crate) struct Enqueued {
@@ -244,60 +379,18 @@ pub(crate) struct Enqueued {
     pub(crate) completes: u64,
 }
 
-/// Enqueues a write at `start`, stalling for a slot if the buffer is
-/// full. `extra` is the drain's L2 write-miss penalty. The stall is
-/// charged to the write buffer and the drain's L2 occupancy to
-/// `l2_drain_busy_cycles`.
-#[inline]
-pub(crate) fn enqueue_drain(
-    wb: &mut WriteBuffer,
-    counters: &mut Counters,
-    costs: &L2Costs,
-    start: u64,
-    addr: PhysAddr,
-    extra: u32,
-) -> Enqueued {
-    let enq_time = wb.slot_free_at(start);
-    let stall = enq_time - start;
-    counters.wb_wait_cycles += stall;
-    counters.l2_drain_writes += 1;
-    let busy_from = enq_time.max(wb.last_completion());
-    let completes = wb.enqueue(
-        enq_time,
-        addr,
-        costs.drain_access,
-        costs.drain_stream,
-        extra,
-    );
-    counters.l2_drain_busy_cycles += completes - busy_from;
-    Enqueued {
-        stall,
-        busy_from,
-        completes,
-    }
-}
-
 enum L2Arrays {
     Unified(CacheArray),
     Split { i: CacheArray, d: CacheArray },
 }
 
-/// The structures every core shares: the L2 arrays, the main-memory
-/// systems, the page mapper, and the cycle costs derived from the
-/// configuration.
+/// The structures every core shares: the L2 arrays, the page mapper, and
+/// the timing rules that price outcomes against the shared main-memory
+/// systems.
 pub struct Uncore {
     l2: L2Arrays,
-    /// Memory behind L2-D (or the unified L2); carries the dirty buffer.
-    pub(crate) mem_d: MemorySystem,
-    /// Memory behind a split L2-I (no dirty buffer).
-    pub(crate) mem_i: MemorySystem,
     mapper: PageMapper,
-
-    tlb_penalty: u64,
-    split_l2: bool,
-    wb_rules: WbRules,
-    /// The L2 hit and drain costs the timing knobs derive.
-    costs: L2Costs,
+    pub(crate) timing: Timing,
     /// Functional-clock L2-hit costs at the reference access time (see
     /// [`Core`]'s `fnow`), independent of the configured access times.
     ref_i_hit_cost: u64,
@@ -325,50 +418,27 @@ impl Uncore {
         let ref_access = REF_L2_ACCESS as u32;
         Ok(Uncore {
             l2,
-            mem_d: MemorySystem::new(cfg.memory, cfg.concurrency.l2d_dirty_buffer),
-            mem_i: MemorySystem::new(cfg.memory, false),
             mapper: PageMapper::new(cfg.page_colors),
-            tlb_penalty: cfg.tlb_miss_penalty as u64,
-            split_l2: cfg.l2.is_split(),
-            wb_rules: WbRules::new(cfg),
-            costs: L2Costs::new(cfg),
+            timing: Timing::new(cfg),
             ref_i_hit_cost: l2_hit_cost(ref_access, cfg.l1i.line_words),
             ref_d_hit_cost: l2_hit_cost(ref_access, cfg.l1d.line_words),
             ins: Instruments::default(),
         })
     }
 
-    /// Touches the instruction side of L2; on a hit returns whether the
-    /// line was dirty.
-    fn l2_touch_i(&mut self, addr: PhysAddr) -> Option<bool> {
+    /// Looks `addr` up in the instruction side of L2, filling it on a
+    /// miss; returns the L2 outcome code (see [`Timing`]) and, on a hit,
+    /// whether the line was dirty.
+    fn l2_lookup_i(&mut self, addr: PhysAddr) -> (u8, bool) {
         match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => a.touch(addr).map(|l| l.dirty()),
+            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => l2_lookup(a, addr),
         }
     }
 
-    /// Touches the data side of L2; on a hit returns whether the line was
-    /// dirty.
-    fn l2_touch_d(&mut self, addr: PhysAddr) -> Option<bool> {
+    /// [`Uncore::l2_lookup_i`] for the data side.
+    fn l2_lookup_d(&mut self, addr: PhysAddr) -> (u8, bool) {
         match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => a.touch(addr).map(|l| l.dirty()),
-        }
-    }
-
-    /// Fills the instruction side of L2; returns whether the victim was
-    /// dirty.
-    fn l2_fill_i(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
-        }
-    }
-
-    fn l2_fill_d(&mut self, addr: PhysAddr) -> bool {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => {
-                a.fill(addr).is_some_and(|e| e.dirty)
-            }
+            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => l2_lookup(a, addr),
         }
     }
 
@@ -382,33 +452,37 @@ impl Uncore {
         }
     }
 
-    /// The memory system behind the instruction side.
-    fn mem_for_i(&mut self) -> &mut MemorySystem {
-        if self.split_l2 {
-            &mut self.mem_i
-        } else {
-            &mut self.mem_d
+    /// Plays out the L2-D side of one drained write (write-allocate on a
+    /// miss, then mark the line dirty); returns its drain code (see
+    /// [`Timing`]), which the recorder notes.
+    fn l2_drain(&mut self, addr: PhysAddr) -> u8 {
+        let code = self.l2_lookup_d(addr).0 - 1;
+        self.l2_dirty_d(addr);
+        if let Some(r) = self.ins.rec.as_deref_mut() {
+            r.push_drain(code);
         }
+        code
     }
 
-    /// Real refill cycles for refetching a clean L1-I line: L2-I hit cost,
+    /// Real refill cycles for refetching a clean L1 line: the L2 hit cost,
     /// or a main-memory fetch filling L2. Demand miss-ratio counters stay
     /// untouched — recovery traffic is reported via the fault counters.
-    fn refetch_from_l2_i(&mut self, paddr: PhysAddr) -> u64 {
-        if self.l2_touch_i(paddr).is_some() {
-            return self.costs.i_hit;
-        }
-        let dirty_victim = self.l2_fill_i(paddr);
-        self.mem_for_i().service_miss_raw(dirty_victim).stall_cycles
+    fn refetch_from_l2(&mut self, i_side: bool, paddr: PhysAddr) -> u64 {
+        let (outcome, _) = if i_side {
+            self.l2_lookup_i(paddr)
+        } else {
+            self.l2_lookup_d(paddr)
+        };
+        self.timing.refetch(i_side, outcome)
     }
+}
 
-    /// Real refill cycles for refetching a clean L1-D line from L2/memory.
-    fn refetch_from_l2_d(&mut self, paddr: PhysAddr) -> u64 {
-        if self.l2_touch_d(paddr).is_some() {
-            return self.costs.d_hit;
-        }
-        let dirty_victim = self.l2_fill_d(paddr);
-        self.mem_d.service_miss_raw(dirty_victim).stall_cycles
+/// Touches `addr` in `a`, filling it on a miss (see
+/// [`Uncore::l2_lookup_i`]).
+fn l2_lookup(a: &mut CacheArray, addr: PhysAddr) -> (u8, bool) {
+    match a.touch(addr).map(|l| l.dirty()) {
+        Some(dirty) => (1, dirty),
+        None => (2 + u8::from(a.fill(addr).is_some_and(|e| e.dirty)), false),
     }
 }
 
@@ -529,15 +603,6 @@ impl Core {
         }
     }
 
-    #[inline]
-    fn proc_entry(&mut self, pid: gaas_trace::Pid) -> &mut ProcCounters {
-        let idx = pid.raw() as usize;
-        if self.per_proc.len() <= idx {
-            self.per_proc.resize(idx + 1, ProcCounters::default());
-        }
-        &mut self.per_proc[idx]
-    }
-
     /// `addr`'s translation when the translation cache holds it (the
     /// probe [`Core::translate`] makes, without the mapper fallback).
     #[inline(always)]
@@ -635,18 +700,11 @@ impl Core {
         ux.ins.diff = Some(ds);
     }
 
-    /// Charges a TLB miss walk (`i_side` selects the TLB); returns its
-    /// cycles, attributed to the TLB component.
+    /// [`Timing::tlb_walk`] with its telemetry note.
     #[cold]
     #[inline(never)]
     fn tlb_walk(&mut self, ux: &mut Uncore, i_side: bool) -> u64 {
-        if i_side {
-            self.counters.itlb_misses += 1;
-        } else {
-            self.counters.dtlb_misses += 1;
-        }
-        let p = ux.tlb_penalty;
-        self.counters.tlb_miss_cycles += p;
+        let p = ux.timing.tlb_walk(&mut self.counters, i_side);
         if ux.ins.telem_on {
             ux.ins.telem_tlb_walk(i_side, self.now, p);
         }
@@ -658,87 +716,43 @@ impl Core {
     #[cold]
     #[inline(never)]
     fn service_i_miss(&mut self, ux: &mut Uncore, start: u64, paddr: PhysAddr) -> u64 {
-        self.counters.l2i_accesses += 1;
-        let hit_cost = ux.costs.i_hit;
-        if let Some(dirty) = ux.l2_touch_i(paddr) {
-            self.counters.l1i_miss_cycles += hit_cost;
-            self.fnow += ux.ref_i_hit_cost;
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.set_i_outcome(1);
-            }
-            if ux.ins.telem_on {
-                ux.ins.telem_l2_lookup_i(start, hit_cost);
-            }
-            self.l1i.fill(paddr);
-            return hit_cost + self.fault_on_l2_hit(ux, dirty, true);
-        }
-        self.counters.l2i_misses += 1;
-        let dirty_victim = ux.l2_fill_i(paddr);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
-        } else {
-            REF_MEM_CLEAN
-        };
+        let (outcome, dirty) = ux.l2_lookup_i(paddr);
+        self.fnow += ref_refill_cost(ux.ref_i_hit_cost, outcome);
         if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.set_i_outcome(if dirty_victim { 3 } else { 2 });
+            r.set_i_outcome(outcome);
         }
-        let svc = ux.mem_for_i().service_miss(start, dirty_victim);
+        let stall = ux.timing.i_refill(&mut self.counters, start, outcome);
         if ux.ins.telem_on {
-            ux.ins.telem_mem_refill_i(start, svc.stall_cycles);
+            if outcome == 1 {
+                ux.ins.telem_l2_lookup_i(start, stall);
+            } else {
+                ux.ins.telem_mem_refill_i(start, stall);
+            }
         }
-        self.counters.charge_l2_miss_refill(true, svc, hit_cost);
         self.l1i.fill(paddr);
-        svc.stall_cycles
-    }
-
-    /// Services a data-side L1 miss (read or write-allocate) starting at
-    /// `start`; returns total stall cycles.
-    #[cold]
-    #[inline(never)]
-    fn service_d_miss(&mut self, ux: &mut Uncore, start: u64, line_base: PhysAddr) -> u64 {
-        self.counters.l2d_accesses += 1;
-        let hit_cost = ux.costs.d_hit;
-        if let Some(dirty) = ux.l2_touch_d(line_base) {
-            self.counters.l1d_miss_cycles += hit_cost;
-            self.fnow += ux.ref_d_hit_cost;
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.set_d_outcome(1);
-            }
-            if ux.ins.telem_on {
-                ux.ins.telem_l2_lookup_d(start, hit_cost);
-            }
-            return hit_cost + self.fault_on_l2_hit(ux, dirty, false);
-        }
-        self.counters.l2d_misses += 1;
-        let dirty_victim = ux.l2_fill_d(line_base);
-        self.fnow += if dirty_victim {
-            REF_MEM_DIRTY
+        if outcome == 1 {
+            stall + self.fault_on_l2_hit(ux, dirty, true)
         } else {
-            REF_MEM_CLEAN
-        };
-        if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.set_d_outcome(if dirty_victim { 3 } else { 2 });
+            stall
         }
-        let svc = ux.mem_d.service_miss(start, dirty_victim);
-        if ux.ins.telem_on {
-            ux.ins.telem_mem_refill_d(start, svc.stall_cycles);
-        }
-        self.counters.charge_l2_miss_refill(false, svc, hit_cost);
-        svc.stall_cycles
     }
 
-    /// [`d_miss_wb_wait`] with its telemetry note.
-    fn wb_wait_for_d_miss(
+    /// Fetches the L1-D line `line_base` for a read miss or a
+    /// write-allocate, starting at `start`: the fetch waits on previously
+    /// pending writes per the bypass rule, while the `victim` it displaces
+    /// drains in the background during the refill (that is what the
+    /// buffer is for). Returns total stall cycles.
+    fn fetch_d_line(
         &mut self,
         ux: &mut Uncore,
         start: u64,
         line_base: PhysAddr,
         replaced_written: bool,
+        victim: Option<PhysAddr>,
     ) -> u64 {
-        let wait = d_miss_wb_wait(
+        let wait = ux.timing.d_miss_wait(
             &mut self.wb,
             &mut self.counters,
-            ux.wb_rules,
             start,
             line_base,
             replaced_written,
@@ -746,53 +760,54 @@ impl Core {
         if ux.ins.telem_on && wait > 0 {
             ux.ins.telem_wb_wait(start, wait);
         }
-        wait
+        let mut t = start + wait;
+        if let Some(victim) = victim {
+            t += self.enqueue_write(ux, t, victim);
+        }
+        t - start + self.service_d_miss(ux, t, line_base)
     }
 
-    /// Enqueues a write into the write buffer at `start` ([`enqueue_drain`]
+    /// Services a data-side L1 miss (read or write-allocate) starting at
+    /// `start`; returns total stall cycles.
+    #[cold]
+    #[inline(never)]
+    fn service_d_miss(&mut self, ux: &mut Uncore, start: u64, line_base: PhysAddr) -> u64 {
+        let (outcome, dirty) = ux.l2_lookup_d(line_base);
+        self.fnow += ref_refill_cost(ux.ref_d_hit_cost, outcome);
+        if let Some(r) = ux.ins.rec.as_deref_mut() {
+            r.set_d_outcome(outcome);
+        }
+        let stall = ux.timing.d_refill(&mut self.counters, start, outcome);
+        if ux.ins.telem_on {
+            if outcome == 1 {
+                ux.ins.telem_l2_lookup_d(start, stall);
+            } else {
+                ux.ins.telem_mem_refill_d(start, stall);
+            }
+        }
+        if outcome == 1 {
+            stall + self.fault_on_l2_hit(ux, dirty, false)
+        } else {
+            stall
+        }
+    }
+
+    /// Enqueues a write into the write buffer at `start` ([`Timing::enqueue`]
     /// with the drain's L2 side played out first). Returns the stall
     /// (attributed to WB).
     fn enqueue_write(&mut self, ux: &mut Uncore, start: u64, addr: PhysAddr) -> u64 {
         if let Some(r) = ux.ins.rec.as_deref_mut() {
             r.push_addr(addr.word());
         }
-        // The drain's cost depends on whether it hits in L2-D.
-        let extra = self.drain_l2_penalty(ux, addr);
-        let e = enqueue_drain(
-            &mut self.wb,
-            &mut self.counters,
-            &ux.costs,
-            start,
-            addr,
-            extra,
-        );
+        let drain = ux.l2_drain(addr);
+        let e = ux
+            .timing
+            .enqueue(&mut self.wb, &mut self.counters, start, addr, drain);
         if ux.ins.telem_on {
             ux.ins
                 .telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
         }
         e.stall + self.fault_on_wb_write(ux)
-    }
-
-    /// Models the L2 side of one drained write; returns the extra drain
-    /// occupancy when the write misses L2 (write-allocate from memory).
-    fn drain_l2_penalty(&mut self, ux: &mut Uncore, addr: PhysAddr) -> u32 {
-        if ux.l2_touch_d(addr).is_some() {
-            ux.l2_dirty_d(addr);
-            if let Some(r) = ux.ins.rec.as_deref_mut() {
-                r.push_drain(0);
-            }
-            return 0;
-        }
-        self.counters.l2_drain_misses += 1;
-        let dirty_victim = ux.l2_fill_d(addr);
-        ux.l2_dirty_d(addr);
-        if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.push_drain(if dirty_victim { 2 } else { 1 });
-        }
-        // The drain stalls the buffer, not the CPU, and does not compete
-        // for the dirty buffer: fold the raw penalty into the entry's
-        // occupancy.
-        ux.mem_d.service_miss_raw(dirty_victim).stall_cycles as u32
     }
 
     // ---- soft-error fault hooks ----
@@ -881,7 +896,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            ux.tlb_penalty
+            ux.timing.tlb_penalty()
         } else {
             0
         };
@@ -898,7 +913,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            ux.refetch_from_l2_i(paddr)
+            ux.refetch_from_l2(true, paddr)
         } else {
             0
         };
@@ -920,7 +935,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            ux.refetch_from_l2_d(paddr)
+            ux.refetch_from_l2(false, paddr)
         } else {
             0
         };
@@ -938,12 +953,7 @@ impl Core {
             return 0;
         };
         let cost = if effect == FaultEffect::Refetch {
-            let mem = if i_side {
-                ux.mem_for_i()
-            } else {
-                &mut ux.mem_d
-            };
-            mem.service_miss_raw(false).stall_cycles
+            ux.timing.refetch(i_side, 2)
         } else {
             0
         };
@@ -1009,7 +1019,7 @@ impl Core {
             self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
             self.fnow += cycles;
             self.now += cycles;
-            let p = self.proc_entry(ev.addr.pid());
+            let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
             p.instructions += 1;
             p.cycles += cycles;
             return;
@@ -1049,7 +1059,9 @@ impl Core {
             self.counters.l1i_misses += 1;
             missed = true;
             let start = self.now + cycles;
-            let wait = i_miss_wb_wait(&mut self.wb, &mut self.counters, ux.wb_rules, start);
+            let wait = ux
+                .timing
+                .i_miss_wait(&mut self.wb, &mut self.counters, start);
             cycles += wait + self.service_i_miss(ux, start + wait, paddr);
         }
         self.now += cycles;
@@ -1066,7 +1078,7 @@ impl Core {
         }
 
         let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let p = self.proc_entry(ev.addr.pid());
+        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
         p.instructions += 1;
         p.cycles += cycles;
         if missed {
@@ -1111,7 +1123,7 @@ impl Core {
                 ux.ins.recorder().begin_load(false);
             }
             self.counters.loads += 1;
-            let p = self.proc_entry(ev.addr.pid());
+            let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
             p.loads += 1;
             return;
         }
@@ -1167,19 +1179,13 @@ impl Core {
             }
             let t0 = self.now + cycles;
             cycles += coh.load_fill(self, ux, t0, line_base, ev.addr.pid());
-            let mut t = self.now + cycles;
-            // Wait on *previously pending* writes per the bypass rule; the
-            // victim this very miss displaces drains in the background
-            // while the refill proceeds (that is what the buffer is for).
-            let wait = self.wb_wait_for_d_miss(ux, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(ux, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(ux, t, line_base);
+            cycles += self.fetch_d_line(
+                ux,
+                self.now + cycles,
+                line_base,
+                outcome.replaced_written_line,
+                outcome.writeback_victim,
+            );
         }
         self.now += cycles;
         if HOOKS {
@@ -1190,7 +1196,7 @@ impl Core {
 
         let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
         let hit = outcome.hit;
-        let p = self.proc_entry(ev.addr.pid());
+        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
         p.loads += 1;
         p.cycles += cycles;
         if !hit {
@@ -1259,33 +1265,21 @@ impl Core {
         }
         let t0 = self.now + cycles;
         cycles += coh.store(self, ux, t0, line, ev.addr.pid(), prior);
-        let mut t = self.now + cycles;
 
         // Write-through: the word enters the write buffer.
         if let Some(word) = outcome.wb_word {
-            let stall = self.enqueue_write(ux, t, word);
-            cycles += stall;
-            t += stall;
+            cycles += self.enqueue_write(ux, self.now + cycles, word);
         }
-        // Write-back allocate: the fetch behaves like a read miss — it
-        // waits on previously pending writes, while the victim this miss
-        // displaces drains in the background during the refill.
+        // Write-back allocate: the fetch behaves like a read miss.
+        let t = self.now + cycles;
         if let Some(line_base) = outcome.fetch {
             if REC {
                 ux.ins.recorder().push_addr(line_base.word());
             }
-            let wait = self.wb_wait_for_d_miss(ux, t, line_base, outcome.replaced_written_line);
-            cycles += wait;
-            t += wait;
-            if let Some(victim) = outcome.writeback_victim {
-                let stall = self.enqueue_write(ux, t, victim);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d_miss(ux, t, line_base);
+            let replaced = outcome.replaced_written_line;
+            cycles += self.fetch_d_line(ux, t, line_base, replaced, outcome.writeback_victim);
         } else if let Some(victim) = outcome.writeback_victim {
-            let stall = self.enqueue_write(ux, t, victim);
-            cycles += stall;
+            cycles += self.enqueue_write(ux, t, victim);
         }
         self.now += cycles;
         if HOOKS {
@@ -1296,7 +1290,7 @@ impl Core {
 
         let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
         let hit = outcome.hit;
-        let p = self.proc_entry(ev.addr.pid());
+        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
         p.stores += 1;
         p.cycles += cycles;
         if !hit {

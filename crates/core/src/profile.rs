@@ -19,13 +19,12 @@
 //!    pass steps the bare kernel, memos and span drain included: a memo
 //!    skip is a TLB plus L1 hit, and the memo paths record its token.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
-//!    any timing points of the same geometry, re-running the simulator's
-//!    cycle rules (write-buffer occupancy, dirty buffer, drain streaming)
-//!    against fresh timing state. It takes the L2 costs, the split of
-//!    refill cycles between CPI components and the write-buffer rules
-//!    from the code the simulator's core uses. Each result is
-//!    byte-identical to a full simulation of that configuration;
-//!    [`price_profile`] is the one-variant call.
+//!    any timing points of the same geometry against fresh timing state.
+//!    Every outcome's cost (TLB walk, L2 or memory refill, write-buffer
+//!    wait, drain) comes from the same `pipeline::Timing` methods the
+//!    simulator's core calls. Each result is byte-identical to a full
+//!    simulation of that configuration; [`price_profile`] is the
+//!    one-variant call.
 //!
 //! The split is sound because the simulator's scheduler runs on a
 //! *functional clock* (see `Core::fnow`) that advances only on
@@ -39,11 +38,13 @@
 //! N times. [`price_profiles`] collapses that: ONE pass over the token
 //! stream advances N variant *lanes* in lockstep. Each instruction record
 //! is decoded once into locals (stall, TLB bits, outcomes, drain codes,
-//! side-channel addresses) and then applied to every lane; per-lane timing
-//! state is laid out structure-of-arrays (`now`, counters, one
-//! [`gaas_cache::WriteBuffer`] per lane). A lane's result does not depend
-//! on the other lanes: pricing N variants together gives what N one-lane
-//! passes give.
+//! side-channel addresses) and then applied to every lane. A lane is the
+//! timing half of a core: its clock, counters, per-process rows, one
+//! [`gaas_cache::WriteBuffer`] and its configuration's `Timing`. A lane's
+//! result does not depend on the other lanes: pricing N variants together
+//! gives what N one-lane passes give. All the co-pricer computes itself
+//! is the closed-form cost of a run of all-hit records (see
+//! [`price_profiles`]).
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -58,15 +59,15 @@
 //! build, so the memoizer can never silently group configurations that
 //! differ functionally.
 
-use gaas_cache::{MainMemory, MemorySystem, WriteBuffer, WritePolicy};
+use gaas_cache::{MainMemory, WriteBuffer, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
-use gaas_trace::{PhysAddr, Pid};
+use gaas_trace::PhysAddr;
 
 use crate::config::{
     ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WriteBufferConfig,
 };
-use crate::cpi::{Counters, ProcCounters};
-use crate::pipeline::{d_miss_wb_wait, enqueue_drain, i_miss_wb_wait, L2Costs, WbRules};
+use crate::cpi::{proc_row, ran_rows, Counters, ProcCounters};
+use crate::pipeline::Timing;
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -535,8 +536,8 @@ pub fn price_profile(cfg: &SimConfig, profile: &FunctionalProfile) -> Result<Sim
 ///
 /// Where N separate replays would decode the same token stream N times,
 /// this engine decodes each instruction record once and applies it to N
-/// variant *lanes* advanced in lockstep; see the module docs for the
-/// lane layout. The address side channel streams through one shared
+/// variant *lanes* advanced in lockstep; see the module docs for what a
+/// lane holds. The address side channel streams through one shared
 /// block cursor, so every decoded batch is consumed by all lanes before
 /// the next block is touched.
 ///
@@ -566,7 +567,10 @@ pub fn price_profiles(
         return Ok(Vec::new());
     }
 
-    let mut p = CoPricer::new(cfgs);
+    let mut p = CoPricer {
+        lanes: cfgs.iter().map(Lane::new).collect(),
+        pid: 0,
+    };
     let mut addrs = U64StreamCursor::new(&profile.addr_blocks);
     let next_addr =
         |cur: &mut U64StreamCursor<'_>| PhysAddr::new(cur.next_value().expect("addrs underrun"));
@@ -591,7 +595,7 @@ pub fn price_profiles(
         i += 1;
         if b & CONTROL == CONTROL {
             p.flush(&mut pend);
-            p.switch_pid(ops[i]);
+            p.pid = ops[i];
             i += 1;
             continue;
         }
@@ -627,9 +631,9 @@ pub fn price_profiles(
                     let replaced = lb & LOAD_REPLACED != 0;
                     let dtlb = lb & LOAD_DTLB != 0;
                     p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
-                        p.apply_load(l, dtlb, outcome, replaced, line_base, victim);
+                    for lane in &mut p.lanes {
+                        lane.ifetch(p.pid, stall, itlb, i_outcome);
+                        lane.load(p.pid, dtlb, outcome, replaced, line_base, victim);
                     }
                 }
             }
@@ -668,9 +672,9 @@ pub fn price_profiles(
                         victim = Some((addr, code));
                     }
                     p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
-                        p.apply_store(l, sb, outcome, replaced, wb_word, line_base, victim);
+                    for lane in &mut p.lanes {
+                        lane.ifetch(p.pid, stall, itlb, i_outcome);
+                        lane.store(p.pid, sb, outcome, replaced, wb_word, line_base, victim);
                     }
                 }
             }
@@ -679,8 +683,8 @@ pub fn price_profiles(
                     pend.ifetch_hit(stall, itlb);
                 } else {
                     p.flush(&mut pend);
-                    for l in 0..p.n {
-                        p.apply_ifetch(l, stall, itlb, i_outcome);
+                    for lane in &mut p.lanes {
+                        lane.ifetch(p.pid, stall, itlb, i_outcome);
                     }
                 }
             }
@@ -688,14 +692,20 @@ pub fn price_profiles(
         if profile.warmup > 0 && !warm && instr_total == profile.warmup {
             p.flush(&mut pend);
             warm = true;
-            p.warm_snapshot = p.counters.clone();
+            for lane in &mut p.lanes {
+                lane.warm = lane.counters;
+            }
         }
     }
     p.flush(&mut pend);
     debug_assert_eq!(i, ops.len(), "ops stream fully consumed");
     debug_assert!(addrs.finished(), "addrs stream fully consumed");
 
-    Ok(p.into_results(cfgs, profile, warm))
+    Ok(p.lanes
+        .into_iter()
+        .zip(cfgs)
+        .map(|(lane, cfg)| lane.into_result(cfg, profile, warm))
+        .collect())
 }
 
 /// Accumulated all-hit records awaiting a lane flush (see
@@ -751,225 +761,106 @@ impl PendingRun {
     }
 }
 
-/// Lane-parallel replay state for [`price_profiles`]: the timing state of
-/// one [`Core`](crate::Core) and its [`Uncore`](crate::Uncore) per lane,
-/// structure-of-arrays, minus everything the profile already decided
-/// (arrays, TLBs, clocks other than `now`). Each lane holds its own
-/// [`WriteBuffer`] (buffer depth is a timing knob) and drives it with the
-/// core's write-buffer rules.
-struct CoPricer {
-    n: usize,
-    now: Vec<u64>,
-    counters: Vec<Counters>,
-    warm_snapshot: Vec<Counters>,
-    per_proc: Vec<Vec<ProcCounters>>,
-    cur_pid: usize,
-    wb: Vec<WriteBuffer>,
-    mem_d: Vec<MemorySystem>,
-    mem_i: Vec<MemorySystem>,
-    // Per-lane timing constants.
-    costs: Vec<L2Costs>,
-    tlb_penalty: Vec<u64>,
-    split_l2: Vec<bool>,
-    wb_rules: Vec<WbRules>,
+/// One timing variant's replay state for [`price_profiles`]: the timing
+/// half of a [`Core`](crate::Core) (its clock, counters, per-process rows
+/// and write buffer) plus the [`Timing`] its [`Uncore`](crate::Uncore)
+/// would hold. Everything the profile already decided (arrays, TLBs, the
+/// functional clock) is absent. Its steps are `Core`'s step rules with
+/// the outcomes given, and every cycle they charge comes from `Timing`.
+struct Lane {
+    now: u64,
+    counters: Counters,
+    /// The counters at the warm-up boundary.
+    warm: Counters,
+    per_proc: Vec<ProcCounters>,
+    wb: WriteBuffer,
+    timing: Timing,
 }
 
-impl CoPricer {
-    fn new(cfgs: &[SimConfig]) -> Self {
-        let n = cfgs.len();
-        CoPricer {
-            n,
-            now: vec![0; n],
-            counters: vec![Counters::new(); n],
-            warm_snapshot: Vec::new(),
-            per_proc: vec![Vec::new(); n],
-            cur_pid: 0,
-            wb: cfgs
-                .iter()
-                .map(|c| WriteBuffer::new(c.write_buffer.depth))
-                .collect(),
-            mem_d: cfgs
-                .iter()
-                .map(|c| MemorySystem::new(c.memory, c.concurrency.l2d_dirty_buffer))
-                .collect(),
-            mem_i: cfgs
-                .iter()
-                .map(|c| MemorySystem::new(c.memory, false))
-                .collect(),
-            costs: cfgs.iter().map(L2Costs::new).collect(),
-            tlb_penalty: cfgs.iter().map(|c| c.tlb_miss_penalty as u64).collect(),
-            split_l2: cfgs.iter().map(|c| c.l2.is_split()).collect(),
-            wb_rules: cfgs.iter().map(WbRules::new).collect(),
+impl Lane {
+    fn new(cfg: &SimConfig) -> Self {
+        Lane {
+            now: 0,
+            counters: Counters::new(),
+            warm: Counters::new(),
+            per_proc: Vec::new(),
+            wb: WriteBuffer::new(cfg.write_buffer.depth),
+            timing: Timing::new(cfg),
         }
     }
 
-    fn switch_pid(&mut self, pid: u8) {
-        self.cur_pid = pid as usize;
-        for pp in &mut self.per_proc {
-            if pp.len() <= self.cur_pid {
-                pp.resize(self.cur_pid + 1, ProcCounters::default());
-            }
-        }
+    /// Applies an accumulated all-hit run of `pid`. The run precedes any
+    /// pending miss (runs are flushed before the per-lane miss path), so
+    /// lane time, counters and the per-process row each advance by one
+    /// closed-form delta.
+    fn flush(&mut self, pid: u8, pend: &PendingRun) {
+        let tlb_cycles = (pend.itlb + pend.dtlb) * self.timing.tlb_penalty();
+        let cycles = pend.base_cycles + tlb_cycles;
+        let c = &mut self.counters;
+        c.instructions += pend.instructions;
+        c.loads += pend.loads;
+        c.stores += pend.stores;
+        c.cpu_stall_cycles += pend.cpu_stall;
+        c.itlb_misses += pend.itlb;
+        c.dtlb_misses += pend.dtlb;
+        c.tlb_miss_cycles += tlb_cycles;
+        c.l1_write_cycles += pend.extra_writes;
+        c.l1d_write_misses += pend.store_misses;
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
+        p.instructions += pend.instructions;
+        p.loads += pend.loads;
+        p.stores += pend.stores;
+        p.cycles += cycles;
+        p.l1d_misses += pend.store_misses;
     }
 
-    /// Applies an accumulated all-hit run to every lane and resets it.
-    /// The whole run belongs to `cur_pid` (runs are flushed on PID
-    /// switches) and precedes any pending miss (runs are flushed before
-    /// the per-lane miss path), so lane time, counters, and the
-    /// per-process entry each advance by one closed-form delta.
-    fn flush(&mut self, pend: &mut PendingRun) {
-        if pend.is_empty() {
-            return;
-        }
-        let tlb_events = pend.itlb + pend.dtlb;
-        for l in 0..self.n {
-            let cycles = pend.base_cycles + tlb_events * self.tlb_penalty[l];
-            {
-                let c = &mut self.counters[l];
-                c.instructions += pend.instructions;
-                c.loads += pend.loads;
-                c.stores += pend.stores;
-                c.cpu_stall_cycles += pend.cpu_stall;
-                c.itlb_misses += pend.itlb;
-                c.dtlb_misses += pend.dtlb;
-                c.tlb_miss_cycles += tlb_events * self.tlb_penalty[l];
-                c.l1_write_cycles += pend.extra_writes;
-                c.l1d_write_misses += pend.store_misses;
-            }
-            self.now[l] += cycles;
-            let pp = self.proc_entry(l);
-            pp.instructions += pend.instructions;
-            pp.loads += pend.loads;
-            pp.stores += pend.stores;
-            pp.cycles += cycles;
-            pp.l1d_misses += pend.store_misses;
-        }
-        *pend = PendingRun::default();
-    }
-
-    // -- per-lane replay arithmetic (the `Core` step rules, outcomes given) --
-
-    fn proc_entry(&mut self, l: usize) -> &mut ProcCounters {
-        let idx = self.cur_pid;
-        let pp = &mut self.per_proc[l];
-        if pp.len() <= idx {
-            pp.resize(idx + 1, ProcCounters::default());
-        }
-        &mut pp[idx]
-    }
-
-    #[inline]
-    fn charge_tlb_miss(&mut self, l: usize, instruction_side: bool, cycles: &mut u64) {
-        if instruction_side {
-            self.counters[l].itlb_misses += 1;
-        } else {
-            self.counters[l].dtlb_misses += 1;
-        }
-        let p = self.tlb_penalty[l];
-        self.counters[l].tlb_miss_cycles += p;
-        *cycles += p;
-    }
-
-    fn apply_ifetch(&mut self, l: usize, stall: u64, itlb: bool, outcome: u8) {
+    fn ifetch(&mut self, pid: u8, stall: u64, itlb: bool, outcome: u8) {
+        let c = &mut self.counters;
         let mut cycles = 1 + stall;
-        self.counters[l].instructions += 1;
-        self.counters[l].cpu_stall_cycles += stall;
+        c.instructions += 1;
+        c.cpu_stall_cycles += stall;
         if itlb {
-            self.charge_tlb_miss(l, true, &mut cycles);
+            cycles += self.timing.tlb_walk(c, true);
         }
-        let missed = outcome != 0;
-        if missed {
-            self.counters[l].l1i_misses += 1;
-            let start = self.now[l] + cycles;
-            let wait = i_miss_wb_wait(
-                &mut self.wb[l],
-                &mut self.counters[l],
-                self.wb_rules[l],
-                start,
-            );
-            cycles += wait + self.service_i(l, start + wait, outcome);
+        if outcome != 0 {
+            c.l1i_misses += 1;
+            let start = self.now + cycles;
+            let wait = self.timing.i_miss_wait(&mut self.wb, c, start);
+            cycles += wait + self.timing.i_refill(c, start + wait, outcome);
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
         p.instructions += 1;
         p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
+        p.l1i_misses += u64::from(outcome != 0);
+        p.l2_misses += u64::from(outcome >= 2);
     }
 
-    fn service_i(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
-        self.counters[l].l2i_accesses += 1;
-        let hit_cost = self.costs[l].i_hit;
-        if outcome == 1 {
-            self.counters[l].l1i_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters[l].l2i_misses += 1;
-        let svc = if self.split_l2[l] {
-            self.mem_i[l].service_miss(start, outcome == 3)
-        } else {
-            self.mem_d[l].service_miss(start, outcome == 3)
-        };
-        self.counters[l].charge_l2_miss_refill(true, svc, hit_cost);
-        svc.stall_cycles
-    }
-
-    fn service_d(&mut self, l: usize, start: u64, outcome: u8) -> u64 {
-        self.counters[l].l2d_accesses += 1;
-        let hit_cost = self.costs[l].d_hit;
-        if outcome == 1 {
-            self.counters[l].l1d_miss_cycles += hit_cost;
-            return hit_cost;
-        }
-        self.counters[l].l2d_misses += 1;
-        let svc = self.mem_d[l].service_miss(start, outcome == 3);
-        self.counters[l].charge_l2_miss_refill(false, svc, hit_cost);
-        svc.stall_cycles
-    }
-
-    fn wb_wait_for_d_miss(
+    /// `Core::fetch_d_line` on a recorded outcome: the bypass wait, the
+    /// victim's enqueue, then the refill. Returns the stall.
+    fn fetch_d_line(
         &mut self,
-        l: usize,
         start: u64,
         line_base: PhysAddr,
         replaced: bool,
+        victim: Option<(PhysAddr, u8)>,
+        outcome: u8,
     ) -> u64 {
-        d_miss_wb_wait(
-            &mut self.wb[l],
-            &mut self.counters[l],
-            self.wb_rules[l],
-            start,
-            line_base,
-            replaced,
-        )
+        let c = &mut self.counters;
+        let wait = self
+            .timing
+            .d_miss_wait(&mut self.wb, c, start, line_base, replaced);
+        let mut t = start + wait;
+        if let Some((addr, drain)) = victim {
+            t += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
+        }
+        t - start + self.timing.d_refill(c, t, outcome)
     }
 
-    fn apply_enqueue(&mut self, l: usize, start: u64, addr: PhysAddr, code: u8) -> u64 {
-        let extra = if code == 0 {
-            0
-        } else {
-            self.counters[l].l2_drain_misses += 1;
-            self.mem_d[l].service_miss_raw(code == 2).stall_cycles as u32
-        };
-        enqueue_drain(
-            &mut self.wb[l],
-            &mut self.counters[l],
-            &self.costs[l],
-            start,
-            addr,
-            extra,
-        )
-        .stall
-    }
-
-    fn apply_load(
+    fn load(
         &mut self,
-        l: usize,
+        pid: u8,
         dtlb: bool,
         outcome: u8,
         replaced: bool,
@@ -977,40 +868,26 @@ impl CoPricer {
         victim: Option<(PhysAddr, u8)>,
     ) {
         let mut cycles = 0u64;
-        self.counters[l].loads += 1;
+        self.counters.loads += 1;
         if dtlb {
-            self.charge_tlb_miss(l, false, &mut cycles);
+            cycles += self.timing.tlb_walk(&mut self.counters, false);
         }
         if outcome != 0 {
-            self.counters[l].l1d_read_misses += 1;
-            let mut t = self.now[l] + cycles;
-            let wait = self.wb_wait_for_d_miss(l, t, line_base, replaced);
-            cycles += wait;
-            t += wait;
-            if let Some((addr, code)) = victim {
-                let stall = self.apply_enqueue(l, t, addr, code);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(l, t, outcome);
+            self.counters.l1d_read_misses += 1;
+            cycles += self.fetch_d_line(self.now + cycles, line_base, replaced, victim, outcome);
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
         p.loads += 1;
         p.cycles += cycles;
-        if outcome != 0 {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
+        p.l1d_misses += u64::from(outcome != 0);
+        p.l2_misses += u64::from(outcome >= 2);
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn apply_store(
+    fn store(
         &mut self,
-        l: usize,
+        pid: u8,
         sb: u8,
         outcome: u8,
         replaced: bool,
@@ -1019,90 +896,80 @@ impl CoPricer {
         victim: Option<(PhysAddr, u8)>,
     ) {
         let mut cycles = 0u64;
-        self.counters[l].stores += 1;
+        let c = &mut self.counters;
+        c.stores += 1;
         if sb & STORE_DTLB != 0 {
-            self.charge_tlb_miss(l, false, &mut cycles);
+            cycles += self.timing.tlb_walk(c, false);
         }
         let hit = sb & STORE_HIT != 0;
-        if !hit {
-            self.counters[l].l1d_write_misses += 1;
-        }
+        c.l1d_write_misses += u64::from(!hit);
         if sb & STORE_EXTRA != 0 {
-            self.counters[l].l1_write_cycles += 1;
+            c.l1_write_cycles += 1;
             cycles += 1;
         }
-        let mut t = self.now[l] + cycles;
-        if let Some((addr, code)) = wb_word {
-            let stall = self.apply_enqueue(l, t, addr, code);
-            cycles += stall;
-            t += stall;
+        if let Some((addr, drain)) = wb_word {
+            let t = self.now + cycles;
+            cycles += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
         }
+        let t = self.now + cycles;
         if sb & STORE_FETCH != 0 {
-            let wait = self.wb_wait_for_d_miss(l, t, line_base, replaced);
-            cycles += wait;
-            t += wait;
-            if let Some((addr, code)) = victim {
-                let stall = self.apply_enqueue(l, t, addr, code);
-                cycles += stall;
-                t += stall;
-            }
-            cycles += self.service_d(l, t, outcome);
-        } else if let Some((addr, code)) = victim {
-            cycles += self.apply_enqueue(l, t, addr, code);
+            cycles += self.fetch_d_line(t, line_base, replaced, victim, outcome);
+        } else if let Some((addr, drain)) = victim {
+            cycles += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
         }
-        self.now[l] += cycles;
-        let l2_missed = outcome >= 2;
-        let p = self.proc_entry(l);
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
         p.stores += 1;
         p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        if l2_missed {
-            p.l2_misses += 1;
-        }
+        p.l1d_misses += u64::from(!hit);
+        p.l2_misses += u64::from(outcome >= 2);
     }
 
-    fn into_results(
-        mut self,
-        cfgs: &[SimConfig],
-        profile: &FunctionalProfile,
-        warm: bool,
-    ) -> Vec<SimResult> {
-        let mut out = Vec::with_capacity(self.n);
-        for (l, cfg) in cfgs.iter().enumerate() {
-            debug_assert_eq!(
-                self.now[l],
-                self.counters[l].total_cycles(),
-                "cycle accounting must balance (lane {l})"
-            );
-            self.counters[l].syscall_switches = profile.syscall_switches;
-            self.counters[l].slice_switches = profile.slice_switches;
-            let counters = if warm {
-                self.counters[l].since(&self.warm_snapshot[l])
-            } else {
-                self.counters[l]
-            };
-            let per_process = self.per_proc[l]
-                .iter()
-                .enumerate()
-                .filter(|(_, pc)| pc.instructions > 0 || pc.loads > 0 || pc.stores > 0)
-                .map(|(i, pc)| (Pid::new(i as u8), *pc))
-                .collect();
-            out.push(SimResult {
-                config: cfg.clone(),
-                counters,
-                completed: profile.completed.clone(),
-                per_process,
-                termination: if profile.budget_exhausted {
-                    Termination::BudgetExhausted
-                } else {
-                    Termination::Completed
-                },
-                checkpoints: Vec::new(),
-            });
+    fn into_result(self, cfg: &SimConfig, profile: &FunctionalProfile, warm: bool) -> SimResult {
+        debug_assert_eq!(
+            self.now,
+            self.counters.total_cycles(),
+            "cycle accounting must balance"
+        );
+        let mut counters = self.counters;
+        counters.syscall_switches = profile.syscall_switches;
+        counters.slice_switches = profile.slice_switches;
+        if warm {
+            counters = counters.since(&self.warm);
         }
-        out
+        SimResult {
+            config: cfg.clone(),
+            counters,
+            completed: profile.completed.clone(),
+            per_process: ran_rows(&self.per_proc),
+            termination: if profile.budget_exhausted {
+                Termination::BudgetExhausted
+            } else {
+                Termination::Completed
+            },
+            checkpoints: Vec::new(),
+        }
+    }
+}
+
+/// The co-pricer's lanes, advanced in lockstep by [`price_profiles`], and
+/// the PID whose records they are replaying.
+struct CoPricer {
+    lanes: Vec<Lane>,
+    pid: u8,
+}
+
+impl CoPricer {
+    /// Applies an accumulated all-hit run to every lane and resets it.
+    /// The whole run belongs to `pid`: runs are flushed on PID switches.
+    fn flush(&mut self, pend: &mut PendingRun) {
+        if pend.is_empty() {
+            return;
+        }
+        for lane in &mut self.lanes {
+            lane.flush(self.pid, pend);
+        }
+        *pend = PendingRun::default();
     }
 }
 
@@ -1247,39 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn pricing_matches_direct_runs_for_the_optimized_geometry() {
-        let opt = SimConfig::optimized();
-        let (_, profile) = profile_for(&opt);
-        // Walk the §9 concurrency switches (all timing-side) and the split
-        // access times.
-        let mut variants = Vec::new();
-        let mut b = opt.to_builder();
-        b.l2_access(4);
-        variants.push(b.build().expect("valid"));
-        let mut b = opt.to_builder();
-        b.concurrency(ConcurrencyConfig {
-            concurrent_i_refill: false,
-            d_read_bypass: WbBypass::Wait,
-            l2d_dirty_buffer: false,
-        });
-        variants.push(b.build().expect("valid"));
-        let mut b = opt.to_builder();
-        b.concurrency(ConcurrencyConfig {
-            concurrent_i_refill: true,
-            d_read_bypass: WbBypass::Associative,
-            l2d_dirty_buffer: true,
-        });
-        variants.push(b.build().expect("valid"));
-        for (k, cfg) in variants.iter().enumerate() {
-            assert_identical(
-                &price_profile(cfg, &profile).expect("priced"),
-                &direct(cfg),
-                &format!("optimized variant {k}"),
-            );
-        }
-    }
-
-    #[test]
     fn pricing_matches_direct_runs_for_the_drain_override_sweep() {
         let mut b = SimConfig::builder();
         b.policy(WritePolicy::Subblock);
@@ -1380,10 +1214,14 @@ mod tests {
     fn co_pricing_matches_across_concurrency_modes() {
         // The §9 switches change which write-buffer probe each lane runs
         // (wait / dirty-bit / associative line probe) — all three in one
-        // lockstep group, against the optimized split-L2 geometry.
+        // lockstep group, against the optimized split-L2 geometry, each at
+        // two L2 access times.
         let opt = SimConfig::optimized();
         let (_, profile) = profile_for(&opt);
         let mut variants = vec![opt.clone()];
+        let mut b = opt.to_builder();
+        b.l2_access(4);
+        variants.push(b.build().expect("valid"));
         let mut b = opt.to_builder();
         b.concurrency(ConcurrencyConfig {
             concurrent_i_refill: false,
@@ -1391,13 +1229,15 @@ mod tests {
             l2d_dirty_buffer: false,
         });
         variants.push(b.build().expect("valid"));
-        let mut b = opt.to_builder();
-        b.concurrency(ConcurrencyConfig {
+        let associative = ConcurrencyConfig {
             concurrent_i_refill: true,
             d_read_bypass: WbBypass::Associative,
             l2d_dirty_buffer: true,
-        })
-        .l2_access(4);
+        };
+        let mut b = opt.to_builder();
+        b.concurrency(associative);
+        variants.push(b.build().expect("valid"));
+        b.l2_access(4);
         variants.push(b.build().expect("valid"));
         let co = price_profiles(&variants, &profile).expect("co-priced");
         for (k, (cfg, co_res)) in variants.iter().zip(&co).enumerate() {

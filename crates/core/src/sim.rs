@@ -43,7 +43,7 @@ use gaas_telemetry::{Component, CounterId, Registry, Span, SpanRecorder};
 use gaas_trace::{AccessKind, Trace, TraceEvent};
 
 use crate::config::{ConfigError, MachineCheckPolicy, SimConfig};
-use crate::cpi::{Counters, ProcCounters};
+use crate::cpi::{ran_rows, Counters, ProcCounters};
 use crate::oracle::{DiffState, DivergenceReport};
 use crate::pipeline::{Coherence, Core, NoCoherence, Uncore};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
@@ -1223,12 +1223,7 @@ pub fn run_cores<P: Protocol>(
         config: spec.cfg.clone(),
         counters: sum(&per_core),
         completed: scheds.iter().flat_map(|s| s.completed().to_vec()).collect(),
-        per_process: per_proc
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.instructions > 0 || p.loads > 0 || p.stores > 0)
-            .map(|(i, p)| (gaas_trace::Pid::new(i as u8), *p))
-            .collect(),
+        per_process: ran_rows(&per_proc),
         termination,
         checkpoints,
     };
@@ -1475,10 +1470,7 @@ fn telem_finalize(core: &Core, ux: &mut Uncore) {
         ("dtlb.accesses", c.loads + c.stores),
         ("wb.peak_depth", s.wb.peak_depth() as u64),
         ("wb.total_enqueued", s.wb.total_enqueued()),
-        (
-            "mem.demand_misses",
-            ux.mem_d.total_misses() + ux.mem_i.total_misses(),
-        ),
+        ("mem.demand_misses", ux.timing.memory_misses()),
     ];
     let t = ux.ins.telem.as_deref_mut().expect("telem_on implies state");
     for (name, v) in rows {

@@ -42,9 +42,9 @@ fn serialized() -> (std::sync::MutexGuard<'static, ()>, Restore) {
 const SCALE: f64 = 3e-4;
 const WARMUP: u64 = 1_500;
 
-/// The seeded geometry sweep: eight distinct functional groups spanning
-/// line size, write policy, L2 shape, cache size, multiprogramming
-/// level, page coloring, and budget termination.
+/// The seeded geometry sweep: nine distinct functional groups spanning
+/// line size, all four write policies, L2 shape, cache size,
+/// multiprogramming level, page coloring, and budget termination.
 fn geometries() -> Vec<SimConfig> {
     let build = |f: &dyn Fn(&mut gaas_sim::SimConfigBuilder)| {
         let mut b = SimConfig::builder();
@@ -61,6 +61,9 @@ fn geometries() -> Vec<SimConfig> {
         }),
         build(&|b| {
             b.policy(WritePolicy::WriteMissInvalidate);
+        }),
+        build(&|b| {
+            b.policy(WritePolicy::Subblock);
         }),
         build(&|b| {
             b.l2(L2Config::split_even(262_144, 1, 6));
@@ -137,17 +140,17 @@ fn assert_result_identical(co: &SimResult, single: &SimResult, what: &str) {
     assert_eq!(co.config, single.config, "{what}: config echo");
 }
 
-/// The differential: for eight geometry groups with lane counts cycling
+/// The differential: for nine geometry groups with lane counts cycling
 /// through 1, 2, 4, and 7, every lane of one co-priced pass must match a
 /// full warmed simulation of its cell byte for byte, and a one-lane pass
 /// of the same cell (lanes do not affect each other).
 #[test]
 fn copriced_groups_match_per_variant_pricing() {
     let geoms = geometries();
-    let lane_counts = [1usize, 2, 4, 7, 2, 7, 4, 7];
+    let lane_counts = [1usize, 2, 4, 7, 7, 2, 7, 4, 7];
     assert_eq!(geoms.len(), lane_counts.len());
 
-    // The sweep really is eight distinct groups.
+    // The sweep really is nine distinct groups.
     let fps: std::collections::BTreeSet<u64> = geoms
         .iter()
         .map(|g| functional_fingerprint(g).expect("memoizable geometry"))

@@ -113,13 +113,11 @@ fn handle_connection(stream: TcpStream, core: &ServerCore, stop: &AtomicBool) {
             let _ = writer.write_all(format!("{}\n", response.to_text()).as_bytes());
             return;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return;
+        let (response, shutdown) = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle_request(line.trim(), core),
+            Err(_) => (err_response("request line is not valid UTF-8"), false),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = handle_request(line.trim(), core);
         let mut text = response.to_text();
         text.push('\n');
         if writer.write_all(text.as_bytes()).is_err() {

@@ -201,6 +201,39 @@ fn an_oversized_request_line_gets_an_error_and_the_daemon_keeps_serving() {
     drop(reader);
     drop(stream);
 
+    // A line that is not UTF-8 gets a typed error, and the same
+    // connection keeps serving.
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    (&stream)
+        .write_all(b"{\"op\":\"ping\xff\"}\n")
+        .expect("send non-UTF-8 line");
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    let resp = json::parse(line.trim()).expect("response json");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("request line is not valid UTF-8"),
+        "{resp:?}"
+    );
+    (&stream)
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .expect("send ping");
+    line.clear();
+    reader.read_line(&mut line).expect("ping response");
+    let resp = json::parse(line.trim()).expect("response json");
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+    drop(reader);
+    drop(stream);
+
     assert_pings(&addr);
     net::client_roundtrip(&addr, r#"{"op":"shutdown"}"#).expect("shutdown");
     server.join().expect("server thread").expect("serve ok");
