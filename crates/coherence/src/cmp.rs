@@ -50,6 +50,7 @@
 //! read-only and the workload model never writes code pages, so
 //! instruction lines cannot go stale.
 
+use gaas_cache::L1DataCache;
 use gaas_mcm::SnoopBus;
 use gaas_sim::config::{ConfigError, SimConfig};
 use gaas_sim::cpi::Counters;
@@ -276,7 +277,8 @@ impl Coherence for Snoop<'_> {
     /// at time `t0` (`prev_local` read before the array changed).
     fn store(
         &mut self,
-        core: &mut Core,
+        l1d: &L1DataCache,
+        counters: &mut Counters,
         ux: &mut Uncore,
         t0: u64,
         line: PhysAddr,
@@ -285,8 +287,8 @@ impl Coherence for Snoop<'_> {
     ) -> u64 {
         if self.bypasses(pid) {
             // No remote copies: a silent upgrade to Modified if resident.
-            if prev_local != MesiState::Modified && core.l1d().array().contains(line) {
-                core.counters_mut().mesi_to_m += 1;
+            if prev_local != MesiState::Modified && l1d.array().contains(line) {
+                counters.mesi_to_m += 1;
             }
             return 0;
         }
@@ -308,7 +310,7 @@ impl Coherence for Snoop<'_> {
                 );
                 let evicted = self.remote(m).invalidate_d_line(line);
                 if let Some(victim) = evicted {
-                    core.counters_mut().invalidations += 1;
+                    counters.invalidations += 1;
                     self.remote(m).counters_mut().mesi_to_i += 1;
                     charge += self.proto.inv_cycles;
                     if victim.dirty {
@@ -326,21 +328,21 @@ impl Coherence for Snoop<'_> {
                 }
             }
             if prev_local == MesiState::Shared {
-                core.counters_mut().upgrade_misses += 1;
+                counters.upgrade_misses += 1;
             }
         }
         // Final local state: Modified when the line is resident after
         // the store (hit, or write-allocate fill); a non-allocating
         // store miss leaves it Invalid while still having invalidated
         // the remote copies.
-        let resident = core.l1d().array().contains(line);
+        let resident = l1d.array().contains(line);
         let new_local = if resident {
             MesiState::Modified
         } else {
             MesiState::Invalid
         };
         if resident && prev_local != MesiState::Modified {
-            core.counters_mut().mesi_to_m += 1;
+            counters.mesi_to_m += 1;
         }
         self.proto.dir.set(line, c, new_local);
         if self.proto.oracle.is_some() {
@@ -359,7 +361,7 @@ impl Coherence for Snoop<'_> {
                 o.check_swmr(c, line, &offenders[..no]);
             }
         }
-        core.counters_mut().coherence_stall_cycles += charge;
+        counters.coherence_stall_cycles += charge;
         charge
     }
 
@@ -367,7 +369,7 @@ impl Coherence for Snoop<'_> {
     /// on the stepping core at time `t0`.
     fn load_fill(
         &mut self,
-        core: &mut Core,
+        counters: &mut Counters,
         ux: &mut Uncore,
         t0: u64,
         line: PhysAddr,
@@ -375,7 +377,7 @@ impl Coherence for Snoop<'_> {
     ) -> u64 {
         if self.bypasses(pid) {
             // No remote copies: an Exclusive fill.
-            core.counters_mut().mesi_to_e += 1;
+            counters.mesi_to_e += 1;
             return 0;
         }
         let c = self.c;
@@ -389,7 +391,7 @@ impl Coherence for Snoop<'_> {
             for &(m, st) in &remotes[..nr] {
                 match st {
                     MesiState::Modified => {
-                        core.counters_mut().c2c_transfers += 1;
+                        counters.c2c_transfers += 1;
                         charge += self.proto.c2c_cycles;
                         // The owner's writeback lands in the shared L2-D.
                         ux.l2_dirty_d(line);
@@ -417,14 +419,14 @@ impl Coherence for Snoop<'_> {
         let ns = next_state(MesiState::Invalid, fill).expect("fill from I is legal");
         self.proto.dir.set(line, c, ns);
         match ns {
-            MesiState::Shared => core.counters_mut().mesi_to_s += 1,
-            MesiState::Exclusive => core.counters_mut().mesi_to_e += 1,
+            MesiState::Shared => counters.mesi_to_s += 1,
+            MesiState::Exclusive => counters.mesi_to_e += 1,
             _ => unreachable!("fills produce E or S"),
         }
         if let Some(o) = self.proto.oracle.as_mut() {
             o.note_fill(c, line);
         }
-        core.counters_mut().coherence_stall_cycles += charge;
+        counters.coherence_stall_cycles += charge;
         charge
     }
 

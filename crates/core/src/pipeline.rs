@@ -2,13 +2,13 @@
 //! the shared uncore.
 //!
 //! A [`Core`] holds everything private to one processor — L1-I, L1-D,
-//! both TLBs, the software translation cache, the write buffer, the
-//! timing and functional clocks, the counters, the per-PID rows and the
-//! last-line/last-page memos — and charges cycles for one trace event at
-//! a time by the paper's rules (see the `sim` module docs). It steps
-//! against an [`Uncore`]: the L2 arrays, the main-memory systems behind
-//! them, the page mapper and the cycle costs derived from the
-//! configuration.
+//! both TLBs, the software translation cache, the functional clock, the
+//! last-line/last-page memos, and its timing half: the timing clock, the
+//! counters, the per-PID rows and the write buffer — and charges cycles
+//! for one trace event at a time by the paper's rules (see the `sim`
+//! module docs). It steps against an [`Uncore`]: the L2 arrays, the
+//! main-memory systems behind them, the page mapper and the cycle costs
+//! derived from the configuration.
 //!
 //! [`Simulator`](crate::Simulator) owns one core and one uncore. The CMP
 //! engine (`gaas-coherence`) owns N cores over one uncore and plugs its
@@ -19,13 +19,34 @@
 //! [`NoCoherence`], so a 1-core CMP run executes exactly the single-CPU
 //! code.
 //!
+//! # One step rule per outcome
+//!
+//! A step splits at its outcomes. The core decides them on its arrays:
+//! TLB hit or miss, L1 hit or miss, and a data access's `LoadOutcome` or
+//! `StoreOutcome` from `gaas_cache`. Its timing half then runs the one
+//! rule for that kind of step (fetch, load or store), which composes the
+//! step's cycles from what each outcome costs, bumps the counters and
+//! charges the per-process row. The profile co-pricer (see `profile`)
+//! runs the same rules in each of its lanes on the outcomes a functional
+//! pass recorded, so a lane priced from a profile equals a full
+//! simulation by construction; only the co-pricer's closed form for runs
+//! of all-hit records is written apart.
+//!
+//! What a core does in the middle of a step enters the rule through a
+//! hook type: the L2 lookups and drains that decide the refill and drain
+//! outcomes (coherence flush, then victim drain, then refill lookup), the
+//! soft-error fault checks, the coherence stall at its bus time, and the
+//! telemetry and recorder notes. A co-pricer lane's hooks are its timing
+//! rules alone: every mid-step hook is an empty default and compiles out.
+//!
 //! # The memos
 //!
 //! The bare-kernel instantiation (`HOOKS = false`) skips work that
 //! cannot change any counter or replacement decision: a fetch from the
 //! line the previous fetch ended on, a data access to the page of the
 //! previous data access, and a load from the line the previous load left
-//! loadable. Only the owning core touches its L1s and TLBs, with one
+//! loadable. Such a step runs its rule with the hit outcome as a
+//! constant. Only the owning core touches its L1s and TLBs, with one
 //! exception: a remote store's invalidation, which goes through
 //! [`Core::invalidate_d_line`] and clears the load memo. The hooked
 //! instantiation (`HOOKS = true`) serves the layers that must see every
@@ -41,14 +62,15 @@
 //! Nor is the profile recorder. It notes every instruction, but a memo
 //! skip is an ITLB plus L1-I hit, or a DTLB plus L1-D load hit, whose
 //! tokens carry no outcome: the two memo paths emit those hit tokens
-//! themselves. The recorder sites are gated on a second const generic,
+//! themselves. Every recorder site is gated on a second const generic,
 //! `REC`, which a run sets exactly when a recorder is attached, so a
 //! functional pass steps the bare kernel and a run without a recorder
 //! carries none of its branches.
 
-use gaas_cache::fault::{resolve, FaultEffect, FaultEvent, Structure};
+use gaas_cache::fault::{resolve, FaultEffect, Structure};
 use gaas_cache::{
-    CacheArray, L1DataCache, Line, MemorySystem, PageMapper, Tlb, WriteBuffer, WritePolicy,
+    CacheArray, L1DataCache, Line, LoadOutcome, MemorySystem, PageMapper, StoreOutcome, Tlb,
+    WriteBuffer, WritePolicy,
 };
 use gaas_trace::{AccessKind, PhysAddr, Pid, TraceEvent, VirtAddr, PAGE_SHIFT};
 
@@ -65,8 +87,9 @@ const TCACHE_WAYS: usize = 256;
 /// Coherence hook points of the data side, called by the stepping core.
 ///
 /// The CMP engine implements this with its MESI directory; the
-/// single-CPU simulator uses [`NoCoherence`]. The step functions are
-/// generic over the implementation, so the no-op hooks inline to nothing.
+/// single-CPU simulator uses [`NoCoherence`], which takes every default:
+/// no protocol traffic. The step functions are generic over the
+/// implementation, so the no-op hooks inline to nothing.
 pub trait Coherence {
     /// What [`Coherence::before_store`] hands to [`Coherence::store`].
     type Prior: Copy;
@@ -77,32 +100,42 @@ pub trait Coherence {
     fn before_store(&mut self, core: &Core, line: PhysAddr, pid: Pid) -> Self::Prior;
 
     /// Protocol action for a store to `line` (a page of `pid`) at time
-    /// `t0`, after the L1-D array took it and before any write-buffer
-    /// traffic; returns the stall charged to the core.
+    /// `t0`, after the stepping core's L1-D `l1d` took it and before any
+    /// write-buffer traffic; charges the core's `counters` and returns
+    /// the stall.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn store(
         &mut self,
-        core: &mut Core,
-        ux: &mut Uncore,
-        t0: u64,
-        line: PhysAddr,
-        pid: Pid,
-        prior: Self::Prior,
-    ) -> u64;
+        _l1d: &L1DataCache,
+        _counters: &mut Counters,
+        _ux: &mut Uncore,
+        _t0: u64,
+        _line: PhysAddr,
+        _pid: Pid,
+        _prior: Self::Prior,
+    ) -> u64 {
+        0
+    }
 
     /// Protocol action for a load miss that just filled `line` (a page
-    /// of `pid`) at time `t0`, before the write-buffer wait; returns the
-    /// stall charged to the core.
+    /// of `pid`) at time `t0`, before the write-buffer wait; charges the
+    /// stepping core's `counters` and returns the stall.
+    #[inline(always)]
     fn load_fill(
         &mut self,
-        core: &mut Core,
-        ux: &mut Uncore,
-        t0: u64,
-        line: PhysAddr,
-        pid: Pid,
-    ) -> u64;
+        _counters: &mut Counters,
+        _ux: &mut Uncore,
+        _t0: u64,
+        _line: PhysAddr,
+        _pid: Pid,
+    ) -> u64 {
+        0
+    }
 
     /// Observes a load hit on `line` (no cycles).
-    fn load_hit(&mut self, core: &Core, line: PhysAddr);
+    #[inline(always)]
+    fn load_hit(&mut self, _core: &Core, _line: PhysAddr) {}
 }
 
 /// The single-CPU [`Coherence`]: every hook is empty.
@@ -114,19 +147,6 @@ impl Coherence for NoCoherence {
 
     #[inline(always)]
     fn before_store(&mut self, _: &Core, _: PhysAddr, _: Pid) {}
-
-    #[inline(always)]
-    fn store(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr, _: Pid, _: ()) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    fn load_fill(&mut self, _: &mut Core, _: &mut Uncore, _: u64, _: PhysAddr, _: Pid) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    fn load_hit(&mut self, _: &Core, _: PhysAddr) {}
 }
 
 /// Cycles an L1 refill of `line_words` takes from an L2 hit: the access
@@ -135,23 +155,12 @@ fn l2_hit_cost(access_cycles: u32, line_words: u32) -> u64 {
     u64::from(access_cycles + line_words.div_ceil(4) - 1)
 }
 
-/// Functional-clock cost of an L1 refill whose L2 lookup had `outcome`
-/// (see [`Core`]'s `fnow`): the reference L2 hit cost `ref_hit`, or a
-/// memory miss at the reference penalties.
-fn ref_refill_cost(ref_hit: u64, outcome: u8) -> u64 {
-    match outcome {
-        1 => ref_hit,
-        2 => REF_MEM_CLEAN,
-        _ => REF_MEM_DIRTY,
-    }
-}
-
 /// What each outcome costs under one configuration's timing knobs: the
 /// TLB walk, the L1 refills from L2 or memory, and the write-buffer rules.
-/// Its methods are the only code that prices an outcome. [`Core`] calls
-/// them on the outcomes its arrays decide (through the [`Uncore`] that
-/// holds the shared memory systems), each profile co-pricer lane on the
-/// outcomes a functional pass recorded.
+/// Its methods are the only code that prices an outcome, and the
+/// [`Lane`] step rules are their only callers: a core's through the
+/// [`Uncore`] that holds the shared memory systems, a co-pricer lane's
+/// on the outcomes a functional pass recorded.
 ///
 /// L2 outcome codes are the profile's: 1 = hit, 2 = miss with a clean
 /// victim, 3 = miss with a dirty victim. Drain codes are one less: 0 = L2
@@ -231,25 +240,22 @@ impl Timing {
         self.tlb_penalty
     }
 
-    /// Charges an L1-I refill that starts at `start` and finds `outcome`
-    /// in L2; returns its stall.
-    pub(crate) fn i_refill(&mut self, c: &mut Counters, start: u64, outcome: u8) -> u64 {
-        self.refill(c, true, start, outcome)
-    }
-
-    /// Charges an L1-D refill (read or write-allocate) that starts at
-    /// `start` and finds `outcome` in L2; returns its stall.
-    pub(crate) fn d_refill(&mut self, c: &mut Counters, start: u64, outcome: u8) -> u64 {
-        self.refill(c, false, start, outcome)
-    }
-
+    /// Charges an L1 refill (`i_side` selects L1-I or L1-D) that starts
+    /// at `start` and finds `outcome` in L2; returns its stall.
+    ///
     /// An L2 hit costs the side's hit cost, charged to the L1 miss
     /// component. Of a memory miss's service time, the first hit-cost
     /// cycles go to the L1 miss component, the excess to the L2 miss
     /// component, and the dirty-buffer wait to its own. An exotic
     /// configuration can make the memory penalty smaller than the hit
     /// cost; the clamp keeps the components summing to the charged stall.
-    fn refill(&mut self, c: &mut Counters, i_side: bool, start: u64, outcome: u8) -> u64 {
+    pub(crate) fn refill(
+        &mut self,
+        c: &mut Counters,
+        i_side: bool,
+        start: u64,
+        outcome: u8,
+    ) -> u64 {
         let (hit_cost, accesses, misses, l1_cycles, l2_cycles) = if i_side {
             (
                 self.i_hit,
@@ -426,70 +432,567 @@ impl Uncore {
         })
     }
 
-    /// Looks `addr` up in the instruction side of L2, filling it on a
-    /// miss; returns the L2 outcome code (see [`Timing`]) and, on a hit,
-    /// whether the line was dirty.
-    fn l2_lookup_i(&mut self, addr: PhysAddr) -> (u8, bool) {
+    /// The instruction (`i_side`) or data side of L2: one array when
+    /// unified.
+    fn l2_side(&mut self, i_side: bool) -> &mut CacheArray {
         match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { i: a, .. } => l2_lookup(a, addr),
+            L2Arrays::Unified(a) => a,
+            L2Arrays::Split { i, .. } if i_side => i,
+            L2Arrays::Split { d, .. } => d,
         }
     }
 
-    /// [`Uncore::l2_lookup_i`] for the data side.
-    fn l2_lookup_d(&mut self, addr: PhysAddr) -> (u8, bool) {
-        match &mut self.l2 {
-            L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. } => l2_lookup(a, addr),
+    /// Looks `addr` up in the `i_side` of L2, filling it on a miss;
+    /// returns the L2 outcome code (see [`Timing`]) and, on a hit, whether
+    /// the line was dirty.
+    fn l2_lookup(&mut self, i_side: bool, addr: PhysAddr) -> (u8, bool) {
+        let a = self.l2_side(i_side);
+        match a.touch(addr).map(|l| l.dirty()) {
+            Some(dirty) => (1, dirty),
+            None => (2 + u8::from(a.fill(addr).is_some_and(|e| e.dirty)), false),
         }
     }
 
     /// Marks the data-side L2 line for `addr` dirty, if resident (a
-    /// drained write, or a remote Modified copy flushed by the coherence
-    /// protocol).
+    /// remote Modified copy flushed by the coherence protocol).
     pub fn l2_dirty_d(&mut self, addr: PhysAddr) {
-        let (L2Arrays::Unified(a) | L2Arrays::Split { d: a, .. }) = &mut self.l2;
-        if let Some(mut line) = a.touch(addr) {
+        if let Some(mut line) = self.l2_side(false).touch(addr) {
             line.set_dirty(true);
         }
     }
 
-    /// Plays out the L2-D side of one drained write (write-allocate on a
-    /// miss, then mark the line dirty); returns its drain code (see
-    /// [`Timing`]), which the recorder notes.
+    /// Plays out the L2-D side of one drained write in one probe: a hit
+    /// marks the touched line dirty, a miss write-allocates it and marks
+    /// the fill dirty. Returns the drain code (see [`Timing`]).
     fn l2_drain(&mut self, addr: PhysAddr) -> u8 {
-        let code = self.l2_lookup_d(addr).0 - 1;
-        self.l2_dirty_d(addr);
-        if let Some(r) = self.ins.rec.as_deref_mut() {
-            r.push_drain(code);
+        let a = self.l2_side(false);
+        if let Some(mut line) = a.touch(addr) {
+            line.set_dirty(true);
+            return 0;
         }
+        let code = 1 + u8::from(a.fill(addr).is_some_and(|e| e.dirty));
+        a.peek_mut(addr).expect("filled above").set_dirty(true);
         code
+    }
+
+    /// Functional-clock cost of an L1 refill (`i_side` picks the L1)
+    /// whose L2 lookup had `outcome` (see [`Core`]'s `fnow`): the
+    /// reference L2 hit cost, or a memory miss at the reference penalties.
+    fn ref_refill_cost(&self, i_side: bool, outcome: u8) -> u64 {
+        match outcome {
+            1 if i_side => self.ref_i_hit_cost,
+            1 => self.ref_d_hit_cost,
+            2 => REF_MEM_CLEAN,
+            _ => REF_MEM_DIRTY,
+        }
     }
 
     /// Real refill cycles for refetching a clean L1 line: the L2 hit cost,
     /// or a main-memory fetch filling L2. Demand miss-ratio counters stay
     /// untouched — recovery traffic is reported via the fault counters.
     fn refetch_from_l2(&mut self, i_side: bool, paddr: PhysAddr) -> u64 {
-        let (outcome, _) = if i_side {
-            self.l2_lookup_i(paddr)
-        } else {
-            self.l2_lookup_d(paddr)
-        };
+        let outcome = self.l2_lookup(i_side, paddr).0;
         self.timing.refetch(i_side, outcome)
     }
 }
 
-/// Touches `addr` in `a`, filling it on a miss (see
-/// [`Uncore::l2_lookup_i`]).
-fn l2_lookup(a: &mut CacheArray, addr: PhysAddr) -> (u8, bool) {
-    match a.touch(addr).map(|l| l.dirty()) {
-        Some(dirty) => (1, dirty),
-        None => (2 + u8::from(a.fill(addr).is_some_and(|e| e.dirty)), false),
+/// The L2 codes a profile recorded for one data step (see [`Timing`]):
+/// the refill's outcome and the drains of the write-through word and of
+/// the victim. A co-pricer lane's hooks return them as given; a live
+/// core's hooks decide them on the L2 arrays, so [`Core`] passes zeros.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Codes {
+    pub(crate) refill: u8,
+    pub(crate) word: u8,
+    pub(crate) victim: u8,
+}
+
+/// A load that hit: the outcome a load memo skip stands for.
+const LOAD_HIT: LoadOutcome = LoadOutcome {
+    hit: true,
+    fetch: None,
+    writeback_victim: None,
+    replaced_written_line: false,
+};
+
+/// What a stepping core does in the middle of a [`Lane`] step rule: the
+/// L2 lookups and drains that decide outcomes, the fault checks, the
+/// coherence stall, and the notes. Every hook but [`StepHooks::timing`]
+/// has an empty default that keeps the outcome it is given, so a
+/// co-pricer lane's hooks are its [`Timing`] alone and its rules compile
+/// to the bookkeeping and the costs. A live core's hooks are [`Live`].
+pub(crate) trait StepHooks {
+    /// The timing rules that price the step's outcomes.
+    fn timing(&mut self) -> &mut Timing;
+
+    /// Cycles the fault check of a hit on `s` (the `i_side` L1 or L2)
+    /// charges to `lane`.
+    fn check(&mut self, _lane: &mut Lane, _s: Structure, _i_side: bool) -> u64 {
+        0
+    }
+
+    /// Notes what the step did to telemetry.
+    fn note(&mut self, _note: Note<'_>) {}
+
+    /// The L2 outcome of the fetch's L1-I refill (`recorded` by a
+    /// profile).
+    fn l2_i(&mut self, recorded: u8) -> u8 {
+        recorded
+    }
+
+    /// The L2 outcome of an L1-D refill of `line`.
+    fn l2_d(&mut self, _line: PhysAddr, recorded: u8) -> u8 {
+        recorded
+    }
+
+    /// The drain code of a write of `addr` entering the write buffer.
+    fn drain(&mut self, _addr: PhysAddr, recorded: u8) -> u8 {
+        recorded
+    }
+
+    /// The coherence stall of the step's L1-D action (a load fill or a
+    /// store of `pid`) at its bus time `t0`, charged to `lane`.
+    fn coherence(&mut self, _lane: &mut Lane, _t0: u64, _pid: u8) -> u64 {
+        0
     }
 }
 
-/// One processor's private state and its per-event timing rules (see the
-/// module docs).
-pub struct Core {
+/// A co-pricer lane's hooks: its timing rules, every outcome as recorded.
+impl StepHooks for Timing {
+    #[inline(always)]
+    fn timing(&mut self) -> &mut Timing {
+        self
+    }
+}
+
+/// What a step rule notes to telemetry (see [`StepHooks::note`]).
+pub(crate) enum Note<'e> {
+    /// A TLB walk of `dur` cycles from `start`.
+    Walk { i_side: bool, start: u64, dur: u64 },
+    /// An L1 refill stalled `dur` cycles from `start`, on an L2 `hit` or
+    /// a memory miss.
+    Refill {
+        i_side: bool,
+        hit: bool,
+        start: u64,
+        dur: u64,
+    },
+    /// An L1-D miss waited `dur` cycles from `start` for the write buffer.
+    WbWait { start: u64, dur: u64 },
+    /// A write entered the write buffer at `start`.
+    Enqueue { start: u64, e: &'e Enqueued },
+}
+
+/// The timing half of a core: its clock, counters, per-process rows and
+/// write buffer. Its step rules are the only code that composes a step's
+/// cycles and charges them: [`Core`] runs them on the outcomes its arrays
+/// decide, and each co-pricer lane on the outcomes a profile recorded
+/// (see the module docs).
+pub(crate) struct Lane {
     pub(crate) now: u64,
+    pub(crate) counters: Counters,
+    /// Per-PID statistics (lazily grown).
+    pub(crate) per_proc: Vec<ProcCounters>,
+    pub(crate) wb: WriteBuffer,
+}
+
+impl Lane {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        Lane {
+            now: 0,
+            counters: Counters::new(),
+            per_proc: Vec::new(),
+            wb: WriteBuffer::new(cfg.write_buffer.depth),
+        }
+    }
+
+    /// Steps one instruction fetch of `pid` with `stall` CPU stall
+    /// cycles: the ITLB walk on `itlb_miss`, then the fetch `outcome`. 0
+    /// is an L1-I hit; any other code is a miss, which waits for the
+    /// write buffer and refills on the L2 outcome `h` decides.
+    #[inline(always)]
+    pub(crate) fn ifetch<H: StepHooks>(
+        &mut self,
+        h: &mut H,
+        pid: u8,
+        stall: u64,
+        itlb_miss: bool,
+        outcome: u8,
+    ) {
+        self.counters.instructions += 1;
+        self.counters.cpu_stall_cycles += stall;
+        let mut cycles = 1 + stall + self.tlb(h, true, itlb_miss);
+        let mut l2 = 0;
+        if outcome == 0 {
+            cycles += h.check(self, Structure::L1I, true);
+        } else {
+            self.counters.l1i_misses += 1;
+            let start = self.now + cycles;
+            let wait = h
+                .timing()
+                .i_miss_wait(&mut self.wb, &mut self.counters, start);
+            l2 = h.l2_i(outcome);
+            cycles += wait + self.refill(h, true, start + wait, l2);
+        }
+        let p = self.retire(pid, cycles, l2);
+        p.instructions += 1;
+        p.l1i_misses += u64::from(outcome != 0);
+    }
+
+    /// Steps one load of `pid`: the DTLB walk on `dtlb_miss`, then the
+    /// L1-D outcome `o`. A miss takes its coherence stall, then fetches
+    /// the line (the L2 `codes` as recorded).
+    #[inline(always)]
+    pub(crate) fn load<H: StepHooks>(
+        &mut self,
+        h: &mut H,
+        pid: u8,
+        dtlb_miss: bool,
+        o: &LoadOutcome,
+        codes: Codes,
+    ) {
+        self.counters.loads += 1;
+        let mut cycles = self.tlb(h, false, dtlb_miss);
+        let mut l2 = 0;
+        if let Some(line) = o.fetch {
+            self.counters.l1d_read_misses += 1;
+            cycles += h.coherence(self, self.now + cycles, pid);
+            let (t, victim) = (self.now + cycles, o.writeback_victim);
+            let stall;
+            (stall, l2) = self.fetch_d_line(h, t, line, o.replaced_written_line, victim, codes);
+            cycles += stall;
+        } else {
+            cycles += h.check(self, Structure::L1D, false);
+        }
+        let p = self.retire(pid, cycles, l2);
+        p.loads += 1;
+        p.l1d_misses += u64::from(!o.hit);
+    }
+
+    /// Steps one store of `pid`: the DTLB walk on `dtlb_miss`, then the
+    /// L1-D outcome `o` — its extra write cycle, its coherence stall, the
+    /// write-through word's enqueue, then a write-allocate fetch or a
+    /// victim's enqueue (the L2 `codes` as recorded).
+    #[inline(always)]
+    pub(crate) fn store<H: StepHooks>(
+        &mut self,
+        h: &mut H,
+        pid: u8,
+        dtlb_miss: bool,
+        o: &StoreOutcome,
+        codes: Codes,
+    ) {
+        self.counters.stores += 1;
+        let mut cycles = self.tlb(h, false, dtlb_miss);
+        if o.hit {
+            cycles += h.check(self, Structure::L1D, false);
+        } else {
+            self.counters.l1d_write_misses += 1;
+        }
+        if o.extra_cycle {
+            self.counters.l1_write_cycles += 1;
+            cycles += 1;
+        }
+        cycles += h.coherence(self, self.now + cycles, pid);
+        if let Some(word) = o.wb_word {
+            cycles += self.enqueue(h, self.now + cycles, word, codes.word);
+        }
+        let (t, victim) = (self.now + cycles, o.writeback_victim);
+        let (mut stall, mut l2) = (0, 0);
+        if let Some(line) = o.fetch {
+            (stall, l2) = self.fetch_d_line(h, t, line, o.replaced_written_line, victim, codes);
+        } else if let Some(addr) = victim {
+            stall = self.enqueue(h, t, addr, codes.victim);
+        }
+        cycles += stall;
+        let p = self.retire(pid, cycles, l2);
+        p.stores += 1;
+        p.l1d_misses += u64::from(!o.hit);
+    }
+
+    /// The TLB side of a step: a miss walks (noted at the step's start),
+    /// a hit takes its fault check. Returns the cycles.
+    #[inline(always)]
+    fn tlb<H: StepHooks>(&mut self, h: &mut H, i_side: bool, miss: bool) -> u64 {
+        if !miss {
+            return h.check(self, Structure::Tlb, i_side);
+        }
+        let dur = h.timing().tlb_walk(&mut self.counters, i_side);
+        let start = self.now;
+        h.note(Note::Walk { i_side, start, dur });
+        dur
+    }
+
+    /// An L1 refill from `start` that found `outcome` in L2; returns its
+    /// stall, the fault check of an L2 hit included.
+    #[inline(always)]
+    fn refill<H: StepHooks>(&mut self, h: &mut H, i_side: bool, start: u64, outcome: u8) -> u64 {
+        let dur = h
+            .timing()
+            .refill(&mut self.counters, i_side, start, outcome);
+        let hit = outcome == 1;
+        h.note(Note::Refill {
+            i_side,
+            hit,
+            start,
+            dur,
+        });
+        dur + if hit {
+            h.check(self, Structure::L2, i_side)
+        } else {
+            0
+        }
+    }
+
+    /// Fetches the L1-D line `line` for a read miss or a write-allocate,
+    /// starting at `start`: the fetch waits on previously pending writes
+    /// per the bypass rule, while the `victim` it displaces drains in the
+    /// background during the refill (that is what the buffer is for).
+    /// Returns the stall and the refill's L2 outcome.
+    #[inline(always)]
+    fn fetch_d_line<H: StepHooks>(
+        &mut self,
+        h: &mut H,
+        start: u64,
+        line: PhysAddr,
+        replaced_written: bool,
+        victim: Option<PhysAddr>,
+        codes: Codes,
+    ) -> (u64, u8) {
+        let c = &mut self.counters;
+        let wait = h
+            .timing()
+            .d_miss_wait(&mut self.wb, c, start, line, replaced_written);
+        h.note(Note::WbWait { start, dur: wait });
+        let mut t = start + wait;
+        if let Some(addr) = victim {
+            t += self.enqueue(h, t, addr, codes.victim);
+        }
+        let outcome = h.l2_d(line, codes.refill);
+        (t - start + self.refill(h, false, t, outcome), outcome)
+    }
+
+    /// Enqueues a write of `addr` at `start` ([`Timing::enqueue`] with
+    /// the drain's L2 side played out first). Returns the stall.
+    #[inline(always)]
+    fn enqueue<H: StepHooks>(&mut self, h: &mut H, start: u64, addr: PhysAddr, code: u8) -> u64 {
+        let drain = h.drain(addr, code);
+        let e = h
+            .timing()
+            .enqueue(&mut self.wb, &mut self.counters, start, addr, drain);
+        h.note(Note::Enqueue { start, e: &e });
+        e.stall + h.check(self, Structure::WriteBuffer, false)
+    }
+
+    /// Ends a step of `pid` that took `cycles` and whose refill had L2
+    /// outcome `l2` (0 for none): advances the clock and charges the
+    /// process's row, which it returns for the step's own counts.
+    #[inline(always)]
+    fn retire(&mut self, pid: u8, cycles: u64, l2: u8) -> &mut ProcCounters {
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
+        p.cycles += cycles;
+        p.l2_misses += u64::from(l2 >= 2);
+        p
+    }
+}
+
+/// A live core's [`StepHooks`]: the L2 lookups and drains that decide
+/// outcomes, the fault checks (`HOOKS`), the coherence actions, and the
+/// telemetry and recorder (`REC`) notes. It borrows the core's parts
+/// outside its [`Lane`] (see [`Core::live`]).
+struct Live<'a, const HOOKS: bool, const REC: bool, C: Coherence> {
+    ux: &'a mut Uncore,
+    fnow: &'a mut u64,
+    l1i: &'a mut CacheArray,
+    l1d: &'a L1DataCache,
+    coh: &'a mut C,
+    /// The step's physical address, and a store's coherence prior.
+    paddr: PhysAddr,
+    prior: Option<C::Prior>,
+    /// Whether the line the last refill hit in L2 was dirty.
+    l2_dirty: bool,
+}
+
+impl<const HOOKS: bool, const REC: bool, C: Coherence> StepHooks for Live<'_, HOOKS, REC, C> {
+    #[inline(always)]
+    fn timing(&mut self) -> &mut Timing {
+        &mut self.ux.timing
+    }
+
+    /// Faults are checked when an access *hits* the struck structure, the
+    /// moment a corrupted entry would be consumed (flips in lines never
+    /// referenced again are architecturally silent); background drains
+    /// are not checked. With injection off the check returns 0 without
+    /// touching the PRNG, so the fault-free path is bit-identical.
+    ///
+    /// A dirty entry is the only copy of its data: TLB entries and
+    /// instruction lines never are, in-flight store data always is, and a
+    /// dirty L1-D line is under write-back only (write-through streams
+    /// every write out, so its L1 copies are always clean, the written
+    /// mark notwithstanding). A parity refetch re-walks the page tables,
+    /// reads an L1 line again from L2, or refetches a clean L2 line from
+    /// main memory in place.
+    #[inline(always)]
+    fn check(&mut self, lane: &mut Lane, s: Structure, i_side: bool) -> u64 {
+        if !(HOOKS && self.ux.ins.fault_on) {
+            return 0; // skip the dirty-line peek along with the check
+        }
+        let dirty = match s {
+            Structure::L1D => {
+                !self.l1d.policy().is_write_through()
+                    && self.l1d.array().peek(self.paddr).is_some_and(|l| l.dirty)
+            }
+            Structure::L2 => self.l2_dirty,
+            Structure::WriteBuffer => true,
+            Structure::L1I | Structure::Tlb => false,
+        };
+        self.fault(lane, s, i_side, dirty)
+    }
+
+    #[inline(always)]
+    fn note(&mut self, note: Note<'_>) {
+        let ins = &mut self.ux.ins;
+        if !ins.telem_on {
+            return;
+        }
+        match note {
+            Note::Walk { i_side, start, dur } => ins.telem_tlb_walk(i_side, start, dur),
+            Note::Refill {
+                i_side,
+                hit,
+                start,
+                dur,
+            } => match (i_side, hit) {
+                (true, true) => ins.telem_l2_lookup_i(start, dur),
+                (true, false) => ins.telem_mem_refill_i(start, dur),
+                (false, true) => ins.telem_l2_lookup_d(start, dur),
+                (false, false) => ins.telem_mem_refill_d(start, dur),
+            },
+            Note::WbWait { start, dur } if dur > 0 => ins.telem_wb_wait(start, dur),
+            Note::WbWait { .. } => {}
+            Note::Enqueue { start, e } => {
+                ins.telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn l2_i(&mut self, _: u8) -> u8 {
+        self.l1i.fill(self.paddr);
+        self.l2_refill(true, self.paddr)
+    }
+
+    #[inline(always)]
+    fn l2_d(&mut self, line: PhysAddr, _: u8) -> u8 {
+        self.l2_refill(false, line)
+    }
+
+    #[inline(always)]
+    fn drain(&mut self, addr: PhysAddr, _: u8) -> u8 {
+        let code = self.ux.l2_drain(addr);
+        if REC {
+            self.ux.ins.recorder().push_drain(code);
+        }
+        code
+    }
+
+    /// A store's step carries its prior; a load's does not.
+    #[inline(always)]
+    fn coherence(&mut self, lane: &mut Lane, t0: u64, pid: u8) -> u64 {
+        let line = self.l1d.array().geometry().line_base(self.paddr);
+        let (c, ux, pid) = (&mut lane.counters, &mut *self.ux, Pid::new(pid));
+        match self.prior {
+            Some(prior) => self.coh.store(self.l1d, c, ux, t0, line, pid, prior),
+            None => self.coh.load_fill(c, ux, t0, line, pid),
+        }
+    }
+}
+
+impl<const HOOKS: bool, const REC: bool, C: Coherence> Live<'_, HOOKS, REC, C> {
+    /// Looks the L1 refill of `line` up in L2 (`i_side` picks the side),
+    /// filling it on a miss, and advances the functional clock by its
+    /// reference cost; returns the outcome code, which the recorder
+    /// notes.
+    #[inline(always)]
+    fn l2_refill(&mut self, i_side: bool, line: PhysAddr) -> u8 {
+        let ux = &mut *self.ux;
+        let (outcome, dirty) = ux.l2_lookup(i_side, line);
+        *self.fnow += ux.ref_refill_cost(i_side, outcome);
+        if REC {
+            ux.ins.recorder().set_outcome(i_side, outcome);
+        }
+        self.l2_dirty = dirty;
+        outcome
+    }
+
+    /// Consults the injector for one hit on `s` (see [`Live::check`]) and
+    /// applies what fires: the fault counters, its telemetry note, the
+    /// recovery cycles and the configured machine-check response.
+    /// Returns the stall cycles the faulting access absorbs.
+    fn fault(&mut self, lane: &mut Lane, s: Structure, i_side: bool, dirty: bool) -> u64 {
+        let fs = self.ux.ins.fault.as_mut().expect("fault_on implies state");
+        let Some(ev) = fs.injector.check(s, fs.sets[s.index()]) else {
+            return 0;
+        };
+        let c = &mut lane.counters;
+        c.faults_injected += 1;
+        let effect = resolve(fs.protection.get(s), dirty, ev.multi_bit);
+        let ux = &mut *self.ux;
+        let refetch_cost = match (effect, s) {
+            (FaultEffect::Refetch, Structure::Tlb) => ux.timing.tlb_penalty(),
+            (FaultEffect::Refetch, Structure::L1I | Structure::L1D) => {
+                ux.refetch_from_l2(i_side, self.paddr)
+            }
+            (FaultEffect::Refetch, Structure::L2) => ux.timing.refetch(i_side, 2),
+            _ => 0,
+        };
+        let ins = &mut ux.ins;
+        if ins.telem_on {
+            ins.telem_fault(effect, lane.now);
+        }
+        match effect {
+            FaultEffect::Silent => {
+                c.faults_silent += 1;
+                0
+            }
+            FaultEffect::Correct => {
+                c.faults_corrected += 1;
+                let p = ins.fault.as_ref().map_or(0, |f| f.ecc_penalty);
+                c.recovery_cycles += p;
+                p
+            }
+            FaultEffect::Refetch => {
+                c.fault_refetches += 1;
+                c.recovery_cycles += refetch_cost;
+                refetch_cost
+            }
+            FaultEffect::MachineCheck => {
+                c.machine_checks += 1;
+                if ins.fault.as_ref().is_some_and(|f| f.halt) {
+                    // Halt at the current instruction boundary; the run
+                    // loop surfaces the error.
+                    ins.pending_mc = Some(ev);
+                    0
+                } else {
+                    // Checkpoint restart: deterministic re-execution from
+                    // the last checkpoint costs the cycles since it, and
+                    // the restart point becomes the implicit checkpoint.
+                    let rollback = lane.now.saturating_sub(ins.last_checkpoint_cycle);
+                    c.recovery_cycles += rollback;
+                    ins.last_checkpoint_cycle = lane.now;
+                    rollback
+                }
+            }
+        }
+    }
+}
+
+/// One processor's private state and its per-event steps (see the module
+/// docs).
+pub struct Core {
+    /// The timing half: clock, counters, per-PID rows and write buffer.
+    pub(crate) lane: Lane,
     /// The *functional* clock driving scheduler time-slicing. It advances
     /// on functional outcomes only — issue + stall cycles, L2 hits at the
     /// fixed reference access time, memory misses at the reference
@@ -500,16 +1003,12 @@ pub struct Core {
     /// the two-phase sweep memoizer (see `profile`) price many timing
     /// variants from one functional pass.
     pub(crate) fnow: u64,
-    pub(crate) counters: Counters,
 
     l1i: CacheArray,
     l1d: L1DataCache,
-    wb: WriteBuffer,
     itlb: Tlb,
     dtlb: Tlb,
     tcache: Vec<(u64, u64)>,
-    /// Per-PID statistics (lazily grown).
-    pub(crate) per_proc: Vec<ProcCounters>,
 
     /// Virtual line of the immediately preceding ifetch (`u64::MAX` =
     /// none). A fetch to the same line is a guaranteed ITLB + L1-I hit —
@@ -544,16 +1043,13 @@ impl Core {
     /// Returns [`ConfigError`] when an L1 geometry is invalid.
     pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
         Ok(Core {
-            now: 0,
+            lane: Lane::new(cfg),
             fnow: 0,
-            counters: Counters::new(),
             l1i: CacheArray::new(cfg.l1i.geometry()?),
             l1d: L1DataCache::new(cfg.l1d.geometry()?, cfg.policy),
-            wb: WriteBuffer::new(cfg.write_buffer.depth),
             itlb: Tlb::instruction(),
             dtlb: Tlb::data(),
             tcache: vec![(u64::MAX, 0); TCACHE_WAYS],
-            per_proc: Vec::new(),
             last_ifetch_vline: u64::MAX,
             last_data_vpage: u64::MAX,
             last_load_vline: u64::MAX,
@@ -566,17 +1062,12 @@ impl Core {
     /// Counters, mutably: for the coherence actions, which the core's
     /// own rules do not charge.
     pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
+        &mut self.lane.counters
     }
 
     /// The primary data cache.
     pub fn l1d(&self) -> &L1DataCache {
         &self.l1d
-    }
-
-    /// The line base of `paddr` at L1-D line granularity.
-    fn d_line_base(&self, paddr: PhysAddr) -> PhysAddr {
-        PhysAddr::new(paddr.word() & !((1u64 << self.d_line_shift) - 1))
     }
 
     /// Invalidates the L1-D line holding `line` on behalf of another core
@@ -599,7 +1090,7 @@ impl Core {
             l1d: &self.l1d,
             l2i,
             l2d,
-            wb: &self.wb,
+            wb: &self.lane.wb,
         }
     }
 
@@ -676,7 +1167,7 @@ impl Core {
         let Some(mut ds) = ux.ins.diff.take() else {
             return;
         };
-        let actual = Deltas::between(&before, &self.counters);
+        let actual = Deltas::between(&before, &self.lane.counters);
         ds.note_access(ev, paddr, actual, &self.structures(ux));
         if let Some(kind) = ds.bug_due() {
             let applied = match kind {
@@ -691,7 +1182,7 @@ impl Core {
                 SeededBug::InvalidateL1i => {
                     ev.kind == AccessKind::IFetch && self.l1i.invalidate(paddr).is_some()
                 }
-                SeededBug::DropWriteBufferEntry => self.wb.drop_youngest().is_some(),
+                SeededBug::DropWriteBufferEntry => self.lane.wb.drop_youngest().is_some(),
             };
             if applied {
                 ds.set_bug_applied();
@@ -700,281 +1191,36 @@ impl Core {
         ux.ins.diff = Some(ds);
     }
 
-    /// [`Timing::tlb_walk`] with its telemetry note.
-    #[cold]
-    #[inline(never)]
-    fn tlb_walk(&mut self, ux: &mut Uncore, i_side: bool) -> u64 {
-        let p = ux.timing.tlb_walk(&mut self.counters, i_side);
-        if ux.ins.telem_on {
-            ux.ins.telem_tlb_walk(i_side, self.now, p);
-        }
-        p
+    /// Splits the core into its timing half and the [`Live`] hooks that
+    /// step it: the step at `paddr`, with a store's coherence `prior`.
+    #[inline(always)]
+    fn live<'a, const HOOKS: bool, const REC: bool, C: Coherence>(
+        &'a mut self,
+        ux: &'a mut Uncore,
+        coh: &'a mut C,
+        paddr: PhysAddr,
+        prior: Option<C::Prior>,
+    ) -> (&'a mut Lane, Live<'a, HOOKS, REC, C>) {
+        let hooks = Live {
+            ux,
+            fnow: &mut self.fnow,
+            l1i: &mut self.l1i,
+            l1d: &self.l1d,
+            coh,
+            paddr,
+            prior,
+            l2_dirty: false,
+        };
+        (&mut self.lane, hooks)
     }
 
-    /// Services an instruction-side L1 miss starting at `start`; returns
-    /// total stall cycles, with components attributed.
-    #[cold]
-    #[inline(never)]
-    fn service_i_miss(&mut self, ux: &mut Uncore, start: u64, paddr: PhysAddr) -> u64 {
-        let (outcome, dirty) = ux.l2_lookup_i(paddr);
-        self.fnow += ref_refill_cost(ux.ref_i_hit_cost, outcome);
-        if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.set_i_outcome(outcome);
-        }
-        let stall = ux.timing.i_refill(&mut self.counters, start, outcome);
-        if ux.ins.telem_on {
-            if outcome == 1 {
-                ux.ins.telem_l2_lookup_i(start, stall);
-            } else {
-                ux.ins.telem_mem_refill_i(start, stall);
-            }
-        }
-        self.l1i.fill(paddr);
-        if outcome == 1 {
-            stall + self.fault_on_l2_hit(ux, dirty, true)
-        } else {
-            stall
-        }
-    }
-
-    /// Fetches the L1-D line `line_base` for a read miss or a
-    /// write-allocate, starting at `start`: the fetch waits on previously
-    /// pending writes per the bypass rule, while the `victim` it displaces
-    /// drains in the background during the refill (that is what the
-    /// buffer is for). Returns total stall cycles.
-    fn fetch_d_line(
-        &mut self,
-        ux: &mut Uncore,
-        start: u64,
-        line_base: PhysAddr,
-        replaced_written: bool,
-        victim: Option<PhysAddr>,
-    ) -> u64 {
-        let wait = ux.timing.d_miss_wait(
-            &mut self.wb,
-            &mut self.counters,
-            start,
-            line_base,
-            replaced_written,
-        );
-        if ux.ins.telem_on && wait > 0 {
-            ux.ins.telem_wb_wait(start, wait);
-        }
-        let mut t = start + wait;
-        if let Some(victim) = victim {
-            t += self.enqueue_write(ux, t, victim);
-        }
-        t - start + self.service_d_miss(ux, t, line_base)
-    }
-
-    /// Services a data-side L1 miss (read or write-allocate) starting at
-    /// `start`; returns total stall cycles.
-    #[cold]
-    #[inline(never)]
-    fn service_d_miss(&mut self, ux: &mut Uncore, start: u64, line_base: PhysAddr) -> u64 {
-        let (outcome, dirty) = ux.l2_lookup_d(line_base);
-        self.fnow += ref_refill_cost(ux.ref_d_hit_cost, outcome);
-        if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.set_d_outcome(outcome);
-        }
-        let stall = ux.timing.d_refill(&mut self.counters, start, outcome);
-        if ux.ins.telem_on {
-            if outcome == 1 {
-                ux.ins.telem_l2_lookup_d(start, stall);
-            } else {
-                ux.ins.telem_mem_refill_d(start, stall);
-            }
-        }
-        if outcome == 1 {
-            stall + self.fault_on_l2_hit(ux, dirty, false)
-        } else {
-            stall
-        }
-    }
-
-    /// Enqueues a write into the write buffer at `start` ([`Timing::enqueue`]
-    /// with the drain's L2 side played out first). Returns the stall
-    /// (attributed to WB).
-    fn enqueue_write(&mut self, ux: &mut Uncore, start: u64, addr: PhysAddr) -> u64 {
-        if let Some(r) = ux.ins.rec.as_deref_mut() {
-            r.push_addr(addr.word());
-        }
-        let drain = ux.l2_drain(addr);
-        let e = ux
-            .timing
-            .enqueue(&mut self.wb, &mut self.counters, start, addr, drain);
-        if ux.ins.telem_on {
-            ux.ins
-                .telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
-        }
-        e.stall + self.fault_on_wb_write(ux)
-    }
-
-    // ---- soft-error fault hooks ----
+    // ---- the per-event steps ----
     //
-    // Faults are checked when an access *hits* the struck structure — the
-    // moment a corrupted entry would be consumed (a deliberate
-    // simplification: flips in lines that are never referenced again are
-    // architecturally silent anyway). With injection off (`fault` is
-    // `None`) every hook returns 0 without touching the PRNG, so the
-    // fault-free path is bit-identical to the legacy simulator.
-
-    /// Consults the injector for one access to `s`; returns the fired
-    /// event with its resolved effect, if any.
-    fn fault_check(
-        &mut self,
-        ux: &mut Uncore,
-        s: Structure,
-        dirty: bool,
-    ) -> Option<(FaultEvent, FaultEffect)> {
-        let fs = ux.ins.fault.as_mut()?;
-        let ev = fs.injector.check(s, fs.sets[s.index()])?;
-        self.counters.faults_injected += 1;
-        let effect = resolve(fs.protection.get(s), dirty, ev.multi_bit);
-        Some((ev, effect))
-    }
-
-    /// Applies a resolved fault effect: updates the fault counters,
-    /// charges `recovery_cycles`, and arms the configured machine-check
-    /// response. Returns the stall cycles the faulting access absorbs.
-    fn apply_fault(
-        &mut self,
-        ux: &mut Uncore,
-        ev: FaultEvent,
-        effect: FaultEffect,
-        refetch_cost: u64,
-    ) -> u64 {
-        let ins = &mut ux.ins;
-        if ins.telem_on {
-            ins.telem_fault(effect, self.now);
-        }
-        match effect {
-            FaultEffect::Silent => {
-                self.counters.faults_silent += 1;
-                0
-            }
-            FaultEffect::Correct => {
-                self.counters.faults_corrected += 1;
-                let p = ins.fault.as_ref().map_or(0, |f| f.ecc_penalty);
-                self.counters.recovery_cycles += p;
-                p
-            }
-            FaultEffect::Refetch => {
-                self.counters.fault_refetches += 1;
-                self.counters.recovery_cycles += refetch_cost;
-                refetch_cost
-            }
-            FaultEffect::MachineCheck => {
-                self.counters.machine_checks += 1;
-                if ins.fault.as_ref().is_some_and(|f| f.halt) {
-                    // Halt at the current instruction boundary; the run
-                    // loop surfaces the error.
-                    ins.pending_mc = Some(ev);
-                    0
-                } else {
-                    // Checkpoint restart: deterministic re-execution from
-                    // the last checkpoint costs the cycles since it, and
-                    // the restart point becomes the implicit checkpoint.
-                    let rollback = self.now.saturating_sub(ins.last_checkpoint_cycle);
-                    self.counters.recovery_cycles += rollback;
-                    ins.last_checkpoint_cycle = self.now;
-                    rollback
-                }
-            }
-        }
-    }
-
-    /// Fault check for a TLB hit (shared by both TLBs; entries are never
-    /// the only copy, so "dirty" never applies). A parity refetch re-walks
-    /// the page tables at the configured TLB miss penalty.
-    #[inline]
-    fn fault_on_tlb_hit(&mut self, ux: &mut Uncore) -> u64 {
-        if !ux.ins.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(ux, Structure::Tlb, false) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            ux.timing.tlb_penalty()
-        } else {
-            0
-        };
-        self.apply_fault(ux, ev, effect, cost)
-    }
-
-    /// Fault check for an L1-I hit (instruction lines are never dirty).
-    #[inline]
-    fn fault_on_l1i_hit(&mut self, ux: &mut Uncore, paddr: PhysAddr) -> u64 {
-        if !ux.ins.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(ux, Structure::L1I, false) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            ux.refetch_from_l2(true, paddr)
-        } else {
-            0
-        };
-        self.apply_fault(ux, ev, effect, cost)
-    }
-
-    /// Fault check for an L1-D hit. Under write-back a dirty line is the
-    /// only copy of its data; the write-through policies stream every
-    /// write out through the buffer, so their L1 copies are always clean
-    /// (the line's written mark notwithstanding).
-    #[inline]
-    fn fault_on_l1d_hit(&mut self, ux: &mut Uncore, paddr: PhysAddr) -> u64 {
-        if !ux.ins.fault_on {
-            return 0; // skip the dirty-line peek along with the check
-        }
-        let dirty = !self.l1d.policy().is_write_through()
-            && self.l1d.array().peek(paddr).is_some_and(|l| l.dirty);
-        let Some((ev, effect)) = self.fault_check(ux, Structure::L1D, dirty) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            ux.refetch_from_l2(false, paddr)
-        } else {
-            0
-        };
-        self.apply_fault(ux, ev, effect, cost)
-    }
-
-    /// Fault check for a demand L2 hit (either side; background drains are
-    /// not checked). A clean line refetches from main memory in place.
-    #[inline]
-    fn fault_on_l2_hit(&mut self, ux: &mut Uncore, dirty: bool, i_side: bool) -> u64 {
-        if !ux.ins.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(ux, Structure::L2, dirty) else {
-            return 0;
-        };
-        let cost = if effect == FaultEffect::Refetch {
-            ux.timing.refetch(i_side, 2)
-        } else {
-            0
-        };
-        self.apply_fault(ux, ev, effect, cost)
-    }
-
-    /// Fault check for a write entering the write buffer. In-flight store
-    /// data is always the only copy, hence always dirty: parity can only
-    /// detect (machine check), ECC corrects.
-    #[inline]
-    fn fault_on_wb_write(&mut self, ux: &mut Uncore) -> u64 {
-        if !ux.ins.fault_on {
-            return 0;
-        }
-        let Some((ev, effect)) = self.fault_check(ux, Structure::WriteBuffer, true) else {
-            return 0;
-        };
-        self.apply_fault(ux, ev, effect, 0)
-    }
-
-    // ---- the per-event timing rules ----
+    // Each step decides its outcomes on the core's TLBs and L1 arrays,
+    // notes them to the recorder (`REC`), then runs its lane's rule with
+    // `Live` hooks. A memo path runs the rule on the hit outcome with the
+    // co-pricer's hooks, the timing rules alone: on a hit with `HOOKS`
+    // off, `Live` would do nothing either.
 
     /// Steps one scheduled instruction: its fetch, then its data
     /// reference, if any. `HOOKS = true` runs the every-event layers
@@ -1002,89 +1248,39 @@ impl Core {
         ux: &mut Uncore,
         ev: &TraceEvent,
     ) {
+        let (pid, stall) = (ev.addr.pid().raw(), u64::from(ev.stall_cycles));
+        self.fnow += 1 + stall;
         // Uninstrumented fast path: a fetch from the line the previous
         // fetch ended on is a guaranteed ITLB + L1-I hit (only ifetches
         // touch either structure), and the hit path consumes the physical
-        // address nowhere, so the probes are skipped outright. The
-        // recorder notes the hit (no ITLB miss, outcome 0) here.
+        // address nowhere, so the probes are skipped outright.
         let vline = ev.addr.raw() >> self.i_line_shift;
         if !HOOKS && vline == self.last_ifetch_vline {
             if REC {
-                ux.ins
-                    .recorder()
-                    .begin_instr(ev.addr.pid().raw(), ev.stall_cycles, false);
+                ux.ins.recorder().begin_instr(ev, false);
             }
-            let cycles = 1 + ev.stall_cycles as u64;
-            self.counters.instructions += 1;
-            self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-            self.fnow += cycles;
-            self.now += cycles;
-            let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
-            p.instructions += 1;
-            p.cycles += cycles;
+            self.lane.ifetch(&mut ux.timing, pid, stall, false, 0);
             return;
         }
-        let diff_before = if HOOKS && ux.ins.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 1 + ev.stall_cycles as u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        let mut missed = false;
-        self.counters.instructions += 1;
-        self.counters.cpu_stall_cycles += ev.stall_cycles as u64;
-        self.fnow += 1 + ev.stall_cycles as u64;
-
+        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
         let itlb_hit = self.itlb.access(ev.addr);
         if REC {
-            ux.ins
-                .recorder()
-                .begin_instr(ev.addr.pid().raw(), ev.stall_cycles, !itlb_hit);
-        }
-        if itlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit(ux);
-            }
-        } else {
-            cycles += self.tlb_walk(ux, true);
+            ux.ins.recorder().begin_instr(ev, !itlb_hit);
         }
         let paddr = self.translate(ux, ev.addr);
-
-        if self.l1i.touch(paddr).is_some() {
-            if HOOKS {
-                cycles += self.fault_on_l1i_hit(ux, paddr);
-            }
-        } else {
-            self.counters.l1i_misses += 1;
-            missed = true;
-            let start = self.now + cycles;
-            let wait = ux
-                .timing
-                .i_miss_wait(&mut self.wb, &mut self.counters, start);
-            cycles += wait + self.service_i_miss(ux, start + wait, paddr);
-        }
-        self.now += cycles;
+        let outcome = u8::from(self.l1i.touch(paddr).is_none());
+        let coh = &mut NoCoherence;
+        let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr, None);
+        lane.ifetch(&mut h, pid, stall, !itlb_hit, outcome);
         if !HOOKS {
             // Hit or refill, the line is now resident; arm the memo. The
             // hooked instantiations never read it (faults and the canary
             // can invalidate lines behind it).
             self.last_ifetch_vline = vline;
         }
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ux, ev, paddr, before);
-            }
+        if let Some(before) = diff_before {
+            self.diff_note(ux, ev, paddr, before);
         }
-
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
-        p.instructions += 1;
-        p.cycles += cycles;
-        if missed {
-            p.l1i_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
     }
 
     /// Steps one load or store (see [`Core::step_instruction`] for
@@ -1103,6 +1299,19 @@ impl Core {
         }
     }
 
+    /// Whether a data access hits the DTLB. Same page as the previous data
+    /// access is a guaranteed hit (only data accesses touch the DTLB); the
+    /// skipped probe is LRU-exact for a repeated most-recent key.
+    #[inline(always)]
+    fn dtlb_hit<const HOOKS: bool>(&mut self, addr: VirtAddr) -> bool {
+        let vpage = addr.raw() >> PAGE_SHIFT;
+        let hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(addr);
+        if !HOOKS {
+            self.last_data_vpage = vpage;
+        }
+        hit
+    }
+
     #[inline]
     fn step_load<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
@@ -1110,52 +1319,29 @@ impl Core {
         coh: &mut C,
         ev: &TraceEvent,
     ) {
+        let pid = ev.addr.pid().raw();
         // Uninstrumented fast path: a load from the line the previous
         // load hit (with no intervening store, load miss or invalidation
         // — all clear the memo) is a guaranteed DTLB + L1-D hit with zero
         // charged cycles; line state cannot have changed in between.
         // Gated off under subblock placement, where load hits are
-        // per-word. The recorder notes the hit (no DTLB miss, outcome 0)
-        // here.
+        // per-word.
         let vline = ev.addr.raw() >> self.d_line_shift;
         if !HOOKS && vline == self.last_load_vline {
             if REC {
-                ux.ins.recorder().begin_load(false);
+                ux.ins.recorder().begin_load(false, &LOAD_HIT);
             }
-            self.counters.loads += 1;
-            let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
-            p.loads += 1;
+            self.lane
+                .load(&mut ux.timing, pid, false, &LOAD_HIT, Codes::default());
             return;
         }
-        let diff_before = if HOOKS && ux.ins.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 0u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        self.counters.loads += 1;
-        let vpage = ev.addr.raw() >> PAGE_SHIFT;
-        // Same page as the previous data access: guaranteed DTLB hit
-        // (only data accesses touch the DTLB; short-circuit skips the
-        // probe, which is LRU-exact for a repeated most-recent key).
-        let dtlb_hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(ev.addr);
-        if !HOOKS {
-            self.last_data_vpage = vpage;
-        }
-        if REC {
-            ux.ins.recorder().begin_load(!dtlb_hit);
-        }
-        if dtlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit(ux);
-            }
-        } else {
-            cycles += self.tlb_walk(ux, false);
-        }
+        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
+        let dtlb_hit = self.dtlb_hit::<HOOKS>(ev.addr);
         let paddr = self.translate(ux, ev.addr);
-
         let outcome = self.l1d.load(paddr);
+        if REC {
+            ux.ins.recorder().begin_load(!dtlb_hit, &outcome);
+        }
         if !HOOKS {
             // A hit leaves the line loadable; a miss refills it fully
             // (clearing any write-only mark), so either way the line is
@@ -1163,46 +1349,13 @@ impl Core {
             self.last_load_vline = if self.load_memo_ok { vline } else { u64::MAX };
         }
         if outcome.hit {
-            coh.load_hit(self, self.d_line_base(paddr));
-            if HOOKS {
-                cycles += self.fault_on_l1d_hit(ux, paddr);
-            }
-        } else {
-            self.counters.l1d_read_misses += 1;
-            let line_base = outcome.fetch.expect("miss implies fetch");
-            if REC {
-                ux.ins.recorder().load_miss(
-                    outcome.replaced_written_line,
-                    outcome.writeback_victim.is_some(),
-                    line_base.word(),
-                );
-            }
-            let t0 = self.now + cycles;
-            cycles += coh.load_fill(self, ux, t0, line_base, ev.addr.pid());
-            cycles += self.fetch_d_line(
-                ux,
-                self.now + cycles,
-                line_base,
-                outcome.replaced_written_line,
-                outcome.writeback_victim,
-            );
+            coh.load_hit(self, self.l1d.array().geometry().line_base(paddr));
         }
-        self.now += cycles;
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ux, ev, paddr, before);
-            }
+        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr, None);
+        lane.load(&mut h, pid, !dtlb_hit, &outcome, Codes::default());
+        if let Some(before) = diff_before {
+            self.diff_note(ux, ev, paddr, before);
         }
-
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let hit = outcome.hit;
-        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
-        p.loads += 1;
-        p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
-        }
-        p.l2_misses += l2_after - l2_before;
     }
 
     #[inline]
@@ -1212,90 +1365,55 @@ impl Core {
         coh: &mut C,
         ev: &TraceEvent,
     ) {
-        let diff_before = if HOOKS && ux.ins.diff_on {
-            Some(self.counters)
-        } else {
-            None
-        };
-        let mut cycles = 0u64;
-        let l2_before = self.counters.l2i_misses + self.counters.l2d_misses;
-        self.counters.stores += 1;
-        let vpage = ev.addr.raw() >> PAGE_SHIFT;
-        let dtlb_hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(ev.addr);
+        let pid = ev.addr.pid();
+        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
+        let dtlb_hit = self.dtlb_hit::<HOOKS>(ev.addr);
         if !HOOKS {
-            self.last_data_vpage = vpage;
             // Stores change line state (dirty / write-only / valid bits)
             // and may evict, so the load memo cannot survive one.
             self.last_load_vline = u64::MAX;
         }
-        if dtlb_hit {
-            if HOOKS {
-                cycles += self.fault_on_tlb_hit(ux);
-            }
-        } else {
-            cycles += self.tlb_walk(ux, false);
-        }
         let paddr = self.translate(ux, ev.addr);
-
-        let line = self.d_line_base(paddr);
-        let prior = coh.before_store(self, line, ev.addr.pid());
+        let line = self.l1d.array().geometry().line_base(paddr);
+        let prior = coh.before_store(self, line, pid);
         let outcome = self.l1d.store(paddr, ev.partial_word);
         if REC {
-            ux.ins.recorder().begin_store(
-                !dtlb_hit,
-                outcome.hit,
-                outcome.extra_cycle,
-                outcome.wb_word.is_some(),
-                outcome.fetch.is_some(),
-                outcome.writeback_victim.is_some(),
-                outcome.replaced_written_line,
-            );
+            ux.ins.recorder().begin_store(!dtlb_hit, &outcome);
         }
-        if outcome.hit {
-            if HOOKS {
-                cycles += self.fault_on_l1d_hit(ux, paddr);
-            }
-        } else {
-            self.counters.l1d_write_misses += 1;
+        self.fnow += u64::from(outcome.extra_cycle);
+        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr, Some(prior));
+        lane.store(&mut h, pid.raw(), !dtlb_hit, &outcome, Codes::default());
+        if let Some(before) = diff_before {
+            self.diff_note(ux, ev, paddr, before);
         }
-        if outcome.extra_cycle {
-            self.counters.l1_write_cycles += 1;
-            cycles += 1;
-            self.fnow += 1;
-        }
-        let t0 = self.now + cycles;
-        cycles += coh.store(self, ux, t0, line, ev.addr.pid(), prior);
+    }
+}
 
-        // Write-through: the word enters the write buffer.
-        if let Some(word) = outcome.wb_word {
-            cycles += self.enqueue_write(ux, self.now + cycles, word);
-        }
-        // Write-back allocate: the fetch behaves like a read miss.
-        let t = self.now + cycles;
-        if let Some(line_base) = outcome.fetch {
-            if REC {
-                ux.ins.recorder().push_addr(line_base.word());
-            }
-            let replaced = outcome.replaced_written_line;
-            cycles += self.fetch_d_line(ux, t, line_base, replaced, outcome.writeback_victim);
-        } else if let Some(victim) = outcome.writeback_victim {
-            cycles += self.enqueue_write(ux, t, victim);
-        }
-        self.now += cycles;
-        if HOOKS {
-            if let Some(before) = diff_before {
-                self.diff_note(ux, ev, paddr, before);
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-        let l2_after = self.counters.l2i_misses + self.counters.l2d_misses;
-        let hit = outcome.hit;
-        let p = proc_row(&mut self.per_proc, ev.addr.pid().raw());
-        p.stores += 1;
-        p.cycles += cycles;
-        if !hit {
-            p.l1d_misses += 1;
+    #[test]
+    fn drain_codes_and_the_drained_line_on_unified_and_split_l2() {
+        // Direct-mapped L2-D sides of 256 KW and 128 KW: `a` and `b` share a set.
+        let (a, b) = (PhysAddr::new(0x200), PhysAddr::new(0x200 + 262_144));
+        for l2 in [L2Config::base(), L2Config::split_even(262_144, 1, 6)] {
+            let mut ux = Uncore::new(&SimConfig {
+                l2,
+                ..SimConfig::baseline()
+            })
+            .expect("valid");
+            let dirty = |ux: &Uncore, x| match &ux.l2 {
+                L2Arrays::Unified(d) | L2Arrays::Split { d, .. } => d.peek(x).map(|l| l.dirty),
+            };
+            ux.refetch_from_l2(false, a); // a resident and clean
+            assert_eq!(ux.l2_drain(a), 0, "{l2:?}: hit");
+            assert_eq!(dirty(&ux, a), Some(true), "{l2:?}: the hit line is dirty");
+            assert_eq!(ux.l2_drain(b), 2, "{l2:?}: miss over the dirty a");
+            assert_eq!(dirty(&ux, b), Some(true), "{l2:?}: the fill is dirty");
+            ux.refetch_from_l2(false, a); // a resident and clean again
+            assert_eq!(ux.l2_drain(b), 1, "{l2:?}: miss over the clean a");
+            assert_eq!(dirty(&ux, b), Some(true), "{l2:?}: the fill is dirty");
         }
-        p.l2_misses += l2_after - l2_before;
     }
 }

@@ -19,12 +19,13 @@
 //!    pass steps the bare kernel, memos and span drain included: a memo
 //!    skip is a TLB plus L1 hit, and the memo paths record its token.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
-//!    any timing points of the same geometry against fresh timing state.
-//!    Every outcome's cost (TLB walk, L2 or memory refill, write-buffer
-//!    wait, drain) comes from the same `pipeline::Timing` methods the
-//!    simulator's core calls. Each result is byte-identical to a full
-//!    simulation of that configuration; [`price_profile`] is the
-//!    one-variant call.
+//!    any timing points of the same geometry. Each timing point is a
+//!    *lane*: the timing half of a simulator core (clock, counters,
+//!    per-process rows, write buffer) with its configuration's timing
+//!    rules. A lane steps each record through the core's own step rules
+//!    (see `pipeline`), so its result is byte-identical to a full
+//!    simulation of that configuration by construction; [`price_profile`]
+//!    is the one-variant call.
 //!
 //! The split is sound because the simulator's scheduler runs on a
 //! *functional clock* (see `Core::fnow`) that advances only on
@@ -33,18 +34,12 @@
 //!
 //! # Multi-variant co-pricing
 //!
-//! A geometry group usually carries several timing variants, and replaying
-//! the token stream once per variant decodes the same ~5.5 M-event stream
-//! N times. [`price_profiles`] collapses that: ONE pass over the token
-//! stream advances N variant *lanes* in lockstep. Each instruction record
-//! is decoded once into locals (stall, TLB bits, outcomes, drain codes,
-//! side-channel addresses) and then applied to every lane. A lane is the
-//! timing half of a core: its clock, counters, per-process rows, one
-//! [`gaas_cache::WriteBuffer`] and its configuration's `Timing`. A lane's
-//! result does not depend on the other lanes: pricing N variants together
-//! gives what N one-lane passes give. All the co-pricer computes itself
-//! is the closed-form cost of a run of all-hit records (see
-//! [`price_profiles`]).
+//! A geometry group usually carries several timing variants. Rather than
+//! decode the same ~5.5 M-event stream once per variant, [`price_profiles`]
+//! decodes each instruction record once and applies it to N lanes in
+//! lockstep. A lane's result does not depend on the other lanes. All the
+//! co-pricer states itself is the closed-form cost of a run of all-hit
+//! records (see [`price_profiles`]).
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -59,15 +54,15 @@
 //! build, so the memoizer can never silently group configurations that
 //! differ functionally.
 
-use gaas_cache::{MainMemory, WriteBuffer, WritePolicy};
+use gaas_cache::{LoadOutcome, MainMemory, StoreOutcome, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
-use gaas_trace::PhysAddr;
+use gaas_trace::{PhysAddr, TraceEvent};
 
 use crate::config::{
     ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WriteBufferConfig,
 };
-use crate::cpi::{proc_row, ran_rows, Counters, ProcCounters};
-use crate::pipeline::Timing;
+use crate::cpi::{proc_row, ran_rows, Counters};
+use crate::pipeline::{Codes, Lane, Timing};
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -119,6 +114,11 @@ const EXT_REPLACED: u8 = 1 << 2;
 
 const OUTCOME_MASK: u8 = 0x03;
 
+/// `flag` when `on`, else no bits.
+fn bit(on: bool, flag: u8) -> u8 {
+    u8::from(on) * flag
+}
+
 /// One geometry's functional behaviour, replayable under any timing point
 /// (produced by [`Simulator::run_profiled`], consumed by
 /// [`price_profile`]).
@@ -165,48 +165,6 @@ impl FunctionalProfile {
     pub fn addr_count(&self) -> u64 {
         self.addr_count
     }
-
-    /// Instructions the profile covers (including warm-up).
-    pub fn instructions(&self) -> u64 {
-        // Count ifetch records: every byte stream position that starts an
-        // instruction. Cheap enough for reporting; not used in pricing.
-        let mut n = 0u64;
-        let mut i = 0usize;
-        while i < self.ops.len() {
-            let b = self.ops[i];
-            i += 1;
-            if b & CONTROL == CONTROL {
-                i += 1; // pid byte
-                continue;
-            }
-            n += 1;
-            if (b >> 2) & 0x07 == STALL_ESCAPE {
-                i += 1; // full stall byte
-            }
-            match b & CONTROL {
-                KIND_LOAD => {
-                    let lb = self.ops[i];
-                    i += 1;
-                    if lb & OUTCOME_MASK != 0 && lb & LOAD_VICTIM != 0 {
-                        i += 1; // drain byte
-                    }
-                }
-                KIND_STORE => {
-                    let sb = self.ops[i];
-                    i += 1;
-                    if sb & STORE_FETCH != 0 {
-                        i += 1; // ext byte
-                    }
-                    let drains = u32::from(sb & STORE_WB_WORD != 0)
-                        + u32::from(sb & STORE_FETCH != 0 && sb & STORE_VICTIM != 0)
-                        + u32::from(sb & STORE_FETCH == 0 && sb & STORE_VICTIM != 0);
-                    i += drains as usize;
-                }
-                _ => {}
-            }
-        }
-        n
-    }
 }
 
 /// Captures functional outcomes during a recording run (installed by
@@ -231,98 +189,66 @@ impl ProfileRecorder {
         Self::default()
     }
 
-    pub(crate) fn begin_instr(&mut self, pid: u8, stall: u8, itlb_miss: bool) {
+    /// Notes the instruction the fetch `ev` starts (`itlb_miss` its ITLB
+    /// outcome), after a control token if its PID differs from the last.
+    pub(crate) fn begin_instr(&mut self, ev: &TraceEvent, itlb_miss: bool) {
+        let (pid, stall) = (ev.addr.pid().raw(), ev.stall_cycles);
         if self.last_pid != Some(pid) {
-            self.ops.push(CONTROL);
-            self.ops.push(pid);
+            self.ops.extend([CONTROL, pid]);
             self.last_pid = Some(pid);
         }
-        let mut b = 0u8;
-        if itlb_miss {
-            b |= I_TLB_MISS;
-        }
         let s = stall.min(STALL_ESCAPE);
-        b |= s << 2;
         self.i_slot = self.ops.len();
-        self.ops.push(b);
+        self.ops.push(bit(itlb_miss, I_TLB_MISS) | s << 2);
         if s == STALL_ESCAPE {
             self.ops.push(stall);
         }
     }
 
-    /// Patches the current instruction's fetch outcome (1 = L2 hit,
-    /// 2/3 = L2 miss with clean/dirty victim).
-    pub(crate) fn set_i_outcome(&mut self, code: u8) {
-        self.ops[self.i_slot] |= code;
-    }
-
-    pub(crate) fn begin_load(&mut self, dtlb_miss: bool) {
+    /// Notes the current instruction's load (`dtlb_miss` and its L1-D
+    /// outcome `o`) and the addresses the replay of a miss consumes.
+    pub(crate) fn begin_load(&mut self, dtlb_miss: bool, o: &LoadOutcome) {
         self.ops[self.i_slot] |= KIND_LOAD;
         self.d_slot = self.ops.len();
-        self.ops.push(if dtlb_miss { LOAD_DTLB } else { 0 });
+        self.ops.push(
+            bit(dtlb_miss, LOAD_DTLB)
+                | bit(o.replaced_written_line, LOAD_REPLACED)
+                | bit(o.writeback_victim.is_some(), LOAD_VICTIM),
+        );
+        self.push_addrs(&[o.fetch, o.writeback_victim]);
     }
 
-    pub(crate) fn load_miss(&mut self, replaced_written: bool, has_victim: bool, line_base: u64) {
-        let mut b = 0u8;
-        if replaced_written {
-            b |= LOAD_REPLACED;
-        }
-        if has_victim {
-            b |= LOAD_VICTIM;
-        }
-        self.ops[self.d_slot] |= b;
-        self.addrs.push(line_base);
-    }
-
-    #[allow(clippy::too_many_arguments, clippy::fn_params_excessive_bools)]
-    pub(crate) fn begin_store(
-        &mut self,
-        dtlb_miss: bool,
-        hit: bool,
-        extra_cycle: bool,
-        has_wb_word: bool,
-        has_fetch: bool,
-        has_victim: bool,
-        replaced_written: bool,
-    ) {
+    /// Notes the current instruction's store (`dtlb_miss` and its L1-D
+    /// outcome `o`) and the addresses its replay consumes.
+    pub(crate) fn begin_store(&mut self, dtlb_miss: bool, o: &StoreOutcome) {
         self.ops[self.i_slot] |= KIND_STORE;
-        let mut b = 0u8;
-        if dtlb_miss {
-            b |= STORE_DTLB;
-        }
-        if hit {
-            b |= STORE_HIT;
-        }
-        if extra_cycle {
-            b |= STORE_EXTRA;
-        }
-        if has_wb_word {
-            b |= STORE_WB_WORD;
-        }
-        if has_fetch {
-            b |= STORE_FETCH;
-        }
-        if has_victim {
-            b |= STORE_VICTIM;
-        }
-        self.ops.push(b);
-        if has_fetch {
+        self.ops.push(
+            bit(dtlb_miss, STORE_DTLB)
+                | bit(o.hit, STORE_HIT)
+                | bit(o.extra_cycle, STORE_EXTRA)
+                | bit(o.wb_word.is_some(), STORE_WB_WORD)
+                | bit(o.fetch.is_some(), STORE_FETCH)
+                | bit(o.writeback_victim.is_some(), STORE_VICTIM),
+        );
+        if o.fetch.is_some() {
             self.d_slot = self.ops.len();
-            self.ops
-                .push(if replaced_written { EXT_REPLACED } else { 0 });
+            self.ops.push(bit(o.replaced_written_line, EXT_REPLACED));
         }
+        self.push_addrs(&[o.wb_word, o.fetch, o.writeback_victim]);
     }
 
-    /// Patches the current data access's outcome (load byte or store ext
-    /// byte).
-    pub(crate) fn set_d_outcome(&mut self, code: u8) {
-        self.ops[self.d_slot] |= code;
+    /// Records the physical addresses of one data access in the replay's
+    /// consumption order.
+    fn push_addrs(&mut self, addrs: &[Option<PhysAddr>]) {
+        self.addrs.extend(addrs.iter().flatten().map(|a| a.word()));
     }
 
-    /// Records a physical address for the write-buffer replay (enqueued
-    /// words/victims and store fetch line bases, in consumption order).
-    pub(crate) fn push_addr(&mut self, raw: u64) {
-        self.addrs.push(raw);
+    /// Patches the current instruction's fetch outcome (`i_side`) or its
+    /// data access's (the load byte or a store's ext byte): 1 = L2 hit,
+    /// 2/3 = L2 miss with a clean/dirty victim.
+    pub(crate) fn set_outcome(&mut self, i_side: bool, code: u8) {
+        let slot = if i_side { self.i_slot } else { self.d_slot };
+        self.ops[slot] |= code;
     }
 
     /// Records one write-buffer drain's L2-D outcome, in enqueue order.
@@ -568,12 +494,11 @@ pub fn price_profiles(
     }
 
     let mut p = CoPricer {
-        lanes: cfgs.iter().map(Lane::new).collect(),
+        lanes: cfgs.iter().map(PricedLane::new).collect(),
         pid: 0,
     };
     let mut addrs = U64StreamCursor::new(&profile.addr_blocks);
-    let next_addr =
-        |cur: &mut U64StreamCursor<'_>| PhysAddr::new(cur.next_value().expect("addrs underrun"));
+    let mut next_addr = || PhysAddr::new(addrs.next_value().expect("addrs underrun"));
 
     let ops = &profile.ops[..];
     let mut warm = false;
@@ -600,7 +525,9 @@ pub fn price_profiles(
             continue;
         }
         // Decode the whole instruction record into locals once, then
-        // apply it to every lane (or fold it into the pending run).
+        // apply it to every lane (or fold it into the pending run). The
+        // drain codes follow the data byte in enqueue order, the
+        // addresses come in the order the recorder noted them.
         let mut stall = ((b >> 2) & 0x07) as u64;
         if stall == STALL_ESCAPE as u64 {
             stall = ops[i] as u64;
@@ -609,72 +536,68 @@ pub fn price_profiles(
         let itlb = b & I_TLB_MISS != 0;
         let i_outcome = b & OUTCOME_MASK;
         instr_total += 1;
+        // The next ops byte when `on` (a data byte, ext byte or drain
+        // code the record carries), else 0.
+        let mut next_op = |on: bool| {
+            i += usize::from(on);
+            bit(on, ops[i - 1])
+        };
         match b & CONTROL {
             KIND_LOAD => {
-                let lb = ops[i];
-                i += 1;
-                let outcome = lb & OUTCOME_MASK;
-                if i_outcome == 0 && outcome == 0 {
+                let lb = next_op(true);
+                let refill = lb & OUTCOME_MASK;
+                if i_outcome == 0 && refill == 0 {
                     pend.ifetch_hit(stall, itlb);
                     pend.load_hit(lb & LOAD_DTLB != 0);
                 } else {
-                    let (mut line_base, mut victim) = (PhysAddr::new(0), None);
-                    if outcome != 0 {
-                        line_base = next_addr(&mut addrs);
-                        if lb & LOAD_VICTIM != 0 {
-                            let addr = next_addr(&mut addrs);
-                            let code = ops[i];
-                            i += 1;
-                            victim = Some((addr, code));
-                        }
-                    }
-                    let replaced = lb & LOAD_REPLACED != 0;
+                    // Only a miss carries a victim or a replaced line.
+                    let o = LoadOutcome {
+                        hit: refill == 0,
+                        fetch: (refill != 0).then(&mut next_addr),
+                        writeback_victim: (lb & LOAD_VICTIM != 0).then(&mut next_addr),
+                        replaced_written_line: lb & LOAD_REPLACED != 0,
+                    };
+                    let codes = Codes {
+                        refill,
+                        word: 0,
+                        victim: next_op(o.writeback_victim.is_some()),
+                    };
                     let dtlb = lb & LOAD_DTLB != 0;
                     p.flush(&mut pend);
-                    for lane in &mut p.lanes {
-                        lane.ifetch(p.pid, stall, itlb, i_outcome);
-                        lane.load(p.pid, dtlb, outcome, replaced, line_base, victim);
+                    for l in &mut p.lanes {
+                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
+                        l.lane.load(&mut l.timing, p.pid, dtlb, &o, codes);
                     }
                 }
             }
             KIND_STORE => {
-                let sb = ops[i];
-                i += 1;
+                let sb = next_op(true);
                 if i_outcome == 0 && sb & (STORE_FETCH | STORE_WB_WORD | STORE_VICTIM) == 0 {
                     pend.ifetch_hit(stall, itlb);
                     pend.store_simple(sb);
                 } else {
-                    let (mut outcome, mut replaced) = (0u8, false);
-                    if sb & STORE_FETCH != 0 {
-                        let ext = ops[i];
-                        i += 1;
-                        outcome = ext & OUTCOME_MASK;
-                        replaced = ext & EXT_REPLACED != 0;
-                    }
-                    // Side-channel consumption order mirrors the
-                    // recording run: wb word, fetched line base, victim.
-                    let mut wb_word = None;
-                    if sb & STORE_WB_WORD != 0 {
-                        let addr = next_addr(&mut addrs);
-                        let code = ops[i];
-                        i += 1;
-                        wb_word = Some((addr, code));
-                    }
-                    let mut line_base = PhysAddr::new(0);
-                    if sb & STORE_FETCH != 0 {
-                        line_base = next_addr(&mut addrs);
-                    }
-                    let mut victim = None;
-                    if sb & STORE_VICTIM != 0 {
-                        let addr = next_addr(&mut addrs);
-                        let code = ops[i];
-                        i += 1;
-                        victim = Some((addr, code));
-                    }
+                    let ext = next_op(sb & STORE_FETCH != 0);
+                    let mut o = StoreOutcome {
+                        hit: sb & STORE_HIT != 0,
+                        extra_cycle: sb & STORE_EXTRA != 0,
+                        wb_word: (sb & STORE_WB_WORD != 0).then(&mut next_addr),
+                        fetch: None,
+                        writeback_victim: None,
+                        replaced_written_line: ext & EXT_REPLACED != 0,
+                    };
+                    let word = next_op(o.wb_word.is_some());
+                    o.fetch = (sb & STORE_FETCH != 0).then(&mut next_addr);
+                    o.writeback_victim = (sb & STORE_VICTIM != 0).then(&mut next_addr);
+                    let codes = Codes {
+                        refill: ext & OUTCOME_MASK,
+                        word,
+                        victim: next_op(o.writeback_victim.is_some()),
+                    };
+                    let dtlb = sb & STORE_DTLB != 0;
                     p.flush(&mut pend);
-                    for lane in &mut p.lanes {
-                        lane.ifetch(p.pid, stall, itlb, i_outcome);
-                        lane.store(p.pid, sb, outcome, replaced, wb_word, line_base, victim);
+                    for l in &mut p.lanes {
+                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
+                        l.lane.store(&mut l.timing, p.pid, dtlb, &o, codes);
                     }
                 }
             }
@@ -683,8 +606,8 @@ pub fn price_profiles(
                     pend.ifetch_hit(stall, itlb);
                 } else {
                     p.flush(&mut pend);
-                    for lane in &mut p.lanes {
-                        lane.ifetch(p.pid, stall, itlb, i_outcome);
+                    for l in &mut p.lanes {
+                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
                     }
                 }
             }
@@ -692,8 +615,8 @@ pub fn price_profiles(
         if profile.warmup > 0 && !warm && instr_total == profile.warmup {
             p.flush(&mut pend);
             warm = true;
-            for lane in &mut p.lanes {
-                lane.warm = lane.counters;
+            for l in &mut p.lanes {
+                l.warm = l.lane.counters;
             }
         }
     }
@@ -762,30 +685,23 @@ impl PendingRun {
 }
 
 /// One timing variant's replay state for [`price_profiles`]: the timing
-/// half of a [`Core`](crate::Core) (its clock, counters, per-process rows
-/// and write buffer) plus the [`Timing`] its [`Uncore`](crate::Uncore)
-/// would hold. Everything the profile already decided (arrays, TLBs, the
-/// functional clock) is absent. Its steps are `Core`'s step rules with
-/// the outcomes given, and every cycle they charge comes from `Timing`.
-struct Lane {
-    now: u64,
-    counters: Counters,
+/// half of a [`Core`](crate::Core) and the [`Timing`] its
+/// [`Uncore`](crate::Uncore) would hold, which are also its step hooks.
+/// Everything the profile already decided (arrays, TLBs, the functional
+/// clock) is absent.
+struct PricedLane {
+    lane: Lane,
+    timing: Timing,
     /// The counters at the warm-up boundary.
     warm: Counters,
-    per_proc: Vec<ProcCounters>,
-    wb: WriteBuffer,
-    timing: Timing,
 }
 
-impl Lane {
+impl PricedLane {
     fn new(cfg: &SimConfig) -> Self {
-        Lane {
-            now: 0,
-            counters: Counters::new(),
-            warm: Counters::new(),
-            per_proc: Vec::new(),
-            wb: WriteBuffer::new(cfg.write_buffer.depth),
+        PricedLane {
+            lane: Lane::new(cfg),
             timing: Timing::new(cfg),
+            warm: Counters::new(),
         }
     }
 
@@ -796,7 +712,7 @@ impl Lane {
     fn flush(&mut self, pid: u8, pend: &PendingRun) {
         let tlb_cycles = (pend.itlb + pend.dtlb) * self.timing.tlb_penalty();
         let cycles = pend.base_cycles + tlb_cycles;
-        let c = &mut self.counters;
+        let c = &mut self.lane.counters;
         c.instructions += pend.instructions;
         c.loads += pend.loads;
         c.stores += pend.stores;
@@ -806,8 +722,8 @@ impl Lane {
         c.tlb_miss_cycles += tlb_cycles;
         c.l1_write_cycles += pend.extra_writes;
         c.l1d_write_misses += pend.store_misses;
-        self.now += cycles;
-        let p = proc_row(&mut self.per_proc, pid);
+        self.lane.now += cycles;
+        let p = proc_row(&mut self.lane.per_proc, pid);
         p.instructions += pend.instructions;
         p.loads += pend.loads;
         p.stores += pend.stores;
@@ -815,123 +731,13 @@ impl Lane {
         p.l1d_misses += pend.store_misses;
     }
 
-    fn ifetch(&mut self, pid: u8, stall: u64, itlb: bool, outcome: u8) {
-        let c = &mut self.counters;
-        let mut cycles = 1 + stall;
-        c.instructions += 1;
-        c.cpu_stall_cycles += stall;
-        if itlb {
-            cycles += self.timing.tlb_walk(c, true);
-        }
-        if outcome != 0 {
-            c.l1i_misses += 1;
-            let start = self.now + cycles;
-            let wait = self.timing.i_miss_wait(&mut self.wb, c, start);
-            cycles += wait + self.timing.i_refill(c, start + wait, outcome);
-        }
-        self.now += cycles;
-        let p = proc_row(&mut self.per_proc, pid);
-        p.instructions += 1;
-        p.cycles += cycles;
-        p.l1i_misses += u64::from(outcome != 0);
-        p.l2_misses += u64::from(outcome >= 2);
-    }
-
-    /// `Core::fetch_d_line` on a recorded outcome: the bypass wait, the
-    /// victim's enqueue, then the refill. Returns the stall.
-    fn fetch_d_line(
-        &mut self,
-        start: u64,
-        line_base: PhysAddr,
-        replaced: bool,
-        victim: Option<(PhysAddr, u8)>,
-        outcome: u8,
-    ) -> u64 {
-        let c = &mut self.counters;
-        let wait = self
-            .timing
-            .d_miss_wait(&mut self.wb, c, start, line_base, replaced);
-        let mut t = start + wait;
-        if let Some((addr, drain)) = victim {
-            t += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
-        }
-        t - start + self.timing.d_refill(c, t, outcome)
-    }
-
-    fn load(
-        &mut self,
-        pid: u8,
-        dtlb: bool,
-        outcome: u8,
-        replaced: bool,
-        line_base: PhysAddr,
-        victim: Option<(PhysAddr, u8)>,
-    ) {
-        let mut cycles = 0u64;
-        self.counters.loads += 1;
-        if dtlb {
-            cycles += self.timing.tlb_walk(&mut self.counters, false);
-        }
-        if outcome != 0 {
-            self.counters.l1d_read_misses += 1;
-            cycles += self.fetch_d_line(self.now + cycles, line_base, replaced, victim, outcome);
-        }
-        self.now += cycles;
-        let p = proc_row(&mut self.per_proc, pid);
-        p.loads += 1;
-        p.cycles += cycles;
-        p.l1d_misses += u64::from(outcome != 0);
-        p.l2_misses += u64::from(outcome >= 2);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn store(
-        &mut self,
-        pid: u8,
-        sb: u8,
-        outcome: u8,
-        replaced: bool,
-        wb_word: Option<(PhysAddr, u8)>,
-        line_base: PhysAddr,
-        victim: Option<(PhysAddr, u8)>,
-    ) {
-        let mut cycles = 0u64;
-        let c = &mut self.counters;
-        c.stores += 1;
-        if sb & STORE_DTLB != 0 {
-            cycles += self.timing.tlb_walk(c, false);
-        }
-        let hit = sb & STORE_HIT != 0;
-        c.l1d_write_misses += u64::from(!hit);
-        if sb & STORE_EXTRA != 0 {
-            c.l1_write_cycles += 1;
-            cycles += 1;
-        }
-        if let Some((addr, drain)) = wb_word {
-            let t = self.now + cycles;
-            cycles += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
-        }
-        let t = self.now + cycles;
-        if sb & STORE_FETCH != 0 {
-            cycles += self.fetch_d_line(t, line_base, replaced, victim, outcome);
-        } else if let Some((addr, drain)) = victim {
-            cycles += self.timing.enqueue(&mut self.wb, c, t, addr, drain).stall;
-        }
-        self.now += cycles;
-        let p = proc_row(&mut self.per_proc, pid);
-        p.stores += 1;
-        p.cycles += cycles;
-        p.l1d_misses += u64::from(!hit);
-        p.l2_misses += u64::from(outcome >= 2);
-    }
-
     fn into_result(self, cfg: &SimConfig, profile: &FunctionalProfile, warm: bool) -> SimResult {
         debug_assert_eq!(
-            self.now,
-            self.counters.total_cycles(),
+            self.lane.now,
+            self.lane.counters.total_cycles(),
             "cycle accounting must balance"
         );
-        let mut counters = self.counters;
+        let mut counters = self.lane.counters;
         counters.syscall_switches = profile.syscall_switches;
         counters.slice_switches = profile.slice_switches;
         if warm {
@@ -941,7 +747,7 @@ impl Lane {
             config: cfg.clone(),
             counters,
             completed: profile.completed.clone(),
-            per_process: ran_rows(&self.per_proc),
+            per_process: ran_rows(&self.lane.per_proc),
             termination: if profile.budget_exhausted {
                 Termination::BudgetExhausted
             } else {
@@ -955,7 +761,7 @@ impl Lane {
 /// The co-pricer's lanes, advanced in lockstep by [`price_profiles`], and
 /// the PID whose records they are replaying.
 struct CoPricer {
-    lanes: Vec<Lane>,
+    lanes: Vec<PricedLane>,
     pid: u8,
 }
 
@@ -1278,15 +1084,8 @@ mod tests {
 
     #[test]
     fn profile_reports_size_and_instructions() {
-        let (rep, profile) = profile_for(&SimConfig::baseline());
+        let (_, profile) = profile_for(&SimConfig::baseline());
         assert!(profile.size_bytes() > 0);
         assert!(profile.addr_count() > 0);
-        // `instructions()` counts the full run including warm-up; the
-        // result counters exclude it.
-        assert_eq!(
-            profile.instructions(),
-            rep.counters.instructions + WARMUP,
-            "token walk must agree with the run's instruction count"
-        );
     }
 }

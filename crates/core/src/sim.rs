@@ -762,12 +762,12 @@ impl Simulator {
 
     /// Current simulated cycle.
     pub fn now(&self) -> u64 {
-        self.core.now
+        self.core.lane.now
     }
 
     /// Counters accumulated so far.
     pub fn counters(&self) -> &Counters {
-        &self.core.counters
+        &self.core.lane.counters
     }
 
     /// Runs a multiprogramming workload to completion and returns the
@@ -1112,7 +1112,7 @@ pub fn run_cores<P: Protocol>(
         let (below, rest) = cores.split_at_mut(c);
         let (core, above) = rest.split_first_mut().expect("picked core exists");
         let sched = &mut scheds[c];
-        let before = core.counters.instructions;
+        let before = core.lane.counters.instructions;
         // The poll, in this core's retired instructions.
         let poll = before + (next_poll - retired);
         if hooks && multi {
@@ -1146,7 +1146,7 @@ pub fn run_cores<P: Protocol>(
         }
         if hooks {
             if let Some((id, detail)) = proto.violation() {
-                let cycle = cores[id as usize].now;
+                let cycle = cores[id as usize].lane.now;
                 return Err(SimError::Coherence {
                     core: id,
                     cycle,
@@ -1154,22 +1154,22 @@ pub fn run_cores<P: Protocol>(
                 });
             }
         }
-        retired += cores[c].counters.instructions - before;
+        retired += cores[c].lane.counters.instructions - before;
         if retired >= next_poll {
             let due = polls.fire(retired, spec.cancel)?;
             next_poll = polls.next();
             if due.warm {
-                warm_snapshot = Some(cores.iter().map(|core| core.counters).collect());
+                warm_snapshot = Some(cores.iter().map(|core| core.lane.counters).collect());
             }
             if due.window {
-                let total = sum(cores.iter().map(|core| &core.counters));
+                let total = sum(cores.iter().map(|core| &core.lane.counters));
                 windows.push(total.since(&window_start));
                 window_start = total;
             }
             if due.checkpoint {
-                ux.ins.last_checkpoint_cycle = cores[0].now;
+                ux.ins.last_checkpoint_cycle = cores[0].lane.now;
                 checkpoints.push(Checkpoint {
-                    cycle: cores[0].now,
+                    cycle: cores[0].lane.now,
                     instructions: retired,
                     sched: scheds[0].snapshot(),
                 });
@@ -1191,18 +1191,18 @@ pub fn run_cores<P: Protocol>(
     }
     let mut per_proc: Vec<ProcCounters> = Vec::new();
     for (core, sched) in cores.iter_mut().zip(&scheds) {
-        core.counters.syscall_switches = sched.syscall_switches();
-        core.counters.slice_switches = sched.slice_switches();
+        core.lane.counters.syscall_switches = sched.syscall_switches();
+        core.lane.counters.slice_switches = sched.slice_switches();
         debug_assert_eq!(
-            core.now,
-            core.counters.total_cycles(),
+            core.lane.now,
+            core.lane.counters.total_cycles(),
             "cycles must balance"
         );
         // Rows merge by PID: the shared pseudo-process runs on every core.
-        if per_proc.len() < core.per_proc.len() {
-            per_proc.resize(core.per_proc.len(), ProcCounters::default());
+        if per_proc.len() < core.lane.per_proc.len() {
+            per_proc.resize(core.lane.per_proc.len(), ProcCounters::default());
         }
-        for (row, p) in per_proc.iter_mut().zip(&core.per_proc) {
+        for (row, p) in per_proc.iter_mut().zip(&core.lane.per_proc) {
             row.add(p);
         }
     }
@@ -1212,8 +1212,8 @@ pub fn run_cores<P: Protocol>(
         .iter()
         .enumerate()
         .map(|(i, core)| match &warm_snapshot {
-            Some(snaps) => core.counters.since(&snaps[i]),
-            None => core.counters,
+            Some(snaps) => core.lane.counters.since(&snaps[i]),
+            None => core.lane.counters,
         })
         .collect();
     if ux.ins.telem_on {
@@ -1273,13 +1273,13 @@ fn step_hooked<C: Coherence>(
         core.step_instruction::<true, false, C>(ux, coh, instr);
     }
     if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-        ux.ins.telem_sched_switch(core.now);
+        ux.ins.telem_sched_switch(core.lane.now);
     }
     if let Some(fault) = ux.ins.pending_mc.take() {
         return Err(SimError::MachineCheck {
             fault,
-            cycle: core.now,
-            instructions: core.counters.instructions,
+            cycle: core.lane.now,
+            instructions: core.lane.counters.instructions,
         });
     }
     take_divergence(core, ux).map_or(Ok(()), Err)
@@ -1330,7 +1330,7 @@ impl Turn for CoreTurn<'_> {
         }
         let owned = |d: &TraceEvent| usize::from(self.owners[usize::from(d.addr.pid().raw())]);
         core.fnow < self.ahead_end
-            && core.counters.instructions < self.ahead_instructions
+            && core.lane.counters.instructions < self.ahead_instructions
             && data.map_or(true, |d| owned(d) == self.id)
             && core.local_step(ifetch, data)
     }
@@ -1382,7 +1382,7 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     }
     core.step_instruction::<false, REC, C>(ux, coh, instr);
     if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-        ux.ins.telem_sched_switch(core.now);
+        ux.ins.telem_sched_switch(core.lane.now);
     }
     // Span drain: step straight over the installed process's buffered
     // events, checking the same per-instruction conditions (syscall,
@@ -1393,7 +1393,7 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     // data half.
     let slice_end = sched.slice_end();
     loop {
-        if core.counters.instructions >= next_poll {
+        if core.lane.counters.instructions >= next_poll {
             break;
         }
         let (span, start) = sched.current_span();
@@ -1423,14 +1423,14 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
                 rotate_syscall = ifetch.syscall;
                 break;
             }
-            if core.counters.instructions >= next_poll {
+            if core.lane.counters.instructions >= next_poll {
                 break;
             }
         }
         sched.advance(pos - start);
         if rotated {
             if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
-                ux.ins.telem_sched_switch(core.now);
+                ux.ins.telem_sched_switch(core.lane.now);
             }
             break;
         }
@@ -1444,7 +1444,7 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
 fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
     let report = ux.ins.diff.as_mut()?.take_report()?;
     if ux.ins.telem_on {
-        ux.ins.telem_oracle_divergence(core.now);
+        ux.ins.telem_oracle_divergence(core.lane.now);
     }
     Some(SimError::Divergence(Box::new(report)))
 }
@@ -1460,7 +1460,7 @@ fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
 #[inline(never)]
 fn telem_finalize(core: &Core, ux: &mut Uncore) {
     let s = core.structures(ux);
-    let c = &core.counters;
+    let c = &core.lane.counters;
     let rows = [
         ("l1i.occupancy", s.l1i.occupancy() as u64),
         ("l1d.occupancy", s.l1d.array().occupancy() as u64),
