@@ -52,8 +52,9 @@
 //!   upgrade misses, coherence stall cycles), plus the byte-identity of
 //!   a 1-core CMP run against the single-CPU kernel (gated under
 //!   determinism); measured even under `--kernel-only`;
-//! * **figures** — wall-clock seconds to regenerate each paper figure at
-//!   table scale (with two-phase sweep memoization on, its default);
+//! * **figures** — wall-clock seconds to run and render each experiment
+//!   of [`plan::EXPERIMENTS`] that has cells, as its own batch at table
+//!   scale (with two-phase sweep memoization on, its default);
 //! * **sweep** — a geometry-diverse 16-cell sweep (4 L2-D geometries × 4
 //!   access times) measured three ways: serial full simulation
 //!   (memoization off, jobs 1), parallel full simulation (memoization
@@ -78,10 +79,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use gaas_experiments::{
-    ablations, campaign, fig10, fig2, fig3, fig4, fig5, fig6, fig78, fig9, fig_cmp, pool, runner,
-    sec5, sec8,
-};
+use gaas_experiments::{campaign, fig_cmp, plan, pool, runner};
 use gaas_sim::config::{L2Config, L2Side, SimConfig, TelemetryConfig};
 use gaas_sim::{price_profile, price_profiles, sim, workload, CmpConfig, SimResult, Simulator};
 use gaas_trace::bench_model::suite;
@@ -308,28 +306,13 @@ fn main() {
     let mut figures: Vec<(&str, f64)> = Vec::new();
     let mut sweep: Option<SweepReport> = None;
     if !kernel_only {
-        macro_rules! time_figure {
-            ($name:literal, $body:expr) => {{
-                let t0 = Instant::now();
-                std::hint::black_box($body);
-                let secs = t0.elapsed().as_secs_f64();
-                eprintln!("[{}: {:.2}s]", $name, secs);
-                figures.push(($name, secs));
-            }};
+        for e in plan::EXPERIMENTS.iter().filter(|e| !(e.cells)().is_empty()) {
+            let t0 = Instant::now();
+            std::hint::black_box(e.run(scale));
+            let secs = t0.elapsed().as_secs_f64();
+            eprintln!("[{}: {:.2}s]", e.name, secs);
+            figures.push((e.name, secs));
         }
-        time_figure!("fig2", fig2::run(scale));
-        time_figure!("fig3", fig3::run(scale));
-        time_figure!("fig4", fig4::run(scale));
-        time_figure!("fig5", fig5::run(scale));
-        time_figure!("fig6", fig6::run(scale));
-        time_figure!("fig7", fig78::run(fig78::Side::Instruction, scale));
-        time_figure!("fig8", fig78::run(fig78::Side::Data, scale));
-        time_figure!("fig9", fig9::run(scale));
-        time_figure!("fig10", fig10::run(scale));
-        time_figure!("sec5", sec5::run(scale));
-        time_figure!("sec8", sec8::run(scale));
-        time_figure!("ablations", ablations::run(scale));
-        time_figure!("fig_cmp", fig_cmp::run(scale));
 
         sweep = Some(measure_sweep(kernel_scale, jobs, cores));
     }

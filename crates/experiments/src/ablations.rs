@@ -16,7 +16,9 @@
 use gaas_cache::WritePolicy;
 use gaas_sim::config::{L2Config, L2Side, SimConfig, WriteBufferConfig};
 
-use crate::runner::run_standard_many;
+use crate::campaign::CellResult;
+use crate::plan::completed;
+use crate::runner::run_standard_cells;
 use crate::tablefmt::{f3, f4, Table};
 
 /// One ablation point: a labeled config and its headline metrics.
@@ -34,13 +36,66 @@ pub struct Row {
     pub l2_miss: f64,
 }
 
-/// Runs a family of labeled configs as one batched sweep.
-fn run_points(points: Vec<(&'static str, String, SimConfig)>, scale: f64) -> Vec<Row> {
-    let cfgs: Vec<SimConfig> = points.iter().map(|(_, _, cfg)| cfg.clone()).collect();
-    run_standard_many(&cfgs, scale)
-        .into_iter()
-        .zip(points)
-        .map(|(r, (family, label, _))| Row {
+/// One ablation point: family, label within the family, and config.
+type Point = (&'static str, String, SimConfig);
+
+/// Every family's points, in table order.
+fn points() -> Vec<Point> {
+    let mut points: Vec<Point> = Vec::new();
+    for policy in [WritePolicy::WriteBack, WritePolicy::WriteOnly] {
+        for depth in [1usize, 2, 4, 8, 16] {
+            let mut b = SimConfig::builder();
+            b.policy(policy).write_buffer(WriteBufferConfig {
+                depth,
+                width_words: if policy.is_write_through() { 1 } else { 4 },
+            });
+            let label = format!("{} depth {depth}", policy.label());
+            points.push(("wb-depth", label, b.build().expect("valid")));
+        }
+    }
+    for line in [8u32, 16, 32] {
+        let mut b = SimConfig::builder();
+        b.l2(L2Config::Unified(L2Side {
+            size_words: 262_144,
+            assoc: 1,
+            line_words: line,
+            access_cycles: 6,
+        }));
+        points.push((
+            "l2-line",
+            format!("{line}W lines"),
+            b.build().expect("valid"),
+        ));
+    }
+    // 256 colors (the default) down to a single color (an allocator that
+    // ignores cache geometry).
+    for colors in [256u64, 64, 16, 4, 1] {
+        let mut cfg = SimConfig::baseline();
+        cfg.page_colors = colors;
+        points.push(("page-colors", format!("{colors} colors"), cfg));
+    }
+    for p in [0u32, 10, 30, 100] {
+        let mut b = SimConfig::builder();
+        b.tlb_miss_penalty(p);
+        points.push((
+            "tlb-penalty",
+            format!("{p} cycles"),
+            b.build().expect("valid"),
+        ));
+    }
+    points
+}
+
+/// Every ablation family's cells, in table order.
+pub fn cells() -> Vec<SimConfig> {
+    points().into_iter().map(|(_, _, cfg)| cfg).collect()
+}
+
+/// The rows of the completed cells among `points` (results in the same
+/// order).
+fn rows(points: Vec<Point>, results: &[CellResult]) -> Vec<Row> {
+    completed(points, results)
+        .map(|((family, label, _), r)| Row {
             family,
             label,
             cpi: r.cpi(),
@@ -50,86 +105,12 @@ fn run_points(points: Vec<(&'static str, String, SimConfig)>, scale: f64) -> Vec
         .collect()
 }
 
-/// Write-buffer depth sweep for both policy classes.
-pub fn write_buffer_depth(scale: f64) -> Vec<Row> {
-    let mut points = Vec::new();
-    for policy in [WritePolicy::WriteBack, WritePolicy::WriteOnly] {
-        for depth in [1usize, 2, 4, 8, 16] {
-            let mut b = SimConfig::builder();
-            b.policy(policy).write_buffer(WriteBufferConfig {
-                depth,
-                width_words: if policy.is_write_through() { 1 } else { 4 },
-            });
-            points.push((
-                "wb-depth",
-                format!("{} depth {depth}", policy.label()),
-                b.build().expect("valid"),
-            ));
-        }
-    }
-    run_points(points, scale)
-}
-
-/// L2 line-size sweep on the base architecture.
-pub fn l2_line_size(scale: f64) -> Vec<Row> {
-    let points = [8u32, 16, 32]
-        .iter()
-        .map(|&line| {
-            let mut b = SimConfig::builder();
-            b.l2(L2Config::Unified(L2Side {
-                size_words: 262_144,
-                assoc: 1,
-                line_words: line,
-                access_cycles: 6,
-            }));
-            (
-                "l2-line",
-                format!("{line}W lines"),
-                b.build().expect("valid"),
-            )
-        })
-        .collect();
-    run_points(points, scale)
-}
-
-/// Page-color sweep: 256 colors (the default) down to a single color
-/// (an allocator that ignores cache geometry).
-pub fn page_colors(scale: f64) -> Vec<Row> {
-    let points = [256u64, 64, 16, 4, 1]
-        .iter()
-        .map(|&colors| {
-            let mut cfg = SimConfig::baseline();
-            cfg.page_colors = colors;
-            ("page-colors", format!("{colors} colors"), cfg)
-        })
-        .collect();
-    run_points(points, scale)
-}
-
-/// TLB miss-penalty sensitivity.
-pub fn tlb_penalty(scale: f64) -> Vec<Row> {
-    let points = [0u32, 10, 30, 100]
-        .iter()
-        .map(|&p| {
-            let mut b = SimConfig::builder();
-            b.tlb_miss_penalty(p);
-            (
-                "tlb-penalty",
-                format!("{p} cycles"),
-                b.build().expect("valid"),
-            )
-        })
-        .collect();
-    run_points(points, scale)
-}
-
-/// Runs every ablation family.
-pub fn run(scale: f64) -> Vec<Row> {
-    let mut rows = write_buffer_depth(scale);
-    rows.extend(l2_line_size(scale));
-    rows.extend(page_colors(scale));
-    rows.extend(tlb_penalty(scale));
-    rows
+/// Runs one family (`wb-depth`, `l2-line`, `page-colors` or
+/// `tlb-penalty`) as its own batch.
+pub fn family(name: &str, scale: f64) -> Vec<Row> {
+    let points: Vec<Point> = points().into_iter().filter(|p| p.0 == name).collect();
+    let cfgs: Vec<SimConfig> = points.iter().map(|(_, _, cfg)| cfg.clone()).collect();
+    rows(points, &run_standard_cells(&cfgs, scale))
 }
 
 /// Renders all ablation rows grouped by family.
@@ -150,6 +131,11 @@ pub fn table(rows: &[Row]) -> Table {
     t
 }
 
+/// Renders every ablation family from the cells' results.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    format!("{}\n", table(&rows(points(), results)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +144,7 @@ mod tests {
 
     #[test]
     fn deeper_write_buffers_never_hurt() {
-        let rows = write_buffer_depth(S);
+        let rows = family("wb-depth", S);
         for pair in rows.windows(2) {
             if pair[0].family == pair[1].family
                 && pair[0].label.split(' ').next() == pair[1].label.split(' ').next()
@@ -177,7 +163,7 @@ mod tests {
 
     #[test]
     fn page_coloring_matters() {
-        let rows = page_colors(S);
+        let rows = family("page-colors", S);
         let full = &rows[0]; // 256 colors
         let none = rows.last().expect("nonempty"); // 1 color
                                                    // Removing coloring must not *improve* the machine; typically it
@@ -192,7 +178,7 @@ mod tests {
 
     #[test]
     fn tlb_penalty_monotone() {
-        let rows = tlb_penalty(S);
+        let rows = family("tlb-penalty", S);
         for pair in rows.windows(2) {
             assert!(pair[1].cpi >= pair[0].cpi - 1e-9);
         }
@@ -200,9 +186,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_families() {
-        let rows = run(S);
-        let t = table(&rows);
-        let s = t.to_string();
+        let s = crate::plan::find("ablations").expect("listed").run(S);
         for fam in ["wb-depth", "l2-line", "page-colors", "tlb-penalty"] {
             assert!(s.contains(fam));
         }

@@ -26,38 +26,22 @@
 //!                CPI stacks, counter summary) to DIR; alone it implies the
 //!                `telemetry` experiment
 //! --list-cells   print the geometry-group assignment (functional
-//!                fingerprint -> member cells) of the selected sweeps
-//!                (fig5/fig7/fig8) without running anything
+//!                fingerprint -> member cells) of the selected
+//!                experiments' one campaign batch (default: all) without
+//!                running anything
 //! ```
+//!
+//! The selected experiments' cells run as **one** campaign batch
+//! ([`plan::run`]), so a geometry shared across figures runs one
+//! functional pass; stderr gets one `[campaign: …]` line for it, and
+//! the tables print in selection order. `check`, `diffcheck` and
+//! `telemetry` run in their place in the selection after it.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
-use gaas_experiments::{
-    ablations, budget, campaign, fig10, fig2, fig3, fig4, fig5, fig6, fig78, fig9, fig_cmp,
-    interrupt, perbench, pool, runner, sec5, sec8, table1, telemetry, threec, verify, warmup,
-};
-use gaas_sim::config::SimConfig;
-
-const ALL: [&str; 18] = [
-    "table1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "sec5",
-    "sec8",
-    "perbench",
-    "ablations",
-    "budget",
-    "threec",
-    "warmup",
-    "fig_cmp",
-];
+use gaas_experiments::plan::{self, EXPERIMENTS};
+use gaas_experiments::{campaign, interrupt, pool, runner, telemetry, verify};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,7 +54,7 @@ fn main() {
     // mid-append death, no reliance on salvage.
     interrupt::install();
     let mut scale = gaas_experiments::DEFAULT_SCALE;
-    let mut selected: Vec<String> = Vec::new();
+    let mut selected: Vec<&str> = Vec::new();
     let mut journal: Option<String> = None;
     let mut resume = false;
     let mut telemetry_dir: Option<String> = None;
@@ -116,32 +100,33 @@ fn main() {
                 gaas_experiments::durability::set_durable_sync(false);
             }
             "--help" | "-h" => usage(""),
-            "all" => selected.extend(ALL.iter().map(|s| s.to_string())),
-            "check" => selected.push("check".to_string()),
-            "diffcheck" => selected.push("diffcheck".to_string()),
-            "telemetry" => selected.push("telemetry".to_string()),
-            name if ALL.contains(&name) => selected.push(name.to_string()),
-            other => usage(&format!("unknown experiment '{other}'")),
+            "all" => selected.extend(EXPERIMENTS.iter().map(|e| e.name)),
+            name @ ("check" | "diffcheck" | "telemetry") => selected.push(name),
+            name => match plan::find(name) {
+                Some(e) => selected.push(e.name),
+                None => usage(&format!("unknown experiment '{name}'")),
+            },
         }
-    }
-    if list_cells {
-        if selected.is_empty() {
-            selected.extend(["fig5", "fig7", "fig8"].map(String::from));
-        }
-        for name in &selected {
-            print_cell_groups(name);
-        }
-        return;
     }
     if selected.is_empty() {
-        if telemetry_dir.is_some() {
+        if telemetry_dir.is_some() && !list_cells {
             // `repro --telemetry DIR` alone runs the instrumented cell.
-            selected.push("telemetry".to_string());
+            selected.push("telemetry");
         } else {
-            selected.extend(ALL.iter().map(|s| s.to_string()));
+            selected.extend(EXPERIMENTS.iter().map(|e| e.name));
         }
     }
-    selected.dedup();
+    // Keep the first occurrence of each name.
+    let mut seen = HashSet::new();
+    selected.retain(|name| seen.insert(*name));
+    let figures: Vec<&plan::Experiment> = selected
+        .iter()
+        .filter_map(|name| plan::find(name))
+        .collect();
+    if list_cells {
+        print_cell_groups(&figures);
+        return;
+    }
     if resume && journal.is_none() {
         usage("--resume requires --journal");
     }
@@ -162,52 +147,21 @@ fn main() {
         eprintln!("[sweep cells on {} worker threads]", pool::jobs());
     }
 
-    for name in &selected {
+    let t0 = Instant::now();
+    let rendered = plan::run(&figures, scale).unwrap_or_else(|_| exit_interrupted(&journal));
+    if !figures.is_empty() {
+        let cells: usize = plan::batch(&figures).1.iter().sum();
+        eprintln!(
+            "[campaign: {cells} cells of {} experiments, {} functional passes, done in {:.1}s]",
+            figures.len(),
+            campaign::memo_stats().functional_runs,
+            t0.elapsed().as_secs_f64()
+        );
+    }
+    let mut rendered = rendered.into_iter();
+    for name in selected {
         let t0 = Instant::now();
-        match name.as_str() {
-            "table1" => println!("{}", table1::table(&table1::run(scale.min(0.002)))),
-            "fig2" => println!("{}", fig2::table(&fig2::run(scale))),
-            "fig3" => println!("{}", fig3::table(&fig3::run(scale))),
-            "fig4" => println!("{}", fig4::table(&fig4::run(scale))),
-            "fig5" => {
-                let rows = fig5::run(scale);
-                println!("{}", fig5::table(&rows));
-                println!("{}", fig5::component_table(&rows));
-            }
-            "fig6" => {
-                let rows = fig6::run(scale);
-                println!("{}", fig6::table(&rows));
-                println!("{}", fig6::table2(&rows));
-            }
-            "fig7" => {
-                println!(
-                    "{}",
-                    fig78::table(
-                        fig78::Side::Instruction,
-                        &fig78::run(fig78::Side::Instruction, scale)
-                    )
-                );
-            }
-            "fig8" => {
-                println!(
-                    "{}",
-                    fig78::table(fig78::Side::Data, &fig78::run(fig78::Side::Data, scale))
-                );
-            }
-            "fig9" => println!("{}", fig9::table(&fig9::run(scale))),
-            "fig10" => println!("{}", fig10::table(&fig10::run(scale))),
-            "sec5" => println!("{}", sec5::table(&sec5::run(scale))),
-            "sec8" => println!("{}", sec8::table(&sec8::run(scale))),
-            "perbench" => println!("{}", perbench::table(&perbench::run(scale))),
-            "ablations" => println!("{}", ablations::table(&ablations::run(scale))),
-            "threec" => println!("{}", threec::table(&threec::run(scale))),
-            "warmup" => println!("{}", warmup::table(&warmup::run(scale, 20))),
-            "fig_cmp" => {
-                let rows = fig_cmp::run(scale);
-                println!("{}", fig_cmp::table(&rows));
-                println!("{}", fig_cmp::table_coherence(&rows));
-                println!("{}", fig_cmp::table_traffic(&rows));
-            }
+        match name {
             "check" => {
                 let checks = verify::run(scale);
                 println!("{}", verify::table(&checks));
@@ -254,30 +208,32 @@ fn main() {
                     }
                 }
             }
-            "budget" => {
-                let budgets = budget::run();
-                println!("{}", budget::table(&budgets));
-                for b in &budgets {
-                    println!("{}", budget::detail_table(b));
-                }
+            _ => {
+                print!("{}", rendered.next().expect("one render per experiment"));
+                continue;
             }
-            _ => unreachable!("validated above"),
         }
         eprintln!("[{name} done in {:.1}s]", t0.elapsed().as_secs_f64());
         if interrupt::interrupted() {
-            eprintln!("[interrupted: journal flushed; cells not yet started were skipped]");
-            match &journal {
-                Some(path) => eprintln!("[resume with: repro ... --journal {path} --resume]"),
-                None => eprintln!(
-                    "[no journal was active; re-run with --journal PATH --resume to checkpoint]"
-                ),
-            }
-            finish_campaign();
-            // Conventional exit status for death-by-SIGINT (128 + 2).
-            std::process::exit(130);
+            exit_interrupted(&journal);
         }
     }
     finish_campaign();
+}
+
+/// Winds down after SIGINT/SIGTERM: the journal is already flushed
+/// through its normal fsync'd appends, so print the resume hint and exit
+/// with the conventional death-by-SIGINT status (128 + 2).
+fn exit_interrupted(journal: &Option<String>) -> ! {
+    eprintln!("[interrupted: journal flushed; cells not yet started were skipped]");
+    match journal {
+        Some(path) => eprintln!("[resume with: repro ... --journal {path} --resume]"),
+        None => {
+            eprintln!("[no journal was active; re-run with --journal PATH --resume to checkpoint]")
+        }
+    }
+    finish_campaign();
+    std::process::exit(130);
 }
 
 /// `repro serve ...` delegates to the sibling `gaas-serve` binary (the
@@ -308,46 +264,22 @@ fn delegate_serve(args: &[String]) -> ! {
     }
 }
 
-/// Prints the geometry-group assignment of one sweep: each group's
-/// functional fingerprint and member cells, exactly as the memoized
-/// campaign would batch them (`--list-cells`).
-fn print_cell_groups(name: &str) {
-    let (labels, cfgs): (Vec<String>, Vec<SimConfig>) = match name {
-        "fig5" => {
-            let (points, cfgs) = fig5::cell_configs();
-            (
-                points
-                    .iter()
-                    .map(|(p, t)| format!("{}/T{t}", p.label()))
-                    .collect(),
-                cfgs,
-            )
-        }
-        "fig7" | "fig8" => {
-            let side = if name == "fig7" {
-                fig78::Side::Instruction
-            } else {
-                fig78::Side::Data
-            };
-            let mut labels = Vec::new();
-            let mut cfgs = Vec::new();
-            for &size in &fig78::SIZES {
-                for &access in &fig78::ACCESS_TIMES {
-                    labels.push(format!("{}KW/T{access}", size / 1024));
-                    cfgs.push(fig78::cell_config(side, size, access));
-                }
-            }
-            (labels, cfgs)
-        }
-        other => {
-            eprintln!("[--list-cells: '{other}' is not a grouped sweep; skipped]");
-            return;
-        }
-    };
+/// Prints the geometry-group assignment of the selected experiments'
+/// one campaign batch: each group's functional fingerprint and member
+/// cells (`experiment:index`), exactly as the memoized campaign would
+/// batch them (`--list-cells`).
+fn print_cell_groups(figures: &[&plan::Experiment]) {
+    let (cfgs, counts) = plan::batch(figures);
+    let labels: Vec<String> = figures
+        .iter()
+        .zip(counts)
+        .flat_map(|(e, n)| (0..n).map(move |i| format!("{}:{i}", e.name)))
+        .collect();
     let groups = campaign::group_preview(&cfgs);
     println!(
-        "## {name} — {} cells in {} geometry groups (memoization {})",
+        "## {} cells of {} experiments in {} geometry groups (memoization {})",
         cfgs.len(),
+        figures.len(),
         groups.len(),
         if campaign::memoize_enabled() {
             "on"
@@ -381,7 +313,7 @@ fn usage(err: &str) -> ! {
          \x20            [--telemetry DIR] [--list-cells] [--no-sync]\n\
          \x20      repro serve ...   (delegates to the gaas-serve sweep daemon)\n\
          experiments: {} | all | check | diffcheck | telemetry",
-        ALL.join(" ")
+        EXPERIMENTS.map(|e| e.name).join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -8,6 +8,7 @@
 
 use gaas_mcm::McmBudget;
 
+use crate::campaign::CellResult;
 use crate::tablefmt::Table;
 
 /// Runs (constructs) the two budgets.
@@ -57,6 +58,16 @@ pub fn detail_table(budget: &McmBudget) -> Table {
         ]);
     }
     t
+}
+
+/// Renders the budget summary and each population's detail (no cells).
+pub fn render(_scale: f64, _results: &[CellResult]) -> String {
+    let budgets = run();
+    let mut out = format!("{}\n", table(&budgets));
+    for b in &budgets {
+        out += &format!("{}\n", detail_table(b));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use gaas_sim::config::SimConfig;
 use gaas_sim::{
-    config_fingerprint, functional_fingerprint, price_profiles, CancelToken, CmpConfig, Counters,
+    config_fingerprint, functional_fingerprint, price_profiles, CancelToken, Counters,
     FunctionalProfile, Pid, ProcCounters, SimError, SimResult, Termination,
 };
 
@@ -97,35 +97,6 @@ static SWEEP_DEADLINE: Mutex<Option<Instant>> = Mutex::new(None);
 /// deadline rather than at `deadline + timeout`.
 pub fn set_sweep_deadline(deadline: Option<Instant>) {
     *SWEEP_DEADLINE.lock().unwrap_or_else(|e| e.into_inner()) = deadline;
-}
-
-/// Crosses base configurations with the **core-count sweep dimension**:
-/// every base × every entry of `cores`, carrying `sharing`'s workload
-/// knobs (`shared_frac`, `shared_words`, `migration_interval`, protocol
-/// costs) into each multi-core cell. Single-core cells get
-/// `shared_frac = 0` so they stay on the validated single-CPU engine —
-/// the anchor column of any CMP figure.
-///
-/// Cells come back in `bases[0] × cores, bases[1] × cores, …` order, so
-/// a figure can zip them against its own `(base, cores)` point list.
-pub fn cross_core_counts(
-    bases: &[SimConfig],
-    cores: &[u32],
-    sharing: &CmpConfig,
-) -> Vec<SimConfig> {
-    let mut out = Vec::with_capacity(bases.len() * cores.len());
-    for base in bases {
-        for &n in cores {
-            let mut cfg = base.clone();
-            cfg.cmp = CmpConfig {
-                cores: n,
-                shared_frac: if n > 1 { sharing.shared_frac } else { 0.0 },
-                ..*sharing
-            };
-            out.push(cfg);
-        }
-    }
-    out
 }
 
 fn sweep_deadline() -> Option<Instant> {
@@ -1081,8 +1052,7 @@ pub fn inspect_journal(path: impl AsRef<Path>) -> io::Result<JournalInspection> 
     })
 }
 
-/// The process-wide active campaign consulted by
-/// [`runner::run_standard_cell`](crate::runner::run_standard_cell).
+/// The process-wide active campaign consulted by [`run_cells`].
 static ACTIVE: Mutex<Option<Campaign>> = Mutex::new(None);
 
 fn active() -> std::sync::MutexGuard<'static, Option<Campaign>> {
@@ -1111,20 +1081,6 @@ pub fn deactivate() -> Option<CampaignStats> {
 /// True when a process-wide campaign is active.
 pub fn is_active() -> bool {
     active().is_some()
-}
-
-/// Routes one cell through the active campaign, or runs it isolated
-/// without journaling (single attempt, no effective timeout) when no
-/// campaign is active.
-pub fn dispatch(cfg: &SimConfig, scale: f64) -> CellResult {
-    let mut guard = active();
-    match guard.as_mut() {
-        Some(campaign) => campaign.cell(cfg, scale),
-        None => {
-            drop(guard);
-            run_isolated(cfg, scale, &CellOptions::unbounded())
-        }
-    }
 }
 
 /// Prices every config in `cfgs` from one [`FunctionalProfile`] — the
@@ -1372,7 +1328,7 @@ pub fn group_preview(cfgs: &[SimConfig]) -> Vec<(Option<u64>, Vec<usize>)> {
 /// results are byte-identical either way (enforced by the determinism
 /// gate in `perf_baseline` and the memoized-sweep integration tests).
 ///
-/// Journal semantics match per-cell [`dispatch`]: journaled cells are
+/// Journal semantics match per-cell [`Campaign::cell`]: journaled cells are
 /// reused without running, executed cells journal atomically as each
 /// group completes (arrival order; the journal's `BTreeMap` keying makes
 /// the file bytes order-independent). The campaign lock is *not* held

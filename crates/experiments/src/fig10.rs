@@ -17,21 +17,9 @@
 use gaas_cache::WritePolicy;
 use gaas_sim::config::{ConcurrencyConfig, L2Config, SimConfig, WbBypass};
 
-use crate::runner::run_standard_many;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f3, f4, Table};
-
-/// One design point in the concurrency walk.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Column label (matches the figure's x-axis).
-    pub label: &'static str,
-    /// Total CPI.
-    pub cpi: f64,
-    /// Memory-system CPI.
-    pub memory_cpi: f64,
-    /// ΔCPI vs. the previous column (negative = improvement).
-    pub delta_vs_prev: f64,
-}
 
 /// The Fig. 9 endpoint all concurrency steps build on.
 fn base_wl() -> SimConfig {
@@ -48,10 +36,10 @@ fn with_concurrency(c: ConcurrencyConfig) -> SimConfig {
     b.build().expect("valid")
 }
 
-/// Runs the five columns of the figure (including the associative-matching
-/// comparison point).
-pub fn run(scale: f64) -> Vec<Row> {
-    let steps: [(&'static str, SimConfig); 5] = [
+/// The five columns of the figure (including the associative-matching
+/// comparison point): column label and configuration.
+fn steps() -> [(&'static str, SimConfig); 5] {
+    [
         ("base WL", base_wl()),
         (
             "+ concurrent I refill",
@@ -84,12 +72,24 @@ pub fn run(scale: f64) -> Vec<Row> {
                 l2d_dirty_buffer: true,
             }),
         ),
-    ];
+    ]
+}
 
-    let (labels, cfgs): (Vec<_>, Vec<_>) = steps.into_iter().unzip();
-    let mut rows: Vec<Row> = Vec::new();
+/// The walk's cells, one per column.
+pub fn cells() -> Vec<SimConfig> {
+    steps().into_iter().map(|(_, cfg)| cfg).collect()
+}
+
+/// Renders the Fig. 10 columns from the cells' results (in [`cells`]
+/// order), each with its ΔCPI vs. the previous column (negative =
+/// improvement); a failed column is omitted.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    let mut t = Table::new(
+        "Fig. 10 — memory-system concurrency (cumulative)",
+        &["design point", "CPI", "memory CPI", "dCPI vs prev"],
+    );
     let mut prev_cpi = f64::NAN;
-    for (r, label) in run_standard_many(&cfgs, scale).iter().zip(labels) {
+    for (label, r) in completed(steps().map(|(label, _)| label), results) {
         let b = r.breakdown();
         let delta = if prev_cpi.is_nan() {
             0.0
@@ -101,31 +101,14 @@ pub fn run(scale: f64) -> Vec<Row> {
         if label != "(DWB bypass, associative)" {
             prev_cpi = b.total();
         }
-        rows.push(Row {
-            label,
-            cpi: b.total(),
-            memory_cpi: b.memory_cpi(),
-            delta_vs_prev: delta,
-        });
-    }
-    rows
-}
-
-/// Renders the Fig. 10 columns.
-pub fn table(rows: &[Row]) -> Table {
-    let mut t = Table::new(
-        "Fig. 10 — memory-system concurrency (cumulative)",
-        &["design point", "CPI", "memory CPI", "dCPI vs prev"],
-    );
-    for r in rows {
         t.push_row(vec![
-            r.label.to_string(),
-            f3(r.cpi),
-            f4(r.memory_cpi),
-            format!("{:+.4}", r.delta_vs_prev),
+            label.to_string(),
+            f3(b.total()),
+            f4(b.memory_cpi()),
+            format!("{delta:+.4}"),
         ]);
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
@@ -143,8 +126,9 @@ mod tests {
 
     #[test]
     fn walk_runs_and_renders() {
-        let rows = run(3e-4);
-        assert_eq!(rows.len(), 5);
-        assert!(table(&rows).to_string().contains("dirty"));
+        let results = crate::runner::run_standard_cells(&cells(), 3e-4);
+        assert_eq!(results.len(), 5);
+        assert!(results.iter().all(CellResult::is_done));
+        assert!(render(3e-4, &results).contains("dirty"));
     }
 }

@@ -10,90 +10,64 @@
 use gaas_sim::config::SimConfig;
 
 use crate::campaign::CellResult;
-use crate::runner::run_standard_cells;
+use crate::plan::completed;
 use crate::tablefmt::{f3, f4, Table};
 
 /// Multiprogramming levels swept.
 pub const LEVELS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// One sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// Multiprogramming level.
-    pub level: usize,
-    /// L1 instruction-cache miss ratio.
-    pub l1i: f64,
-    /// L1 data-cache miss ratio.
-    pub l1d: f64,
-    /// L2 miss ratio.
-    pub l2: f64,
-    /// Total CPI.
-    pub cpi: f64,
-}
-
-/// Runs the sweep on the base architecture. A level whose cell fails
-/// every isolation attempt is reported to stderr and omitted from the
-/// returned rows.
-pub fn run(scale: f64) -> Vec<Row> {
-    let cfgs: Vec<SimConfig> = LEVELS
+/// The sweep's cells: the base architecture at each level of [`LEVELS`].
+pub fn cells() -> Vec<SimConfig> {
+    LEVELS
         .iter()
         .map(|&level| {
             let mut b = SimConfig::builder();
             b.mp_level(level);
             b.build().expect("valid")
         })
-        .collect();
-    run_standard_cells(&cfgs, scale)
-        .into_iter()
-        .zip(LEVELS)
-        .filter_map(|(res, level)| match res {
-            CellResult::Done(r) => {
-                let c = &r.counters;
-                Some(Row {
-                    level,
-                    l1i: c.l1i_miss_ratio(),
-                    l1d: c.l1d_miss_ratio(),
-                    l2: c.l2_miss_ratio(),
-                    cpi: r.cpi(),
-                })
-            }
-            CellResult::Failed { error, attempts } => {
-                eprintln!("fig2: level {level} failed after {attempts} attempt(s): {error}");
-                None
-            }
-        })
         .collect()
 }
 
-/// Renders the Fig. 2 series.
-pub fn table(rows: &[Row]) -> Table {
+/// Renders the Fig. 2 series from the cells' results (in [`cells`]
+/// order); a failed level is omitted.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
     let mut t = Table::new(
         "Fig. 2 — miss ratios vs. multiprogramming level (slice 500k cycles)",
         &["level", "L1-I miss", "L1-D miss", "L2 miss", "CPI"],
     );
-    for r in rows {
+    for (level, r) in completed(LEVELS, results) {
+        let c = &r.counters;
         t.push_row(vec![
-            r.level.to_string(),
-            f4(r.l1i),
-            f4(r.l1d),
-            f4(r.l2),
-            f3(r.cpi),
+            level.to_string(),
+            f4(c.l1i_miss_ratio()),
+            f4(c.l1d_miss_ratio()),
+            f4(c.l2_miss_ratio()),
+            f3(r.cpi()),
         ]);
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_standard_cells;
 
     #[test]
     fn sweep_covers_levels() {
-        let rows = run(5e-4);
-        assert_eq!(rows.len(), LEVELS.len());
-        for (r, l) in rows.iter().zip(LEVELS) {
-            assert_eq!(r.level, l);
-            assert!(r.cpi > 1.0);
+        let results = run_standard_cells(&cells(), 5e-4);
+        for (res, level) in results.iter().zip(LEVELS) {
+            let CellResult::Done(r) = res else {
+                panic!("level {level} failed");
+            };
+            assert!(r.cpi() > 1.0);
         }
+        let levels: Vec<String> = render(5e-4, &results)
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with(char::is_numeric))
+            .map(String::from)
+            .collect();
+        assert_eq!(levels, LEVELS.map(|l| l.to_string()));
     }
 }

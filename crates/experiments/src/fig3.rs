@@ -9,7 +9,8 @@
 
 use gaas_sim::config::SimConfig;
 
-use crate::runner::run_standard_many;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f3, f4, Table};
 
 /// Time slices swept (cycles).
@@ -17,53 +18,22 @@ pub const SLICES: [u64; 7] = [
     10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000,
 ];
 
-/// One sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// Time slice in cycles.
-    pub slice: u64,
-    /// L1 instruction-cache miss ratio.
-    pub l1i: f64,
-    /// L1 data-cache miss ratio.
-    pub l1d: f64,
-    /// L2 miss ratio.
-    pub l2: f64,
-    /// Total CPI.
-    pub cpi: f64,
-    /// Mean cycles between context switches (slice + syscall driven).
-    pub mean_switch_interval: f64,
-}
-
-/// Runs the sweep on the base architecture at level 8.
-pub fn run(scale: f64) -> Vec<Row> {
-    let cfgs: Vec<SimConfig> = SLICES
+/// The sweep's cells: the base architecture (level 8) at each slice of
+/// [`SLICES`].
+pub fn cells() -> Vec<SimConfig> {
+    SLICES
         .iter()
         .map(|&slice| {
             let mut b = SimConfig::builder();
             b.time_slice(slice);
             b.build().expect("valid")
         })
-        .collect();
-    run_standard_many(&cfgs, scale)
-        .into_iter()
-        .zip(SLICES)
-        .map(|(r, slice)| {
-            let c = &r.counters;
-            let switches = (c.syscall_switches + c.slice_switches).max(1);
-            Row {
-                slice,
-                l1i: c.l1i_miss_ratio(),
-                l1d: c.l1d_miss_ratio(),
-                l2: c.l2_miss_ratio(),
-                cpi: r.cpi(),
-                mean_switch_interval: c.total_cycles() as f64 / switches as f64,
-            }
-        })
         .collect()
 }
 
-/// Renders the Fig. 3 series.
-pub fn table(rows: &[Row]) -> Table {
+/// Renders the Fig. 3 series from the cells' results (in [`cells`]
+/// order); a failed slice is omitted.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
     let mut t = Table::new(
         "Fig. 3 — miss ratios vs. context-switch interval (MP level 8)",
         &[
@@ -75,34 +45,35 @@ pub fn table(rows: &[Row]) -> Table {
             "cyc/switch",
         ],
     );
-    for r in rows {
+    for (slice, r) in completed(SLICES, results) {
+        let c = &r.counters;
+        let switches = (c.syscall_switches + c.slice_switches).max(1);
         t.push_row(vec![
-            r.slice.to_string(),
-            f4(r.l1i),
-            f4(r.l1d),
-            f4(r.l2),
-            f3(r.cpi),
-            format!("{:.0}", r.mean_switch_interval),
+            slice.to_string(),
+            f4(c.l1i_miss_ratio()),
+            f4(c.l1d_miss_ratio()),
+            f4(c.l2_miss_ratio()),
+            f3(r.cpi()),
+            format!("{:.0}", c.total_cycles() as f64 / switches as f64),
         ]);
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_standard_many;
 
     #[test]
     fn sweep_covers_slices() {
-        let rows: Vec<Row> = run(3e-4);
-        assert_eq!(rows.len(), SLICES.len());
-        let shortest = &rows[0];
-        let longest = &rows[rows.len() - 1];
+        let results = run_standard_many(&cells(), 3e-4);
+        assert_eq!(results.len(), SLICES.len());
+        let shortest = results[0].cpi();
+        let longest = results[results.len() - 1].cpi();
         assert!(
-            shortest.cpi >= longest.cpi,
-            "short slices must not beat long ones: {} vs {}",
-            shortest.cpi,
-            longest.cpi
+            shortest >= longest,
+            "short slices must not beat long ones: {shortest} vs {longest}"
         );
     }
 }

@@ -8,13 +8,13 @@
 use gaas_sim::config::SimConfig;
 use gaas_sim::SimResult;
 
-use crate::runner::run_standard;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f4, Table};
 
-/// The full result of the base-architecture run (callers may inspect any
-/// counter, not just the stacked components).
-pub fn run(scale: f64) -> SimResult {
-    run_standard(SimConfig::baseline(), scale)
+/// The figure's one cell: the base architecture.
+pub fn cells() -> Vec<SimConfig> {
+    vec![SimConfig::baseline()]
 }
 
 /// Renders the CPI stack.
@@ -32,13 +32,20 @@ pub fn table(result: &SimResult) -> Table {
     t
 }
 
+/// Renders Fig. 4 from its cell's result (nothing when the cell failed).
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    completed([()], results)
+        .map(|((), r)| format!("{}\n", table(r)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn stack_sums_to_total() {
-        let r = run(3e-4);
+        let r = crate::runner::run_standard(SimConfig::baseline(), 3e-4);
         let b = r.breakdown();
         let sum: f64 = b.components().iter().map(|(_, v)| v).sum();
         assert!((sum - b.total()).abs() < 1e-9);
@@ -47,7 +54,7 @@ mod tests {
 
     #[test]
     fn table_includes_all_components() {
-        let r = run(3e-4);
+        let r = crate::runner::run_standard(SimConfig::baseline(), 3e-4);
         let t = table(&r);
         let s = t.to_string();
         for label in [

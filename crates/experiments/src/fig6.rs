@@ -10,10 +10,11 @@
 //! the split benefit to the largest sizes.
 
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
+use gaas_sim::SimResult;
 
 use crate::campaign::CellResult;
-use crate::runner::run_standard_cells;
-use crate::tablefmt::{f3, f4, Table, GAP};
+use crate::plan::completed;
+use crate::tablefmt::{f3, f4, grid};
 
 /// Total L2 sizes swept (words).
 pub const SIZES: [u64; 7] = [16_384, 32_768, 65_536, 131_072, 262_144, 524_288, 1_048_576];
@@ -68,86 +69,51 @@ impl Org {
     }
 }
 
-/// One (size, organization) cell.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// Total L2 size in words.
-    pub size_words: u64,
-    /// Organization.
-    pub org: Org,
-    /// Total CPI (Fig. 6's y-axis).
-    pub cpi: f64,
-    /// L2 miss ratio (Table 2).
-    pub miss_ratio: f64,
+/// The sweep's `(size, organization)` points, size-major.
+fn points() -> impl Iterator<Item = (u64, Org)> {
+    SIZES
+        .iter()
+        .flat_map(|&size| Org::all().into_iter().map(move |org| (size, org)))
 }
 
-/// Runs the 7 × 4 sweep. A cell that fails every isolation attempt is
-/// reported to stderr and skipped; the grids render it as a gap.
-pub fn run(scale: f64) -> Vec<Row> {
-    let mut points = Vec::new();
-    let mut cfgs = Vec::new();
-    for &size in &SIZES {
-        for org in Org::all() {
+/// The 7 × 4 sweep's cells, size-major.
+pub fn cells() -> Vec<SimConfig> {
+    points()
+        .map(|(size, org)| {
             let mut b = SimConfig::builder();
             b.l2(org.l2(size));
-            points.push((size, org));
-            cfgs.push(b.build().expect("valid"));
-        }
-    }
-    let mut rows = Vec::new();
-    for (res, (size, org)) in run_standard_cells(&cfgs, scale).into_iter().zip(points) {
-        match res {
-            CellResult::Done(r) => rows.push(Row {
-                size_words: size,
-                org,
-                cpi: r.cpi(),
-                miss_ratio: r.counters.l2_miss_ratio(),
-            }),
-            CellResult::Failed { error, attempts } => eprintln!(
-                "fig6: cell {}KW/{} failed after {attempts} attempt(s): {error}",
-                size / 1024,
-                org.label()
-            ),
-        }
-    }
-    rows
+            b.build().expect("valid")
+        })
+        .collect()
 }
 
-fn grid(rows: &[Row], title: &str, value: impl Fn(&Row) -> String) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
+/// Renders Fig. 6 (CPI) and Table 2 (L2 miss ratios) from the cells'
+/// results (in [`cells`] order): one row per size, one column per
+/// organization, a failed cell as a gap.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    let done: Vec<_> = completed(points(), results).collect();
+    let table = |title: &str, value: fn(&SimResult) -> String| {
+        grid(
+            title,
             "size (KW)",
-            "unified 1-way",
-            "unified 2-way",
-            "split 1-way",
-            "split 2-way",
-        ],
-    );
-    for &size in &SIZES {
-        let mut cells = vec![(size / 1024).to_string()];
-        for org in Org::all() {
-            let row = rows.iter().find(|r| r.size_words == size && r.org == org);
-            cells.push(row.map(&value).unwrap_or_else(|| GAP.to_string()));
-        }
-        t.push_row(cells);
-    }
-    t
-}
-
-/// Renders the Fig. 6 CPI grid.
-pub fn table(rows: &[Row]) -> Table {
-    grid(rows, "Fig. 6 — CPI of L2 sizes and organizations", |r| {
-        f3(r.cpi)
-    })
-}
-
-/// Renders the Table 2 miss-ratio grid.
-pub fn table2(rows: &[Row]) -> Table {
-    grid(
-        rows,
-        "Table 2 — L2 miss ratios for the sizes and organizations of Fig. 6",
-        |r| f4(r.miss_ratio),
+            SIZES.map(|s| ((s / 1024).to_string(), s)),
+            &Org::all().map(|o| (o.label().to_string(), o)),
+            |size, org| {
+                done.iter()
+                    .find(|(point, _)| *point == (size, org))
+                    .map(|(_, r)| value(r))
+            },
+        )
+    };
+    format!(
+        "{}\n{}\n",
+        table("Fig. 6 — CPI of L2 sizes and organizations", |r| f3(
+            r.cpi()
+        )),
+        table(
+            "Table 2 — L2 miss ratios for the sizes and organizations of Fig. 6",
+            |r| f4(r.counters.l2_miss_ratio())
+        )
     )
 }
 

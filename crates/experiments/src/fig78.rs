@@ -12,9 +12,11 @@
 //! physically split L2.
 
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
+use gaas_sim::SimResult;
 
-use crate::runner::run_standard_many;
-use crate::tablefmt::{f4, Table};
+use crate::campaign::CellResult;
+use crate::plan::completed;
+use crate::tablefmt::{f4, grid, Table};
 
 /// Side sizes swept (words).
 pub const SIZES: [u64; 7] = [8_192, 16_384, 32_768, 65_536, 131_072, 262_144, 524_288];
@@ -31,19 +33,6 @@ pub enum Side {
     Data,
 }
 
-/// One (size, access) cell of a speed–size surface.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// Side size in words.
-    pub size_words: u64,
-    /// Side access time in cycles.
-    pub access: u32,
-    /// The swept side's CPI contribution.
-    pub side_cpi: f64,
-    /// Total CPI (context).
-    pub cpi: f64,
-}
-
 fn base_side() -> L2Side {
     L2Side {
         size_words: 262_144,
@@ -55,8 +44,8 @@ fn base_side() -> L2Side {
 
 /// The configuration of one (size, access) cell of a surface: the varied
 /// side at `size_words`/`access`, the other side held at the base
-/// 256 KW / 6 cycles. Public so the telemetry pipeline and `--list-cells`
-/// can name exactly the cells this sweep runs.
+/// 256 KW / 6 cycles. Public so the telemetry pipeline can name exactly
+/// the cells this sweep runs.
 pub fn cell_config(side: Side, size_words: u64, access: u32) -> SimConfig {
     let varied = L2Side {
         size_words,
@@ -79,74 +68,77 @@ pub fn cell_config(side: Side, size_words: u64, access: u32) -> SimConfig {
     b.build().expect("valid")
 }
 
-/// Runs one speed–size surface (63 simulations at full resolution).
-pub fn run(side: Side, scale: f64) -> Vec<Row> {
-    run_with_axes(side, scale, &SIZES, &ACCESS_TIMES)
-}
-
-/// Runs a surface over explicit axes (benches use sparser grids).
-pub fn run_with_axes(side: Side, scale: f64, sizes: &[u64], times: &[u32]) -> Vec<Row> {
-    let mut points = Vec::new();
-    let mut cfgs = Vec::new();
-    for &size in sizes {
-        for &access in times {
-            points.push((size, access));
-            cfgs.push(cell_config(side, size, access));
-        }
-    }
-    run_standard_many(&cfgs, scale)
-        .into_iter()
-        .zip(points)
-        .map(|(r, (size, access))| {
-            let bd = r.breakdown();
-            let side_cpi = match side {
-                Side::Instruction => bd.instruction_side_cpi(),
-                Side::Data => bd.data_read_side_cpi(),
-            };
-            Row {
-                size_words: size,
-                access,
-                side_cpi,
-                cpi: r.cpi(),
-            }
+/// A surface's cells: every size in [`SIZES`] × access time in
+/// [`ACCESS_TIMES`], size-major (63 cells).
+pub fn cells(side: Side) -> Vec<SimConfig> {
+    SIZES
+        .iter()
+        .flat_map(|&size| {
+            ACCESS_TIMES
+                .iter()
+                .map(move |&access| cell_config(side, size, access))
         })
         .collect()
 }
 
-/// Renders a surface: one row per size, one column per access time.
-pub fn table(side: Side, rows: &[Row]) -> Table {
+/// The swept side of a surface cell's L2.
+pub(crate) fn swept(side: Side, cfg: &SimConfig) -> L2Side {
+    match side {
+        Side::Instruction => cfg.l2.i_side(),
+        Side::Data => cfg.l2.d_side(),
+    }
+}
+
+/// The swept side's CPI contribution to a result: for the data side
+/// only the read path, since the paper ignores the effect of writes.
+pub(crate) fn side_cpi(side: Side, r: &SimResult) -> f64 {
+    let bd = r.breakdown();
+    match side {
+        Side::Instruction => bd.instruction_side_cpi(),
+        Side::Data => bd.data_read_side_cpi(),
+    }
+}
+
+/// The surface over the completed cells among `cfgs` (any subset of
+/// [`cells`], results in the same order): one row per size, one column
+/// per access time, both read from the cells' swept side.
+fn surface(side: Side, cfgs: &[SimConfig], results: &[CellResult]) -> Table {
     let title = match side {
         Side::Instruction => "Fig. 7 — L2-I speed–size tradeoff (CPI contribution)",
         Side::Data => "Fig. 8 — L2-D speed–size tradeoff, writes ignored (CPI contribution)",
     };
-    let times: Vec<u32> = {
-        let mut v: Vec<u32> = rows.iter().map(|r| r.access).collect();
+    let done: Vec<(L2Side, f64)> = completed(cfgs, results)
+        .map(|(cfg, r)| (swept(side, cfg), side_cpi(side, r)))
+        .collect();
+    let axis = |key: fn(&L2Side) -> u64| {
+        let mut v: Vec<u64> = done.iter().map(|(s, _)| key(s)).collect();
         v.sort_unstable();
         v.dedup();
         v
     };
-    let sizes: Vec<u64> = {
-        let mut v: Vec<u64> = rows.iter().map(|r| r.size_words).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let mut headers: Vec<String> = vec!["size (KW)".to_string()];
-    headers.extend(times.iter().map(|t| format!("T={t}")));
-    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = Table::new(title, &headers_ref);
-    for &size in &sizes {
-        let mut cells = vec![(size / 1024).to_string()];
-        for &access in &times {
-            let row = rows
-                .iter()
-                .find(|r| r.size_words == size && r.access == access)
-                .expect("full grid");
-            cells.push(f4(row.side_cpi));
-        }
-        t.push_row(cells);
-    }
-    t
+    let times: Vec<(String, u64)> = axis(|s| s.access_cycles.into())
+        .into_iter()
+        .map(|t| (format!("T={t}"), t))
+        .collect();
+    grid(
+        title,
+        "size (KW)",
+        axis(|s| s.size_words)
+            .into_iter()
+            .map(|s| ((s / 1024).to_string(), s)),
+        &times,
+        |size, access| {
+            done.iter()
+                .find(|(s, _)| s.size_words == size && u64::from(s.access_cycles) == access)
+                .map(|(_, cpi)| f4(*cpi))
+        },
+    )
+}
+
+/// Renders a full surface from its cells' results (in [`cells`] order);
+/// a failed cell renders as a gap.
+pub fn render(side: Side, _scale: f64, results: &[CellResult]) -> String {
+    format!("{}\n", surface(side, &cells(side), results))
 }
 
 #[cfg(test)]
@@ -155,10 +147,17 @@ mod tests {
 
     #[test]
     fn sparse_grid_runs_and_renders() {
-        let rows = run_with_axes(Side::Instruction, 3e-4, &[16_384, 262_144], &[2, 6]);
-        assert_eq!(rows.len(), 4);
-        let t = table(Side::Instruction, &rows);
-        assert_eq!(t.n_rows(), 2);
+        let cfgs: Vec<SimConfig> = cells(Side::Instruction)
+            .into_iter()
+            .filter(|c| {
+                let s = swept(Side::Instruction, c);
+                [16_384, 262_144].contains(&s.size_words) && [2, 6].contains(&s.access_cycles)
+            })
+            .collect();
+        let results = crate::runner::run_standard_cells(&cfgs, 3e-4);
+        assert_eq!(results.len(), 4);
+        assert!(results.iter().all(CellResult::is_done));
+        assert_eq!(surface(Side::Instruction, &cfgs, &results).n_rows(), 2);
     }
 
     #[test]

@@ -11,21 +11,10 @@
 
 use gaas_cache::WritePolicy;
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
-use gaas_sim::SimResult;
 
-use crate::runner::run_standard_many;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f3, f4, Table};
-
-/// One design point in the walk.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Column label.
-    pub label: &'static str,
-    /// Total CPI.
-    pub cpi: f64,
-    /// Memory-system CPI.
-    pub memory_cpi: f64,
-}
 
 fn write_only_base() -> SimConfig {
     let mut b = SimConfig::builder();
@@ -65,48 +54,41 @@ fn swapped() -> SimConfig {
     b.build().expect("valid")
 }
 
-fn row(label: &'static str, r: &SimResult) -> Row {
-    let b = r.breakdown();
-    Row {
-        label,
-        cpi: b.total(),
-        memory_cpi: b.memory_cpi(),
-    }
+/// The four design points: column label and configuration.
+fn points() -> [(&'static str, SimConfig); 4] {
+    [
+        ("base + write-only", write_only_base()),
+        ("+ split 32KW/2cyc L2-I, 256KW/6cyc L2-D", split_fast()),
+        ("+ 8W L1 fetch/line", split_fast_8w()),
+        ("(swapped L2-I/L2-D speeds)", swapped()),
+    ]
 }
 
-/// Runs the four design points.
-pub fn run(scale: f64) -> Vec<Row> {
-    let labels = [
-        "base + write-only",
-        "+ split 32KW/2cyc L2-I, 256KW/6cyc L2-D",
-        "+ 8W L1 fetch/line",
-        "(swapped L2-I/L2-D speeds)",
-    ];
-    let cfgs = [write_only_base(), split_fast(), split_fast_8w(), swapped()];
-    run_standard_many(&cfgs, scale)
-        .iter()
-        .zip(labels)
-        .map(|(r, label)| row(label, r))
-        .collect()
+/// The walk's cells, one per design point.
+pub fn cells() -> Vec<SimConfig> {
+    points().into_iter().map(|(_, cfg)| cfg).collect()
 }
 
-/// Renders the Fig. 9 columns.
-pub fn table(rows: &[Row]) -> Table {
+/// Renders the Fig. 9 columns from the cells' results (in [`cells`]
+/// order); a failed design point is omitted.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
     let mut t = Table::new(
         "Fig. 9 — fast on-MCM L2-I and 8W fetch",
         &["design point", "CPI", "memory CPI", "mem. gain vs col 1"],
     );
-    let base_mem = rows.first().map(|r| r.memory_cpi).unwrap_or(f64::NAN);
-    for r in rows {
-        let gain = 100.0 * (base_mem - r.memory_cpi) / base_mem;
+    let mut base_mem = None;
+    for (label, r) in completed(points().map(|(label, _)| label), results) {
+        let b = r.breakdown();
+        let base = *base_mem.get_or_insert(b.memory_cpi());
+        let gain = 100.0 * (base - b.memory_cpi()) / base;
         t.push_row(vec![
-            r.label.to_string(),
-            f3(r.cpi),
-            f4(r.memory_cpi),
+            label.to_string(),
+            f3(b.total()),
+            f4(b.memory_cpi()),
             format!("{gain:+.1}%"),
         ]);
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
@@ -124,8 +106,9 @@ mod tests {
 
     #[test]
     fn walk_runs() {
-        let rows = run(3e-4);
-        assert_eq!(rows.len(), 4);
-        assert!(table(&rows).to_string().contains("split"));
+        let results = crate::runner::run_standard_cells(&cells(), 3e-4);
+        assert_eq!(results.len(), 4);
+        assert!(results.iter().all(CellResult::is_done));
+        assert!(render(3e-4, &results).contains("split"));
     }
 }

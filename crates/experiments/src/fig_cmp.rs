@@ -23,12 +23,12 @@
 //! sharing, not engine drift.
 
 use gaas_sim::config::SimConfig;
-use gaas_sim::CmpConfig;
+use gaas_sim::{CmpConfig, Counters};
 
-use crate::campaign::{cross_core_counts, CellResult};
+use crate::campaign::CellResult;
 use crate::fig6::Org;
-use crate::runner::run_standard_cells;
-use crate::tablefmt::{f3, Table, GAP};
+use crate::plan::completed;
+use crate::tablefmt::{f3, grid};
 
 /// Core counts swept (1 = the paper's machine, the anchor column).
 pub const CORES: [u32; 4] = [1, 2, 4, 8];
@@ -52,120 +52,88 @@ pub fn sharing() -> CmpConfig {
     }
 }
 
-/// One (organization, cores) cell.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// L2 organization (shared by all cores).
-    pub org: Org,
-    /// Core count.
-    pub cores: u32,
-    /// Total CPI.
-    pub cpi: f64,
-    /// Coherence component of the CPI stack.
-    pub coherence_cpi: f64,
-    /// Invalidations per 1000 instructions.
-    pub inval_per_ki: f64,
+/// The sweep's `(organization, cores)` points, organization-major.
+fn points() -> impl Iterator<Item = (Org, u32)> {
+    Org::all()
+        .into_iter()
+        .flat_map(|org| CORES.iter().map(move |&n| (org, n)))
 }
 
-/// Runs the 4 × 4 sweep (organizations × core counts).
-pub fn run(scale: f64) -> Vec<Row> {
-    let mut points = Vec::new();
-    let mut bases = Vec::new();
-    for org in Org::all() {
-        let mut b = SimConfig::builder();
-        b.l2(org.l2(L2_TOTAL_WORDS));
-        bases.push(b.build().expect("valid"));
-        for &n in &CORES {
-            points.push((org, n));
-        }
-    }
-    let cfgs = cross_core_counts(&bases, &CORES, &sharing());
-    let mut rows = Vec::new();
-    for (res, (org, cores)) in run_standard_cells(&cfgs, scale).into_iter().zip(points) {
-        match res {
-            CellResult::Done(r) => {
-                let instr = r.counters.instructions.max(1) as f64;
-                rows.push(Row {
-                    org,
-                    cores,
-                    cpi: r.cpi(),
-                    coherence_cpi: r.counters.coherence_stall_cycles as f64 / instr,
-                    inval_per_ki: r.counters.invalidations as f64 * 1000.0 / instr,
-                });
-            }
-            CellResult::Failed { error, attempts } => eprintln!(
-                "fig_cmp: cell {}x{} failed after {attempts} attempt(s): {error}",
-                org.label(),
-                cores
-            ),
-        }
-    }
-    rows
+/// The 4 × 4 sweep's cells (organizations × core counts),
+/// organization-major. Every multi-core cell carries [`sharing`]'s
+/// workload knobs; single-core cells get `shared_frac = 0` so they stay
+/// on the validated single-CPU engine — the anchor column.
+pub fn cells() -> Vec<SimConfig> {
+    points()
+        .map(|(org, cores)| {
+            let mut b = SimConfig::builder();
+            b.l2(org.l2(L2_TOTAL_WORDS));
+            let mut cfg = b.build().expect("valid");
+            cfg.cmp = CmpConfig {
+                cores,
+                shared_frac: if cores > 1 {
+                    sharing().shared_frac
+                } else {
+                    0.0
+                },
+                ..sharing()
+            };
+            cfg
+        })
+        .collect()
 }
 
-fn grid(rows: &[Row], title: &str, value: impl Fn(&Row) -> String) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
+/// Renders the CPI, coherence-CPI and invalidation-traffic grids from
+/// the cells' results (in [`cells`] order): one row per core count, one
+/// column per organization, a failed cell as a gap.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    let done: Vec<_> = completed(points(), results).collect();
+    let table = |title: &str, per_instr: fn(&Counters) -> f64| {
+        let t = grid(
+            title,
             "cores",
-            "unified 1-way",
-            "unified 2-way",
-            "split 1-way",
-            "split 2-way",
-        ],
-    );
-    for &n in &CORES {
-        let mut cells = vec![n.to_string()];
-        for org in Org::all() {
-            let row = rows.iter().find(|r| r.cores == n && r.org == org);
-            cells.push(row.map(&value).unwrap_or_else(|| GAP.to_string()));
-        }
-        t.push_row(cells);
-    }
-    t
-}
-
-/// Renders the CPI grid.
-pub fn table(rows: &[Row]) -> Table {
-    grid(
-        rows,
-        "fig_cmp — CPI of the Fig. 6 L2 organizations, 1-8 cores sharing the L2",
-        |r| f3(r.cpi),
-    )
-}
-
-/// Renders the coherence-CPI grid.
-pub fn table_coherence(rows: &[Row]) -> Table {
-    grid(
-        rows,
-        "fig_cmp — coherence CPI component (bus wait + invalidation + C2C time)",
-        |r| f3(r.coherence_cpi),
-    )
-}
-
-/// Renders the invalidation-traffic grid.
-pub fn table_traffic(rows: &[Row]) -> Table {
-    grid(
-        rows,
-        "fig_cmp — invalidations per 1000 instructions",
-        |r| f3(r.inval_per_ki),
-    )
+            CORES.map(|n| (n.to_string(), n)),
+            &Org::all().map(|o| (o.label().to_string(), o)),
+            |cores, org| {
+                done.iter()
+                    .find(|(point, _)| *point == (org, cores))
+                    .map(|(_, r)| {
+                        let c = &r.counters;
+                        f3(per_instr(c) / c.instructions.max(1) as f64)
+                    })
+            },
+        );
+        format!("{t}\n")
+    };
+    [
+        table(
+            "fig_cmp — CPI of the Fig. 6 L2 organizations, 1-8 cores sharing the L2",
+            |c| c.total_cycles() as f64,
+        ),
+        table(
+            "fig_cmp — coherence CPI component (bus wait + invalidation + C2C time)",
+            |c| c.coherence_stall_cycles as f64,
+        ),
+        table("fig_cmp — invalidations per 1000 instructions", |c| {
+            c.invalidations as f64 * 1000.0
+        }),
+    ]
+    .concat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_standard_many;
 
     #[test]
     fn sweep_configs_cross_orgs_and_cores() {
-        let mut bases = Vec::new();
-        for org in Org::all() {
-            let mut b = SimConfig::builder();
-            b.l2(org.l2(L2_TOTAL_WORDS));
-            bases.push(b.build().expect("valid"));
-        }
-        let cfgs = cross_core_counts(&bases, &CORES, &sharing());
+        let cfgs = cells();
         assert_eq!(cfgs.len(), 16);
+        for ((org, cores), cfg) in points().zip(&cfgs) {
+            assert_eq!(cfg.l2, org.l2(L2_TOTAL_WORDS));
+            assert_eq!(cfg.cmp.cores, cores);
+        }
         // The anchor cells stay on the single-CPU engine.
         assert!(cfgs
             .iter()
@@ -181,18 +149,18 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_the_expected_shape() {
-        let rows = run(5e-5);
-        assert_eq!(rows.len(), 16, "all cells complete");
-        for r in &rows {
-            assert!(r.cpi > 1.0, "{}x{}: CPI sane", r.org.label(), r.cores);
-            if r.cores == 1 {
-                assert_eq!(r.coherence_cpi, 0.0, "anchor column has no coherence time");
+        let results = run_standard_many(&cells(), 5e-5);
+        assert_eq!(results.len(), 16, "all cells complete");
+        let mut sharing_pays = false;
+        for ((org, cores), r) in points().zip(&results) {
+            assert!(r.cpi() > 1.0, "{}x{cores}: CPI sane", org.label());
+            let coherence = r.counters.coherence_stall_cycles;
+            if cores == 1 {
+                assert_eq!(coherence, 0, "anchor column has no coherence time");
             }
+            sharing_pays |= cores > 1 && coherence > 0;
         }
         // At least one genuinely sharing configuration pays coherence time.
-        assert!(
-            rows.iter().any(|r| r.cores > 1 && r.coherence_cpi > 0.0),
-            "multi-core cells must exercise the protocol"
-        );
+        assert!(sharing_pays, "multi-core cells must exercise the protocol");
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Experiment harness for the reproduction of *"Implementing a Cache for a
 //! High-Performance GaAs Microprocessor"* (Olukotun, Mudge, Brown — ISCA
-//! 1991). One module per table/figure of the paper's evaluation; each
-//! exposes a `run(scale)` returning structured rows and a `table(...)`
-//! rendering the same rows/series the paper reports:
+//! 1991). One module per table/figure of the paper's evaluation. A sweep
+//! module exposes its campaign `cells()` (scale-free configurations) and
+//! a `render(scale, results)` that prints, from the cells' results, the
+//! rows/series the paper reports; `table1`, `budget`, `threec` and
+//! `warmup` have no cells and compute inside their `render`.
+//! [`plan::EXPERIMENTS`] lists every experiment once:
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -27,7 +30,8 @@
 //! | [`fig_cmp`] | CMP frontier — the Fig. 6 L2 organizations with 1-8 cores sharing the L2 |
 //! | [`verify`] | PASS/FAIL shape verification of every headline claim |
 //!
-//! The `repro` binary drives them:
+//! The `repro` binary drives them through [`plan::run`], which runs the
+//! selected experiments' cells as one campaign and renders each:
 //!
 //! ```text
 //! cargo run --release -p gaas-experiments --bin repro -- all
@@ -52,6 +56,7 @@ pub mod frames;
 pub mod interrupt;
 pub mod json;
 pub mod perbench;
+pub mod plan;
 pub mod pool;
 pub mod profile_cache;
 pub mod runner;
@@ -70,7 +75,6 @@ pub use campaign::{
     MemoStats, MemoTraceEntry, RecordStatus,
 };
 pub use runner::{
-    run_standard, run_standard_cell, run_standard_cells, run_standard_many, run_standard_raw,
-    DEFAULT_SCALE,
+    run_standard, run_standard_cells, run_standard_many, run_standard_raw, DEFAULT_SCALE,
 };
 pub use tablefmt::Table;

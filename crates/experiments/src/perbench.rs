@@ -9,52 +9,21 @@
 use gaas_sim::config::SimConfig;
 use gaas_trace::bench_model::suite;
 
-use crate::runner::run_standard;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f3, f4, Table};
 
-/// One benchmark's slice of the multiprogrammed run.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// FP class tag.
-    pub class: &'static str,
-    /// Instructions executed (scaled).
-    pub instructions: u64,
-    /// CPI experienced by this benchmark.
-    pub cpi: f64,
-    /// L1-I miss ratio.
-    pub l1i: f64,
-    /// L1-D miss ratio.
-    pub l1d: f64,
-    /// L2 demand misses per 1000 instructions.
-    pub l2_mpki: f64,
+/// The experiment's one cell: the base architecture.
+pub fn cells() -> Vec<SimConfig> {
+    vec![SimConfig::baseline()]
 }
 
-/// Runs the base architecture and splits the result per benchmark.
-pub fn run(scale: f64) -> Vec<Row> {
+/// Renders the cell's result split per benchmark: each benchmark's
+/// instructions, CPI, miss ratios and L2 demand misses per 1000
+/// instructions as experienced inside the mix (no rows when the cell
+/// failed).
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
     let specs = suite();
-    let result = run_standard(SimConfig::baseline(), scale);
-    result
-        .per_process
-        .iter()
-        .map(|(pid, p)| {
-            let spec = &specs[pid.raw() as usize];
-            Row {
-                name: spec.name.to_string(),
-                class: spec.fp_class.tag(),
-                instructions: p.instructions,
-                cpi: p.cpi(),
-                l1i: p.l1i_miss_ratio(),
-                l1d: p.l1d_miss_ratio(),
-                l2_mpki: 1000.0 * p.l2_misses as f64 / p.instructions.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
-/// Renders the per-benchmark table.
-pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "Per-benchmark behaviour inside the level-8 multiprogram mix (base arch)",
         &[
@@ -67,18 +36,24 @@ pub fn table(rows: &[Row]) -> Table {
             "L2 MPKI",
         ],
     );
-    for r in rows {
-        t.push_row(vec![
-            r.name.clone(),
-            r.class.to_string(),
-            r.instructions.to_string(),
-            f3(r.cpi),
-            f4(r.l1i),
-            f4(r.l1d),
-            format!("{:.2}", r.l2_mpki),
-        ]);
+    for ((), result) in completed([()], results) {
+        for (pid, p) in &result.per_process {
+            let spec = &specs[pid.raw() as usize];
+            t.push_row(vec![
+                spec.name.to_string(),
+                spec.fp_class.tag().to_string(),
+                p.instructions.to_string(),
+                f3(p.cpi()),
+                f4(p.l1i_miss_ratio()),
+                f4(p.l1d_miss_ratio()),
+                format!(
+                    "{:.2}",
+                    1000.0 * p.l2_misses as f64 / p.instructions.max(1) as f64
+                ),
+            ]);
+        }
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
@@ -87,21 +62,29 @@ mod tests {
 
     #[test]
     fn per_benchmark_rows_cover_the_suite() {
-        let rows = run(3e-4);
-        assert_eq!(rows.len(), 10);
-        for r in &rows {
-            assert!(r.cpi >= 1.0, "{}: CPI {}", r.name, r.cpi);
-            assert!(r.instructions > 0);
+        let results = crate::runner::run_standard_cells(&cells(), 3e-4);
+        let CellResult::Done(r) = &results[0] else {
+            panic!("the baseline cell failed");
+        };
+        let specs = suite();
+        let name = |pid: &gaas_sim::Pid| specs[pid.raw() as usize].name;
+        assert_eq!(r.per_process.len(), 10);
+        for (pid, p) in &r.per_process {
+            assert!(p.cpi() >= 1.0, "{}: CPI {}", name(pid), p.cpi());
+            assert!(p.instructions > 0);
         }
         // Streaming FP codes must show higher L1-D miss than the tight
         // integer codes.
-        let tomcatv = rows.iter().find(|r| r.name == "tomcatv").expect("present");
-        let li = rows.iter().find(|r| r.name == "li").expect("present");
-        assert!(
-            tomcatv.l1d > li.l1d * 0.3,
-            "tomcatv {} vs li {}",
-            tomcatv.l1d,
-            li.l1d
-        );
+        let l1d = |bench: &str| {
+            let (_, p) = r
+                .per_process
+                .iter()
+                .find(|(pid, _)| name(pid) == bench)
+                .expect("present");
+            p.l1d_miss_ratio()
+        };
+        let (tomcatv, li) = (l1d("tomcatv"), l1d("li"));
+        assert!(tomcatv > li * 0.3, "tomcatv {tomcatv} vs li {li}");
+        assert!(render(3e-4, &results).contains("tomcatv"));
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! * [`run_standard_raw`] — the bare simulation with typed errors; used
 //!   by the isolation layer and by tests that want exact control;
-//! * [`run_standard_cell`] — one *campaign cell*: isolated behind
-//!   `catch_unwind` + timeout, journaled when a
-//!   [`campaign`] is active; failures degrade to
-//!   [`CellResult::Failed`] so a sweep renders gaps instead of dying;
+//! * [`run_standard_cells`] — a batch of *campaign cells*: each isolated
+//!   behind `catch_unwind` + timeout, journaled when a [`campaign`] is
+//!   active; failures degrade to [`CellResult::Failed`] so a sweep
+//!   renders gaps instead of dying;
 //! * [`run_standard`] — the historical panicking convenience wrapper
-//!   (now routed through the cell layer).
+//!   (a batch of one).
 
 use gaas_coherence::{CmpResult, CmpSimulator};
 use gaas_sim::config::SimConfig;
@@ -152,18 +152,12 @@ pub fn run_standard_profiled_cancellable(
     sim.run_profiled(workload::standard(scale), warmup)
 }
 
-/// Runs one campaign cell: through the active
-/// [`campaign`] when one is activated (journaled,
-/// resumable), otherwise isolated on a worker thread with `catch_unwind`.
-pub fn run_standard_cell(cfg: &SimConfig, scale: f64) -> CellResult {
-    campaign::dispatch(cfg, scale)
-}
-
 /// Runs a whole batch of campaign cells, fanning out over the
 /// process-wide worker pool (`repro --jobs N`; serial by default) while
 /// returning results in submission order — the parallel sweep engine's
-/// front door. Journal reuse, isolation and journaling semantics are
-/// identical to calling [`run_standard_cell`] per config.
+/// front door. Cells go through the active [`campaign`] when one is
+/// activated (journaled, resumable), otherwise each runs isolated behind
+/// `catch_unwind`.
 pub fn run_standard_cells(cfgs: &[SimConfig], scale: f64) -> Vec<CellResult> {
     campaign::run_cells(cfgs, scale)
 }
@@ -193,14 +187,9 @@ pub fn run_standard_many(cfgs: &[SimConfig], scale: f64) -> Vec<SimResult> {
 ///
 /// Panics if the cell fails (invalid configuration, machine check,
 /// divergence, or a panic inside the simulator). Sweeps that should
-/// degrade gracefully use [`run_standard_cell`] instead.
+/// degrade gracefully use [`run_standard_cells`] instead.
 pub fn run_standard(cfg: SimConfig, scale: f64) -> SimResult {
-    match run_standard_cell(&cfg, scale) {
-        CellResult::Done(r) => *r,
-        CellResult::Failed { error, attempts } => {
-            panic!("experiment cell failed after {attempts} attempt(s): {error}")
-        }
-    }
+    run_standard_many(&[cfg], scale).remove(0)
 }
 
 /// Runs `cfg` with the lockstep golden-model oracle enabled (every other

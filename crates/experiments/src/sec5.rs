@@ -12,30 +12,12 @@
 use gaas_mcm::{cycle_stretch, l1_access, TagPlacement};
 use gaas_sim::config::{L1Config, SimConfig};
 
-use crate::runner::run_standard_many;
+use crate::campaign::CellResult;
+use crate::plan::completed;
 use crate::tablefmt::{f3, Table};
 
 /// L1 sizes swept (words, both caches).
 pub const SIZES: [u64; 4] = [2_048, 4_096, 8_192, 16_384];
-
-/// One design point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// L1 size in words (each cache).
-    pub size_words: u64,
-    /// Associativity.
-    pub assoc: u32,
-    /// Tag placement implied by the design rules.
-    pub tags: TagPlacement,
-    /// CPI at the unchanged 4 ns cycle.
-    pub cpi: f64,
-    /// L1 access time (ns) from the technology model.
-    pub access_ns: f64,
-    /// System cycle stretch factor (≥ 1).
-    pub stretch: f64,
-    /// Effective relative time per instruction: CPI × stretch.
-    pub effective: f64,
-}
 
 /// Tag placement the §2/§5 design rules force for a given L1 organization:
 /// physical tags fit on the MMU only for a direct-mapped cache no larger
@@ -51,49 +33,41 @@ pub fn implied_tags(size_words: u64, assoc: u32) -> TagPlacement {
     }
 }
 
-/// Runs the size × associativity sweep.
-pub fn run(scale: f64) -> Vec<Row> {
-    let mut points = Vec::new();
-    let mut cfgs = Vec::new();
-    for &size in &SIZES {
-        for assoc in [1u32, 2] {
+/// The sweep's `(size, associativity)` points, size-major.
+fn points() -> impl Iterator<Item = (u64, u32)> {
+    SIZES
+        .iter()
+        .flat_map(|&size| [1u32, 2].into_iter().map(move |assoc| (size, assoc)))
+}
+
+/// The size × associativity sweep's cells (both L1 caches alike).
+pub fn cells() -> Vec<SimConfig> {
+    points()
+        .map(|(size, assoc)| {
+            let l1 = L1Config {
+                size_words: size,
+                line_words: 4,
+                assoc,
+            };
             let mut b = SimConfig::builder();
-            b.l1i(L1Config {
-                size_words: size,
-                line_words: 4,
-                assoc,
-            });
-            b.l1d(L1Config {
-                size_words: size,
-                line_words: 4,
-                assoc,
-            });
-            points.push((size, assoc));
-            cfgs.push(b.build().expect("valid"));
-        }
-    }
-    run_standard_many(&cfgs, scale)
-        .into_iter()
-        .zip(points)
-        .map(|(r, (size, assoc))| {
-            let tags = implied_tags(size, assoc);
-            let access = l1_access(size, tags);
-            let stretch = cycle_stretch(&access);
-            Row {
-                size_words: size,
-                assoc,
-                tags,
-                cpi: r.cpi(),
-                access_ns: access.total_ns(),
-                stretch,
-                effective: r.cpi() * stretch,
-            }
+            b.l1i(l1);
+            b.l1d(l1);
+            b.build().expect("valid")
         })
         .collect()
 }
 
-/// Renders the §5 table.
-pub fn table(rows: &[Row]) -> Table {
+/// The system cycle stretch factor (≥ 1) the technology model gives an
+/// L1 organization with its [`implied_tags`].
+pub(crate) fn stretch(size_words: u64, assoc: u32) -> f64 {
+    cycle_stretch(&l1_access(size_words, implied_tags(size_words, assoc)))
+}
+
+/// Renders the §5 table from the cells' results (in [`cells`] order):
+/// CPI at the unchanged 4 ns cycle, the L1 access time and cycle stretch
+/// of the technology model, and the effective relative time per
+/// instruction, CPI × stretch. A failed cell is omitted.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
     let mut t = Table::new(
         "Sec. 5 — L1 size/associativity vs. implementable cycle time",
         &[
@@ -106,18 +80,21 @@ pub fn table(rows: &[Row]) -> Table {
             "CPI x stretch",
         ],
     );
-    for r in rows {
+    for ((size, assoc), r) in completed(points(), results) {
+        let tags = implied_tags(size, assoc);
+        let access = l1_access(size, tags);
+        let stretch = cycle_stretch(&access);
         t.push_row(vec![
-            (r.size_words / 1024).to_string(),
-            r.assoc.to_string(),
-            format!("{:?}", r.tags),
-            f3(r.cpi),
-            format!("{:.2}", r.access_ns),
-            format!("{:.3}", r.stretch),
-            f3(r.effective),
+            (size / 1024).to_string(),
+            assoc.to_string(),
+            format!("{tags:?}"),
+            f3(r.cpi()),
+            format!("{:.2}", access.total_ns()),
+            format!("{stretch:.3}"),
+            f3(r.cpi() * stretch),
         ]);
     }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]

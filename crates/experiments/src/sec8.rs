@@ -10,24 +10,12 @@
 use gaas_cache::WritePolicy;
 use gaas_sim::config::{L1Config, L2Config, SimConfig};
 
-use crate::runner::run_standard_many;
-use crate::tablefmt::{f3, Table};
+use crate::campaign::CellResult;
+use crate::plan::completed;
+use crate::tablefmt::{f3, grid};
 
 /// Fetch/line sizes swept (words).
 pub const FETCH_SIZES: [u32; 3] = [4, 8, 16];
-
-/// One grid point.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// L1-I fetch/line size (words).
-    pub i_fetch: u32,
-    /// L1-D fetch/line size (words).
-    pub d_fetch: u32,
-    /// Total CPI.
-    pub cpi: f64,
-    /// L1 tag storage on the MMU (Kb) for both caches.
-    pub tag_kbits: u32,
-}
 
 /// Approximate MMU tag storage for the two 4 KW L1 caches at a given line
 /// size (the paper: 40 Kb total at 4 W lines, halved to 20 Kb at 8 W).
@@ -36,13 +24,18 @@ pub fn tag_kbits(i_fetch: u32, d_fetch: u32) -> u32 {
     per(i_fetch) + per(d_fetch)
 }
 
-/// Runs the 3 × 3 fetch-size grid on the §7 design point (write-only,
-/// split fast L2-I).
-pub fn run(scale: f64) -> Vec<Row> {
-    let mut points = Vec::new();
-    let mut cfgs = Vec::new();
-    for &i_fetch in &FETCH_SIZES {
-        for &d_fetch in &FETCH_SIZES {
+/// The grid's `(I fetch, D fetch)` points, I-major.
+fn points() -> impl Iterator<Item = (u32, u32)> {
+    FETCH_SIZES
+        .iter()
+        .flat_map(|&i| FETCH_SIZES.iter().map(move |&d| (i, d)))
+}
+
+/// The 3 × 3 fetch-size grid's cells on the §7 design point
+/// (write-only, split fast L2-I).
+pub fn cells() -> Vec<SimConfig> {
+    points()
+        .map(|(i_fetch, d_fetch)| {
             let mut b = SimConfig::builder();
             b.policy(WritePolicy::WriteOnly)
                 .l2(L2Config::split_fast_i())
@@ -56,40 +49,28 @@ pub fn run(scale: f64) -> Vec<Row> {
                     line_words: d_fetch,
                     assoc: 1,
                 });
-            points.push((i_fetch, d_fetch));
-            cfgs.push(b.build().expect("valid"));
-        }
-    }
-    run_standard_many(&cfgs, scale)
-        .into_iter()
-        .zip(points)
-        .map(|(r, (i_fetch, d_fetch))| Row {
-            i_fetch,
-            d_fetch,
-            cpi: r.cpi(),
-            tag_kbits: tag_kbits(i_fetch, d_fetch),
+            b.build().expect("valid")
         })
         .collect()
 }
 
-/// Renders the fetch-size grid (rows: L1-I fetch; columns: L1-D fetch).
-pub fn table(rows: &[Row]) -> Table {
-    let mut t = Table::new(
+/// Renders the fetch-size grid (rows: L1-I fetch; columns: L1-D fetch)
+/// from the cells' results (in [`cells`] order); a failed cell renders
+/// as a gap.
+pub fn render(_scale: f64, results: &[CellResult]) -> String {
+    let done: Vec<_> = completed(points(), results).collect();
+    let t = grid(
         "Sec. 8 — CPI vs. L1 fetch/line size (split fast L2-I, write-only)",
-        &["I fetch \\ D fetch", "4W", "8W", "16W"],
+        "I fetch \\ D fetch",
+        FETCH_SIZES.map(|i| (format!("{i}W"), i)),
+        &FETCH_SIZES.map(|d| (format!("{d}W"), d)),
+        |i_fetch, d_fetch| {
+            done.iter()
+                .find(|(point, _)| *point == (i_fetch, d_fetch))
+                .map(|(_, r)| f3(r.cpi()))
+        },
     );
-    for &i_fetch in &FETCH_SIZES {
-        let mut cells = vec![format!("{i_fetch}W")];
-        for &d_fetch in &FETCH_SIZES {
-            let row = rows
-                .iter()
-                .find(|r| r.i_fetch == i_fetch && r.d_fetch == d_fetch)
-                .expect("full grid");
-            cells.push(f3(row.cpi));
-        }
-        t.push_row(cells);
-    }
-    t
+    format!("{t}\n")
 }
 
 #[cfg(test)]
@@ -106,8 +87,13 @@ mod tests {
 
     #[test]
     fn grid_is_complete() {
-        let rows = run(3e-4);
-        assert_eq!(rows.len(), 9);
-        assert_eq!(table(&rows).n_rows(), 3);
+        let results = crate::runner::run_standard_cells(&cells(), 3e-4);
+        assert_eq!(results.len(), 9);
+        assert!(results.iter().all(CellResult::is_done));
+        let grid_rows = render(3e-4, &results)
+            .lines()
+            .filter(|l| l.trim_start().starts_with(char::is_numeric))
+            .count();
+        assert_eq!(grid_rows, 3);
     }
 }

@@ -11,6 +11,7 @@ use gaas_trace::bench_model::{suite, BenchmarkSpec};
 use gaas_trace::gen::TraceGenerator;
 use gaas_trace::stats::TraceStats;
 
+use crate::campaign::CellResult;
 use crate::tablefmt::{pct, Table};
 
 /// One row of Table 1.
@@ -81,6 +82,11 @@ pub fn table(rows: &[Row]) -> Table {
         ]);
     }
     t
+}
+
+/// Renders Table 1, measuring at most a 0.002-scale trace sample per benchmark.
+pub fn render(scale: f64, _results: &[CellResult]) -> String {
+    format!("{}\n", table(&run(scale.min(0.002))))
 }
 
 #[cfg(test)]

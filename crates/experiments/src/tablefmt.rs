@@ -116,6 +116,30 @@ pub fn f3_opt(x: Option<f64>) -> String {
     x.map(f3).unwrap_or_else(|| GAP.to_string())
 }
 
+/// A two-way grid: a `corner` column labelling each `(label, key)` of
+/// `rows`, then one column per `(header, key)` of `cols`, each cell
+/// holding `value(row, col)` — [`GAP`] where it is `None`.
+pub(crate) fn grid<R: Copy, C: Copy>(
+    title: &str,
+    corner: &str,
+    rows: impl IntoIterator<Item = (String, R)>,
+    cols: &[(String, C)],
+    value: impl Fn(R, C) -> Option<String>,
+) -> Table {
+    let mut headers = vec![corner];
+    headers.extend(cols.iter().map(|(h, _)| h.as_str()));
+    let mut t = Table::new(title, &headers);
+    for (label, r) in rows {
+        let mut cells = vec![label];
+        cells.extend(
+            cols.iter()
+                .map(|&(_, c)| value(r, c).unwrap_or_else(|| GAP.to_string())),
+        );
+        t.push_row(cells);
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,7 @@
 use gaas_cache::{CacheArray, CacheGeometry, PageMapper, ThreeCClassifier, ThreeCCounts};
 use gaas_trace::{AccessKind, PhysAddr, Trace};
 
+use crate::campaign::CellResult;
 use crate::tablefmt::{f4, Table};
 
 /// Total L2 sizes analyzed (words).
@@ -120,6 +121,11 @@ pub fn table(rows: &[Row]) -> Table {
         }
     }
     t
+}
+
+/// Renders the 3C comparison (a functional analysis; it has no cells).
+pub fn render(scale: f64, _results: &[CellResult]) -> String {
+    format!("{}\n", table(&run(scale)))
 }
 
 #[cfg(test)]

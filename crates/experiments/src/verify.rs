@@ -5,9 +5,13 @@
 //! crossover falls — printing PASS/FAIL per claim. `repro check` is the
 //! one-command answer to "does this reproduction still reproduce?".
 
+use crate::fig78::{side_cpi, Side};
+use crate::runner::run_standard_cells;
 use crate::tablefmt::Table;
 use crate::{fig10, fig2, fig3, fig5, fig6, fig78, fig9, sec5, sec8, threec};
 use gaas_cache::WritePolicy;
+use gaas_sim::config::SimConfig;
+use gaas_sim::SimResult;
 
 /// One verified claim.
 #[derive(Debug, Clone)]
@@ -31,18 +35,64 @@ fn check(artifact: &'static str, claim: &'static str, passed: bool, detail: Stri
     }
 }
 
+/// Runs `cfgs` as one batch and pairs each config with its result. A
+/// failed cell makes the sweep incomplete — a failed check for
+/// `artifact`, never a panic — and its claims go unevaluated.
+fn sweep(
+    checks: &mut Vec<Check>,
+    artifact: &'static str,
+    cfgs: Vec<SimConfig>,
+    scale: f64,
+) -> Option<Vec<(SimConfig, SimResult)>> {
+    let results = run_standard_cells(&cfgs, scale);
+    let n = cfgs.len();
+    let done: Vec<(SimConfig, SimResult)> = cfgs
+        .into_iter()
+        .zip(results)
+        .filter_map(|(cfg, res)| Some((cfg, *res.ok()?)))
+        .collect();
+    if done.len() < n {
+        checks.push(check(
+            artifact,
+            "sweep is complete",
+            false,
+            format!("{} of {n} cells present", done.len()),
+        ));
+        return None;
+    }
+    Some(done)
+}
+
+/// The cells of a speed–size surface at `sizes` and the base 6-cycle
+/// access time, in size order.
+fn surface(side: Side, sizes: [u64; 2]) -> Vec<SimConfig> {
+    fig78::cells(side)
+        .into_iter()
+        .filter(|c| {
+            let s = fig78::swept(side, c);
+            sizes.contains(&s.size_words) && s.access_cycles == 6
+        })
+        .collect()
+}
+
 /// Runs all shape checks at `scale`.
 pub fn run(scale: f64) -> Vec<Check> {
     let mut checks = Vec::new();
 
     // Fig. 2: L1-I ratio roughly flat across MP levels; L2 ratio rises
-    // from level 1 to 8. Failed cells degrade the sweep to incomplete —
-    // that is a failed check, never a panic.
-    let f2 = fig2::run(scale);
-    if f2.len() == fig2::LEVELS.len() {
-        let l1i_spread = f2.iter().map(|r| r.l1i).fold(f64::MIN, f64::max)
-            / f2.iter().map(|r| r.l1i).fold(f64::MAX, f64::min).max(1e-9);
-        let l2_rises = f2.last().map(|r| r.l2).unwrap_or(0.0) > f2[0].l2 * 0.99;
+    // from level 1 to 8.
+    if let Some(f2) = sweep(&mut checks, "fig2", fig2::cells(), scale) {
+        let l1i: Vec<f64> = f2
+            .iter()
+            .map(|(_, r)| r.counters.l1i_miss_ratio())
+            .collect();
+        let l1i_spread = l1i.iter().copied().fold(f64::MIN, f64::max)
+            / l1i.iter().copied().fold(f64::MAX, f64::min).max(1e-9);
+        let (first, last) = (&f2[0], &f2[f2.len() - 1]);
+        let (l2_first, l2_last) = (
+            first.1.counters.l2_miss_ratio(),
+            last.1.counters.l2_miss_ratio(),
+        );
         checks.push(check(
             "fig2",
             "L1-I miss ratio flat in MP level",
@@ -52,55 +102,40 @@ pub fn run(scale: f64) -> Vec<Check> {
         checks.push(check(
             "fig2",
             "L2 miss ratio grows with MP level",
-            l2_rises,
+            l2_last > l2_first * 0.99,
             format!(
-                "{:.4} (level {}) vs {:.4} (level {})",
-                f2[0].l2,
-                f2[0].level,
-                f2.last().map(|r| r.l2).unwrap_or(0.0),
-                f2.last().map(|r| r.level).unwrap_or(0)
+                "{l2_first:.4} (level {}) vs {l2_last:.4} (level {})",
+                first.0.mp.level, last.0.mp.level
             ),
-        ));
-    } else {
-        checks.push(check(
-            "fig2",
-            "sweep is complete",
-            false,
-            format!("{} of {} cells present", f2.len(), fig2::LEVELS.len()),
         ));
     }
 
     // Fig. 3: longer slices improve CPI.
-    let f3 = fig3::run(scale);
-    checks.push(check(
-        "fig3",
-        "performance improves with slice length",
-        f3[0].cpi > f3.last().map(|r| r.cpi).unwrap_or(f64::MAX),
-        format!(
-            "{:.3} @10k vs {:.3} @10M",
-            f3[0].cpi,
-            f3.last().map(|r| r.cpi).unwrap_or(0.0)
-        ),
-    ));
+    if let Some(f3) = sweep(&mut checks, "fig3", fig3::cells(), scale) {
+        let (short, long) = (f3[0].1.cpi(), f3[f3.len() - 1].1.cpi());
+        checks.push(check(
+            "fig3",
+            "performance improves with slice length",
+            short > long,
+            format!("{short:.3} @10k vs {long:.3} @10M"),
+        ));
+    }
 
     // Fig. 5: write-back flat; write-through rises; crossover in (6, 12];
     // write-only ≈ subblock.
-    let f5 = fig5::run(scale);
-    let series = |policy: WritePolicy| -> Option<Vec<f64>> {
-        fig5::ACCESS_TIMES
-            .iter()
-            .map(|&t| {
-                f5.iter()
-                    .find(|r| r.policy == policy && r.access == t)
-                    .map(|r| r.cpi)
-            })
-            .collect()
-    };
-    if let (Some(wb), Some(wo), Some(sb)) = (
-        series(WritePolicy::WriteBack),
-        series(WritePolicy::WriteOnly),
-        series(WritePolicy::Subblock),
-    ) {
+    if let Some(f5) = sweep(&mut checks, "fig5", fig5::cells(), scale) {
+        // Each policy's CPI over the access times, in sweep order.
+        let series = |policy: WritePolicy| -> Vec<f64> {
+            f5.iter()
+                .filter(|(c, _)| c.policy == policy)
+                .map(|(_, r)| r.cpi())
+                .collect()
+        };
+        let (wb, wo, sb) = (
+            series(WritePolicy::WriteBack),
+            series(WritePolicy::WriteOnly),
+            series(WritePolicy::Subblock),
+        );
         let wb_range =
             wb.iter().fold(f64::MIN, |a, &b| a.max(b)) - wb.iter().fold(f64::MAX, |a, &b| a.min(b));
         checks.push(check(
@@ -109,11 +144,12 @@ pub fn run(scale: f64) -> Vec<Check> {
             wb_range < 0.05,
             format!("range {wb_range:.4}"),
         ));
+        let (wo_first, wo_last) = (wo[0], wo[wo.len() - 1]);
         checks.push(check(
             "fig5",
             "write-through rises with drain time",
-            wo.last().expect("sweep") > &(wo[0] + 0.01),
-            format!("{:.3} -> {:.3}", wo[0], wo.last().expect("sweep")),
+            wo_last > wo_first + 0.01,
+            format!("{wo_first:.3} -> {wo_last:.3}"),
         ));
         let crossover = fig5::ACCESS_TIMES
             .iter()
@@ -138,147 +174,137 @@ pub fn run(scale: f64) -> Vec<Check> {
             wo_sb_gap < 0.02,
             format!("max gap {wo_sb_gap:.4}"),
         ));
-    } else {
-        checks.push(check(
-            "fig5",
-            "sweep is complete",
-            false,
-            format!(
-                "{} of {} cells present",
-                f5.len(),
-                4 * fig5::ACCESS_TIMES.len()
-            ),
-        ));
     }
 
     // Fig. 6: split hurts the smallest size and does not hurt the largest
     // (direct-mapped).
-    let f6 = fig6::run(scale);
-    let at = |size: u64, org: fig6::Org| {
-        f6.iter()
-            .find(|r| r.size_words == size && r.org == org)
-            .map(|r| r.cpi)
-    };
-    let corners = (
-        at(fig6::SIZES[0], fig6::Org::Unified1),
-        at(fig6::SIZES[0], fig6::Org::Split1),
-        at(*fig6::SIZES.last().expect("sizes"), fig6::Org::Unified1),
-        at(*fig6::SIZES.last().expect("sizes"), fig6::Org::Split1),
-    );
-    if let (Some(small_u), Some(small_s), Some(big_u), Some(big_s)) = corners {
+    if let Some(f6) = sweep(&mut checks, "fig6", fig6::cells(), scale) {
+        let at = |size: u64, org: fig6::Org| {
+            let l2 = org.l2(size);
+            f6.iter().find(|(c, _)| c.l2 == l2).expect("grid").1.cpi()
+        };
+        let (small, big) = (fig6::SIZES[0], fig6::SIZES[fig6::SIZES.len() - 1]);
+        let (small_u, small_s) = (at(small, fig6::Org::Unified1), at(small, fig6::Org::Split1));
+        let (big_u, big_s) = (at(big, fig6::Org::Unified1), at(big, fig6::Org::Split1));
         checks.push(check(
             "fig6",
             "splitting hurts a small direct-mapped L2",
             small_s > small_u,
-            format!(
-                "{small_s:.3} vs {small_u:.3} at {}KW",
-                fig6::SIZES[0] / 1024
-            ),
+            format!("{small_s:.3} vs {small_u:.3} at {}KW", small / 1024),
         ));
         checks.push(check(
             "fig6",
             "splitting helps a large direct-mapped L2",
             big_s <= big_u,
-            format!(
-                "{big_s:.3} vs {big_u:.3} at {}KW",
-                fig6::SIZES.last().expect("sizes") / 1024
-            ),
-        ));
-    } else {
-        checks.push(check(
-            "fig6",
-            "sweep is complete",
-            false,
-            format!("{} of {} cells present", f6.len(), 4 * fig6::SIZES.len()),
+            format!("{big_s:.3} vs {big_u:.3} at {}KW", big / 1024),
         ));
     }
 
     // Fig. 7: instruction-side curves flatten at large sizes.
-    let f7 = fig78::run_with_axes(fig78::Side::Instruction, scale, &[131_072, 524_288], &[6]);
-    let flat = (f7[0].side_cpi - f7[1].side_cpi).abs() < 0.01;
-    checks.push(check(
+    let side = Side::Instruction;
+    if let Some(f7) = sweep(
+        &mut checks,
         "fig7",
-        "L2-I curve flat beyond 128KW",
-        flat,
-        format!("{:.4} vs {:.4}", f7[0].side_cpi, f7[1].side_cpi),
-    ));
+        surface(side, [131_072, 524_288]),
+        scale,
+    ) {
+        let (mid, large) = (side_cpi(side, &f7[0].1), side_cpi(side, &f7[1].1));
+        checks.push(check(
+            "fig7",
+            "L2-I curve flat beyond 128KW",
+            (mid - large).abs() < 0.01,
+            format!("{mid:.4} vs {large:.4}"),
+        ));
+    }
 
     // Fig. 8: data side keeps improving to 512 KW.
-    let f8 = fig78::run_with_axes(fig78::Side::Data, scale, &[32_768, 524_288], &[6]);
-    checks.push(check(
-        "fig8",
-        "L2-D keeps improving with size",
-        f8[1].side_cpi < f8[0].side_cpi,
-        format!(
-            "{:.3} @32KW vs {:.3} @512KW",
-            f8[0].side_cpi, f8[1].side_cpi
-        ),
-    ));
+    let side = Side::Data;
+    if let Some(f8) = sweep(&mut checks, "fig8", surface(side, [32_768, 524_288]), scale) {
+        let (small, large) = (side_cpi(side, &f8[0].1), side_cpi(side, &f8[1].1));
+        checks.push(check(
+            "fig8",
+            "L2-D keeps improving with size",
+            large < small,
+            format!("{small:.3} @32KW vs {large:.3} @512KW"),
+        ));
+    }
 
     // Fig. 9: the split fast L2-I is a large memory win; swapping loses.
-    let f9 = fig9::run(scale);
-    let gain = (f9[0].memory_cpi - f9[1].memory_cpi) / f9[0].memory_cpi;
-    checks.push(check(
-        "fig9",
-        "split fast L2-I cuts memory CPI by >15%",
-        gain > 0.15,
-        format!("gain {:.1}%", 100.0 * gain),
-    ));
-    checks.push(check(
-        "fig9",
-        "swapped partitioning is worse",
-        f9[3].cpi > f9[2].cpi,
-        format!("{:.3} vs {:.3}", f9[3].cpi, f9[2].cpi),
-    ));
+    if let Some(f9) = sweep(&mut checks, "fig9", fig9::cells(), scale) {
+        let b: Vec<_> = f9.iter().map(|(_, r)| r.breakdown()).collect();
+        let gain = (b[0].memory_cpi() - b[1].memory_cpi()) / b[0].memory_cpi();
+        checks.push(check(
+            "fig9",
+            "split fast L2-I cuts memory CPI by >15%",
+            gain > 0.15,
+            format!("gain {:.1}%", 100.0 * gain),
+        ));
+        checks.push(check(
+            "fig9",
+            "swapped partitioning is worse",
+            b[3].total() > b[2].total(),
+            format!("{:.3} vs {:.3}", b[3].total(), b[2].total()),
+        ));
+    }
 
     // Fig. 10: concurrency steps help but only modestly.
-    let f10 = fig10::run(scale);
-    let total_gain = f10[0].cpi - f10.last().expect("steps").cpi;
-    checks.push(check(
-        "fig10",
-        "concurrency helps but modestly (0 < gain < 0.1)",
-        total_gain > 0.0 && total_gain < 0.1,
-        format!("total gain {total_gain:.4}"),
-    ));
+    if let Some(f10) = sweep(&mut checks, "fig10", fig10::cells(), scale) {
+        let total = |r: &SimResult| r.breakdown().total();
+        let total_gain = total(&f10[0].1) - total(&f10[f10.len() - 1].1);
+        checks.push(check(
+            "fig10",
+            "concurrency helps but modestly (0 < gain < 0.1)",
+            total_gain > 0.0 && total_gain < 0.1,
+            format!("total gain {total_gain:.4}"),
+        ));
+    }
 
     // Sec. 5: 4 KW direct-mapped minimizes effective time.
-    let s5 = sec5::run(scale);
-    let best = s5
-        .iter()
-        .min_by(|a, b| a.effective.partial_cmp(&b.effective).expect("finite"))
-        .expect("rows");
-    checks.push(check(
-        "sec5",
-        "4KW direct-mapped is the effective optimum",
-        best.size_words == 4096 && best.assoc == 1,
-        format!(
-            "best = {}KW {}-way ({:.3})",
-            best.size_words / 1024,
-            best.assoc,
-            best.effective
-        ),
-    ));
+    if let Some(s5) = sweep(&mut checks, "sec5", sec5::cells(), scale) {
+        let (l1, effective) = s5
+            .iter()
+            .map(|(c, r)| {
+                (
+                    c.l1i,
+                    r.cpi() * sec5::stretch(c.l1i.size_words, c.l1i.assoc),
+                )
+            })
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .expect("rows");
+        checks.push(check(
+            "sec5",
+            "4KW direct-mapped is the effective optimum",
+            l1.size_words == 4096 && l1.assoc == 1,
+            format!(
+                "best = {}KW {}-way ({effective:.3})",
+                l1.size_words / 1024,
+                l1.assoc
+            ),
+        ));
+    }
 
     // Sec. 8: 8W beats 4W (both), 16W loses on the data side.
-    let s8 = sec8::run(scale);
-    let g = |i: u32, d: u32| {
-        s8.iter()
-            .find(|r| r.i_fetch == i && r.d_fetch == d)
-            .expect("grid")
-            .cpi
-    };
-    checks.push(check(
-        "sec8",
-        "8W fetch beats 4W on both caches",
-        g(8, 8) < g(4, 4),
-        format!("{:.3} vs {:.3}", g(8, 8), g(4, 4)),
-    ));
-    checks.push(check(
-        "sec8",
-        "16W data fetch over-fetches",
-        g(8, 16) > g(8, 8),
-        format!("{:.3} vs {:.3}", g(8, 16), g(8, 8)),
-    ));
+    if let Some(s8) = sweep(&mut checks, "sec8", sec8::cells(), scale) {
+        let g = |i: u32, d: u32| {
+            s8.iter()
+                .find(|(c, _)| c.l1i.line_words == i && c.l1d.line_words == d)
+                .expect("grid")
+                .1
+                .cpi()
+        };
+        checks.push(check(
+            "sec8",
+            "8W fetch beats 4W on both caches",
+            g(8, 8) < g(4, 4),
+            format!("{:.3} vs {:.3}", g(8, 8), g(4, 4)),
+        ));
+        checks.push(check(
+            "sec8",
+            "16W data fetch over-fetches",
+            g(8, 16) > g(8, 8),
+            format!("{:.3} vs {:.3}", g(8, 16), g(8, 8)),
+        ));
+    }
 
     // 3C: splitting removes conflict misses at the large size.
     let t3 = threec::run(scale);

@@ -9,6 +9,7 @@
 use gaas_sim::{config::SimConfig, workload, Counters, Simulator};
 use gaas_trace::bench_model::suite;
 
+use crate::campaign::CellResult;
 use crate::tablefmt::{f4, Table};
 
 /// One time window of the run.
@@ -63,6 +64,11 @@ pub fn table(rows: &[Row]) -> Table {
         ]);
     }
     t
+}
+
+/// Renders the transient over 20 windows (a sampled run; it has no cells).
+pub fn render(scale: f64, _results: &[CellResult]) -> String {
+    format!("{}\n", table(&run(scale, 20)))
 }
 
 #[cfg(test)]

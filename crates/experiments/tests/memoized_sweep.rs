@@ -2,22 +2,26 @@
 //! memoization enabled must return results byte-identical to full
 //! per-cell simulation, for the sweeps that actually exploit grouping
 //! (Fig. 7/8 speed–size grids, a Fig. 5 drain-override column) and for
-//! the configurations that must *bypass* it (fault injection, diffcheck).
+//! the configurations that must *bypass* it (fault injection, diffcheck);
+//! and the `repro` plan as one campaign: one functional pass per
+//! geometry across figures, and an interrupt that stops it cleanly.
 //!
 //! This lives in its own integration-test binary because
-//! [`campaign::set_memoize`] and [`pool::set_jobs`] are process-global:
-//! the file-level mutex serializes the tests, and no other test binary
-//! ever sees memoization toggled off.
+//! [`campaign::set_memoize`], [`pool::set_jobs`] and the [`interrupt`]
+//! flag are process-global: the file-level mutex serializes the tests,
+//! and no other test binary ever sees memoization toggled off or an
+//! interrupt raised.
 
 use std::sync::Mutex;
 
 use gaas_experiments::campaign::{self, CellResult};
-use gaas_experiments::{pool, runner};
+use gaas_experiments::plan::{self, EXPERIMENTS};
+use gaas_experiments::{fig5, fig78, interrupt, pool, runner};
 use gaas_sim::config::{L2Config, L2Side, SimConfig};
 use gaas_sim::{functional_fingerprint, DiffCheckConfig, FaultRates, WritePolicy};
 
-/// Serializes tests (memoization and pool width are process-global) and
-/// restores the defaults afterwards even on panic.
+/// Serializes tests (memoization, pool width and the interrupt flag are
+/// process-global) and restores the defaults afterwards even on panic.
 static LOCK: Mutex<()> = Mutex::new(());
 
 struct Restore;
@@ -26,6 +30,7 @@ impl Drop for Restore {
     fn drop(&mut self) {
         campaign::set_memoize(true);
         pool::set_jobs(1);
+        interrupt::reset();
     }
 }
 
@@ -181,28 +186,18 @@ fn group_preview_matches_memoized_sweep_expectations() {
     let _ctx = serialized();
 
     // Fig. 7 full grid: one group per size, each holding every access time.
-    let mut fig7 = Vec::new();
-    for &s in &gaas_experiments::fig78::SIZES {
-        for &t in &gaas_experiments::fig78::ACCESS_TIMES {
-            fig7.push(gaas_experiments::fig78::cell_config(
-                gaas_experiments::fig78::Side::Instruction,
-                s,
-                t,
-            ));
-        }
-    }
+    let fig7 = fig78::cells(fig78::Side::Instruction);
     let groups = campaign::group_preview(&fig7);
-    assert_eq!(groups.len(), gaas_experiments::fig78::SIZES.len());
+    assert_eq!(groups.len(), fig78::SIZES.len());
     for (fp, members) in &groups {
         assert!(fp.is_some(), "geometry groups carry a fingerprint");
-        assert_eq!(members.len(), gaas_experiments::fig78::ACCESS_TIMES.len());
+        assert_eq!(members.len(), fig78::ACCESS_TIMES.len());
     }
 
     // Fig. 5 full sweep: one group per write policy (drain access is a
     // timing knob), so 4 groups of 5 — matching the drain-column test
     // above (1 functional + 4 priced per policy).
-    let (_, fig5) = gaas_experiments::fig5::cell_configs();
-    let groups = campaign::group_preview(&fig5);
+    let groups = campaign::group_preview(&fig5::cells());
     assert_eq!(groups.len(), 4);
     assert!(groups.iter().all(|(fp, m)| fp.is_some() && m.len() == 5));
 
@@ -221,4 +216,44 @@ fn group_preview_matches_memoized_sweep_expectations() {
     assert_eq!(groups.len(), fig7.len());
     assert!(groups.iter().all(|(fp, m)| fp.is_none() && m.len() == 1));
     campaign::set_memoize(true);
+}
+
+/// A `repro` run is one campaign: every experiment's cells in one batch
+/// run one functional pass per distinct geometry fingerprint plus one
+/// per unmemoizable (multi-core CMP) cell, across figure boundaries —
+/// 76 + 12 = 88 passes for the 252 cells of `repro all`, where separate
+/// per-figure batches ran 109.
+#[test]
+fn one_campaign_runs_one_functional_pass_per_fingerprint() {
+    let _ctx = serialized();
+    let all: Vec<&plan::Experiment> = EXPERIMENTS.iter().collect();
+    let (cfgs, _) = plan::batch(&all);
+    let groups = campaign::group_preview(&cfgs);
+    let mut keys: Vec<u64> = groups.iter().filter_map(|(fp, _)| *fp).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let unmemoizable = groups.iter().filter(|(fp, _)| fp.is_none()).count();
+
+    campaign::reset_memo_stats();
+    let results = runner::run_standard_cells(&cfgs, 5e-5);
+    assert!(results.iter().all(CellResult::is_done));
+    let stats = campaign::memo_stats();
+    assert_eq!(
+        stats.functional_runs,
+        (keys.len() + unmemoizable) as u64,
+        "{stats:?}"
+    );
+    assert_eq!(stats.cells(), cfgs.len() as u64);
+}
+
+/// An interrupt raised before the plan's campaign skips every cell and
+/// the plan reports it instead of rendering (or panicking on) the
+/// skipped cells.
+#[test]
+fn interrupted_plan_reports_instead_of_rendering() {
+    let _ctx = serialized();
+    interrupt::trigger();
+    let fig3 = plan::find("fig3").expect("fig3 is listed");
+    assert_eq!(plan::run(&[fig3], 1e-4), Err(plan::Interrupted));
+    interrupt::reset();
 }

@@ -8,7 +8,7 @@
 //! written atomically after every cell.
 
 use gaas_experiments::campaign::{self, Campaign, CellOptions};
-use gaas_experiments::{chaos, fig2, tablefmt};
+use gaas_experiments::{chaos, fig2, plan, tablefmt};
 use gaas_sim::config::SimConfig;
 use gaas_sim::WritePolicy;
 
@@ -135,14 +135,14 @@ fn global_campaign_routes_a_real_figure_sweep() {
 
     // First pass executes and journals every fig2 cell.
     campaign::activate(&journal, true, CellOptions::default()).expect("activate");
-    let first = fig2::table(&fig2::run(SCALE)).to_string();
+    let first = plan::find("fig2").expect("listed").run(SCALE);
     let stats = campaign::deactivate().expect("was active");
     assert_eq!(stats.executed, fig2::LEVELS.len() as u64);
     assert_eq!(stats.failed, 0);
 
     // Second pass reuses all of them and renders the same bytes.
     campaign::activate(&journal, true, CellOptions::default()).expect("activate");
-    let second = fig2::table(&fig2::run(SCALE)).to_string();
+    let second = plan::find("fig2").expect("listed").run(SCALE);
     let stats = campaign::deactivate().expect("was active");
     assert_eq!(stats.executed, 0);
     assert_eq!(stats.reused, fig2::LEVELS.len() as u64);

@@ -6,7 +6,7 @@
 //!    must equal the unbatched (per-event dispatch) path exactly, across
 //!    plain, fault-injecting, and oracle-checked configurations.
 
-use gaas_experiments::{ablations, fig2, pool};
+use gaas_experiments::{ablations, plan, pool};
 use gaas_sim::config::{DiffCheckConfig, FaultConfig, SimConfig};
 use gaas_sim::{sim, workload, SimResult};
 use gaas_trace::{Trace, UnbatchedTrace};
@@ -16,12 +16,11 @@ use gaas_trace::{Trace, UnbatchedTrace};
 const SCALE: f64 = 2e-4;
 
 fn fig2_tables(scale: f64) -> String {
-    let rows = fig2::run(scale);
-    fig2::table(&rows).to_string()
+    plan::find("fig2").expect("listed").run(scale)
 }
 
 fn ablation_tables(scale: f64) -> String {
-    let rows = ablations::tlb_penalty(scale);
+    let rows = ablations::family("tlb-penalty", scale);
     ablations::table(&rows).to_string()
 }
 
