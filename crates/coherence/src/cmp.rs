@@ -24,9 +24,10 @@
 //! its fill, Exclusive when resident and clean, and never needs the
 //! bus, so the hooks read its state off the owner's L1-D. With the
 //! oracle on, private lines take the directory path, so the oracle-on
-//! (lockstep) reference checks this too. A remote invalidation clears
-//! the victim core's load memo (see
-//! [`gaas_sim::Core::invalidate_d_line`]).
+//! (lockstep) reference checks this too. A remote invalidation goes
+//! through [`gaas_sim::Core::invalidate_d_line`]; no memo of the victim
+//! core names an L1-D line (its page memos name a page and a frame), so
+//! its next load of the line probes L1-D and misses.
 //!
 //! ## Coherence charging
 //!
@@ -497,8 +498,10 @@ mod tests {
     #[test]
     fn remote_invalidation_defeats_the_load_memo() {
         // A store to X invalidates core 0's copy, so the reload misses; a
-        // store to another line leaves it, so the reload hits (through
-        // the memo when the oracle is off).
+        // store to another line leaves it, so the reload hits. With the
+        // oracle off the reload rides core 0's data page memo, which skips
+        // only the DTLB probe and the translation: the L1-D probe still
+        // sees the invalidation.
         for (store_to, invalidations, read_misses) in [(2, 1, 2), (64, 0, 1)] {
             for policy in WritePolicy::all() {
                 for oracle in [false, true] {

@@ -3,7 +3,7 @@
 //!
 //! A [`Core`] holds everything private to one processor — L1-I, L1-D,
 //! both TLBs, the software translation cache, the functional clock, the
-//! last-line/last-page memos, and its timing half: the timing clock, the
+//! last-line and page memos, and its timing half: the timing clock, the
 //! counters, the per-PID rows and the write buffer — and charges cycles
 //! for one trace event at a time by the paper's rules (see the `sim`
 //! module docs). It steps against an [`Uncore`]: the L2 arrays, the
@@ -42,30 +42,37 @@
 //! # The memos
 //!
 //! The bare-kernel instantiation (`HOOKS = false`) skips work that
-//! cannot change any counter or replacement decision: a fetch from the
-//! line the previous fetch ended on, a data access to the page of the
-//! previous data access, and a load from the line the previous load left
-//! loadable. Such a step runs its rule with the hit outcome as a
-//! constant. Only the owning core touches its L1s and TLBs, with one
-//! exception: a remote store's invalidation, which goes through
-//! [`Core::invalidate_d_line`] and clears the load memo. The hooked
-//! instantiation (`HOOKS = true`) serves the layers that must see every
-//! access — fault injection and the lockstep oracle — and never reads
-//! the memos.
+//! cannot change any counter or replacement decision. A fetch from the
+//! line the previous fetch ended on skips its ITLB probe, translation
+//! and L1-I probe, and runs its rule with the hit outcome as a constant.
+//! Each side also keeps a page memo: the virtual page (PID bits
+//! included, the key [`Tlb::access`] uses) and the physical frame of
+//! that side's previous access. A fetch or data access on that page
+//! takes the TLB hit and builds its physical address from the memo's
+//! frame; any other access probes the TLB, translates and re-arms the
+//! memo. Either way the step then runs its one L1 touch and its one
+//! rule. The skip is exact: only its own side touches a TLB, so the
+//! previous access left the page's entry resident and most recent, and a
+//! repeated touch of the most recent key changes no future victim; and
+//! the page mapper never remaps a page. No memo names an L1-D line, so a
+//! remote store's invalidation ([`Core::invalidate_d_line`]) leaves the
+//! memos alone. The hooked instantiation (`HOOKS = true`) serves the
+//! layers that must see every access — fault injection and the lockstep
+//! oracle — and never reads the memos.
 //!
 //! Telemetry is not one of them. Its notes sit on L1 misses, TLB walks
 //! and write-buffer traffic, and what a memo skips is by construction a
-//! TLB or L1 hit that touches no buffer, so the skipped work would have
-//! noted nothing. The telemetry sites are therefore gated on `telem_on`
-//! alone and fire identically in both instantiations.
+//! TLB hit, or an L1-I hit that touches no buffer, so the skipped work
+//! would have noted nothing. The telemetry sites are therefore gated on
+//! `telem_on` alone and fire identically in both instantiations.
 //!
 //! Nor is the profile recorder. It notes every instruction, but a memo
-//! skip is an ITLB plus L1-I hit, or a DTLB plus L1-D load hit, whose
-//! tokens carry no outcome: the two memo paths emit those hit tokens
-//! themselves. Every recorder site is gated on a second const generic,
-//! `REC`, which a run sets exactly when a recorder is attached, so a
-//! functional pass steps the bare kernel and a run without a recorder
-//! carries none of its branches.
+//! skip is a TLB hit, or an ITLB plus L1-I hit, whose tokens carry no
+//! outcome: the same-line path emits its hit token itself, and a page
+//! memo hit records the TLB hit it stands for. Every recorder site is
+//! gated on a second const generic, `REC`, which a run sets exactly when
+//! a recorder is attached, so a functional pass steps the bare kernel
+//! and a run without a recorder carries none of its branches.
 
 use gaas_cache::fault::{resolve, FaultEffect, Structure};
 use gaas_cache::{
@@ -506,14 +513,6 @@ pub(crate) struct Codes {
     pub(crate) word: u8,
     pub(crate) victim: u8,
 }
-
-/// A load that hit: the outcome a load memo skip stands for.
-const LOAD_HIT: LoadOutcome = LoadOutcome {
-    hit: true,
-    fetch: None,
-    writeback_victim: None,
-    replaced_written_line: false,
-};
 
 /// What a stepping core does in the middle of a [`Lane`] step rule: the
 /// L2 lookups and drains that decide outcomes, the fault checks, the
@@ -1018,21 +1017,16 @@ pub struct Core {
     /// touched way already holds its set's maximum timestamp, so every
     /// future victim choice is unchanged.
     last_ifetch_vline: u64,
-    /// Virtual page of the immediately preceding data access (load or
-    /// store); a data access to the same page is a guaranteed DTLB hit
-    /// by the same argument.
-    last_data_vpage: u64,
-    /// Virtual line of the immediately preceding load when it left the
-    /// line resident and loadable; cleared on every store (which may
-    /// change line state) and on a remote invalidation — see
-    /// `load_memo_ok`.
-    last_load_vline: u64,
-    /// log2(line words) for the two L1 sides (memo key construction).
+    /// The fetch side's and the data side's page memos: `(virtual page,
+    /// physical frame)` of that side's immediately preceding access
+    /// (`u64::MAX` page = none). The page key carries the PID bits, as
+    /// [`Tlb::access`]'s does. An access on the same page is a guaranteed
+    /// TLB hit by the same argument, and its frame is the memo's (the
+    /// page mapper never remaps a page).
+    i_page: (u64, u64),
+    d_page: (u64, u64),
+    /// log2(line words) of L1-I (fetch memo key construction).
     i_line_shift: u32,
-    d_line_shift: u32,
-    /// Load-memo soundness gate: subblock placement decides load hits per
-    /// *word*, which a line-granular memo cannot capture.
-    load_memo_ok: bool,
 }
 
 impl Core {
@@ -1051,11 +1045,9 @@ impl Core {
             dtlb: Tlb::data(),
             tcache: vec![(u64::MAX, 0); TCACHE_WAYS],
             last_ifetch_vline: u64::MAX,
-            last_data_vpage: u64::MAX,
-            last_load_vline: u64::MAX,
+            i_page: (u64::MAX, 0),
+            d_page: (u64::MAX, 0),
             i_line_shift: cfg.l1i.line_words.trailing_zeros(),
-            d_line_shift: cfg.l1d.line_words.trailing_zeros(),
-            load_memo_ok: cfg.policy != WritePolicy::Subblock,
         })
     }
 
@@ -1072,10 +1064,16 @@ impl Core {
 
     /// Invalidates the L1-D line holding `line` on behalf of another core
     /// (a coherence invalidation), returning the evicted line if it was
-    /// resident. Clears the load memo, which may name that line.
+    /// resident. No memo names an L1-D line, so none needs clearing.
     pub fn invalidate_d_line(&mut self, line: PhysAddr) -> Option<Line> {
-        self.last_load_vline = u64::MAX;
         self.l1d.array_mut().invalidate(line)
+    }
+
+    /// How often the ITLB and the DTLB have been probed
+    /// ([`Tlb::accesses`]).
+    #[cfg(test)]
+    pub(crate) fn tlb_probes(&self) -> (u64, u64) {
+        (self.itlb.accesses(), self.dtlb.accesses())
     }
 
     /// Borrowed views of the live structures for oracle checks. For a
@@ -1094,13 +1092,27 @@ impl Core {
         }
     }
 
-    /// `addr`'s translation when the translation cache holds it (the
-    /// probe [`Core::translate`] makes, without the mapper fallback).
+    /// `addr`'s translation when the `i_side` (fetch) or data side's page
+    /// memo holds its page: the bare step's rule for skipping the TLB
+    /// probe and the translation.
     #[inline(always)]
-    fn cached_translation(&self, addr: VirtAddr) -> Option<PhysAddr> {
-        let key = addr.raw() >> PAGE_SHIFT;
-        let (k, ppn) = self.tcache[(key as usize) & (TCACHE_WAYS - 1)];
-        (k == key).then(|| PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset()))
+    fn memo_translation(&self, i_side: bool, addr: VirtAddr) -> Option<PhysAddr> {
+        let (vpage, frame) = if i_side { self.i_page } else { self.d_page };
+        (addr.raw() >> PAGE_SHIFT == vpage)
+            .then(|| PhysAddr::new((frame << PAGE_SHIFT) | addr.page_offset()))
+    }
+
+    /// `addr`'s translation when the bare step would find it without the
+    /// page mapper: in the side's page memo, or else in the translation
+    /// cache (the probe [`Core::translate`] makes, without the mapper
+    /// fallback).
+    #[inline(always)]
+    fn known_translation(&self, i_side: bool, addr: VirtAddr) -> Option<PhysAddr> {
+        self.memo_translation(i_side, addr).or_else(|| {
+            let key = addr.raw() >> PAGE_SHIFT;
+            let (k, ppn) = self.tcache[(key as usize) & (TCACHE_WAYS - 1)];
+            (k == key).then(|| PhysAddr::new((ppn << PAGE_SHIFT) | addr.page_offset()))
+        })
     }
 
     #[inline]
@@ -1119,10 +1131,10 @@ impl Core {
     /// Whether the bare kernel (`HOOKS = false`) would step this
     /// instruction on this core's private state alone: no L2, memory,
     /// write-buffer or page-mapper traffic and no snoop-bus transaction.
-    /// That holds when the fetch rides the fetch memo or hits L1-I
-    /// through a cached translation, and the data reference, if any,
-    /// rides the load memo, is an L1-D load hit, or is a write-back
-    /// store hit, each through a cached translation. TLB walks stay
+    /// That holds when the fetch rides the fetch memo or hits L1-I, and
+    /// the data reference, if any, is an L1-D load hit or a write-back
+    /// store hit, each through a translation the page memo or the
+    /// translation cache holds (the step's own rule). TLB walks stay
     /// local (they charge only this core's counters). Read-only: the
     /// answer is a prediction the step then realizes.
     ///
@@ -1133,7 +1145,7 @@ impl Core {
     pub(crate) fn local_step(&self, ifetch: &TraceEvent, data: Option<&TraceEvent>) -> bool {
         if ifetch.addr.raw() >> self.i_line_shift != self.last_ifetch_vline
             && !self
-                .cached_translation(ifetch.addr)
+                .known_translation(true, ifetch.addr)
                 .is_some_and(|p| self.l1i.contains(p))
         {
             return false;
@@ -1142,16 +1154,13 @@ impl Core {
             return true;
         };
         match d.kind {
-            AccessKind::Load => {
-                d.addr.raw() >> self.d_line_shift == self.last_load_vline
-                    || self
-                        .cached_translation(d.addr)
-                        .is_some_and(|p| self.l1d.load_would_hit(p))
-            }
+            AccessKind::Load => self
+                .known_translation(false, d.addr)
+                .is_some_and(|p| self.l1d.load_would_hit(p)),
             AccessKind::Store => {
                 self.l1d.policy() == WritePolicy::WriteBack
                     && self
-                        .cached_translation(d.addr)
+                        .known_translation(false, d.addr)
                         .is_some_and(|p| self.l1d.array().contains(p))
             }
             AccessKind::IFetch => false,
@@ -1216,11 +1225,12 @@ impl Core {
 
     // ---- the per-event steps ----
     //
-    // Each step decides its outcomes on the core's TLBs and L1 arrays,
-    // notes them to the recorder (`REC`), then runs its lane's rule with
-    // `Live` hooks. A memo path runs the rule on the hit outcome with the
-    // co-pricer's hooks, the timing rules alone: on a hit with `HOOKS`
-    // off, `Live` would do nothing either.
+    // Each step decides its outcomes on the core's TLBs (or its page
+    // memo) and L1 arrays, notes them to the recorder (`REC`), then runs
+    // its lane's rule with `Live` hooks. The same-line fetch path runs the
+    // rule on the hit outcome with the co-pricer's hooks, the timing
+    // rules alone: on a hit with `HOOKS` off, `Live` would do nothing
+    // either.
 
     /// Steps one scheduled instruction: its fetch, then its data
     /// reference, if any. `HOOKS = true` runs the every-event layers
@@ -1263,11 +1273,10 @@ impl Core {
             return;
         }
         let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
-        let itlb_hit = self.itlb.access(ev.addr);
+        let (itlb_hit, paddr) = self.page::<HOOKS>(ux, true, ev.addr);
         if REC {
             ux.ins.recorder().begin_instr(ev, !itlb_hit);
         }
-        let paddr = self.translate(ux, ev.addr);
         let outcome = u8::from(self.l1i.touch(paddr).is_none());
         let coh = &mut NoCoherence;
         let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr, None);
@@ -1299,17 +1308,33 @@ impl Core {
         }
     }
 
-    /// Whether a data access hits the DTLB. Same page as the previous data
-    /// access is a guaranteed hit (only data accesses touch the DTLB); the
-    /// skipped probe is LRU-exact for a repeated most-recent key.
+    /// Whether an access to `addr` on the `i_side` (fetch) or data side
+    /// hits its TLB, and its physical address. The bare kernel takes a
+    /// hit and the memo's frame when `addr` is on the side's page memo;
+    /// otherwise the access probes the TLB, translates and (bare kernel
+    /// only) re-arms the memo.
     #[inline(always)]
-    fn dtlb_hit<const HOOKS: bool>(&mut self, addr: VirtAddr) -> bool {
-        let vpage = addr.raw() >> PAGE_SHIFT;
-        let hit = (!HOOKS && vpage == self.last_data_vpage) || self.dtlb.access(addr);
+    fn page<const HOOKS: bool>(
+        &mut self,
+        ux: &mut Uncore,
+        i_side: bool,
+        addr: VirtAddr,
+    ) -> (bool, PhysAddr) {
         if !HOOKS {
-            self.last_data_vpage = vpage;
+            if let Some(paddr) = self.memo_translation(i_side, addr) {
+                return (true, paddr);
+            }
         }
-        hit
+        let paddr = self.translate(ux, addr);
+        let (tlb, memo) = if i_side {
+            (&mut self.itlb, &mut self.i_page)
+        } else {
+            (&mut self.dtlb, &mut self.d_page)
+        };
+        if !HOOKS {
+            *memo = (addr.raw() >> PAGE_SHIFT, paddr.ppn());
+        }
+        (tlb.access(addr), paddr)
     }
 
     #[inline]
@@ -1320,33 +1345,11 @@ impl Core {
         ev: &TraceEvent,
     ) {
         let pid = ev.addr.pid().raw();
-        // Uninstrumented fast path: a load from the line the previous
-        // load hit (with no intervening store, load miss or invalidation
-        // — all clear the memo) is a guaranteed DTLB + L1-D hit with zero
-        // charged cycles; line state cannot have changed in between.
-        // Gated off under subblock placement, where load hits are
-        // per-word.
-        let vline = ev.addr.raw() >> self.d_line_shift;
-        if !HOOKS && vline == self.last_load_vline {
-            if REC {
-                ux.ins.recorder().begin_load(false, &LOAD_HIT);
-            }
-            self.lane
-                .load(&mut ux.timing, pid, false, &LOAD_HIT, Codes::default());
-            return;
-        }
         let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
-        let dtlb_hit = self.dtlb_hit::<HOOKS>(ev.addr);
-        let paddr = self.translate(ux, ev.addr);
+        let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
         let outcome = self.l1d.load(paddr);
         if REC {
             ux.ins.recorder().begin_load(!dtlb_hit, &outcome);
-        }
-        if !HOOKS {
-            // A hit leaves the line loadable; a miss refills it fully
-            // (clearing any write-only mark), so either way the line is
-            // loadable now. Stores clear the memo.
-            self.last_load_vline = if self.load_memo_ok { vline } else { u64::MAX };
         }
         if outcome.hit {
             coh.load_hit(self, self.l1d.array().geometry().line_base(paddr));
@@ -1367,13 +1370,7 @@ impl Core {
     ) {
         let pid = ev.addr.pid();
         let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
-        let dtlb_hit = self.dtlb_hit::<HOOKS>(ev.addr);
-        if !HOOKS {
-            // Stores change line state (dirty / write-only / valid bits)
-            // and may evict, so the load memo cannot survive one.
-            self.last_load_vline = u64::MAX;
-        }
-        let paddr = self.translate(ux, ev.addr);
+        let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
         let line = self.l1d.array().geometry().line_base(paddr);
         let prior = coh.before_store(self, line, pid);
         let outcome = self.l1d.store(paddr, ev.partial_word);

@@ -513,13 +513,14 @@ impl Instruments {
     /// Whether a layer that must see every event is attached: fault
     /// injection or the lockstep oracle. When neither is, the
     /// `HOOKS = false` step instantiations (with those hooks compiled
-    /// out, plus the last-line/last-page memos) are exact.
+    /// out, plus the same-line fetch memo and the per-side page memos)
+    /// are exact.
     ///
     /// Telemetry does not count: its notes fire only on L1 misses, TLB
     /// walks, write-buffer traffic and context switches, none of which a
     /// memo skips. Nor does the profile recorder: a memo skip is an ITLB
-    /// plus L1-I hit or a DTLB plus L1-D load hit, and the memo paths
-    /// record those hit tokens themselves (in the `REC = true`
+    /// plus L1-I hit, which the same-line path records itself, or a TLB
+    /// hit, which a page memo hit records as such (in the `REC = true`
     /// instantiation, selected per run). Either rides the bare kernel.
     #[inline]
     pub(crate) fn active(&self) -> bool {
@@ -2112,6 +2113,73 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn page_memos_are_exact() {
+        use crate::config::DiffCheckConfig;
+        use gaas_trace::{PAGE_SHIFT, PAGE_WORDS};
+        // Fetches that cross lines within a page and then pages, for two
+        // PIDs with identical virtual layouts taking turns on each page,
+        // so the same VPN recurs under another PID on both sides. Each
+        // block stores to a line, loads another word of it and then the
+        // stored word, loads from a second data page, and ends on the
+        // first data page, where the next block's store begins.
+        let at = |pid: u8, w: u64| VirtAddr::new(Pid::new(pid), w);
+        let (d0, d1) = (1000 * PAGE_WORDS, 1001 * PAGE_WORDS);
+        let mut events = Vec::new();
+        for page in 0..3 {
+            for pid in [1, 2] {
+                for i in 0..24 {
+                    events.push(TraceEvent::ifetch(at(pid, page * PAGE_WORDS + i), 0));
+                    match i % 6 {
+                        1 => events.push(TraceEvent::store(at(pid, d0 + 4 * i))),
+                        2 => events.push(TraceEvent::load(at(pid, d0 + 4 * (i - 1) + 1))),
+                        3 => events.push(TraceEvent::load(at(pid, d0 + 4 * (i - 2)))),
+                        4 => events.push(TraceEvent::load(at(pid, d1 + i))),
+                        5 => events.push(TraceEvent::load(at(pid, d0 + i))),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let page_changes = |fetches: bool| {
+            let mut last = u64::MAX;
+            let side = events
+                .iter()
+                .filter(|e| (e.kind == AccessKind::IFetch) == fetches);
+            side.filter(|e| std::mem::replace(&mut last, e.addr.raw() >> PAGE_SHIFT) != last)
+                .count() as u64
+        };
+        let changes = (page_changes(true), page_changes(false));
+        assert_eq!(changes, (6, 54), "the trace's page changes per side");
+        for policy in WritePolicy::all() {
+            let run_with = |oracle: bool| {
+                let mut b = SimConfig::builder();
+                b.policy(policy);
+                if oracle {
+                    b.diffcheck(DiffCheckConfig::on());
+                }
+                let mut sim = Simulator::new(b.build().expect("valid")).expect("constructs");
+                assert_eq!(sim.ux.ins.active(), oracle, "{policy:?}");
+                let trace: Box<dyn Trace> = Box::new(VecTrace::new("t", events.clone()));
+                let out = sim.drive(vec![trace], 0, 0).expect("runs");
+                (out.result, sim.core.tlb_probes())
+            };
+            let (bare, probes) = run_with(false);
+            let (every, every_probes) = run_with(true);
+            assert_eq!(bare.counters, every.counters, "{policy:?}: counters");
+            assert_eq!(bare.per_process, every.per_process, "{policy:?}: rows");
+            assert_eq!(bare.per_process.len(), 2, "{policy:?}: both PIDs ran");
+            assert_eq!(probes, changes, "{policy:?}: one TLB probe per page change");
+            let c = &bare.counters;
+            assert_eq!(
+                every_probes,
+                (c.instructions, c.loads + c.stores),
+                "{policy:?}: the hooked path probes every access"
+            );
+        }
+    }
+
     #[test]
     fn recorder_only_runs_ride_the_bare_kernel_and_record_identically() {
         use crate::config::DiffCheckConfig;
@@ -2120,8 +2188,8 @@ mod tests {
         // The recorder alone must select the memoized, span-draining
         // `HOOKS = false` loop. `run_profiled` refuses the oracle, so the
         // every-event recording installs the recorder by hand on an
-        // oracle-on simulator. The profile must not depend on the loop;
-        // subblock placement gates the load memo off.
+        // oracle-on simulator. The profile must not depend on the loop,
+        // under any write policy.
         const WARMUP: u64 = 50_000;
         let addrs = |p: &FunctionalProfile| {
             let mut cur = U64StreamCursor::new(&p.addr_blocks);

@@ -1,10 +1,12 @@
 //! Programmatic verification of the paper's headline shapes.
 //!
-//! Runs a compact version of every experiment and evaluates the claims
-//! recorded in EXPERIMENTS.md — who wins, which curves are flat, where the
-//! crossover falls — printing PASS/FAIL per claim. `repro check` is the
-//! one-command answer to "does this reproduction still reproduce?".
+//! Runs a compact version of every experiment, its cell sweeps as one
+//! campaign batch, and evaluates the claims recorded in EXPERIMENTS.md —
+//! who wins, which curves are flat, where the crossover falls — printing
+//! PASS/FAIL per claim. `repro check` is the one-command answer to "does
+//! this reproduction still reproduce?".
 
+use crate::campaign::CellResult;
 use crate::fig78::{side_cpi, Side};
 use crate::runner::run_standard_cells;
 use crate::tablefmt::Table;
@@ -35,32 +37,53 @@ fn check(artifact: &'static str, claim: &'static str, passed: bool, detail: Stri
     }
 }
 
-/// Runs `cfgs` as one batch and pairs each config with its result. A
-/// failed cell makes the sweep incomplete — a failed check for
-/// `artifact`, never a panic — and its claims go unevaluated.
-fn sweep(
-    checks: &mut Vec<Check>,
-    artifact: &'static str,
-    cfgs: Vec<SimConfig>,
-    scale: f64,
-) -> Option<Vec<(SimConfig, SimResult)>> {
-    let results = run_standard_cells(&cfgs, scale);
-    let n = cfgs.len();
-    let done: Vec<(SimConfig, SimResult)> = cfgs
-        .into_iter()
-        .zip(results)
-        .filter_map(|(cfg, res)| Some((cfg, *res.ok()?)))
-        .collect();
-    if done.len() < n {
-        checks.push(check(
-            artifact,
-            "sweep is complete",
-            false,
-            format!("{} of {n} cells present", done.len()),
-        ));
-        return None;
+/// The swept artifacts' cells, all run as one batch, and their results
+/// in artifact order (see [`Sweeps::take`]).
+struct Sweeps {
+    parts: std::vec::IntoIter<(&'static str, Vec<SimConfig>)>,
+    results: std::vec::IntoIter<CellResult>,
+}
+
+impl Sweeps {
+    /// Runs every artifact's cells as **one** [`run_standard_cells`]
+    /// batch, so a geometry that recurs across artifacts (the baseline
+    /// spans five) runs one functional pass for all of them.
+    fn run(parts: Vec<(&'static str, Vec<SimConfig>)>, scale: f64) -> Self {
+        let cfgs: Vec<SimConfig> = parts.iter().flat_map(|(_, c)| c.clone()).collect();
+        Sweeps {
+            parts: parts.into_iter(),
+            results: run_standard_cells(&cfgs, scale).into_iter(),
+        }
     }
-    Some(done)
+
+    /// The next artifact's sweep, which must be `artifact`'s, with each
+    /// config paired with its result. A failed cell makes the sweep
+    /// incomplete — a failed check for `artifact`, never a panic — and
+    /// its claims go unevaluated.
+    fn take(
+        &mut self,
+        checks: &mut Vec<Check>,
+        artifact: &'static str,
+    ) -> Option<Vec<(SimConfig, SimResult)>> {
+        let (name, cfgs) = self.parts.next().expect("one sweep per artifact");
+        assert_eq!(name, artifact, "sweeps are taken in artifact order");
+        let n = cfgs.len();
+        let done: Vec<(SimConfig, SimResult)> = cfgs
+            .into_iter()
+            .zip(self.results.by_ref())
+            .filter_map(|(cfg, res)| Some((cfg, *res.ok()?)))
+            .collect();
+        if done.len() < n {
+            checks.push(check(
+                artifact,
+                "sweep is complete",
+                false,
+                format!("{} of {n} cells present", done.len()),
+            ));
+            return None;
+        }
+        Some(done)
+    }
 }
 
 /// The cells of a speed–size surface at `sizes` and the base 6-cycle
@@ -78,10 +101,25 @@ fn surface(side: Side, sizes: [u64; 2]) -> Vec<SimConfig> {
 /// Runs all shape checks at `scale`.
 pub fn run(scale: f64) -> Vec<Check> {
     let mut checks = Vec::new();
+    let mut sweeps = Sweeps::run(
+        vec![
+            ("fig2", fig2::cells()),
+            ("fig3", fig3::cells()),
+            ("fig5", fig5::cells()),
+            ("fig6", fig6::cells()),
+            ("fig7", surface(Side::Instruction, [131_072, 524_288])),
+            ("fig8", surface(Side::Data, [32_768, 524_288])),
+            ("fig9", fig9::cells()),
+            ("fig10", fig10::cells()),
+            ("sec5", sec5::cells()),
+            ("sec8", sec8::cells()),
+        ],
+        scale,
+    );
 
     // Fig. 2: L1-I ratio roughly flat across MP levels; L2 ratio rises
     // from level 1 to 8.
-    if let Some(f2) = sweep(&mut checks, "fig2", fig2::cells(), scale) {
+    if let Some(f2) = sweeps.take(&mut checks, "fig2") {
         let l1i: Vec<f64> = f2
             .iter()
             .map(|(_, r)| r.counters.l1i_miss_ratio())
@@ -111,7 +149,7 @@ pub fn run(scale: f64) -> Vec<Check> {
     }
 
     // Fig. 3: longer slices improve CPI.
-    if let Some(f3) = sweep(&mut checks, "fig3", fig3::cells(), scale) {
+    if let Some(f3) = sweeps.take(&mut checks, "fig3") {
         let (short, long) = (f3[0].1.cpi(), f3[f3.len() - 1].1.cpi());
         checks.push(check(
             "fig3",
@@ -123,7 +161,7 @@ pub fn run(scale: f64) -> Vec<Check> {
 
     // Fig. 5: write-back flat; write-through rises; crossover in (6, 12];
     // write-only ≈ subblock.
-    if let Some(f5) = sweep(&mut checks, "fig5", fig5::cells(), scale) {
+    if let Some(f5) = sweeps.take(&mut checks, "fig5") {
         // Each policy's CPI over the access times, in sweep order.
         let series = |policy: WritePolicy| -> Vec<f64> {
             f5.iter()
@@ -178,7 +216,7 @@ pub fn run(scale: f64) -> Vec<Check> {
 
     // Fig. 6: split hurts the smallest size and does not hurt the largest
     // (direct-mapped).
-    if let Some(f6) = sweep(&mut checks, "fig6", fig6::cells(), scale) {
+    if let Some(f6) = sweeps.take(&mut checks, "fig6") {
         let at = |size: u64, org: fig6::Org| {
             let l2 = org.l2(size);
             f6.iter().find(|(c, _)| c.l2 == l2).expect("grid").1.cpi()
@@ -202,12 +240,7 @@ pub fn run(scale: f64) -> Vec<Check> {
 
     // Fig. 7: instruction-side curves flatten at large sizes.
     let side = Side::Instruction;
-    if let Some(f7) = sweep(
-        &mut checks,
-        "fig7",
-        surface(side, [131_072, 524_288]),
-        scale,
-    ) {
+    if let Some(f7) = sweeps.take(&mut checks, "fig7") {
         let (mid, large) = (side_cpi(side, &f7[0].1), side_cpi(side, &f7[1].1));
         checks.push(check(
             "fig7",
@@ -219,7 +252,7 @@ pub fn run(scale: f64) -> Vec<Check> {
 
     // Fig. 8: data side keeps improving to 512 KW.
     let side = Side::Data;
-    if let Some(f8) = sweep(&mut checks, "fig8", surface(side, [32_768, 524_288]), scale) {
+    if let Some(f8) = sweeps.take(&mut checks, "fig8") {
         let (small, large) = (side_cpi(side, &f8[0].1), side_cpi(side, &f8[1].1));
         checks.push(check(
             "fig8",
@@ -230,7 +263,7 @@ pub fn run(scale: f64) -> Vec<Check> {
     }
 
     // Fig. 9: the split fast L2-I is a large memory win; swapping loses.
-    if let Some(f9) = sweep(&mut checks, "fig9", fig9::cells(), scale) {
+    if let Some(f9) = sweeps.take(&mut checks, "fig9") {
         let b: Vec<_> = f9.iter().map(|(_, r)| r.breakdown()).collect();
         let gain = (b[0].memory_cpi() - b[1].memory_cpi()) / b[0].memory_cpi();
         checks.push(check(
@@ -248,7 +281,7 @@ pub fn run(scale: f64) -> Vec<Check> {
     }
 
     // Fig. 10: concurrency steps help but only modestly.
-    if let Some(f10) = sweep(&mut checks, "fig10", fig10::cells(), scale) {
+    if let Some(f10) = sweeps.take(&mut checks, "fig10") {
         let total = |r: &SimResult| r.breakdown().total();
         let total_gain = total(&f10[0].1) - total(&f10[f10.len() - 1].1);
         checks.push(check(
@@ -260,7 +293,7 @@ pub fn run(scale: f64) -> Vec<Check> {
     }
 
     // Sec. 5: 4 KW direct-mapped minimizes effective time.
-    if let Some(s5) = sweep(&mut checks, "sec5", sec5::cells(), scale) {
+    if let Some(s5) = sweeps.take(&mut checks, "sec5") {
         let (l1, effective) = s5
             .iter()
             .map(|(c, r)| {
@@ -284,7 +317,7 @@ pub fn run(scale: f64) -> Vec<Check> {
     }
 
     // Sec. 8: 8W beats 4W (both), 16W loses on the data side.
-    if let Some(s8) = sweep(&mut checks, "sec8", sec8::cells(), scale) {
+    if let Some(s8) = sweeps.take(&mut checks, "sec8") {
         let g = |i: u32, d: u32| {
             s8.iter()
                 .find(|(c, _)| c.l1i.line_words == i && c.l1d.line_words == d)
@@ -364,5 +397,46 @@ mod tests {
         assert!(t.to_string().contains("FAIL"));
         assert!(!all_passed(&checks));
         assert!(all_passed(&checks[..1]));
+    }
+
+    #[test]
+    fn a_failed_cell_fails_only_its_own_artifacts_sweep() {
+        let done = |cfg: &SimConfig| {
+            CellResult::Done(Box::new(SimResult {
+                config: cfg.clone(),
+                counters: gaas_sim::Counters::new(),
+                completed: Vec::new(),
+                per_process: Vec::new(),
+                termination: gaas_sim::Termination::Completed,
+                checkpoints: Vec::new(),
+            }))
+        };
+        let (a, b) = (SimConfig::baseline(), SimConfig::optimized());
+        let failed = CellResult::Failed {
+            error: "boom".into(),
+            attempts: 1,
+        };
+        // One batch of three cells: fig2's two (the second failed), then
+        // fig3's one.
+        let mut sweeps = Sweeps {
+            parts: vec![
+                ("fig2", vec![a.clone(), b.clone()]),
+                ("fig3", vec![b.clone()]),
+            ]
+            .into_iter(),
+            results: vec![done(&a), failed, done(&b)].into_iter(),
+        };
+        let mut checks = Vec::new();
+        assert!(sweeps.take(&mut checks, "fig2").is_none());
+        let fig3 = sweeps.take(&mut checks, "fig3").expect("fig3 is complete");
+        assert_eq!(fig3.len(), 1);
+        assert_eq!(fig3[0].1.config, b, "fig3 gets its own cell's result");
+        assert_eq!(checks.len(), 1, "one failed claim: {checks:?}");
+        let c = &checks[0];
+        assert_eq!(
+            (c.artifact, c.claim, c.passed),
+            ("fig2", "sweep is complete", false)
+        );
+        assert_eq!(c.detail, "1 of 2 cells present");
     }
 }
