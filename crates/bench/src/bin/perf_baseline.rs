@@ -38,8 +38,8 @@
 //! * **telemetry** — the same batched kernel with
 //!   [`TelemetryConfig::on`]: enabled-mode overhead
 //!   (`enabled_over_disabled`), and the `--reference` gate result for the
-//!   disabled mode (the hooks behind the cached enable flag must stay
-//!   within 3% of the pre-telemetry throughput);
+//!   disabled mode (the note gates with telemetry off must stay within
+//!   3% of the pre-telemetry throughput);
 //! * **copricing** — one baseline-geometry functional profile priced as a
 //!   4-variant group both ways: N one-lane co-priced passes
 //!   ([`price_profile`], one token decode each) vs. one 4-lane

@@ -56,8 +56,6 @@ pub struct WriteBuffer {
     /// Completion time of the most recently enqueued entry (streaming
     /// overlap reference), persisting after the queue empties.
     last_completion: u64,
-    /// Total entries ever enqueued (for stats).
-    enqueued: u64,
     /// High-water mark of queued entries (for stats).
     peak: usize,
 }
@@ -75,7 +73,6 @@ impl WriteBuffer {
             head: 0,
             len: 0,
             last_completion: 0,
-            enqueued: 0,
             peak: 0,
         }
     }
@@ -165,7 +162,6 @@ impl WriteBuffer {
         self.slots[tail] = WbEntry { addr, completes_at };
         self.len += 1;
         self.last_completion = completes_at;
-        self.enqueued += 1;
         self.peak = self.peak.max(self.len);
         completes_at
     }
@@ -183,11 +179,6 @@ impl WriteBuffer {
             .rev()
             .find(|e| (lo..hi).contains(&e.addr.word()))
             .map(|e| e.completes_at)
-    }
-
-    /// Total entries ever enqueued.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
     }
 
     /// High-water mark of simultaneously queued entries over the
@@ -328,14 +319,6 @@ mod tests {
         let mut wb = WriteBuffer::new(8);
         wb.enqueue(0, pa(100), 6, 4, 0); // completes 6
         assert!(wb.match_line(10, pa(100), 4).is_none());
-    }
-
-    #[test]
-    fn total_enqueued_counts() {
-        let mut wb = WriteBuffer::new(2);
-        wb.enqueue(0, pa(1), 6, 4, 0);
-        wb.enqueue(100, pa(2), 6, 4, 0);
-        assert_eq!(wb.total_enqueued(), 2);
     }
 
     #[test]

@@ -14,6 +14,15 @@
 
 use gaas_trace::Pid;
 
+/// `[(name, &mut field)]` for every listed field of `$v: &mut $ty`,
+/// through an exhaustive destructure (a field left out does not compile).
+macro_rules! named_fields {
+    ($ty:ident = $v:expr; $($f:ident),* $(,)?) => {{
+        let $ty { $($f),* } = $v;
+        [$((stringify!($f), $f)),*]
+    }};
+}
+
 /// Raw event and cycle counters accumulated by a simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -117,20 +126,19 @@ impl Counters {
         Counters::default()
     }
 
-    /// Field-wise difference `self − earlier`: the counters accumulated
-    /// *after* the `earlier` snapshot. Used to discard cache warm-up, which
-    /// otherwise dominates L2 statistics on short traces (\[BKW90\]).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if any field of `earlier` exceeds `self`'s.
-    pub fn since(&self, earlier: &Counters) -> Counters {
-        macro_rules! d {
-            ($($f:ident),* $(,)?) => {
-                Counters { $($f: self.$f - earlier.$f),* }
-            };
-        }
-        d!(
+    /// Every field as `(name, value)`, in declaration order (the order
+    /// of the `Debug` output and of the journal encoding).
+    pub fn fields(&self) -> [(&'static str, u64); 40] {
+        let mut c = *self;
+        c.fields_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Every field as `(name, &mut value)`, in declaration order: the one
+    /// list of the fields, which [`Counters::fields`], `since`, `accum`
+    /// and the campaign journal all read. The destructure is exhaustive,
+    /// so a new field does not compile until it is listed here.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 40] {
+        named_fields!(Counters = self;
             instructions,
             loads,
             stores,
@@ -174,58 +182,31 @@ impl Counters {
         )
     }
 
+    /// Field-wise difference `self − earlier`: the counters accumulated
+    /// *after* the `earlier` snapshot. Used to discard cache warm-up, which
+    /// otherwise dominates L2 statistics on short traces (\[BKW90\]).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if any field of `earlier` exceeds `self`'s.
+    pub fn since(&self, earlier: &Counters) -> Counters {
+        let mut d = *self;
+        for ((_, v), (_, e)) in d.fields_mut().into_iter().zip(earlier.fields()) {
+            *v -= e;
+        }
+        d
+    }
+
     /// Field-wise sum `self + other` — the inverse of [`Counters::since`],
     /// used to re-aggregate windowed deltas (e.g. checking that the
     /// windows plus the tail reproduce the full-run counters).
     #[must_use]
     pub fn accum(&self, other: &Counters) -> Counters {
-        macro_rules! a {
-            ($($f:ident),* $(,)?) => {
-                Counters { $($f: self.$f + other.$f),* }
-            };
+        let mut s = *self;
+        for ((_, v), (_, o)) in s.fields_mut().into_iter().zip(other.fields()) {
+            *v += o;
         }
-        a!(
-            instructions,
-            loads,
-            stores,
-            syscall_switches,
-            slice_switches,
-            l1i_misses,
-            l1d_read_misses,
-            l1d_write_misses,
-            l2i_accesses,
-            l2i_misses,
-            l2d_accesses,
-            l2d_misses,
-            l2_drain_writes,
-            l2_drain_misses,
-            l2_drain_busy_cycles,
-            itlb_misses,
-            dtlb_misses,
-            cpu_stall_cycles,
-            l1i_miss_cycles,
-            l1d_miss_cycles,
-            l1_write_cycles,
-            wb_wait_cycles,
-            l2i_miss_cycles,
-            l2d_miss_cycles,
-            dirty_buffer_wait_cycles,
-            tlb_miss_cycles,
-            recovery_cycles,
-            invalidations,
-            c2c_transfers,
-            upgrade_misses,
-            mesi_to_m,
-            mesi_to_e,
-            mesi_to_s,
-            mesi_to_i,
-            coherence_stall_cycles,
-            faults_injected,
-            faults_silent,
-            faults_corrected,
-            fault_refetches,
-            machine_checks,
-        )
+        s
     }
 
     /// Labeled *integer-cycle* components in Fig. 4's stacking order,
@@ -387,13 +368,29 @@ impl ProcCounters {
     /// Adds `other`'s statistics into these (one PID's rows from
     /// several cores).
     pub(crate) fn add(&mut self, other: &ProcCounters) {
-        self.instructions += other.instructions;
-        self.cycles += other.cycles;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.l1i_misses += other.l1i_misses;
-        self.l1d_misses += other.l1d_misses;
-        self.l2_misses += other.l2_misses;
+        for ((_, v), (_, o)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *v += o;
+        }
+    }
+
+    /// Every field as `(name, value)`, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        let mut p = *self;
+        p.fields_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Every field as `(name, &mut value)`, in declaration order: the one
+    /// list of the fields (see [`Counters::fields_mut`]).
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 7] {
+        named_fields!(ProcCounters = self;
+            instructions,
+            cycles,
+            loads,
+            stores,
+            l1i_misses,
+            l1d_misses,
+            l2_misses,
+        )
     }
 
     /// Cycles per instruction for this process.

@@ -60,11 +60,14 @@
 //! layers that must see every access — fault injection and the lockstep
 //! oracle — and never reads the memos.
 //!
-//! Telemetry is not one of them. Its notes sit on L1 misses, TLB walks
-//! and write-buffer traffic, and what a memo skips is by construction a
-//! TLB hit, or an L1-I hit that touches no buffer, so the skipped work
-//! would have noted nothing. The telemetry sites are therefore gated on
-//! `telem_on` alone and fire identically in both instantiations.
+//! Telemetry is not one of them. Its counter rows are read off the
+//! counters at run end, which the memos keep exact. Its notes (the spans
+//! and histograms) sit on L1 misses, TLB walks, write-buffer traffic,
+//! context switches and faults, and what a memo skips is by construction
+//! a TLB hit, or an L1-I hit that touches no buffer, so the skipped work
+//! would have noted nothing. Every note passes one gate,
+//! `Instruments::note`, which tests whether telemetry state is attached,
+//! and fires identically in both instantiations.
 //!
 //! Nor is the profile recorder. It notes every instruction, but a memo
 //! skip is a TLB hit, or an ITLB plus L1-I hit, whose tokens carry no
@@ -564,7 +567,10 @@ impl StepHooks for Timing {
     }
 }
 
-/// What a step rule notes to telemetry (see [`StepHooks::note`]).
+/// What a live core notes to telemetry: a step rule's events (see
+/// [`StepHooks::note`]), a context switch and a resolved fault. The sink
+/// records each one's span (see `sim::TelemetryState::note`); the counts
+/// are read off [`Counters`] at run end.
 pub(crate) enum Note<'e> {
     /// A TLB walk of `dur` cycles from `start`.
     Walk { i_side: bool, start: u64, dur: u64 },
@@ -576,10 +582,15 @@ pub(crate) enum Note<'e> {
         start: u64,
         dur: u64,
     },
-    /// An L1-D miss waited `dur` cycles from `start` for the write buffer.
+    /// An L1-D miss waited `dur` > 0 cycles from `start` for the write
+    /// buffer.
     WbWait { start: u64, dur: u64 },
     /// A write entered the write buffer at `start`.
     Enqueue { start: u64, e: &'e Enqueued },
+    /// The scheduler switched context at `now`.
+    Switch { now: u64 },
+    /// An injected fault resolved to `effect` at `now`.
+    Fault { effect: FaultEffect, now: u64 },
 }
 
 /// The timing half of a core: its clock, counters, per-process rows and
@@ -762,7 +773,9 @@ impl Lane {
         let wait = h
             .timing()
             .d_miss_wait(&mut self.wb, c, start, line, replaced_written);
-        h.note(Note::WbWait { start, dur: wait });
+        if wait > 0 {
+            h.note(Note::WbWait { start, dur: wait });
+        }
         let mut t = start + wait;
         if let Some(addr) = victim {
             t += self.enqueue(h, t, addr, codes.victim);
@@ -834,7 +847,7 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> StepHooks for Live<'_, HO
     /// main memory in place.
     #[inline(always)]
     fn check(&mut self, lane: &mut Lane, s: Structure, i_side: bool) -> u64 {
-        if !(HOOKS && self.ux.ins.fault_on) {
+        if !(HOOKS && self.ux.ins.fault.is_some()) {
             return 0; // skip the dirty-line peek along with the check
         }
         let dirty = match s {
@@ -851,29 +864,7 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> StepHooks for Live<'_, HO
 
     #[inline(always)]
     fn note(&mut self, note: Note<'_>) {
-        let ins = &mut self.ux.ins;
-        if !ins.telem_on {
-            return;
-        }
-        match note {
-            Note::Walk { i_side, start, dur } => ins.telem_tlb_walk(i_side, start, dur),
-            Note::Refill {
-                i_side,
-                hit,
-                start,
-                dur,
-            } => match (i_side, hit) {
-                (true, true) => ins.telem_l2_lookup_i(start, dur),
-                (true, false) => ins.telem_mem_refill_i(start, dur),
-                (false, true) => ins.telem_l2_lookup_d(start, dur),
-                (false, false) => ins.telem_mem_refill_d(start, dur),
-            },
-            Note::WbWait { start, dur } if dur > 0 => ins.telem_wb_wait(start, dur),
-            Note::WbWait { .. } => {}
-            Note::Enqueue { start, e } => {
-                ins.telem_wb_enqueue(start, e.stall, e.busy_from, e.completes);
-            }
-        }
+        self.ux.ins.note(note);
     }
 
     #[inline(always)]
@@ -930,7 +921,7 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> Live<'_, HOOKS, REC, C> {
     /// recovery cycles and the configured machine-check response.
     /// Returns the stall cycles the faulting access absorbs.
     fn fault(&mut self, lane: &mut Lane, s: Structure, i_side: bool, dirty: bool) -> u64 {
-        let fs = self.ux.ins.fault.as_mut().expect("fault_on implies state");
+        let fs = self.ux.ins.fault.as_mut().expect("checked by `check`");
         let Some(ev) = fs.injector.check(s, fs.sets[s.index()]) else {
             return 0;
         };
@@ -947,9 +938,10 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> Live<'_, HOOKS, REC, C> {
             _ => 0,
         };
         let ins = &mut ux.ins;
-        if ins.telem_on {
-            ins.telem_fault(effect, lane.now);
-        }
+        ins.note(Note::Fault {
+            effect,
+            now: lane.now,
+        });
         match effect {
             FaultEffect::Silent => {
                 c.faults_silent += 1;
@@ -1272,7 +1264,7 @@ impl Core {
             self.lane.ifetch(&mut ux.timing, pid, stall, false, 0);
             return;
         }
-        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
+        let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (itlb_hit, paddr) = self.page::<HOOKS>(ux, true, ev.addr);
         if REC {
             ux.ins.recorder().begin_instr(ev, !itlb_hit);
@@ -1345,7 +1337,7 @@ impl Core {
         ev: &TraceEvent,
     ) {
         let pid = ev.addr.pid().raw();
-        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
+        let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
         let outcome = self.l1d.load(paddr);
         if REC {
@@ -1369,7 +1361,7 @@ impl Core {
         ev: &TraceEvent,
     ) {
         let pid = ev.addr.pid();
-        let diff_before = (HOOKS && ux.ins.diff_on).then_some(self.lane.counters);
+        let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
         let line = self.l1d.array().geometry().line_base(paddr);
         let prior = coh.before_store(self, line, pid);

@@ -45,7 +45,7 @@ use gaas_trace::{AccessKind, Trace, TraceEvent};
 use crate::config::{ConfigError, MachineCheckPolicy, SimConfig};
 use crate::cpi::{ran_rows, Counters, ProcCounters};
 use crate::oracle::{DiffState, DivergenceReport};
-use crate::pipeline::{Coherence, Core, NoCoherence, Uncore};
+use crate::pipeline::{Coherence, Core, NoCoherence, Note, Uncore};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
 use crate::sched::{Instruction, SchedSnapshot, Scheduler};
 
@@ -385,58 +385,110 @@ pub(crate) struct FaultState {
 /// untelemetered path stays bit-identical to a build without it). All
 /// recording is passive: it never charges cycles and never touches the
 /// fault injector's PRNG.
+///
+/// Per event it records only what [`Counters`] cannot hold: the spans,
+/// the three cycle histograms and the full-buffer stall count. Every
+/// other counter row is derived once, at run end, from the core's
+/// counters (see [`telem_finalize`]).
 pub(crate) struct TelemetryState {
     reg: Registry,
     spans: SpanRecorder,
-    // Pre-registered counter handles, so hot-path bumps are one indexed
-    // add with no name lookup.
-    c_l2_lookup_i: CounterId,
-    c_l2_lookup_d: CounterId,
-    c_mem_refill_i: CounterId,
-    c_mem_refill_d: CounterId,
-    c_wb_enqueue: CounterId,
-    c_wb_full_stall: CounterId,
-    c_wb_read_wait: CounterId,
-    c_tlb_walk_i: CounterId,
-    c_tlb_walk_d: CounterId,
-    c_sched_switch: CounterId,
-    c_fault_event: CounterId,
-    c_oracle_divergence: CounterId,
+    /// `wb.full_stall`, the one row counted per event.
+    full_stalls: CounterId,
 }
 
 impl TelemetryState {
     fn new(span_capacity: usize) -> Self {
         let mut reg = Registry::new();
-        let c_l2_lookup_i = reg.counter("l2.lookup.i");
-        let c_l2_lookup_d = reg.counter("l2.lookup.d");
-        let c_mem_refill_i = reg.counter("mem.refill.i");
-        let c_mem_refill_d = reg.counter("mem.refill.d");
-        let c_wb_enqueue = reg.counter("wb.enqueue");
-        let c_wb_full_stall = reg.counter("wb.full_stall");
-        let c_wb_read_wait = reg.counter("wb.read_wait");
-        let c_tlb_walk_i = reg.counter("tlb.walk.i");
-        let c_tlb_walk_d = reg.counter("tlb.walk.d");
-        let c_sched_switch = reg.counter("sched.switch");
-        let c_fault_event = reg.counter("fault.event");
-        let c_oracle_divergence = reg.counter("oracle.divergence");
+        // Registered up front, in the registry's row order; all but
+        // `wb.full_stall` are filled in by `telem_finalize`.
+        for name in [
+            "l2.lookup.i",
+            "l2.lookup.d",
+            "mem.refill.i",
+            "mem.refill.d",
+            "wb.enqueue",
+            "wb.full_stall",
+            "wb.read_wait",
+            "tlb.walk.i",
+            "tlb.walk.d",
+            "sched.switch",
+            "fault.event",
+            "oracle.divergence",
+        ] {
+            reg.counter(name);
+        }
         TelemetryState {
+            full_stalls: reg.counter("wb.full_stall"),
             reg,
             spans: SpanRecorder::new(span_capacity),
-            c_l2_lookup_i,
-            c_l2_lookup_d,
-            c_mem_refill_i,
-            c_mem_refill_d,
-            c_wb_enqueue,
-            c_wb_full_stall,
-            c_wb_read_wait,
-            c_tlb_walk_i,
-            c_tlb_walk_d,
-            c_sched_switch,
-            c_fault_event,
-            c_oracle_divergence,
+        }
+    }
+
+    /// Records one note: its span, and its histogram sample or
+    /// full-stall count. `#[cold]` and out of line, so the gate
+    /// ([`Instruments::note`]) costs one predictable branch when
+    /// telemetry is off.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn note(&mut self, note: Note<'_>) {
+        let (reg, spans) = (&mut self.reg, &mut self.spans);
+        match note {
+            Note::Walk { i_side, start, dur } => {
+                let name = if i_side { "tlb.walk.i" } else { "tlb.walk.d" };
+                spans.record(name, Component::Tlb, start, dur);
+            }
+            Note::Refill {
+                i_side,
+                hit: true,
+                start,
+                dur,
+            } => {
+                let name = if i_side { "refill.l1i" } else { "refill.l1d" };
+                spans.record(name, Component::L2, start, dur);
+            }
+            Note::Refill {
+                i_side,
+                hit: false,
+                start,
+                dur,
+            } => {
+                let (hist, name) = if i_side {
+                    ("mem.refill.i.cycles", "refill.l2i")
+                } else {
+                    ("mem.refill.d.cycles", "refill.l2d")
+                };
+                reg.observe(hist, dur);
+                spans.record(name, Component::Memory, start, dur);
+            }
+            Note::WbWait { start, dur } => {
+                reg.observe("wb.read_wait.cycles", dur);
+                spans.record("wb.wait", Component::Wb, start, dur);
+            }
+            Note::Enqueue { start, e } => {
+                if e.stall > 0 {
+                    reg.inc(self.full_stalls);
+                    spans.record("wb.full-stall", Component::Wb, start, e.stall);
+                }
+                if e.completes > e.busy_from {
+                    let busy = e.completes - e.busy_from;
+                    spans.record("wb.drain", Component::Wb, e.busy_from, busy);
+                }
+            }
+            Note::Switch { now } => spans.instant("sched.switch", Component::Sched, now),
+            Note::Fault { effect, now } => {
+                let name = match effect {
+                    FaultEffect::Silent => "fault.silent",
+                    FaultEffect::Correct => "fault.corrected",
+                    FaultEffect::Refetch => "fault.refetch",
+                    FaultEffect::MachineCheck => "fault.machine-check",
+                };
+                spans.instant(name, Component::Fault, now);
+            }
         }
     }
 }
+
 /// The simulator's instrumentation layers: soft-error injection, the
 /// lockstep golden-model oracle, the profile recorder and telemetry. The
 /// default value has every layer off, which is how the CMP engine's
@@ -445,27 +497,17 @@ impl TelemetryState {
 pub(crate) struct Instruments {
     /// Fault-injection state (`None` = injection off, exact legacy path).
     pub(crate) fault: Option<FaultState>,
-    /// Cached `fault.is_some()`: hot hit paths skip the injector hooks (and
-    /// the dirty-line peek feeding them) on one predictable branch.
-    pub(crate) fault_on: bool,
     /// Unrecoverable fault awaiting the halt at the instruction boundary.
     pub(crate) pending_mc: Option<FaultEvent>,
     /// Cycle of the last checkpoint (restart rollback target).
     pub(crate) last_checkpoint_cycle: u64,
     /// Lockstep golden-model state (`None` = oracle off, exact fast path).
     pub(crate) diff: Option<Box<DiffState>>,
-    /// Cached `diff.is_some()`: the per-event gate is one predictable
-    /// branch with no `Option` load, so the oracle costs nothing when
-    /// off.
-    pub(crate) diff_on: bool,
     /// Functional-outcome recorder (`None` = normal run; installed by
     /// [`Simulator::run_profiled`] for the two-phase sweep memoizer).
     pub(crate) rec: Option<Box<ProfileRecorder>>,
     /// Telemetry state (`None` = telemetry off, exact fast path).
     pub(crate) telem: Option<Box<TelemetryState>>,
-    /// Cached `telem.is_some()`: every hot-path hook is one predictable
-    /// branch, mirroring the `fault_on`/`diff_on` gates.
-    pub(crate) telem_on: bool,
 }
 
 impl Instruments {
@@ -494,17 +536,13 @@ impl Instruments {
         } else {
             None
         };
-        let telem = if cfg.telemetry.enabled {
-            Some(Box::new(TelemetryState::new(cfg.telemetry.span_capacity)))
-        } else {
-            None
-        };
+        let telem = cfg
+            .telemetry
+            .enabled
+            .then(|| Box::new(TelemetryState::new(cfg.telemetry.span_capacity)));
         Ok(Instruments {
-            fault_on: fault.is_some(),
             fault,
-            diff_on: diff.is_some(),
             diff,
-            telem_on: telem.is_some(),
             telem,
             ..Instruments::default()
         })
@@ -524,7 +562,7 @@ impl Instruments {
     /// instantiation, selected per run). Either rides the bare kernel.
     #[inline]
     pub(crate) fn active(&self) -> bool {
-        self.fault_on || self.diff_on
+        self.fault.is_some() || self.diff.is_some()
     }
 
     /// Attaches a fresh profile recorder.
@@ -540,136 +578,16 @@ impl Instruments {
         self.rec.as_deref_mut().expect("REC implies a recorder")
     }
 
-    // ---- telemetry hooks ----
-    //
-    // Every hook site is gated on the cached `telem_on` flag (the
-    // `fault_on`/`diff_on` pattern), and the note bodies are `#[cold]`
-    // `#[inline(never)]` so the disabled hot path carries only one
-    // predictable never-taken branch per site. Recording is passive —
-    // no cycles charged, no PRNG touched — so disabled-mode results are
-    // byte-identical by construction.
-
-    /// Notes an L2 instruction-side lookup that hit (an L1-I refill).
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_l2_lookup_i(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_l2_lookup_i);
-        t.spans.record("refill.l1i", Component::L2, start, dur);
-    }
-
-    /// Notes an L2 data-side lookup that hit (an L1-D refill).
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_l2_lookup_d(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_l2_lookup_d);
-        t.spans.record("refill.l1d", Component::L2, start, dur);
-    }
-
-    /// Notes an instruction-side L2 miss serviced from main memory.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_mem_refill_i(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_mem_refill_i);
-        t.reg.observe("mem.refill.i.cycles", dur);
-        t.spans.record("refill.l2i", Component::Memory, start, dur);
-    }
-
-    /// Notes a data-side L2 miss serviced from main memory.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_mem_refill_d(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_mem_refill_d);
-        t.reg.observe("mem.refill.d.cycles", dur);
-        t.spans.record("refill.l2d", Component::Memory, start, dur);
-    }
-
-    /// Notes a read miss waiting on previously pending buffered writes.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_wb_wait(&mut self, start: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_wb_read_wait);
-        t.reg.observe("wb.read_wait.cycles", dur);
-        t.spans.record("wb.wait", Component::Wb, start, dur);
-    }
-
-    /// Notes one write entering the buffer: the CPU-visible full-buffer
-    /// stall (if any) and the drain occupancy it schedules.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_wb_enqueue(
-        &mut self,
-        start: u64,
-        stall: u64,
-        busy_from: u64,
-        completes: u64,
-    ) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_wb_enqueue);
-        if stall > 0 {
-            t.reg.inc(t.c_wb_full_stall);
-            t.spans.record("wb.full-stall", Component::Wb, start, stall);
+    /// Hands `note` to the telemetry sink, if telemetry is on. Every
+    /// note site goes through this one gate: with telemetry off it is one
+    /// predictable never-taken branch, and recording is passive (no
+    /// cycles charged, no PRNG touched), so results are byte-identical
+    /// either way.
+    #[inline(always)]
+    pub(crate) fn note(&mut self, note: Note<'_>) {
+        if let Some(t) = self.telem.as_deref_mut() {
+            t.note(note);
         }
-        if completes > busy_from {
-            t.spans
-                .record("wb.drain", Component::Wb, busy_from, completes - busy_from);
-        }
-    }
-
-    /// Notes a TLB miss walk (`i_side` selects the TLB) of `dur` cycles.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_tlb_walk(&mut self, i_side: bool, now: u64, dur: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(if i_side {
-            t.c_tlb_walk_i
-        } else {
-            t.c_tlb_walk_d
-        });
-        t.spans.record(
-            if i_side { "tlb.walk.i" } else { "tlb.walk.d" },
-            Component::Tlb,
-            now,
-            dur,
-        );
-    }
-
-    /// Notes one context switch (a rotation reported by
-    /// [`Scheduler::post_instruction`]) as an instant event.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_sched_switch(&mut self, now: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_sched_switch);
-        t.spans.instant("sched.switch", Component::Sched, now);
-    }
-
-    /// Notes a resolved fault-injection event as an instant span.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_fault(&mut self, effect: FaultEffect, now: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_fault_event);
-        let name = match effect {
-            FaultEffect::Silent => "fault.silent",
-            FaultEffect::Correct => "fault.corrected",
-            FaultEffect::Refetch => "fault.refetch",
-            FaultEffect::MachineCheck => "fault.machine-check",
-        };
-        t.spans.instant(name, Component::Fault, now);
-    }
-
-    /// Notes an oracle divergence as an instant span.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn telem_oracle_divergence(&mut self, now: u64) {
-        let t = self.telem.as_deref_mut().expect("telem_on implies state");
-        t.reg.inc(t.c_oracle_divergence);
-        t.spans.instant("oracle.divergence", Component::Oracle, now);
     }
 }
 
@@ -846,31 +764,10 @@ impl Simulator {
             .ins
             .telem
             .take()
-            .map(|t| {
-                let mut registry = t.reg;
-                // Process-wide trace-arena health at the end of the run:
-                // reuse vs. regeneration, compressed-size bypasses, and
-                // the v3 compression footprint. Recorded once here, so
-                // the hot path never touches the arena registry lock.
-                let a = gaas_trace::arena::stats();
-                for (name, v) in [
-                    ("arena.generated", a.generated),
-                    ("arena.reused", a.reused),
-                    ("arena.bypassed", a.bypassed),
-                    ("arena.bypass_events", a.bypass_events),
-                    ("arena.resident_streams", a.resident_streams),
-                    ("arena.resident_events", a.resident_events),
-                    ("arena.packed_bytes", a.packed_bytes),
-                    ("arena.compressed_bytes", a.compressed_bytes),
-                ] {
-                    let id = registry.counter(name);
-                    registry.add(id, v);
-                }
-                TelemetryReport {
-                    spans_dropped: t.spans.dropped(),
-                    spans: t.spans.spans(),
-                    registry,
-                }
+            .map(|t| TelemetryReport {
+                spans_dropped: t.spans.dropped(),
+                spans: t.spans.spans(),
+                registry: t.reg,
             })
             .unwrap_or_default();
         Ok((out.result, out.windows, report))
@@ -1079,7 +976,7 @@ pub fn run_cores<P: Protocol>(
         .collect();
     let multi = n > 1;
     let ins = &ux.ins;
-    debug_assert!(!multi || !(ins.active() || ins.rec.is_some() || ins.telem_on));
+    debug_assert!(!multi || !(ins.active() || ins.rec.is_some() || ins.telem.is_some()));
     let mut polls = Polls::new(spec.cfg, spec.warmup, spec.window, spec.cancel.is_some());
     let mut next_poll = polls.next();
     let mut warm_snapshot: Option<Vec<Counters>> = None;
@@ -1187,7 +1084,7 @@ pub fn run_cores<P: Protocol>(
         ds.full_state_check(&cores[0].structures(ux));
         ux.ins.diff = Some(ds);
     }
-    if let Some(err) = take_divergence(&cores[0], ux) {
+    if let Some(err) = take_divergence(ux) {
         return Err(err);
     }
     let mut per_proc: Vec<ProcCounters> = Vec::new();
@@ -1217,7 +1114,7 @@ pub fn run_cores<P: Protocol>(
             None => core.lane.counters,
         })
         .collect();
-    if ux.ins.telem_on {
+    if ux.ins.telem.is_some() {
         telem_finalize(&cores[0], ux);
     }
     let result = SimResult {
@@ -1273,8 +1170,8 @@ fn step_hooked<C: Coherence>(
     } else {
         core.step_instruction::<true, false, C>(ux, coh, instr);
     }
-    if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-        ux.ins.telem_sched_switch(core.lane.now);
+    if sched.post_instruction(core.fnow, instr.ifetch.syscall) {
+        ux.ins.note(Note::Switch { now: core.lane.now });
     }
     if let Some(fault) = ux.ins.pending_mc.take() {
         return Err(SimError::MachineCheck {
@@ -1283,7 +1180,7 @@ fn step_hooked<C: Coherence>(
             instructions: core.lane.counters.instructions,
         });
     }
-    take_divergence(core, ux).map_or(Ok(()), Err)
+    take_divergence(ux).map_or(Ok(()), Err)
 }
 
 /// Claims the data reference's PID for core `c` on its first reference,
@@ -1382,8 +1279,8 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
         return;
     }
     core.step_instruction::<false, REC, C>(ux, coh, instr);
-    if sched.post_instruction(core.fnow, instr.ifetch.syscall) && ux.ins.telem_on {
-        ux.ins.telem_sched_switch(core.lane.now);
+    if sched.post_instruction(core.fnow, instr.ifetch.syscall) {
+        ux.ins.note(Note::Switch { now: core.lane.now });
     }
     // Span drain: step straight over the installed process's buffered
     // events, checking the same per-instruction conditions (syscall,
@@ -1430,8 +1327,8 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
         }
         sched.advance(pos - start);
         if rotated {
-            if sched.post_instruction(core.fnow, rotate_syscall) && ux.ins.telem_on {
-                ux.ins.telem_sched_switch(core.lane.now);
+            if sched.post_instruction(core.fnow, rotate_syscall) {
+                ux.ins.note(Note::Switch { now: core.lane.now });
             }
             break;
         }
@@ -1441,18 +1338,22 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     }
 }
 
-/// Takes a pending divergence as the run-terminating error.
-fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
+/// Takes a pending divergence as the run-terminating error. The error
+/// ends the run before [`telem_finalize`], so a divergence leaves no
+/// telemetry report to note it in.
+fn take_divergence(ux: &mut Uncore) -> Option<SimError> {
     let report = ux.ins.diff.as_mut()?.take_report()?;
-    if ux.ins.telem_on {
-        ux.ins.telem_oracle_divergence(core.lane.now);
-    }
     Some(SimError::Divergence(Box::new(report)))
 }
 
-/// End-of-run snapshot of structure-level statistics into the telemetry
-/// registry (final occupancies, TLB traffic, buffer high-water mark) so
-/// the summary table reflects state the counters alone cannot.
+/// Fills the telemetry registry's counter rows at run end, the one
+/// place they are written. The event rows come from the core's full-run
+/// counters (warm-up included), each bumped at the site where the step
+/// notes the event; `wb.read_wait` is the sample count of its histogram.
+/// Then the structure rows (final occupancies, TLB traffic, the buffer's
+/// high-water mark, memory misses with drains and refetches) and the
+/// process-wide trace-arena health (read once here, so the hot path
+/// never touches the arena registry lock).
 ///
 /// TLB traffic comes from the counters, not the TLBs' own probe counts:
 /// the memos skip probes, while every fetch and every data access is one
@@ -1462,7 +1363,18 @@ fn take_divergence(core: &Core, ux: &mut Uncore) -> Option<SimError> {
 fn telem_finalize(core: &Core, ux: &mut Uncore) {
     let s = core.structures(ux);
     let c = &core.lane.counters;
-    let rows = [
+    let events = [
+        ("l2.lookup.i", c.l2i_accesses - c.l2i_misses),
+        ("l2.lookup.d", c.l2d_accesses - c.l2d_misses),
+        ("mem.refill.i", c.l2i_misses),
+        ("mem.refill.d", c.l2d_misses),
+        ("wb.enqueue", c.l2_drain_writes),
+        ("tlb.walk.i", c.itlb_misses),
+        ("tlb.walk.d", c.dtlb_misses),
+        ("sched.switch", c.syscall_switches + c.slice_switches),
+        ("fault.event", c.faults_injected),
+    ];
+    let structures = [
         ("l1i.occupancy", s.l1i.occupancy() as u64),
         ("l1d.occupancy", s.l1d.array().occupancy() as u64),
         ("l2i.occupancy", s.l2i.occupancy() as u64),
@@ -1470,13 +1382,29 @@ fn telem_finalize(core: &Core, ux: &mut Uncore) {
         ("itlb.accesses", c.instructions),
         ("dtlb.accesses", c.loads + c.stores),
         ("wb.peak_depth", s.wb.peak_depth() as u64),
-        ("wb.total_enqueued", s.wb.total_enqueued()),
+        ("wb.total_enqueued", c.l2_drain_writes),
         ("mem.demand_misses", ux.timing.memory_misses()),
     ];
-    let t = ux.ins.telem.as_deref_mut().expect("telem_on implies state");
-    for (name, v) in rows {
-        let id = t.reg.counter(name);
-        t.reg.add(id, v);
+    let a = gaas_trace::arena::stats();
+    let arena = [
+        ("arena.generated", a.generated),
+        ("arena.reused", a.reused),
+        ("arena.bypassed", a.bypassed),
+        ("arena.bypass_events", a.bypass_events),
+        ("arena.resident_streams", a.resident_streams),
+        ("arena.resident_events", a.resident_events),
+        ("arena.packed_bytes", a.packed_bytes),
+        ("arena.compressed_bytes", a.compressed_bytes),
+    ];
+    let reg = &mut ux.ins.telem.as_deref_mut().expect("telemetry is on").reg;
+    let read_waits = reg
+        .histograms()
+        .find(|&(name, _)| name == "wb.read_wait.cycles")
+        .map_or(0, |(_, h)| h.count());
+    let rows = events.into_iter().chain([("wb.read_wait", read_waits)]);
+    for (name, v) in rows.chain(structures).chain(arena) {
+        let id = reg.counter(name);
+        reg.add(id, v);
     }
 }
 
@@ -2111,6 +2039,57 @@ mod tests {
                 registry_rows(&every_report),
                 "{policy:?}: registry counters and histograms"
             );
+        }
+    }
+
+    #[test]
+    fn telemetry_with_fault_injection_counts_every_fault() {
+        use crate::config::TelemetryConfig;
+        // One targeted fault per structure, all under parity, and the
+        // restart policy so a machine check lets the run complete and
+        // the report reach the caller.
+        let structures = [
+            Structure::L1I,
+            Structure::L1D,
+            Structure::L2,
+            Structure::Tlb,
+            Structure::WriteBuffer,
+        ];
+        let fault = FaultConfig {
+            targeted: structures
+                .into_iter()
+                .zip((0..).step_by(40))
+                .flat_map(|(s, access)| targeted(s, access).targeted)
+                .collect(),
+            protection: ProtectionMap::uniform(Protection::Parity),
+            machine_check: MachineCheckPolicy::Restart,
+            ..FaultConfig::default()
+        };
+        let mut b = SimConfig::builder();
+        b.time_slice(200)
+            .fault(fault)
+            .telemetry(TelemetryConfig::on());
+        let sim = Simulator::new(b.build().expect("valid")).expect("constructs");
+        let (r, _, report) = sim
+            .run_telemetry(crate::workload::standard(1e-4), 0)
+            .expect("runs");
+        let c = &r.counters;
+        assert_eq!(c.faults_injected, 5, "every targeted fault fires");
+        assert_eq!(report.spans_dropped, 0, "every span is kept");
+        let fault_spans = report.spans.iter().filter(|s| s.name.starts_with("fault."));
+        assert_eq!(fault_spans.count() as u64, c.faults_injected);
+        for (name, v) in [
+            ("fault.event", c.faults_injected),
+            ("l2.lookup.i", c.l2i_accesses - c.l2i_misses),
+            ("l2.lookup.d", c.l2d_accesses - c.l2d_misses),
+            ("mem.refill.i", c.l2i_misses),
+            ("mem.refill.d", c.l2d_misses),
+            ("wb.enqueue", c.l2_drain_writes),
+            ("tlb.walk.i", c.itlb_misses),
+            ("tlb.walk.d", c.dtlb_misses),
+            ("sched.switch", c.syscall_switches + c.slice_switches),
+        ] {
+            assert_eq!(report.registry.value_of(name), Some(v), "{name}");
         }
     }
 

@@ -458,75 +458,45 @@ fn run_isolated_tagged(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> (Cell
     }
 }
 
-/// Macro over every [`Counters`] field (single source of truth for the
-/// journal encoding).
-macro_rules! for_each_counter {
-    ($m:ident, $($extra:tt)*) => {
-        $m!($($extra)*; instructions, loads, stores, syscall_switches,
-            slice_switches, l1i_misses, l1d_read_misses, l1d_write_misses,
-            l2i_accesses, l2i_misses, l2d_accesses, l2d_misses,
-            l2_drain_writes, l2_drain_misses, l2_drain_busy_cycles,
-            itlb_misses, dtlb_misses, cpu_stall_cycles, l1i_miss_cycles,
-            l1d_miss_cycles, l1_write_cycles, wb_wait_cycles,
-            l2i_miss_cycles, l2d_miss_cycles, dirty_buffer_wait_cycles,
-            tlb_miss_cycles, recovery_cycles, invalidations,
-            c2c_transfers, upgrade_misses, mesi_to_m, mesi_to_e,
-            mesi_to_s, mesi_to_i, coherence_stall_cycles,
-            faults_injected, faults_silent, faults_corrected,
-            fault_refetches, machine_checks)
-    };
+// The journal encodes every counter under its field name, in
+// declaration order, from the one field list in `gaas_sim::cpi`
+// (`Counters::fields_mut`, `ProcCounters::fields_mut`).
+
+fn int_field((name, v): (&str, u64)) -> (String, Json) {
+    (name.to_string(), Json::Int(v))
 }
 
-/// Macro over every [`ProcCounters`] field.
-macro_rules! for_each_proc_counter {
-    ($m:ident, $($extra:tt)*) => {
-        $m!($($extra)*; instructions, cycles, loads, stores, l1i_misses,
-            l1d_misses, l2_misses)
-    };
+/// Reads each named field from the object `v`.
+fn read_fields<'a>(
+    v: &Json,
+    fields: impl IntoIterator<Item = (&'a str, &'a mut u64)>,
+) -> Option<()> {
+    for (name, dst) in fields {
+        *dst = v.get(name)?.as_u64()?;
+    }
+    Some(())
 }
 
 fn counters_to_json(c: &Counters) -> Json {
-    let mut fields = Vec::new();
-    macro_rules! put {
-        ($src:expr; $($f:ident),*) => {
-            $( fields.push((stringify!($f).to_string(), Json::Int($src.$f))); )*
-        };
-    }
-    for_each_counter!(put, c);
-    Json::Obj(fields)
+    Json::Obj(c.fields().map(int_field).into())
 }
 
 fn counters_from_json(v: &Json) -> Option<Counters> {
     let mut c = Counters::new();
-    macro_rules! get {
-        ($dst:expr; $($f:ident),*) => {
-            $( $dst.$f = v.get(stringify!($f))?.as_u64()?; )*
-        };
-    }
-    for_each_counter!(get, c);
+    read_fields(v, c.fields_mut())?;
     Some(c)
 }
 
 fn proc_to_json(pid: u8, p: &ProcCounters) -> Json {
-    let mut fields = vec![("pid".to_string(), Json::Int(pid as u64))];
-    macro_rules! put {
-        ($src:expr; $($f:ident),*) => {
-            $( fields.push((stringify!($f).to_string(), Json::Int($src.$f))); )*
-        };
-    }
-    for_each_proc_counter!(put, p);
+    let mut fields = vec![int_field(("pid", u64::from(pid)))];
+    fields.extend(p.fields().map(int_field));
     Json::Obj(fields)
 }
 
 fn proc_from_json(v: &Json) -> Option<(u8, ProcCounters)> {
     let pid = u8::try_from(v.get("pid")?.as_u64()?).ok()?;
     let mut p = ProcCounters::default();
-    macro_rules! get {
-        ($dst:expr; $($f:ident),*) => {
-            $( $dst.$f = v.get(stringify!($f))?.as_u64()?; )*
-        };
-    }
-    for_each_proc_counter!(get, p);
+    read_fields(v, p.fields_mut())?;
     Some((pid, p))
 }
 
@@ -1464,6 +1434,77 @@ mod tests {
         assert_eq!(rebuilt.completed, r.completed);
         assert_eq!(rebuilt.per_process, r.per_process);
         assert_eq!(rebuilt.termination, r.termination);
+    }
+
+    #[test]
+    fn every_counter_survives_the_journal() {
+        // Distinct nonzero values in every field (the struct literals
+        // name each one): a field the encoding leaves out decodes as 0,
+        // and two fields it swaps trade values.
+        let counters = Counters {
+            instructions: 1,
+            loads: 2,
+            stores: 3,
+            syscall_switches: 4,
+            slice_switches: 5,
+            l1i_misses: 6,
+            l1d_read_misses: 7,
+            l1d_write_misses: 8,
+            l2i_accesses: 9,
+            l2i_misses: 10,
+            l2d_accesses: 11,
+            l2d_misses: 12,
+            l2_drain_writes: 13,
+            l2_drain_misses: 14,
+            l2_drain_busy_cycles: 15,
+            itlb_misses: 16,
+            dtlb_misses: 17,
+            cpu_stall_cycles: 18,
+            l1i_miss_cycles: 19,
+            l1d_miss_cycles: 20,
+            l1_write_cycles: 21,
+            wb_wait_cycles: 22,
+            l2i_miss_cycles: 23,
+            l2d_miss_cycles: 24,
+            dirty_buffer_wait_cycles: 25,
+            tlb_miss_cycles: 26,
+            recovery_cycles: 27,
+            invalidations: 28,
+            c2c_transfers: 29,
+            upgrade_misses: 30,
+            mesi_to_m: 31,
+            mesi_to_e: 32,
+            mesi_to_s: 33,
+            mesi_to_i: 34,
+            coherence_stall_cycles: 35,
+            faults_injected: 36,
+            faults_silent: 37,
+            faults_corrected: 38,
+            fault_refetches: 39,
+            machine_checks: 40,
+        };
+        let p = ProcCounters {
+            instructions: 101,
+            cycles: 102,
+            loads: 103,
+            stores: 104,
+            l1i_misses: 105,
+            l1d_misses: 106,
+            l2_misses: 107,
+        };
+        let stored = StoredResult {
+            counters,
+            completed: vec!["a".into(), "b".into()],
+            per_process: vec![(0, p), (7, ProcCounters { cycles: 9, ..p })],
+            budget_exhausted: true,
+        };
+        let mut text = String::new();
+        stored.to_json().write(&mut text);
+        let back = StoredResult::from_json(&json::parse(&text).expect("parses")).expect("decodes");
+        assert_eq!(back.counters, stored.counters);
+        assert_eq!(back.per_process, stored.per_process);
+        assert_eq!(back.completed, stored.completed);
+        assert!(back.budget_exhausted);
     }
 
     #[test]
