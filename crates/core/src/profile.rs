@@ -13,11 +13,13 @@
 //! 1. **Functional pass** — one full simulation per geometry, run with a
 //!    [`ProfileRecorder`] attached ([`Simulator::run_profiled`](crate::Simulator::run_profiled)). The
 //!    recorder captures every instruction's functional outcome into a
-//!    compact byte-token stream (typically ~1.1 bytes/instruction): TLB
-//!    hit/miss, L1/L2 hit/miss with victim dirtiness, write-policy
-//!    outcomes, and the physical addresses the write buffer needs. The
-//!    pass steps the bare kernel, memos and span drain included: a memo
-//!    skip is a TLB plus L1 hit, and the memo paths record its token.
+//!    compact byte-token stream: TLB hit/miss, L1/L2 hit/miss with
+//!    victim dirtiness, write-policy outcomes, and the physical addresses
+//!    the write buffer needs. A stretch of all-hit instructions is one
+//!    run token, so the stream takes about 0.3 bytes per event (0.298 at
+//!    probe scale 0.002, where one record per instruction took 1.136).
+//!    The pass steps the bare kernel, memos and span drain included: a
+//!    memo skip is a TLB plus L1 hit, and the memo paths record it.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
 //!    any timing points of the same geometry. Each timing point is a
 //!    *lane*: the timing half of a simulator core (clock, counters,
@@ -36,10 +38,10 @@
 //!
 //! A geometry group usually carries several timing variants. Rather than
 //! decode the same ~5.5 M-event stream once per variant, [`price_profiles`]
-//! decodes each instruction record once and applies it to N lanes in
+//! decodes each record and run token once and applies it to N lanes in
 //! lockstep. A lane's result does not depend on the other lanes. All the
-//! co-pricer states itself is the closed-form cost of a run of all-hit
-//! records (see [`price_profiles`]).
+//! co-pricer states itself is the closed-form cost of a run token, which
+//! each lane pays once per run rather than once per instruction.
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -67,10 +69,15 @@ use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
 //
-// The ops stream is a sequence of instruction records, optionally
-// preceded by a control token when the issuing PID changes:
+// The ops stream is a sequence of run tokens and instruction records,
+// with a control token wherever the issuing PID changes:
 //
-//   control token:  0b11......  followed by one raw PID byte
+//   control token:  0b11000000 followed by one raw PID byte
+//   run token:      0b11000001, a presence mask byte, then LEB128 counts:
+//                   the run's instructions, then each count whose mask
+//                   bit is set (bit k for the k-th of `PendingRun::counts_mut`:
+//                   stall cycles, loads, stores, ITLB misses, DTLB misses,
+//                   extra write cycles, write-around misses)
 //   ifetch byte:    bits 7-6 data kind (0 none, 1 load, 2 store)
 //                   bit  5   I-TLB miss
 //                   bits 4-2 CPU stall (0-6 inline; 7 = next byte holds
@@ -89,6 +96,12 @@ use crate::sim::{SimError, SimResult, Termination};
 // Outcome codes: 0 = L1 hit, 1 = L2 hit, 2 = L2 miss (clean victim),
 // 3 = L2 miss (dirty victim).
 //
+// An instruction whose fetch and data access both hit every level and
+// enqueue nothing is *all-hit*: it has no record of its own but is
+// counted into the run token that precedes the next record (or control
+// token, or the warm-up boundary, or the end of the stream). Every other
+// instruction is one record.
+//
 // The addrs side channel carries only the physical addresses the timing
 // replay needs (write-buffer entries and fetched line bases), in
 // consumption order: per load miss `[line_base][victim?]`, per store
@@ -97,6 +110,7 @@ use crate::sim::{SimError, SimResult, Termination};
 const KIND_LOAD: u8 = 1 << 6;
 const KIND_STORE: u8 = 2 << 6;
 const CONTROL: u8 = 3 << 6;
+const RUN: u8 = CONTROL | 1;
 const I_TLB_MISS: u8 = 1 << 5;
 const STALL_ESCAPE: u8 = 7;
 
@@ -119,6 +133,29 @@ fn bit(on: bool, flag: u8) -> u8 {
     u8::from(on) * flag
 }
 
+/// Appends `v` as an unsigned LEB128 varint.
+fn put_leb(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the unsigned LEB128 varint at `ops[*i..]`, advancing `i`.
+fn get_leb(ops: &[u8], i: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = ops[*i];
+        *i += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
 /// One geometry's functional behaviour, replayable under any timing point
 /// (produced by [`Simulator::run_profiled`], consumed by
 /// [`price_profile`]).
@@ -132,7 +169,9 @@ pub struct FunctionalProfile {
     /// Warm-up instruction count the recording run used; pricing snapshots
     /// at the same boundary.
     pub warmup: u64,
-    /// Packed per-instruction outcome tokens.
+    /// Packed outcome tokens: one run token per stretch of all-hit
+    /// instructions and one record per other instruction (see the token
+    /// table above).
     pub(crate) ops: Vec<u8>,
     /// Physical word addresses for the write-buffer replay, stored as
     /// codec-v3 blocks ([`encode_u64_stream`]) and streamed block-at-a-
@@ -170,12 +209,28 @@ impl FunctionalProfile {
 /// Captures functional outcomes during a recording run (installed by
 /// [`Simulator::run_profiled`]; see the module docs for the encoding).
 ///
+/// Each instruction is folded into the current all-hit run as it is
+/// noted. Only when a note shows it is not all-hit (an L1 miss, a load
+/// victim, a store's fetch, write-buffer word or victim) does the
+/// recorder take it back out, end the run and write its record.
+///
 /// [`Simulator::run_profiled`]: crate::sim::Simulator::run_profiled
 #[derive(Debug, Default)]
 pub struct ProfileRecorder {
     ops: Vec<u8>,
     addrs: Vec<u64>,
     last_pid: Option<u8>,
+    /// The all-hit run being folded, written as one run token when it
+    /// ends.
+    run: PendingRun,
+    /// The current instruction's fetch (stall, ITLB miss) while it is
+    /// folded into `run`; `None` once its record is written.
+    folded: Option<(u8, bool)>,
+    /// Instructions noted so far.
+    noted: u64,
+    /// The warm-up instruction count: a run ends after that instruction,
+    /// where pricing snapshots.
+    warmup: u64,
     /// Index of the current instruction's ifetch byte (outcome patched by
     /// the L2 service path, data kind patched by the data step).
     i_slot: usize,
@@ -185,29 +240,38 @@ pub struct ProfileRecorder {
 }
 
 impl ProfileRecorder {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    pub(crate) fn new(warmup: u64) -> Self {
+        Self {
+            warmup,
+            ..Self::default()
+        }
     }
 
     /// Notes the instruction the fetch `ev` starts (`itlb_miss` its ITLB
-    /// outcome), after a control token if its PID differs from the last.
+    /// outcome), folding it into the run. The run ends first at a PID
+    /// change (then a control token follows) or the warm-up boundary.
     pub(crate) fn begin_instr(&mut self, ev: &TraceEvent, itlb_miss: bool) {
         let (pid, stall) = (ev.addr.pid().raw(), ev.stall_cycles);
         if self.last_pid != Some(pid) {
+            self.end_run();
             self.ops.extend([CONTROL, pid]);
             self.last_pid = Some(pid);
+        } else if self.noted == self.warmup {
+            self.end_run();
         }
-        let s = stall.min(STALL_ESCAPE);
-        self.i_slot = self.ops.len();
-        self.ops.push(bit(itlb_miss, I_TLB_MISS) | s << 2);
-        if s == STALL_ESCAPE {
-            self.ops.push(stall);
-        }
+        self.noted += 1;
+        self.run.ifetch_hit(u64::from(stall), itlb_miss);
+        self.folded = Some((stall, itlb_miss));
     }
 
     /// Notes the current instruction's load (`dtlb_miss` and its L1-D
     /// outcome `o`) and the addresses the replay of a miss consumes.
     pub(crate) fn begin_load(&mut self, dtlb_miss: bool, o: &LoadOutcome) {
+        if self.folded.is_some() && o.fetch.is_none() {
+            self.run.load_hit(dtlb_miss);
+            return;
+        }
+        self.spill();
         self.ops[self.i_slot] |= KIND_LOAD;
         self.d_slot = self.ops.len();
         self.ops.push(
@@ -221,6 +285,12 @@ impl ProfileRecorder {
     /// Notes the current instruction's store (`dtlb_miss` and its L1-D
     /// outcome `o`) and the addresses its replay consumes.
     pub(crate) fn begin_store(&mut self, dtlb_miss: bool, o: &StoreOutcome) {
+        let simple = o.fetch.is_none() && o.wb_word.is_none() && o.writeback_victim.is_none();
+        if self.folded.is_some() && simple {
+            self.run.store_simple(dtlb_miss, o);
+            return;
+        }
+        self.spill();
         self.ops[self.i_slot] |= KIND_STORE;
         self.ops.push(
             bit(dtlb_miss, STORE_DTLB)
@@ -247,7 +317,12 @@ impl ProfileRecorder {
     /// data access's (the load byte or a store's ext byte): 1 = L2 hit,
     /// 2/3 = L2 miss with a clean/dirty victim.
     pub(crate) fn set_outcome(&mut self, i_side: bool, code: u8) {
-        let slot = if i_side { self.i_slot } else { self.d_slot };
+        let slot = if i_side {
+            self.spill();
+            self.i_slot
+        } else {
+            self.d_slot
+        };
         self.ops[slot] |= code;
     }
 
@@ -256,10 +331,37 @@ impl ProfileRecorder {
         self.ops.push(code);
     }
 
-    pub(crate) fn finish(self, fkey: u64, warmup: u64, result: &SimResult) -> FunctionalProfile {
+    /// The current instruction is not all-hit: if it is still folded,
+    /// takes its fetch back out of the run, ends the run and writes the
+    /// instruction's ifetch byte.
+    #[cold]
+    fn spill(&mut self) {
+        let Some((stall, itlb)) = self.folded.take() else {
+            return;
+        };
+        self.run.take_fetch(u64::from(stall), itlb);
+        self.end_run();
+        let s = stall.min(STALL_ESCAPE);
+        self.i_slot = self.ops.len();
+        self.ops.push(bit(itlb, I_TLB_MISS) | s << 2);
+        if s == STALL_ESCAPE {
+            self.ops.push(stall);
+        }
+    }
+
+    /// Writes the pending run's token, if it holds any instruction, and
+    /// starts a new run.
+    fn end_run(&mut self) {
+        if self.run.instructions > 0 {
+            std::mem::take(&mut self.run).write(&mut self.ops);
+        }
+    }
+
+    pub(crate) fn finish(mut self, fkey: u64, result: &SimResult) -> FunctionalProfile {
+        self.end_run();
         FunctionalProfile {
             fkey,
-            warmup,
+            warmup: self.warmup,
             ops: self.ops,
             addr_blocks: encode_u64_stream(&self.addrs),
             addr_count: self.addrs.len() as u64,
@@ -461,7 +563,7 @@ pub fn price_profile(cfg: &SimConfig, profile: &FunctionalProfile) -> Result<Sim
 /// to a full simulation of that config.
 ///
 /// Where N separate replays would decode the same token stream N times,
-/// this engine decodes each instruction record once and applies it to N
+/// this engine decodes each record and run token once and applies it to N
 /// variant *lanes* advanced in lockstep; see the module docs for what a
 /// lane holds. The address side channel streams through one shared
 /// block cursor, so every decoded batch is consumed by all lanes before
@@ -493,24 +595,13 @@ pub fn price_profiles(
         return Ok(Vec::new());
     }
 
-    let mut p = CoPricer {
-        lanes: cfgs.iter().map(PricedLane::new).collect(),
-        pid: 0,
-    };
+    let mut lanes: Vec<PricedLane> = cfgs.iter().map(PricedLane::new).collect();
+    let mut pid = 0u8;
     let mut addrs = U64StreamCursor::new(&profile.addr_blocks);
     let mut next_addr = || PhysAddr::new(addrs.next_value().expect("addrs underrun"));
 
     let ops = &profile.ops[..];
     let mut warm = false;
-    // Run accumulator for "trivial" records — every cache level hit, so
-    // the cost is lane-independent (or a lane-constant TLB penalty times
-    // a shared count). These records — the vast majority of the stream —
-    // cost a handful of scalar adds each; the per-lane loop runs only on
-    // the flush that precedes a miss, a PID switch, or the warmup
-    // boundary. This is what makes N-lane co-pricing cheaper than N
-    // replays: a per-event replay pays the full bookkeeping per lane, the
-    // co-pricer pays it per *run*.
-    let mut pend = PendingRun::default();
     // Architectural instruction count so far (lane-independent), kept
     // outside the lanes so the warmup boundary check stays scalar.
     let mut instr_total = 0u64;
@@ -518,38 +609,42 @@ pub fn price_profiles(
     while i < ops.len() {
         let b = ops[i];
         i += 1;
-        if b & CONTROL == CONTROL {
-            p.flush(&mut pend);
-            p.pid = ops[i];
+        if b == RUN {
+            // A run of all-hit instructions: its cost is lane-independent
+            // or a shared count scaled by a lane constant, so each lane
+            // pays one closed-form step per run, not per instruction.
+            let run = PendingRun::read(ops, &mut i);
+            instr_total += run.instructions;
+            for l in &mut lanes {
+                l.flush(pid, &run);
+            }
+        } else if b & CONTROL == CONTROL {
+            pid = ops[i];
             i += 1;
             continue;
-        }
-        // Decode the whole instruction record into locals once, then
-        // apply it to every lane (or fold it into the pending run). The
-        // drain codes follow the data byte in enqueue order, the
-        // addresses come in the order the recorder noted them.
-        let mut stall = ((b >> 2) & 0x07) as u64;
-        if stall == STALL_ESCAPE as u64 {
-            stall = ops[i] as u64;
-            i += 1;
-        }
-        let itlb = b & I_TLB_MISS != 0;
-        let i_outcome = b & OUTCOME_MASK;
-        instr_total += 1;
-        // The next ops byte when `on` (a data byte, ext byte or drain
-        // code the record carries), else 0.
-        let mut next_op = |on: bool| {
-            i += usize::from(on);
-            bit(on, ops[i - 1])
-        };
-        match b & CONTROL {
-            KIND_LOAD => {
-                let lb = next_op(true);
-                let refill = lb & OUTCOME_MASK;
-                if i_outcome == 0 && refill == 0 {
-                    pend.ifetch_hit(stall, itlb);
-                    pend.load_hit(lb & LOAD_DTLB != 0);
-                } else {
+        } else {
+            instr_total += 1;
+            // Decode the whole instruction record into locals once, then
+            // apply it to every lane. The drain codes follow the data
+            // byte in enqueue order, the addresses come in the order the
+            // recorder noted them.
+            let mut stall = ((b >> 2) & 0x07) as u64;
+            if stall == STALL_ESCAPE as u64 {
+                stall = ops[i] as u64;
+                i += 1;
+            }
+            let itlb = b & I_TLB_MISS != 0;
+            let i_outcome = b & OUTCOME_MASK;
+            // The next ops byte when `on` (a data byte, ext byte or drain
+            // code the record carries), else 0.
+            let mut next_op = |on: bool| {
+                i += usize::from(on);
+                bit(on, ops[i - 1])
+            };
+            match b & CONTROL {
+                KIND_LOAD => {
+                    let lb = next_op(true);
+                    let refill = lb & OUTCOME_MASK;
                     // Only a miss carries a victim or a replaced line.
                     let o = LoadOutcome {
                         hit: refill == 0,
@@ -563,19 +658,13 @@ pub fn price_profiles(
                         victim: next_op(o.writeback_victim.is_some()),
                     };
                     let dtlb = lb & LOAD_DTLB != 0;
-                    p.flush(&mut pend);
-                    for l in &mut p.lanes {
-                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
-                        l.lane.load(&mut l.timing, p.pid, dtlb, &o, codes);
+                    for l in &mut lanes {
+                        l.lane.ifetch(&mut l.timing, pid, stall, itlb, i_outcome);
+                        l.lane.load(&mut l.timing, pid, dtlb, &o, codes);
                     }
                 }
-            }
-            KIND_STORE => {
-                let sb = next_op(true);
-                if i_outcome == 0 && sb & (STORE_FETCH | STORE_WB_WORD | STORE_VICTIM) == 0 {
-                    pend.ifetch_hit(stall, itlb);
-                    pend.store_simple(sb);
-                } else {
+                KIND_STORE => {
+                    let sb = next_op(true);
                     let ext = next_op(sb & STORE_FETCH != 0);
                     let mut o = StoreOutcome {
                         hit: sb & STORE_HIT != 0,
@@ -594,56 +683,46 @@ pub fn price_profiles(
                         victim: next_op(o.writeback_victim.is_some()),
                     };
                     let dtlb = sb & STORE_DTLB != 0;
-                    p.flush(&mut pend);
-                    for l in &mut p.lanes {
-                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
-                        l.lane.store(&mut l.timing, p.pid, dtlb, &o, codes);
+                    for l in &mut lanes {
+                        l.lane.ifetch(&mut l.timing, pid, stall, itlb, i_outcome);
+                        l.lane.store(&mut l.timing, pid, dtlb, &o, codes);
                     }
                 }
-            }
-            _ => {
-                if i_outcome == 0 {
-                    pend.ifetch_hit(stall, itlb);
-                } else {
-                    p.flush(&mut pend);
-                    for l in &mut p.lanes {
-                        l.lane.ifetch(&mut l.timing, p.pid, stall, itlb, i_outcome);
+                _ => {
+                    for l in &mut lanes {
+                        l.lane.ifetch(&mut l.timing, pid, stall, itlb, i_outcome);
                     }
                 }
             }
         }
         if profile.warmup > 0 && !warm && instr_total == profile.warmup {
-            p.flush(&mut pend);
             warm = true;
-            for l in &mut p.lanes {
+            for l in &mut lanes {
                 l.warm = l.lane.counters;
             }
         }
     }
-    p.flush(&mut pend);
     debug_assert_eq!(i, ops.len(), "ops stream fully consumed");
     debug_assert!(addrs.finished(), "addrs stream fully consumed");
 
-    Ok(p.lanes
+    Ok(lanes
         .into_iter()
         .zip(cfgs)
         .map(|(lane, cfg)| lane.into_result(cfg, profile, warm))
         .collect())
 }
 
-/// Accumulated all-hit records awaiting a lane flush (see
-/// [`price_profiles`]): every field is either lane-independent outright
-/// or a shared count scaled by a lane constant at flush time.
-#[derive(Default)]
+/// A run of all-hit instructions of one PID (see the module docs): the
+/// recorder folds each such instruction into one, and [`price_profiles`]
+/// applies it to each lane in closed form. Every count is either
+/// lane-independent outright or scaled by a lane constant at flush time.
+#[derive(Debug, Default)]
 struct PendingRun {
-    /// Instruction records in the run.
+    /// Instructions in the run.
     instructions: u64,
+    cpu_stall: u64,
     loads: u64,
     stores: u64,
-    /// Lane-independent cycles: `1 + stall` per ifetch plus the 1-cycle
-    /// write-allocate extras.
-    base_cycles: u64,
-    cpu_stall: u64,
     itlb: u64,
     dtlb: u64,
     /// `STORE_EXTRA` stores (each one `l1_write_cycles` cycle).
@@ -654,12 +733,20 @@ struct PendingRun {
 }
 
 impl PendingRun {
+    /// An all-hit fetch with `stall` CPU stall cycles.
     #[inline]
     fn ifetch_hit(&mut self, stall: u64, itlb: bool) {
         self.instructions += 1;
-        self.base_cycles += 1 + stall;
         self.cpu_stall += stall;
         self.itlb += u64::from(itlb);
+    }
+
+    /// Undoes [`Self::ifetch_hit`] for an instruction that turned out
+    /// not to be all-hit.
+    fn take_fetch(&mut self, stall: u64, itlb: bool) {
+        self.instructions -= 1;
+        self.cpu_stall -= stall;
+        self.itlb -= u64::from(itlb);
     }
 
     #[inline]
@@ -668,19 +755,57 @@ impl PendingRun {
         self.dtlb += u64::from(dtlb);
     }
 
+    /// A store that neither fetches nor enqueues: a hit, or a write-around
+    /// miss.
     #[inline]
-    fn store_simple(&mut self, sb: u8) {
+    fn store_simple(&mut self, dtlb: bool, o: &StoreOutcome) {
         self.stores += 1;
-        self.dtlb += u64::from(sb & STORE_DTLB != 0);
-        self.store_misses += u64::from(sb & STORE_HIT == 0);
-        let extra = u64::from(sb & STORE_EXTRA != 0);
-        self.extra_writes += extra;
-        self.base_cycles += extra;
+        self.dtlb += u64::from(dtlb);
+        self.store_misses += u64::from(!o.hit);
+        self.extra_writes += u64::from(o.extra_cycle);
     }
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.instructions == 0 && self.loads == 0 && self.stores == 0
+    /// The counts a run token carries after its instruction count, in
+    /// token order (bit k of the presence mask is the k-th).
+    fn counts_mut(&mut self) -> [&mut u64; 7] {
+        [
+            &mut self.cpu_stall,
+            &mut self.loads,
+            &mut self.stores,
+            &mut self.itlb,
+            &mut self.dtlb,
+            &mut self.extra_writes,
+            &mut self.store_misses,
+        ]
+    }
+
+    /// Appends the run token.
+    fn write(mut self, out: &mut Vec<u8>) {
+        out.extend([RUN, 0]);
+        let mask = out.len() - 1;
+        put_leb(out, self.instructions);
+        for (k, v) in self.counts_mut().into_iter().enumerate() {
+            if *v != 0 {
+                out[mask] |= 1 << k;
+                put_leb(out, *v);
+            }
+        }
+    }
+
+    /// Reads the run token whose tag precedes `ops[*i]`, advancing `i`.
+    fn read(ops: &[u8], i: &mut usize) -> Self {
+        let mask = ops[*i];
+        *i += 1;
+        let mut run = PendingRun {
+            instructions: get_leb(ops, i),
+            ..PendingRun::default()
+        };
+        for (k, v) in run.counts_mut().into_iter().enumerate() {
+            if mask >> k & 1 != 0 {
+                *v = get_leb(ops, i);
+            }
+        }
+        run
     }
 }
 
@@ -705,30 +830,29 @@ impl PricedLane {
         }
     }
 
-    /// Applies an accumulated all-hit run of `pid`. The run precedes any
-    /// pending miss (runs are flushed before the per-lane miss path), so
-    /// lane time, counters and the per-process row each advance by one
-    /// closed-form delta.
-    fn flush(&mut self, pid: u8, pend: &PendingRun) {
-        let tlb_cycles = (pend.itlb + pend.dtlb) * self.timing.tlb_penalty();
-        let cycles = pend.base_cycles + tlb_cycles;
+    /// Applies an all-hit run of `pid`: lane time, counters and the
+    /// per-process row each advance by one closed-form delta, `1 + stall`
+    /// cycles per fetch plus the extra write cycles and the TLB walks.
+    fn flush(&mut self, pid: u8, run: &PendingRun) {
+        let tlb_cycles = (run.itlb + run.dtlb) * self.timing.tlb_penalty();
+        let cycles = run.instructions + run.cpu_stall + run.extra_writes + tlb_cycles;
         let c = &mut self.lane.counters;
-        c.instructions += pend.instructions;
-        c.loads += pend.loads;
-        c.stores += pend.stores;
-        c.cpu_stall_cycles += pend.cpu_stall;
-        c.itlb_misses += pend.itlb;
-        c.dtlb_misses += pend.dtlb;
+        c.instructions += run.instructions;
+        c.loads += run.loads;
+        c.stores += run.stores;
+        c.cpu_stall_cycles += run.cpu_stall;
+        c.itlb_misses += run.itlb;
+        c.dtlb_misses += run.dtlb;
         c.tlb_miss_cycles += tlb_cycles;
-        c.l1_write_cycles += pend.extra_writes;
-        c.l1d_write_misses += pend.store_misses;
+        c.l1_write_cycles += run.extra_writes;
+        c.l1d_write_misses += run.store_misses;
         self.lane.now += cycles;
         let p = proc_row(&mut self.lane.per_proc, pid);
-        p.instructions += pend.instructions;
-        p.loads += pend.loads;
-        p.stores += pend.stores;
+        p.instructions += run.instructions;
+        p.loads += run.loads;
+        p.stores += run.stores;
         p.cycles += cycles;
-        p.l1d_misses += pend.store_misses;
+        p.l1d_misses += run.store_misses;
     }
 
     fn into_result(self, cfg: &SimConfig, profile: &FunctionalProfile, warm: bool) -> SimResult {
@@ -755,27 +879,6 @@ impl PricedLane {
             },
             checkpoints: Vec::new(),
         }
-    }
-}
-
-/// The co-pricer's lanes, advanced in lockstep by [`price_profiles`], and
-/// the PID whose records they are replaying.
-struct CoPricer {
-    lanes: Vec<PricedLane>,
-    pid: u8,
-}
-
-impl CoPricer {
-    /// Applies an accumulated all-hit run to every lane and resets it.
-    /// The whole run belongs to `pid`: runs are flushed on PID switches.
-    fn flush(&mut self, pend: &mut PendingRun) {
-        if pend.is_empty() {
-            return;
-        }
-        for lane in &mut self.lanes {
-            lane.flush(self.pid, pend);
-        }
-        *pend = PendingRun::default();
     }
 }
 
@@ -1083,9 +1186,68 @@ mod tests {
     }
 
     #[test]
-    fn profile_reports_size_and_instructions() {
-        let (_, profile) = profile_for(&SimConfig::baseline());
-        assert!(profile.size_bytes() > 0);
-        assert!(profile.addr_count() > 0);
+    fn all_hit_runs_fold_at_their_edges() {
+        use gaas_trace::{Pid, Trace, VecTrace, VirtAddr};
+        let trace =
+            |evs: Vec<TraceEvent>| vec![Box::new(VecTrace::new("t", evs)) as Box<dyn Trace>];
+        let va = |w: u64| VirtAddr::new(Pid::new(0), w);
+        let width = |v: u64| {
+            let mut out = Vec::new();
+            put_leb(&mut out, v);
+            out.len()
+        };
+        let base = SimConfig::baseline();
+
+        // N same-line fetches of one PID: a control token, the first
+        // fetch's miss record, then one run token for the N - 1 hits
+        // (no stalls, so only the instruction count follows the mask).
+        for n in [1_000u64, 100_000] {
+            let evs: Vec<_> = (0..n).map(|k| TraceEvent::ifetch(va(k % 4), 0)).collect();
+            let sim = Simulator::new(base.clone()).expect("valid config");
+            let (rep, profile) = sim.run_profiled(trace(evs), 0).expect("profiled run");
+            assert_eq!(profile.ops.len(), 2 + 1 + 2 + width(n - 1), "n={n}");
+            assert_eq!(
+                profile.size_bytes(),
+                profile.ops.len() + profile.addr_blocks.len()
+            );
+            assert_identical(
+                &price_profile(&base, &profile).expect("priced"),
+                &rep,
+                "same-line",
+            );
+        }
+
+        // A long all-hit stretch of fetches, loads and stores with stalls
+        // and TLB-free hits; each warm-up splits it, and pricing must
+        // still snapshot exactly where the full simulation does.
+        let n = 20_000u64;
+        let evs: Vec<_> = (0..n)
+            .flat_map(|k| {
+                let data = match k % 4 {
+                    0 => Some(TraceEvent::load(va(4_096 + k % 8))),
+                    1 => Some(TraceEvent::store(va(4_096 + k % 8))),
+                    _ => None,
+                };
+                std::iter::once(TraceEvent::ifetch(va(k % 16), (k % 3) as u8)).chain(data)
+            })
+            .collect();
+        for warmup in [1, 2, 777, 10_000, n - 1] {
+            let sim = Simulator::new(base.clone()).expect("valid config");
+            let (_, profile) = sim
+                .run_profiled(trace(evs.clone()), warmup)
+                .expect("profiled run");
+            assert!(profile.addr_count() > 0, "the first load misses");
+            assert!(
+                profile.ops.len() < 64,
+                "one stretch: {} bytes",
+                profile.ops.len()
+            );
+            let full = Simulator::new(base.clone())
+                .expect("valid config")
+                .run_warmed(trace(evs.clone()), warmup)
+                .expect("direct run");
+            let priced = price_profile(&base, &profile).expect("priced");
+            assert_identical(&priced, &full, &format!("warmup={warmup}"));
+        }
     }
 }

@@ -565,9 +565,10 @@ impl Instruments {
         self.fault.is_some() || self.diff.is_some()
     }
 
-    /// Attaches a fresh profile recorder.
-    pub(crate) fn install_recorder(&mut self) {
-        self.rec = Some(Box::new(ProfileRecorder::new()));
+    /// Attaches a fresh profile recorder for a run that warms up over
+    /// `warmup` instructions.
+    pub(crate) fn install_recorder(&mut self, warmup: u64) {
+        self.rec = Some(Box::new(ProfileRecorder::new(warmup)));
     }
 
     /// The attached profile recorder; only the `REC = true` step
@@ -796,10 +797,10 @@ impl Simulator {
     ) -> Result<(SimResult, FunctionalProfile), SimError> {
         let fkey = functional_fingerprint(&self.cfg)
             .expect("run_profiled requires a memoizable configuration");
-        self.ux.ins.install_recorder();
+        self.ux.ins.install_recorder(warmup_instructions);
         let result = self.drive(traces, warmup_instructions, 0)?.result;
         let rec = self.ux.ins.rec.take().expect("recorder installed above");
-        let profile = rec.finish(fkey, warmup_instructions, &result);
+        let profile = rec.finish(fkey, &result);
         Ok((result, profile))
     }
 
@@ -2179,7 +2180,7 @@ mod tests {
             b.policy(policy).time_slice(200);
             let cfg = b.build().expect("valid");
             let mut sim = Simulator::new(cfg.clone()).expect("constructs");
-            sim.ux.ins.install_recorder();
+            sim.ux.ins.install_recorder(WARMUP);
             assert!(
                 !sim.ux.ins.active(),
                 "{policy:?}: the recorder alone must step the bare kernel"
@@ -2190,7 +2191,7 @@ mod tests {
 
             b.diffcheck(DiffCheckConfig::on());
             let mut sim = Simulator::new(b.build().expect("valid")).expect("constructs");
-            sim.ux.ins.install_recorder();
+            sim.ux.ins.install_recorder(WARMUP);
             assert!(
                 sim.ux.ins.active(),
                 "{policy:?}: the oracle forces the hooked loop"
@@ -2201,7 +2202,7 @@ mod tests {
                 .result;
             let fkey = functional_fingerprint(&cfg).expect("memoizable");
             let rec = sim.ux.ins.rec.take().expect("installed");
-            let every = rec.finish(fkey, WARMUP, &every_result);
+            let every = rec.finish(fkey, &every_result);
 
             assert_eq!(
                 fast_result.counters, every_result.counters,

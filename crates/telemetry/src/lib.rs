@@ -36,20 +36,14 @@ pub use registry::{CounterId, Histogram, Registry};
 pub use spans::{Span, SpanRecorder};
 pub use stack::{stack_csv, stack_json, weighted_cpi, WindowRow};
 
-/// Hierarchy component a span or stall cycle is attributed to.
+/// Hierarchy component a span or stall cycle is attributed to: one per
+/// track that the simulator records spans on.
 ///
 /// Components double as Chrome-trace track ids (`tid`), so the explicit
 /// discriminants are stable export identifiers, not just enum order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Component {
-    /// Processor-core activity that is not a memory stall (scheduler
-    /// slices, syscall handling).
-    Cpu = 0,
-    /// Level-1 instruction cache.
-    L1I = 1,
-    /// Level-1 data cache.
-    L1D = 2,
     /// Level-2 cache (either side of a split L2, or the unified array).
     L2 = 3,
     /// Write buffer between the L1 data side and the L2.
@@ -62,38 +56,28 @@ pub enum Component {
     Sched = 7,
     /// Injected soft-error events and recovery.
     Fault = 8,
-    /// Golden-model oracle divergences.
-    Oracle = 9,
 }
 
 impl Component {
     /// All components, in track order.
-    pub const ALL: [Component; 10] = [
-        Component::Cpu,
-        Component::L1I,
-        Component::L1D,
+    pub const ALL: [Component; 6] = [
         Component::L2,
         Component::Wb,
         Component::Tlb,
         Component::Memory,
         Component::Sched,
         Component::Fault,
-        Component::Oracle,
     ];
 
     /// Human-readable track name used in exports.
     pub fn name(self) -> &'static str {
         match self {
-            Component::Cpu => "cpu",
-            Component::L1I => "l1i",
-            Component::L1D => "l1d",
             Component::L2 => "l2",
             Component::Wb => "write-buffer",
             Component::Tlb => "tlb",
             Component::Memory => "memory",
             Component::Sched => "sched",
             Component::Fault => "fault",
-            Component::Oracle => "oracle",
         }
     }
 
@@ -109,9 +93,8 @@ mod tests {
 
     #[test]
     fn component_tids_are_distinct_and_ordered() {
-        for (i, c) in Component::ALL.iter().enumerate() {
-            assert_eq!(c.tid() as usize, i);
-        }
+        let tids: Vec<u32> = Component::ALL.iter().map(|c| c.tid()).collect();
+        assert_eq!(tids, [3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
