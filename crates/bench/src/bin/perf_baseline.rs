@@ -9,17 +9,19 @@
 //!              (default 2e-3)
 //! --jobs N     worker threads for the parallel-sweep speedup measurement
 //!              (default min(4, available cores))
-//! --samples K  timed repetitions per kernel measurement; best-of-K is
-//!              reported (default 3)
+//! --samples K  timed repetitions per kernel measurement; the median is
+//!              reported with the range (default 5)
 //! --out PATH   where to write the JSON report (default BENCH_sim.json)
 //! --kernel-only  measure only the kernel, telemetry-overhead, and
 //!              co-pricing sections (skips figures and the sweep passes;
 //!              CI's overhead gates use this for a fast, low-noise
 //!              comparison)
 //! --reference PATH  gate against a prior report: exit 1 if this build's
-//!              batched (telemetry-disabled) throughput falls more than
-//!              3% below the reference's — the disabled-telemetry
-//!              zero-cost contract
+//!              median batched (telemetry-disabled) throughput falls more
+//!              than 3% below the reference's — the disabled-telemetry
+//!              zero-cost contract. The report records the batched
+//!              samples' spread beside the ratio: a gate reads a
+//!              regression only where that spread is below its bound
 //! --copricing-min X  gate on the co-pricer: exit 1 if one co-priced
 //!              pass over the 4-lane kernel group is not at least X times
 //!              faster than pricing the four variants one at a time
@@ -34,7 +36,8 @@
 //!   the [`UnbatchedTrace`] adapter that
 //!   reproduces the seed kernel's one-virtual-call-per-event pattern, plus
 //!   the ratio between them and a fixed reference throughput measured at
-//!   the growth seed;
+//!   the growth seed. Every timing is the median of `--samples` runs,
+//!   with their min and max;
 //! * **telemetry** — the same batched kernel with
 //!   [`TelemetryConfig::on`]: enabled-mode overhead
 //!   (`enabled_over_disabled`), and the `--reference` gate result for the
@@ -133,7 +136,7 @@ struct CopricingReport {
 /// comparable to every other figure in this report.
 struct CoherenceReport {
     cores: u32,
-    seconds_best: f64,
+    secs: Secs,
     events_per_sec: f64,
     invalidations: u64,
     c2c_transfers: u64,
@@ -142,12 +145,40 @@ struct CoherenceReport {
     one_core_identical: bool,
 }
 
+/// Wall-clock seconds over one measurement's samples: the median, which
+/// every rate and gate uses, the quartiles and the range.
+#[derive(Clone, Copy)]
+struct Secs {
+    median: f64,
+    q1: f64,
+    q3: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Secs {
+    /// The middle half of the samples over their median: how far apart
+    /// two runs' medians can land on noise alone, against which a gate's
+    /// bound must be read.
+    fn spread(&self) -> f64 {
+        (self.q3 - self.q1) / self.median
+    }
+
+    /// The JSON fields `seconds_median`, `seconds_min` and `seconds_max`.
+    fn json(&self) -> String {
+        format!(
+            "\"seconds_median\": {:.6}, \"seconds_min\": {:.6}, \"seconds_max\": {:.6}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
 fn main() {
     let mut scale = DEFAULT_SCALE;
     let mut jobs = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1);
-    let mut samples = 3usize;
+    let mut samples = 5usize;
     let mut out_path = "BENCH_sim.json".to_string();
     let mut kernel_only = false;
     let mut reference_path: Option<String> = None;
@@ -200,18 +231,21 @@ fn main() {
         })
         .sum();
     let cfg = SimConfig::baseline();
-    let (batched_secs, batched_res) = best_of(samples, || {
+    let (batched, batched_res) = sample(samples, || {
         sim::run(cfg.clone(), workload::standard(kernel_scale)).expect("valid config")
     });
-    let (unbatched_secs, unbatched_res) = best_of(samples, || {
+    let (unbatched, unbatched_res) = sample(samples, || {
         sim::run(cfg.clone(), unbatched(workload::standard(kernel_scale))).expect("valid config")
     });
-    let batched_eps = events as f64 / batched_secs;
-    let unbatched_eps = events as f64 / unbatched_secs;
+    let batched_eps = events as f64 / batched.median;
+    let unbatched_eps = events as f64 / unbatched.median;
+    let spread = batched.spread();
     let kernel_deterministic = batched_res.counters == unbatched_res.counters;
     eprintln!(
-        "[kernel: batched {:.2} Me/s, unbatched {:.2} Me/s, ratio {:.3}, counters {}]",
+        "[kernel: batched {:.2} Me/s (median of {samples}, {:.1}% spread), unbatched {:.2} \
+         Me/s, ratio {:.3}, counters {}]",
         batched_eps / 1e6,
+        spread * 100.0,
         unbatched_eps / 1e6,
         batched_eps / unbatched_eps,
         if kernel_deterministic {
@@ -227,10 +261,10 @@ fn main() {
         b.telemetry(TelemetryConfig::on());
         b.build().expect("valid config")
     };
-    let (telem_secs, telem_res) = best_of(samples, || {
+    let (telem, telem_res) = sample(samples, || {
         sim::run(telem_cfg.clone(), workload::standard(kernel_scale)).expect("valid config")
     });
-    let telem_eps = events as f64 / telem_secs;
+    let telem_eps = events as f64 / telem.median;
     let telem_deterministic = telem_res.counters == batched_res.counters;
     let reference_eps = reference_path.as_deref().map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -255,9 +289,10 @@ fn main() {
         },
         match (reference_ratio, reference_passed) {
             (Some(r), Some(ok)) => format!(
-                ", disabled vs reference {:.3}x ({})",
+                ", disabled vs reference {:.3}x ({}; samples spread {:.1}%)",
                 r,
-                if ok { "within 3%" } else { "GATE FAILED" }
+                if ok { "within 3%" } else { "GATE FAILED" },
+                spread * 100.0
             ),
             _ => String::new(),
         }
@@ -291,7 +326,7 @@ fn main() {
         "[coherence: {} cores, {:.3}s, {:.1} Me/s, {} invalidations, {} C2C, \
          1-core identity {}]",
         coherence.cores,
-        coherence.seconds_best,
+        coherence.secs.median,
         coherence.events_per_sec / 1e6,
         coherence.invalidations,
         coherence.c2c_transfers,
@@ -321,7 +356,7 @@ fn main() {
     // --- Emit the JSON report. ------------------------------------------
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": 6,");
+    let _ = writeln!(j, "  \"schema\": 7,");
     let _ = writeln!(j, "  \"tool\": \"perf_baseline\",");
     let _ = writeln!(j, "  \"scale\": {scale},");
     let _ = writeln!(j, "  \"kernel_scale\": {kernel_scale},");
@@ -332,11 +367,13 @@ fn main() {
     let _ = writeln!(j, "    \"events\": {events},");
     let _ = writeln!(
         j,
-        "    \"batched\": {{ \"seconds_best\": {batched_secs:.6}, \"events_per_sec\": {batched_eps:.1} }},"
+        "    \"batched\": {{ {}, \"events_per_sec\": {batched_eps:.1} }},",
+        batched.json()
     );
     let _ = writeln!(
         j,
-        "    \"unbatched\": {{ \"seconds_best\": {unbatched_secs:.6}, \"events_per_sec\": {unbatched_eps:.1} }},"
+        "    \"unbatched\": {{ {}, \"events_per_sec\": {unbatched_eps:.1} }},",
+        unbatched.json()
     );
     let _ = writeln!(
         j,
@@ -357,7 +394,8 @@ fn main() {
     let _ = writeln!(j, "    \"disabled_events_per_sec\": {batched_eps:.1},");
     let _ = writeln!(
         j,
-        "    \"enabled\": {{ \"seconds_best\": {telem_secs:.6}, \"events_per_sec\": {telem_eps:.1} }},"
+        "    \"enabled\": {{ {}, \"events_per_sec\": {telem_eps:.1} }},",
+        telem.json()
     );
     let _ = writeln!(
         j,
@@ -378,6 +416,7 @@ fn main() {
         "    \"disabled_vs_reference\": {},",
         opt_num(reference_ratio, 4)
     );
+    let _ = writeln!(j, "    \"disabled_spread_frac\": {spread:.4},");
     let _ = writeln!(
         j,
         "    \"reference_gate_passed\": {}",
@@ -411,7 +450,7 @@ fn main() {
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"coherence\": {{");
     let _ = writeln!(j, "    \"cores\": {},", coherence.cores);
-    let _ = writeln!(j, "    \"seconds_best\": {:.6},", coherence.seconds_best);
+    let _ = writeln!(j, "    {},", coherence.secs.json());
     let _ = writeln!(
         j,
         "    \"events_per_sec\": {:.1},",
@@ -613,7 +652,7 @@ fn main() {
 
 /// Prices one baseline-geometry 4-lane timing group (L2 access 2/4/6/8)
 /// from a single functional profile as N one-lane co-priced passes and
-/// as one 4-lane pass, best-of-K each. The profile is recorded once up
+/// as one 4-lane pass, the median of K samples each. The profile is recorded once up
 /// front — both timed paths replay the same token stream, so the
 /// comparison isolates what sharing one decode across the lanes saves.
 fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
@@ -631,13 +670,13 @@ fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
         })
         .collect();
 
-    let (serial_priced_secs, serial) = best_of(samples, || {
+    let (serial_priced, serial) = sample(samples, || {
         lanes
             .iter()
             .map(|cfg| price_profile(cfg, &profile).expect("replay pricing"))
             .collect::<Vec<_>>()
     });
-    let (copriced_secs, co) = best_of(samples, || {
+    let (copriced, co) = sample(samples, || {
         price_profiles(&lanes, &profile).expect("co-priced pricing")
     });
     let identical = serial.len() == co.len()
@@ -646,9 +685,9 @@ fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
         });
     CopricingReport {
         lanes: lanes.len(),
-        serial_priced_secs,
-        copriced_secs,
-        speedup: serial_priced_secs / copriced_secs,
+        serial_priced_secs: serial_priced.median,
+        copriced_secs: copriced.median,
+        speedup: serial_priced.median / copriced.median,
         identical,
     }
 }
@@ -677,14 +716,14 @@ fn measure_coherence(kernel_scale: f64, samples: usize) -> CoherenceReport {
         cores: 2,
         ..fig_cmp::sharing()
     };
-    let (seconds_best, two_core) = best_of(samples, || {
+    let (secs, two_core) = sample(samples, || {
         runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run")
     });
     let c = two_core.result.counters;
     CoherenceReport {
         cores: 2,
-        seconds_best,
-        events_per_sec: events as f64 / seconds_best,
+        secs,
+        events_per_sec: events as f64 / secs.median,
         invalidations: c.invalidations,
         c2c_transfers: c.c2c_transfers,
         upgrade_misses: c.upgrade_misses,
@@ -827,18 +866,33 @@ fn unbatched(traces: Vec<Box<dyn Trace>>) -> Vec<Box<dyn Trace>> {
         .collect()
 }
 
-/// Runs `f` `samples` times, returning the best wall-clock and the last
-/// result (all results are identical by the determinism invariant).
-fn best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
+/// Runs `f` once untimed (trace generation fills the arena on a first
+/// run), then `samples` times, returning the wall-clock statistics and
+/// the last result (all results are identical by the determinism
+/// invariant).
+fn sample<T>(samples: usize, mut f: impl FnMut() -> T) -> (Secs, T) {
+    let mut last = f();
+    let mut secs = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(r);
+        last = f();
+        secs.push(t0.elapsed().as_secs_f64());
     }
-    (best, last.expect("samples >= 1"))
+    secs.sort_by(f64::total_cmp);
+    // Linear interpolation between the order statistics at fraction `p`.
+    let at = |p: f64| {
+        let x = p * (secs.len() - 1) as f64;
+        let (i, frac) = (x.floor() as usize, x.fract());
+        secs[i] + frac * (secs[(i + 1).min(secs.len() - 1)] - secs[i])
+    };
+    let s = Secs {
+        median: at(0.5),
+        q1: at(0.25),
+        q3: at(0.75),
+        min: secs[0],
+        max: secs[secs.len() - 1],
+    };
+    (s, last)
 }
 
 fn parse<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {

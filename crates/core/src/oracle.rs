@@ -132,39 +132,34 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// Per-access counter deltas the golden model predicts and the simulator
-/// must reproduce. Cycle components are deliberately absent: the oracle
-/// checks *state and classification*, not timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Deltas {
-    pub l1i_misses: u64,
-    pub l1d_read_misses: u64,
-    pub l1d_write_misses: u64,
-    pub l2i_accesses: u64,
-    pub l2i_misses: u64,
-    pub l2d_accesses: u64,
-    pub l2d_misses: u64,
-    pub l2_drain_writes: u64,
-    pub l2_drain_misses: u64,
-    pub l1_write_cycles: u64,
-}
+/// The [`Counters`] fields the golden model predicts per access and the
+/// simulator must reproduce. Cycle components are deliberately absent:
+/// the oracle checks *state and classification*, not timing.
+const CHECKED: [&str; 10] = [
+    "l1i_misses",
+    "l1d_read_misses",
+    "l1d_write_misses",
+    "l2i_accesses",
+    "l2i_misses",
+    "l2d_accesses",
+    "l2d_misses",
+    "l2_drain_writes",
+    "l2_drain_misses",
+    "l1_write_cycles",
+];
 
-impl Deltas {
-    /// The observed deltas between two counter snapshots.
-    pub(crate) fn between(before: &Counters, after: &Counters) -> Self {
-        Deltas {
-            l1i_misses: after.l1i_misses - before.l1i_misses,
-            l1d_read_misses: after.l1d_read_misses - before.l1d_read_misses,
-            l1d_write_misses: after.l1d_write_misses - before.l1d_write_misses,
-            l2i_accesses: after.l2i_accesses - before.l2i_accesses,
-            l2i_misses: after.l2i_misses - before.l2i_misses,
-            l2d_accesses: after.l2d_accesses - before.l2d_accesses,
-            l2d_misses: after.l2d_misses - before.l2d_misses,
-            l2_drain_writes: after.l2_drain_writes - before.l2_drain_writes,
-            l2_drain_misses: after.l2_drain_misses - before.l2_drain_misses,
-            l1_write_cycles: after.l1_write_cycles - before.l1_write_cycles,
-        }
-    }
+/// The [`CHECKED`] fields in which the golden model's `expected` deltas
+/// and the simulator's `actual` ones differ, as `name predicted P,
+/// simulator S` (`None` when they agree).
+fn checked_mismatch(expected: &Counters, actual: &Counters) -> Option<String> {
+    let diffs: Vec<String> = expected
+        .fields()
+        .into_iter()
+        .zip(actual.fields())
+        .filter(|((name, e), (_, a))| e != a && CHECKED.contains(name))
+        .map(|((name, e), (_, a))| format!("{name} predicted {e}, simulator {a}"))
+        .collect();
+    (!diffs.is_empty()).then(|| diffs.join("; "))
 }
 
 /// One line of the golden model: architectural state only.
@@ -357,7 +352,7 @@ impl Oracle {
 
     /// Models one write-buffer drain: the L2-D side is updated at enqueue
     /// time, exactly as the simulator does it.
-    fn drain(&mut self, addr: u64, d: &mut Deltas) {
+    fn drain(&mut self, addr: u64, d: &mut Counters) {
         d.l2_drain_writes += 1;
         let l2d = self.l2.d_side_mut();
         if let Some(line) = l2d.touch(addr) {
@@ -376,7 +371,7 @@ impl Oracle {
     }
 
     /// Demand service of an L1 miss from an L2 side.
-    fn l2_service(&mut self, addr: u64, i_side: bool, d: &mut Deltas) {
+    fn l2_service(&mut self, addr: u64, i_side: bool, d: &mut Counters) {
         let side = if i_side {
             self.l2.i_side_mut()
         } else {
@@ -399,9 +394,9 @@ impl Oracle {
 
     /// Processes one trace event; returns the physical word address the
     /// reference mapper produced and the predicted counter deltas.
-    fn step(&mut self, ev: &TraceEvent) -> (u64, Deltas) {
+    fn step(&mut self, ev: &TraceEvent) -> (u64, Counters) {
         let pa = self.mapper.translate(ev.addr).word();
-        let mut d = Deltas::default();
+        let mut d = Counters::new();
         match ev.kind {
             AccessKind::IFetch => self.step_ifetch(pa, &mut d),
             AccessKind::Load => self.step_load(pa, &mut d),
@@ -410,7 +405,7 @@ impl Oracle {
         (pa, d)
     }
 
-    fn step_ifetch(&mut self, pa: u64, d: &mut Deltas) {
+    fn step_ifetch(&mut self, pa: u64, d: &mut Counters) {
         if self.l1i.touch(pa).is_some() {
             return;
         }
@@ -419,7 +414,7 @@ impl Oracle {
         self.l1i.fill(pa);
     }
 
-    fn step_load(&mut self, pa: u64, d: &mut Deltas) {
+    fn step_load(&mut self, pa: u64, d: &mut Counters) {
         let word_bit = 1u32 << self.l1d.word_in_line(pa);
         let hit = match self.l1d.touch(pa) {
             Some(line) => match self.policy {
@@ -449,7 +444,7 @@ impl Oracle {
         self.l2_service(line_base, false, d);
     }
 
-    fn step_store(&mut self, pa: u64, partial_word: bool, d: &mut Deltas) {
+    fn step_store(&mut self, pa: u64, partial_word: bool, d: &mut Counters) {
         match self.policy {
             WritePolicy::WriteBack => self.store_write_back(pa, d),
             WritePolicy::WriteMissInvalidate => self.store_wmi(pa, d),
@@ -458,7 +453,7 @@ impl Oracle {
         }
     }
 
-    fn store_write_back(&mut self, pa: u64, d: &mut Deltas) {
+    fn store_write_back(&mut self, pa: u64, d: &mut Counters) {
         if let Some(line) = self.l1d.touch(pa) {
             line.dirty = true;
             d.l1_write_cycles += 1;
@@ -478,7 +473,7 @@ impl Oracle {
         self.l2_service(line_base, false, d);
     }
 
-    fn store_wmi(&mut self, pa: u64, d: &mut Deltas) {
+    fn store_wmi(&mut self, pa: u64, d: &mut Counters) {
         if let Some(line) = self.l1d.touch(pa) {
             line.dirty = true;
         } else {
@@ -489,7 +484,7 @@ impl Oracle {
         self.drain(pa, d);
     }
 
-    fn store_write_only(&mut self, pa: u64, d: &mut Deltas) {
+    fn store_write_only(&mut self, pa: u64, d: &mut Counters) {
         if let Some(line) = self.l1d.touch(pa) {
             line.dirty = true;
         } else {
@@ -504,7 +499,7 @@ impl Oracle {
         self.drain(pa, d);
     }
 
-    fn store_subblock(&mut self, pa: u64, partial_word: bool, d: &mut Deltas) {
+    fn store_subblock(&mut self, pa: u64, partial_word: bool, d: &mut Counters) {
         let word_bit = 1u32 << self.l1d.word_in_line(pa);
         if let Some(line) = self.l1d.touch(pa) {
             if !partial_word {
@@ -622,12 +617,13 @@ impl DiffState {
     }
 
     /// Cross-checks one completed access. `actual` is the simulator's
-    /// counter delta over the access; `sim_paddr` its translation.
+    /// counter delta over the access (`after.since(before)`), of which
+    /// the [`CHECKED`] fields are compared; `sim_paddr` its translation.
     pub(crate) fn note_access(
         &mut self,
         ev: &TraceEvent,
         sim_paddr: PhysAddr,
-        actual: Deltas,
+        actual: Counters,
         s: &SimStructures<'_>,
     ) {
         if self.report.is_some() {
@@ -656,15 +652,11 @@ impl DiffState {
             );
             return;
         }
-        if expected != actual {
+        if let Some(mismatch) = checked_mismatch(&expected, &actual) {
             self.diverge(
                 idx,
                 DivergenceKind::Classification,
-                format!(
-                    "{:?} {:#x}: predicted deltas {expected:?}, simulator produced {actual:?}",
-                    ev.kind,
-                    sim_paddr.word()
-                ),
+                format!("{:?} {:#x}: {mismatch}", ev.kind, sim_paddr.word()),
             );
             return;
         }

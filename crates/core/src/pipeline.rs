@@ -29,8 +29,7 @@
 //! charges the per-process row. The profile co-pricer (see `profile`)
 //! runs the same rules in each of its lanes on the outcomes a functional
 //! pass recorded, so a lane priced from a profile equals a full
-//! simulation by construction; only the co-pricer's closed form for runs
-//! of all-hit records is written apart.
+//! simulation by construction.
 //!
 //! What a core does in the middle of a step enters the rule through a
 //! hook type: the L2 lookups and drains that decide the refill and drain
@@ -38,6 +37,23 @@
 //! soft-error fault checks, the coherence stall at its bus time, and the
 //! telemetry and recorder notes. A co-pricer lane's hooks are its timing
 //! rules alone: every mid-step hook is an empty default and compiles out.
+//!
+//! # The all-hit fold
+//!
+//! An instruction whose fetch, load or store all hit in L1 costs exactly
+//! `1 + stall` cycles, plus a cycle for a write that takes one and the
+//! TLB walks; no L2, memory or write-buffer term applies. On the bare
+//! single-CPU kernel (`HOOKS = false` and a [`Coherence`] whose
+//! [`Coherence::FOLD`] is set) such a step does not run its rule: it adds
+//! to the core's `PendingRun`, and `Lane::flush` charges the whole run in
+//! that closed form before anything reads the lane. With telemetry on, a
+//! TLB miss does not fold, since its walk note reads the lane's time. The
+//! core holds an I-hit fetch until its data half is known, then folds
+//! both halves, or flushes the run and runs the fetch rule and the data
+//! rule. This is exact: the L1 and TLB decisions do not read lane time,
+//! and a fetch hit touches no L2. The co-pricer applies a profile's run
+//! tokens with the same `Lane::flush`, and the recorder writes the core's
+//! run as that token, so the closed form exists once.
 //!
 //! # The memos
 //!
@@ -69,13 +85,13 @@
 //! `Instruments::note`, which tests whether telemetry state is attached,
 //! and fires identically in both instantiations.
 //!
-//! Nor is the profile recorder. It notes every instruction, but a memo
-//! skip is a TLB hit, or an ITLB plus L1-I hit, whose tokens carry no
-//! outcome: the same-line path emits its hit token itself, and a page
-//! memo hit records the TLB hit it stands for. Every recorder site is
-//! gated on a second const generic, `REC`, which a run sets exactly when
-//! a recorder is attached, so a functional pass steps the bare kernel
-//! and a run without a recorder carries none of its branches.
+//! Nor is the profile recorder. A memo skip is a TLB hit, or an ITLB
+//! plus L1-I hit, which the fold takes like any other hit. The recorder
+//! writes one record per instruction that is not all-hit, and each flush
+//! of the core's run as one run token. Every recorder site is gated on a
+//! second const generic, `REC`, which a run sets exactly when a recorder
+//! is attached, so a functional pass steps the bare kernel and a run
+//! without a recorder carries none of its branches.
 
 use gaas_cache::fault::{resolve, FaultEffect, Structure};
 use gaas_cache::{
@@ -86,8 +102,7 @@ use gaas_trace::{AccessKind, PhysAddr, Pid, TraceEvent, VirtAddr, PAGE_SHIFT};
 
 use crate::config::{ConfigError, L2Config, SeededBug, SimConfig, WbBypass};
 use crate::cpi::{proc_row, Counters, ProcCounters};
-use crate::oracle::{Deltas, SimStructures};
-use crate::sched::Instruction;
+use crate::oracle::SimStructures;
 use crate::sim::{Instruments, REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
 
 /// Size of the core's internal translation-lookup cache (a software
@@ -103,6 +118,11 @@ const TCACHE_WAYS: usize = 256;
 pub trait Coherence {
     /// What [`Coherence::before_store`] hands to [`Coherence::store`].
     type Prior: Copy;
+
+    /// Whether the bare kernel may fold all-hit steps into the core's
+    /// `PendingRun` (see the module docs): only when every hook below is
+    /// empty, since a folded step calls none of them.
+    const FOLD: bool = false;
 
     /// Reads the stepping core's state for the L1-D line `line` of a
     /// page of `pid` before a store changes the array (a write-allocate
@@ -153,6 +173,20 @@ pub trait Coherence {
 pub struct NoCoherence;
 
 impl Coherence for NoCoherence {
+    type Prior = ();
+
+    const FOLD: bool = true;
+
+    #[inline(always)]
+    fn before_store(&mut self, _: &Core, _: PhysAddr, _: Pid) {}
+}
+
+/// [`NoCoherence`] without the fold: every step runs its rule, for
+/// stepping events one at a time outside a run
+/// ([`Simulator::step`](crate::Simulator::step)).
+pub(crate) struct Unfolded;
+
+impl Coherence for Unfolded {
     type Prior = ();
 
     #[inline(always)]
@@ -593,6 +627,63 @@ pub(crate) enum Note<'e> {
     Fault { effect: FaultEffect, now: u64 },
 }
 
+/// A run of all-hit instructions of one PID (see the module docs): the
+/// bare kernel folds each such instruction into one, the recorder writes
+/// it as a run token, and [`Lane::flush`] charges it in closed form.
+/// Every count is lane-independent; a flush scales the TLB misses by its
+/// lane's walk cost.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PendingRun {
+    /// Instructions in the run.
+    pub(crate) instructions: u64,
+    pub(crate) cpu_stall: u64,
+    pub(crate) loads: u64,
+    pub(crate) stores: u64,
+    pub(crate) itlb: u64,
+    pub(crate) dtlb: u64,
+    /// Stores that take the extra write cycle (one `l1_write_cycles`
+    /// cycle each).
+    pub(crate) extra_writes: u64,
+    /// L1-D write misses that neither fetch nor enqueue (write-around
+    /// policies): counted, zero cycles.
+    pub(crate) store_misses: u64,
+}
+
+impl PendingRun {
+    /// An all-hit fetch with `stall` CPU stall cycles.
+    #[inline(always)]
+    fn fetch(&mut self, stall: u64, itlb: bool) {
+        self.instructions += 1;
+        self.cpu_stall += stall;
+        self.itlb += u64::from(itlb);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, dtlb: bool) {
+        self.loads += 1;
+        self.dtlb += u64::from(dtlb);
+    }
+
+    /// A store that neither fetches nor enqueues: a hit, or a write-around
+    /// miss.
+    #[inline(always)]
+    fn store(&mut self, dtlb: bool, o: &StoreOutcome) {
+        self.stores += 1;
+        self.dtlb += u64::from(dtlb);
+        self.store_misses += u64::from(!o.hit);
+        self.extra_writes += u64::from(o.extra_cycle);
+    }
+}
+
+/// A fetch that hit L1-I, held by the bare kernel until its data half
+/// shows whether the instruction folds (see the module docs).
+#[derive(Clone, Copy)]
+pub(crate) struct HeldFetch {
+    pid: u8,
+    stall: u8,
+    itlb_miss: bool,
+}
+
 /// The timing half of a core: its clock, counters, per-process rows and
 /// write buffer. Its step rules are the only code that composes a step's
 /// cycles and charges them: [`Core`] runs them on the outcomes its arrays
@@ -614,6 +705,34 @@ impl Lane {
             per_proc: Vec::new(),
             wb: WriteBuffer::new(cfg.write_buffer.depth),
         }
+    }
+
+    /// Charges the all-hit `run` of `pid` in closed form: lane time,
+    /// counters and the per-process row each advance by one delta, `1 +
+    /// stall` cycles per instruction plus the extra write cycles and the
+    /// TLB walks at `timing`'s cost. Equal to running each instruction's
+    /// rules, whose every other term is zero on a hit.
+    #[inline]
+    pub(crate) fn flush(&mut self, timing: &Timing, pid: u8, run: &PendingRun) {
+        let tlb_cycles = (run.itlb + run.dtlb) * timing.tlb_penalty();
+        let cycles = run.instructions + run.cpu_stall + run.extra_writes + tlb_cycles;
+        let c = &mut self.counters;
+        c.instructions += run.instructions;
+        c.loads += run.loads;
+        c.stores += run.stores;
+        c.cpu_stall_cycles += run.cpu_stall;
+        c.itlb_misses += run.itlb;
+        c.dtlb_misses += run.dtlb;
+        c.tlb_miss_cycles += tlb_cycles;
+        c.l1_write_cycles += run.extra_writes;
+        c.l1d_write_misses += run.store_misses;
+        self.now += cycles;
+        let p = proc_row(&mut self.per_proc, pid);
+        p.instructions += run.instructions;
+        p.loads += run.loads;
+        p.stores += run.stores;
+        p.cycles += cycles;
+        p.l1d_misses += run.store_misses;
     }
 
     /// Steps one instruction fetch of `pid` with `stall` CPU stall
@@ -984,6 +1103,11 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> Live<'_, HOOKS, REC, C> {
 pub struct Core {
     /// The timing half: clock, counters, per-PID rows and write buffer.
     pub(crate) lane: Lane,
+    /// The all-hit instructions of `run_pid` folded since the last flush
+    /// (see the module docs); always empty outside the bare single-CPU
+    /// kernel.
+    run: PendingRun,
+    run_pid: u8,
     /// The *functional* clock driving scheduler time-slicing. It advances
     /// on functional outcomes only — issue + stall cycles, L2 hits at the
     /// fixed reference access time, memory misses at the reference
@@ -1030,6 +1154,8 @@ impl Core {
     pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
         Ok(Core {
             lane: Lane::new(cfg),
+            run: PendingRun::default(),
+            run_pid: 0,
             fnow: 0,
             l1i: CacheArray::new(cfg.l1i.geometry()?),
             l1d: L1DataCache::new(cfg.l1d.geometry()?, cfg.policy),
@@ -1168,7 +1294,7 @@ impl Core {
         let Some(mut ds) = ux.ins.diff.take() else {
             return;
         };
-        let actual = Deltas::between(&before, &self.lane.counters);
+        let actual = self.lane.counters.since(&before);
         ds.note_access(ev, paddr, actual, &self.structures(ux));
         if let Some(kind) = ds.bug_due() {
             let applied = match kind {
@@ -1215,87 +1341,167 @@ impl Core {
         (&mut self.lane, hooks)
     }
 
+    /// Instructions this core has retired, its unflushed run included:
+    /// what the run loop's polls count.
+    #[inline(always)]
+    pub(crate) fn retired(&self) -> u64 {
+        self.lane.counters.instructions + self.run.instructions
+    }
+
+    /// Charges the core's run to its lane ([`Lane::flush`]) and, under
+    /// `REC`, writes it as the recorder's run token. Every reader of the
+    /// lane calls this first.
+    #[inline(always)]
+    pub(crate) fn flush_run<const REC: bool>(&mut self, ux: &mut Uncore) {
+        if self.run.instructions == 0 {
+            return;
+        }
+        let run = std::mem::take(&mut self.run);
+        self.lane.flush(&ux.timing, self.run_pid, &run);
+        if REC {
+            ux.ins.recorder().write_run(self.run_pid, &run);
+        }
+    }
+
+    /// Adds the all-hit instruction that `f` starts to the run, flushing
+    /// the run first when `f` is of another PID.
+    #[inline(always)]
+    fn fold<const REC: bool>(&mut self, ux: &mut Uncore, f: HeldFetch) {
+        if f.pid != self.run_pid {
+            self.flush_run::<REC>(ux);
+            self.run_pid = f.pid;
+        }
+        self.run.fetch(u64::from(f.stall), f.itlb_miss);
+    }
+
+    /// Steps the fetch hit `f` by its rule (noting it to the recorder
+    /// under `REC`): the core's run is flushed, or `f` is not held.
+    #[inline(always)]
+    fn fetch_hit<const REC: bool>(&mut self, ux: &mut Uncore, f: HeldFetch) {
+        if REC {
+            ux.ins.recorder().begin_instr(f.pid, f.stall, f.itlb_miss);
+        }
+        let stall = u64::from(f.stall);
+        self.lane
+            .ifetch(&mut ux.timing, f.pid, stall, f.itlb_miss, 0);
+    }
+
+    /// Whether a TLB outcome may fold: a hit, or a walk while no
+    /// telemetry waits to note it at the lane's time.
+    #[inline(always)]
+    fn tlb_folds(ux: &Uncore, hit: bool) -> bool {
+        hit || ux.ins.telem.is_none()
+    }
+
     // ---- the per-event steps ----
     //
     // Each step decides its outcomes on the core's TLBs (or its page
-    // memo) and L1 arrays, notes them to the recorder (`REC`), then runs
-    // its lane's rule with `Live` hooks. The same-line fetch path runs the
-    // rule on the hit outcome with the co-pricer's hooks, the timing
-    // rules alone: on a hit with `HOOKS` off, `Live` would do nothing
-    // either.
+    // memo) and L1 arrays, then folds them into the core's run (the bare
+    // single-CPU kernel, on all-hit outcomes) or notes them to the
+    // recorder (`REC`) and runs its lane's rule with `Live` hooks. A fetch
+    // hit runs its rule with the co-pricer's hooks, the timing rules
+    // alone: on a hit with `HOOKS` off, `Live` would do nothing either.
 
-    /// Steps one scheduled instruction: its fetch, then its data
-    /// reference, if any. `HOOKS = true` runs the every-event layers
-    /// (fault injection, the oracle) and skips the memos; `false` is the
-    /// bare kernel. `REC = true` notes every instruction to the attached
-    /// profile recorder. Telemetry notes fire in every instantiation.
+    /// Steps one scheduled instruction: its fetch `ifetch`, then its data
+    /// reference `data`, if any. `HOOKS = true` runs the every-event
+    /// layers (fault injection, the oracle) and skips the memos and the
+    /// fold; `false` is the bare kernel, which folds all-hit instructions
+    /// when `C::FOLD`. `REC = true` notes every instruction to the
+    /// attached profile recorder. Telemetry notes fire in every
+    /// instantiation.
     #[inline]
     pub(crate) fn step_instruction<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
-        instr: &Instruction,
+        ifetch: &TraceEvent,
+        data: Option<&TraceEvent>,
     ) {
-        self.step_ifetch::<HOOKS, REC>(ux, &instr.ifetch);
-        if let Some(data) = &instr.data {
-            self.step_data::<HOOKS, REC, C>(ux, coh, data);
+        let held = self.step_ifetch::<HOOKS, REC, C>(ux, ifetch);
+        match data {
+            Some(d) => self.step_data::<HOOKS, REC, C>(ux, coh, d, held),
+            None => {
+                if let Some(f) = held {
+                    self.fold::<REC>(ux, f);
+                }
+            }
         }
     }
 
     /// Steps one instruction fetch (see [`Core::step_instruction`] for
-    /// `HOOKS` and `REC`).
+    /// `HOOKS`, `REC` and `C`). Returns the fetch when it is held for the
+    /// fold.
     #[inline]
-    pub(crate) fn step_ifetch<const HOOKS: bool, const REC: bool>(
+    fn step_ifetch<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         ev: &TraceEvent,
-    ) {
-        let (pid, stall) = (ev.addr.pid().raw(), u64::from(ev.stall_cycles));
-        self.fnow += 1 + stall;
+    ) -> Option<HeldFetch> {
+        let fold = !HOOKS && C::FOLD;
+        let (pid, stall) = (ev.addr.pid().raw(), ev.stall_cycles);
+        self.fnow += 1 + u64::from(stall);
         // Uninstrumented fast path: a fetch from the line the previous
         // fetch ended on is a guaranteed ITLB + L1-I hit (only ifetches
         // touch either structure), and the hit path consumes the physical
         // address nowhere, so the probes are skipped outright.
         let vline = ev.addr.raw() >> self.i_line_shift;
+        let mut f = HeldFetch {
+            pid,
+            stall,
+            itlb_miss: false,
+        };
         if !HOOKS && vline == self.last_ifetch_vline {
-            if REC {
-                ux.ins.recorder().begin_instr(ev, false);
+            if fold {
+                return Some(f);
             }
-            self.lane.ifetch(&mut ux.timing, pid, stall, false, 0);
-            return;
+            self.fetch_hit::<REC>(ux, f);
+            return None;
         }
         let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (itlb_hit, paddr) = self.page::<HOOKS>(ux, true, ev.addr);
-        if REC {
-            ux.ins.recorder().begin_instr(ev, !itlb_hit);
-        }
+        f.itlb_miss = !itlb_hit;
         let outcome = u8::from(self.l1i.touch(paddr).is_none());
-        let coh = &mut NoCoherence;
-        let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr, None);
-        lane.ifetch(&mut h, pid, stall, !itlb_hit, outcome);
         if !HOOKS {
-            // Hit or refill, the line is now resident; arm the memo. The
-            // hooked instantiations never read it (faults and the canary
-            // can invalidate lines behind it).
+            // Hit or refill, the line is resident once the step is done;
+            // arm the memo. The hooked instantiations never read it
+            // (faults and the canary can invalidate lines behind it).
             self.last_ifetch_vline = vline;
         }
+        if fold {
+            if outcome == 0 && Self::tlb_folds(ux, itlb_hit) {
+                return Some(f);
+            }
+            self.flush_run::<REC>(ux);
+        }
+        if REC {
+            ux.ins.recorder().begin_instr(pid, stall, f.itlb_miss);
+        }
+        let coh = &mut NoCoherence;
+        let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr, None);
+        lane.ifetch(&mut h, pid, u64::from(stall), f.itlb_miss, outcome);
         if let Some(before) = diff_before {
             self.diff_note(ux, ev, paddr, before);
         }
+        None
     }
 
     /// Steps one load or store (see [`Core::step_instruction`] for
-    /// `HOOKS` and `REC`).
+    /// `HOOKS`, `REC` and `C`), the second half of the instruction whose
+    /// fetch is `held`, if the fold holds it.
     #[inline]
     pub(crate) fn step_data<const HOOKS: bool, const REC: bool, C: Coherence>(
         &mut self,
         ux: &mut Uncore,
         coh: &mut C,
         ev: &TraceEvent,
+        held: Option<HeldFetch>,
     ) {
+        // A constant `None` off the fold, so those instantiations carry
+        // none of its branches.
+        let held = held.filter(|_| !HOOKS && C::FOLD);
         match ev.kind {
-            AccessKind::Load => self.step_load::<HOOKS, REC, C>(ux, coh, ev),
-            AccessKind::Store => self.step_store::<HOOKS, REC, C>(ux, coh, ev),
+            AccessKind::Load => self.step_load::<HOOKS, REC, C>(ux, coh, ev, held),
+            AccessKind::Store => self.step_store::<HOOKS, REC, C>(ux, coh, ev, held),
             AccessKind::IFetch => unreachable!("data step on a fetch"),
         }
     }
@@ -1335,11 +1541,21 @@ impl Core {
         ux: &mut Uncore,
         coh: &mut C,
         ev: &TraceEvent,
+        held: Option<HeldFetch>,
     ) {
         let pid = ev.addr.pid().raw();
         let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
         let outcome = self.l1d.load(paddr);
+        if let Some(f) = held {
+            if outcome.fetch.is_none() && Self::tlb_folds(ux, dtlb_hit) {
+                self.fold::<REC>(ux, f);
+                self.run.load(!dtlb_hit);
+                return;
+            }
+            self.flush_run::<REC>(ux);
+            self.fetch_hit::<REC>(ux, f);
+        }
         if REC {
             ux.ins.recorder().begin_load(!dtlb_hit, &outcome);
         }
@@ -1359,6 +1575,7 @@ impl Core {
         ux: &mut Uncore,
         coh: &mut C,
         ev: &TraceEvent,
+        held: Option<HeldFetch>,
     ) {
         let pid = ev.addr.pid();
         let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
@@ -1366,10 +1583,21 @@ impl Core {
         let line = self.l1d.array().geometry().line_base(paddr);
         let prior = coh.before_store(self, line, pid);
         let outcome = self.l1d.store(paddr, ev.partial_word);
+        self.fnow += u64::from(outcome.extra_cycle);
+        if let Some(f) = held {
+            let o = &outcome;
+            let local = o.fetch.is_none() && o.wb_word.is_none() && o.writeback_victim.is_none();
+            if local && Self::tlb_folds(ux, dtlb_hit) {
+                self.fold::<REC>(ux, f);
+                self.run.store(!dtlb_hit, o);
+                return;
+            }
+            self.flush_run::<REC>(ux);
+            self.fetch_hit::<REC>(ux, f);
+        }
         if REC {
             ux.ins.recorder().begin_store(!dtlb_hit, &outcome);
         }
-        self.fnow += u64::from(outcome.extra_cycle);
         let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr, Some(prior));
         lane.store(&mut h, pid.raw(), !dtlb_hit, &outcome, Codes::default());
         if let Some(before) = diff_before {

@@ -18,8 +18,9 @@
 //!    the write buffer needs. A stretch of all-hit instructions is one
 //!    run token, so the stream takes about 0.3 bytes per event (0.298 at
 //!    probe scale 0.002, where one record per instruction took 1.136).
-//!    The pass steps the bare kernel, memos and span drain included: a
-//!    memo skip is a TLB plus L1 hit, and the memo paths record it.
+//!    The pass steps the bare kernel, memos and span drain included, and
+//!    each run token is the core's own all-hit run (see `pipeline`),
+//!    written where the kernel flushes it.
 //! 2. **Timing pass** — [`price_profiles`] replays the token stream under
 //!    any timing points of the same geometry. Each timing point is a
 //!    *lane*: the timing half of a simulator core (clock, counters,
@@ -39,9 +40,9 @@
 //! A geometry group usually carries several timing variants. Rather than
 //! decode the same ~5.5 M-event stream once per variant, [`price_profiles`]
 //! decodes each record and run token once and applies it to N lanes in
-//! lockstep. A lane's result does not depend on the other lanes. All the
-//! co-pricer states itself is the closed-form cost of a run token, which
-//! each lane pays once per run rather than once per instruction.
+//! lockstep. A lane's result does not depend on the other lanes. Each
+//! lane pays a run token once, through the kernel's own closed form
+//! (`Lane::flush`), rather than once per instruction.
 //!
 //! The address side channel is stored as codec-v3 blocks
 //! ([`gaas_trace::codec::encode_u64_stream`]) and streamed through a
@@ -58,13 +59,13 @@
 
 use gaas_cache::{LoadOutcome, MainMemory, StoreOutcome, WritePolicy};
 use gaas_trace::codec::{encode_u64_stream, U64StreamCursor};
-use gaas_trace::{PhysAddr, TraceEvent};
+use gaas_trace::PhysAddr;
 
 use crate::config::{
     ConcurrencyConfig, L1Config, L2Config, L2Side, MpConfig, SimConfig, WriteBufferConfig,
 };
-use crate::cpi::{proc_row, ran_rows, Counters};
-use crate::pipeline::{Codes, Lane, Timing};
+use crate::cpi::{ran_rows, Counters};
+use crate::pipeline::{Codes, Lane, PendingRun, Timing};
 use crate::sim::{SimError, SimResult, Termination};
 
 // ---- token encoding ----
@@ -75,7 +76,7 @@ use crate::sim::{SimError, SimResult, Termination};
 //   control token:  0b11000000 followed by one raw PID byte
 //   run token:      0b11000001, a presence mask byte, then LEB128 counts:
 //                   the run's instructions, then each count whose mask
-//                   bit is set (bit k for the k-th of `PendingRun::counts_mut`:
+//                   bit is set (bit k for the k-th of `run_counts`:
 //                   stall cycles, loads, stores, ITLB misses, DTLB misses,
 //                   extra write cycles, write-around misses)
 //   ifetch byte:    bits 7-6 data kind (0 none, 1 load, 2 store)
@@ -97,10 +98,12 @@ use crate::sim::{SimError, SimResult, Termination};
 // 3 = L2 miss (dirty victim).
 //
 // An instruction whose fetch and data access both hit every level and
-// enqueue nothing is *all-hit*: it has no record of its own but is
-// counted into the run token that precedes the next record (or control
-// token, or the warm-up boundary, or the end of the stream). Every other
-// instruction is one record.
+// enqueue nothing is *all-hit*: the bare kernel folds it into the core's
+// run, which the recorder writes as one run token wherever the kernel
+// flushes it (before the next record, at a PID change, at the warm-up
+// boundary, at the end of the stream). Every other instruction is one
+// record. A run on the hooked path, which does not fold, writes a record
+// per instruction.
 //
 // The addrs side channel carries only the physical addresses the timing
 // replay needs (write-buffer entries and fetched line bases), in
@@ -207,12 +210,9 @@ impl FunctionalProfile {
 }
 
 /// Captures functional outcomes during a recording run (installed by
-/// [`Simulator::run_profiled`]; see the module docs for the encoding).
-///
-/// Each instruction is folded into the current all-hit run as it is
-/// noted. Only when a note shows it is not all-hit (an L1 miss, a load
-/// victim, a store's fetch, write-buffer word or victim) does the
-/// recorder take it back out, end the run and write its record.
+/// [`Simulator::run_profiled`]; see the module docs for the encoding):
+/// one record per instruction that is not all-hit, and the core's all-hit
+/// runs as it flushes them.
 ///
 /// [`Simulator::run_profiled`]: crate::sim::Simulator::run_profiled
 #[derive(Debug, Default)]
@@ -220,16 +220,7 @@ pub struct ProfileRecorder {
     ops: Vec<u8>,
     addrs: Vec<u64>,
     last_pid: Option<u8>,
-    /// The all-hit run being folded, written as one run token when it
-    /// ends.
-    run: PendingRun,
-    /// The current instruction's fetch (stall, ITLB miss) while it is
-    /// folded into `run`; `None` once its record is written.
-    folded: Option<(u8, bool)>,
-    /// Instructions noted so far.
-    noted: u64,
-    /// The warm-up instruction count: a run ends after that instruction,
-    /// where pricing snapshots.
+    /// The warm-up instruction count, where pricing snapshots.
     warmup: u64,
     /// Index of the current instruction's ifetch byte (outcome patched by
     /// the L2 service path, data kind patched by the data step).
@@ -247,31 +238,45 @@ impl ProfileRecorder {
         }
     }
 
-    /// Notes the instruction the fetch `ev` starts (`itlb_miss` its ITLB
-    /// outcome), folding it into the run. The run ends first at a PID
-    /// change (then a control token follows) or the warm-up boundary.
-    pub(crate) fn begin_instr(&mut self, ev: &TraceEvent, itlb_miss: bool) {
-        let (pid, stall) = (ev.addr.pid().raw(), ev.stall_cycles);
+    /// Writes a control token when `pid` differs from the previous
+    /// record's or run's.
+    fn set_pid(&mut self, pid: u8) {
         if self.last_pid != Some(pid) {
-            self.end_run();
             self.ops.extend([CONTROL, pid]);
             self.last_pid = Some(pid);
-        } else if self.noted == self.warmup {
-            self.end_run();
         }
-        self.noted += 1;
-        self.run.ifetch_hit(u64::from(stall), itlb_miss);
-        self.folded = Some((stall, itlb_miss));
+    }
+
+    /// Writes the run token of `pid`'s all-hit `run`, flushed by the core.
+    pub(crate) fn write_run(&mut self, pid: u8, run: &PendingRun) {
+        self.set_pid(pid);
+        let mut run = *run;
+        self.ops.extend([RUN, 0]);
+        let mask = self.ops.len() - 1;
+        put_leb(&mut self.ops, run.instructions);
+        for (k, v) in run_counts(&mut run).into_iter().enumerate() {
+            if *v != 0 {
+                self.ops[mask] |= 1 << k;
+                put_leb(&mut self.ops, *v);
+            }
+        }
+    }
+
+    /// Starts the record of an instruction of `pid` whose fetch had
+    /// `stall` CPU stall cycles and `itlb_miss` as its ITLB outcome.
+    pub(crate) fn begin_instr(&mut self, pid: u8, stall: u8, itlb_miss: bool) {
+        self.set_pid(pid);
+        let s = stall.min(STALL_ESCAPE);
+        self.i_slot = self.ops.len();
+        self.ops.push(bit(itlb_miss, I_TLB_MISS) | s << 2);
+        if s == STALL_ESCAPE {
+            self.ops.push(stall);
+        }
     }
 
     /// Notes the current instruction's load (`dtlb_miss` and its L1-D
     /// outcome `o`) and the addresses the replay of a miss consumes.
     pub(crate) fn begin_load(&mut self, dtlb_miss: bool, o: &LoadOutcome) {
-        if self.folded.is_some() && o.fetch.is_none() {
-            self.run.load_hit(dtlb_miss);
-            return;
-        }
-        self.spill();
         self.ops[self.i_slot] |= KIND_LOAD;
         self.d_slot = self.ops.len();
         self.ops.push(
@@ -285,12 +290,6 @@ impl ProfileRecorder {
     /// Notes the current instruction's store (`dtlb_miss` and its L1-D
     /// outcome `o`) and the addresses its replay consumes.
     pub(crate) fn begin_store(&mut self, dtlb_miss: bool, o: &StoreOutcome) {
-        let simple = o.fetch.is_none() && o.wb_word.is_none() && o.writeback_victim.is_none();
-        if self.folded.is_some() && simple {
-            self.run.store_simple(dtlb_miss, o);
-            return;
-        }
-        self.spill();
         self.ops[self.i_slot] |= KIND_STORE;
         self.ops.push(
             bit(dtlb_miss, STORE_DTLB)
@@ -317,12 +316,7 @@ impl ProfileRecorder {
     /// data access's (the load byte or a store's ext byte): 1 = L2 hit,
     /// 2/3 = L2 miss with a clean/dirty victim.
     pub(crate) fn set_outcome(&mut self, i_side: bool, code: u8) {
-        let slot = if i_side {
-            self.spill();
-            self.i_slot
-        } else {
-            self.d_slot
-        };
+        let slot = if i_side { self.i_slot } else { self.d_slot };
         self.ops[slot] |= code;
     }
 
@@ -331,34 +325,7 @@ impl ProfileRecorder {
         self.ops.push(code);
     }
 
-    /// The current instruction is not all-hit: if it is still folded,
-    /// takes its fetch back out of the run, ends the run and writes the
-    /// instruction's ifetch byte.
-    #[cold]
-    fn spill(&mut self) {
-        let Some((stall, itlb)) = self.folded.take() else {
-            return;
-        };
-        self.run.take_fetch(u64::from(stall), itlb);
-        self.end_run();
-        let s = stall.min(STALL_ESCAPE);
-        self.i_slot = self.ops.len();
-        self.ops.push(bit(itlb, I_TLB_MISS) | s << 2);
-        if s == STALL_ESCAPE {
-            self.ops.push(stall);
-        }
-    }
-
-    /// Writes the pending run's token, if it holds any instruction, and
-    /// starts a new run.
-    fn end_run(&mut self) {
-        if self.run.instructions > 0 {
-            std::mem::take(&mut self.run).write(&mut self.ops);
-        }
-    }
-
-    pub(crate) fn finish(mut self, fkey: u64, result: &SimResult) -> FunctionalProfile {
-        self.end_run();
+    pub(crate) fn finish(self, fkey: u64, result: &SimResult) -> FunctionalProfile {
         FunctionalProfile {
             fkey,
             warmup: self.warmup,
@@ -371,6 +338,36 @@ impl ProfileRecorder {
             budget_exhausted: result.termination == Termination::BudgetExhausted,
         }
     }
+}
+
+/// The counts a run token carries after its instruction count, in token
+/// order (bit k of the presence mask is the k-th).
+fn run_counts(run: &mut PendingRun) -> [&mut u64; 7] {
+    [
+        &mut run.cpu_stall,
+        &mut run.loads,
+        &mut run.stores,
+        &mut run.itlb,
+        &mut run.dtlb,
+        &mut run.extra_writes,
+        &mut run.store_misses,
+    ]
+}
+
+/// Reads the run token whose tag precedes `ops[*i]`, advancing `i`.
+fn read_run(ops: &[u8], i: &mut usize) -> PendingRun {
+    let mask = ops[*i];
+    *i += 1;
+    let mut run = PendingRun {
+        instructions: get_leb(ops, i),
+        ..PendingRun::default()
+    };
+    for (k, v) in run_counts(&mut run).into_iter().enumerate() {
+        if mask >> k & 1 != 0 {
+            *v = get_leb(ops, i);
+        }
+    }
+    run
 }
 
 // ---- geometry key ----
@@ -610,13 +607,12 @@ pub fn price_profiles(
         let b = ops[i];
         i += 1;
         if b == RUN {
-            // A run of all-hit instructions: its cost is lane-independent
-            // or a shared count scaled by a lane constant, so each lane
-            // pays one closed-form step per run, not per instruction.
-            let run = PendingRun::read(ops, &mut i);
+            // A run of all-hit instructions: each lane pays it in the
+            // kernel's closed form, once per run, not per instruction.
+            let run = read_run(ops, &mut i);
             instr_total += run.instructions;
             for l in &mut lanes {
-                l.flush(pid, &run);
+                l.lane.flush(&l.timing, pid, &run);
             }
         } else if b & CONTROL == CONTROL {
             pid = ops[i];
@@ -712,103 +708,6 @@ pub fn price_profiles(
         .collect())
 }
 
-/// A run of all-hit instructions of one PID (see the module docs): the
-/// recorder folds each such instruction into one, and [`price_profiles`]
-/// applies it to each lane in closed form. Every count is either
-/// lane-independent outright or scaled by a lane constant at flush time.
-#[derive(Debug, Default)]
-struct PendingRun {
-    /// Instructions in the run.
-    instructions: u64,
-    cpu_stall: u64,
-    loads: u64,
-    stores: u64,
-    itlb: u64,
-    dtlb: u64,
-    /// `STORE_EXTRA` stores (each one `l1_write_cycles` cycle).
-    extra_writes: u64,
-    /// L1-D write misses that neither fetch nor enqueue (write-around
-    /// policies): counted, zero cycles.
-    store_misses: u64,
-}
-
-impl PendingRun {
-    /// An all-hit fetch with `stall` CPU stall cycles.
-    #[inline]
-    fn ifetch_hit(&mut self, stall: u64, itlb: bool) {
-        self.instructions += 1;
-        self.cpu_stall += stall;
-        self.itlb += u64::from(itlb);
-    }
-
-    /// Undoes [`Self::ifetch_hit`] for an instruction that turned out
-    /// not to be all-hit.
-    fn take_fetch(&mut self, stall: u64, itlb: bool) {
-        self.instructions -= 1;
-        self.cpu_stall -= stall;
-        self.itlb -= u64::from(itlb);
-    }
-
-    #[inline]
-    fn load_hit(&mut self, dtlb: bool) {
-        self.loads += 1;
-        self.dtlb += u64::from(dtlb);
-    }
-
-    /// A store that neither fetches nor enqueues: a hit, or a write-around
-    /// miss.
-    #[inline]
-    fn store_simple(&mut self, dtlb: bool, o: &StoreOutcome) {
-        self.stores += 1;
-        self.dtlb += u64::from(dtlb);
-        self.store_misses += u64::from(!o.hit);
-        self.extra_writes += u64::from(o.extra_cycle);
-    }
-
-    /// The counts a run token carries after its instruction count, in
-    /// token order (bit k of the presence mask is the k-th).
-    fn counts_mut(&mut self) -> [&mut u64; 7] {
-        [
-            &mut self.cpu_stall,
-            &mut self.loads,
-            &mut self.stores,
-            &mut self.itlb,
-            &mut self.dtlb,
-            &mut self.extra_writes,
-            &mut self.store_misses,
-        ]
-    }
-
-    /// Appends the run token.
-    fn write(mut self, out: &mut Vec<u8>) {
-        out.extend([RUN, 0]);
-        let mask = out.len() - 1;
-        put_leb(out, self.instructions);
-        for (k, v) in self.counts_mut().into_iter().enumerate() {
-            if *v != 0 {
-                out[mask] |= 1 << k;
-                put_leb(out, *v);
-            }
-        }
-    }
-
-    /// Reads the run token whose tag precedes `ops[*i]`, advancing `i`.
-    fn read(ops: &[u8], i: &mut usize) -> Self {
-        let mask = ops[*i];
-        *i += 1;
-        let mut run = PendingRun {
-            instructions: get_leb(ops, i),
-            ..PendingRun::default()
-        };
-        for (k, v) in run.counts_mut().into_iter().enumerate() {
-            if mask >> k & 1 != 0 {
-                *v = get_leb(ops, i);
-            }
-        }
-        run
-    }
-}
-
 /// One timing variant's replay state for [`price_profiles`]: the timing
 /// half of a [`Core`](crate::Core) and the [`Timing`] its
 /// [`Uncore`](crate::Uncore) would hold, which are also its step hooks.
@@ -828,31 +727,6 @@ impl PricedLane {
             timing: Timing::new(cfg),
             warm: Counters::new(),
         }
-    }
-
-    /// Applies an all-hit run of `pid`: lane time, counters and the
-    /// per-process row each advance by one closed-form delta, `1 + stall`
-    /// cycles per fetch plus the extra write cycles and the TLB walks.
-    fn flush(&mut self, pid: u8, run: &PendingRun) {
-        let tlb_cycles = (run.itlb + run.dtlb) * self.timing.tlb_penalty();
-        let cycles = run.instructions + run.cpu_stall + run.extra_writes + tlb_cycles;
-        let c = &mut self.lane.counters;
-        c.instructions += run.instructions;
-        c.loads += run.loads;
-        c.stores += run.stores;
-        c.cpu_stall_cycles += run.cpu_stall;
-        c.itlb_misses += run.itlb;
-        c.dtlb_misses += run.dtlb;
-        c.tlb_miss_cycles += tlb_cycles;
-        c.l1_write_cycles += run.extra_writes;
-        c.l1d_write_misses += run.store_misses;
-        self.lane.now += cycles;
-        let p = proc_row(&mut self.lane.per_proc, pid);
-        p.instructions += run.instructions;
-        p.loads += run.loads;
-        p.stores += run.stores;
-        p.cycles += cycles;
-        p.l1d_misses += run.store_misses;
     }
 
     fn into_result(self, cfg: &SimConfig, profile: &FunctionalProfile, warm: bool) -> SimResult {
@@ -889,6 +763,7 @@ mod tests {
     use crate::sim::Simulator;
     use crate::workload;
     use gaas_cache::fault::FaultRates;
+    use gaas_trace::TraceEvent;
 
     const SCALE: f64 = 3e-4;
     const WARMUP: u64 = 1_500;

@@ -40,12 +40,12 @@ use std::sync::Arc;
 
 use gaas_cache::fault::{FaultEffect, FaultEvent, FaultInjector, ProtectionMap};
 use gaas_telemetry::{Component, CounterId, Registry, Span, SpanRecorder};
-use gaas_trace::{AccessKind, Trace, TraceEvent};
+use gaas_trace::{Trace, TraceEvent};
 
 use crate::config::{ConfigError, MachineCheckPolicy, SimConfig};
 use crate::cpi::{ran_rows, Counters, ProcCounters};
 use crate::oracle::{DiffState, DivergenceReport};
-use crate::pipeline::{Coherence, Core, NoCoherence, Note, Uncore};
+use crate::pipeline::{Coherence, Core, NoCoherence, Note, Uncore, Unfolded};
 use crate::profile::{functional_fingerprint, FunctionalProfile, ProfileRecorder};
 use crate::sched::{Instruction, SchedSnapshot, Scheduler};
 
@@ -556,10 +556,10 @@ impl Instruments {
     ///
     /// Telemetry does not count: its notes fire only on L1 misses, TLB
     /// walks, write-buffer traffic and context switches, none of which a
-    /// memo skips. Nor does the profile recorder: a memo skip is an ITLB
-    /// plus L1-I hit, which the same-line path records itself, or a TLB
-    /// hit, which a page memo hit records as such (in the `REC = true`
-    /// instantiation, selected per run). Either rides the bare kernel.
+    /// memo skips, and the all-hit fold flushes before each. Nor does
+    /// the profile recorder, which writes the fold's runs as its run
+    /// tokens (in the `REC = true` instantiation, selected per run).
+    /// Either rides the bare kernel.
     #[inline]
     pub(crate) fn active(&self) -> bool {
         self.fault.is_some() || self.diff.is_some()
@@ -823,23 +823,16 @@ impl Simulator {
     }
 
     /// Processes a single event outside a scheduled workload (single-process
-    /// unit testing and calibration).
+    /// unit testing and calibration): a fetch steps as an instruction
+    /// without data, a load or store as a data step on its own, each by
+    /// its rule (no fold).
     pub fn step(&mut self, ev: &TraceEvent) {
-        let (core, ux) = (&mut self.core, &mut self.ux);
-        if ux.ins.active() {
-            match ev.kind {
-                AccessKind::IFetch => core.step_ifetch::<true, false>(ux, ev),
-                AccessKind::Load | AccessKind::Store => {
-                    core.step_data::<true, false, _>(ux, &mut NoCoherence, ev)
-                }
-            }
-        } else {
-            match ev.kind {
-                AccessKind::IFetch => core.step_ifetch::<false, false>(ux, ev),
-                AccessKind::Load | AccessKind::Store => {
-                    core.step_data::<false, false, _>(ux, &mut NoCoherence, ev)
-                }
-            }
+        let (core, ux, coh) = (&mut self.core, &mut self.ux, &mut Unfolded);
+        match (ux.ins.active(), ev.kind.is_data()) {
+            (true, false) => core.step_instruction::<true, false, _>(ux, coh, ev, None),
+            (true, true) => core.step_data::<true, false, _>(ux, coh, ev, None),
+            (false, false) => core.step_instruction::<false, false, _>(ux, coh, ev, None),
+            (false, true) => core.step_data::<false, false, _>(ux, coh, ev, None),
         }
     }
 }
@@ -1011,7 +1004,7 @@ pub fn run_cores<P: Protocol>(
         let (below, rest) = cores.split_at_mut(c);
         let (core, above) = rest.split_first_mut().expect("picked core exists");
         let sched = &mut scheds[c];
-        let before = core.lane.counters.instructions;
+        let before = core.retired();
         // The poll, in this core's retired instructions.
         let poll = before + (next_poll - retired);
         if hooks && multi {
@@ -1053,10 +1046,15 @@ pub fn run_cores<P: Protocol>(
                 });
             }
         }
-        retired += cores[c].lane.counters.instructions - before;
+        retired += cores[c].retired() - before;
         if retired >= next_poll {
             let due = polls.fire(retired, spec.cancel)?;
             next_poll = polls.next();
+            // The snapshots read the lanes; a spent budget ends the loop,
+            // and the run-end flush follows.
+            if due.warm || due.window || due.checkpoint {
+                flush_runs(cores, ux);
+            }
             if due.warm {
                 warm_snapshot = Some(cores.iter().map(|core| core.lane.counters).collect());
             }
@@ -1079,6 +1077,7 @@ pub fn run_cores<P: Protocol>(
             }
         }
     }
+    flush_runs(cores, ux);
     // One last structural sweep so a divergence in the tail (after the
     // final periodic check) still surfaces.
     if let Some(mut ds) = ux.ins.diff.take() {
@@ -1133,6 +1132,19 @@ pub fn run_cores<P: Protocol>(
     })
 }
 
+/// Charges each core's all-hit run to its lane (see `pipeline`), as
+/// anything that reads the lanes must first.
+fn flush_runs(cores: &mut [Core], ux: &mut Uncore) {
+    let rec = ux.ins.rec.is_some();
+    for core in cores {
+        if rec {
+            core.flush_run::<true>(ux);
+        } else {
+            core.flush_run::<false>(ux);
+        }
+    }
+}
+
 /// The sum of `counters`.
 fn sum<'a>(counters: impl IntoIterator<Item = &'a Counters>) -> Counters {
     let zero = Counters::new();
@@ -1166,10 +1178,11 @@ fn step_hooked<C: Coherence>(
     instr: &Instruction,
     rec: bool,
 ) -> Result<(), SimError> {
+    let (ifetch, data) = (&instr.ifetch, instr.data.as_ref());
     if rec {
-        core.step_instruction::<true, true, C>(ux, coh, instr);
+        core.step_instruction::<true, true, C>(ux, coh, ifetch, data);
     } else {
-        core.step_instruction::<true, false, C>(ux, coh, instr);
+        core.step_instruction::<true, false, C>(ux, coh, ifetch, data);
     }
     if sched.post_instruction(core.fnow, instr.ifetch.syscall) {
         ux.ins.note(Note::Switch { now: core.lane.now });
@@ -1229,7 +1242,7 @@ impl Turn for CoreTurn<'_> {
         }
         let owned = |d: &TraceEvent| usize::from(self.owners[usize::from(d.addr.pid().raw())]);
         core.fnow < self.ahead_end
-            && core.lane.counters.instructions < self.ahead_instructions
+            && core.retired() < self.ahead_instructions
             && data.map_or(true, |d| owned(d) == self.id)
             && core.local_step(ifetch, data)
     }
@@ -1260,7 +1273,8 @@ impl Turn for WholeSpan {
 
 /// One turn of the bare-kernel run loop: the scheduled instruction, then
 /// a span drain up to the next rotation, the poll at `next_poll` retired
-/// instructions, or the first instruction `turn` refuses. The first
+/// instructions ([`Core::retired`], which counts the core's unflushed
+/// all-hit run), or the first instruction `turn` refuses. The first
 /// instruction passes through `turn` too; when it is refused nothing
 /// steps. `REC` compiles the profile recorder's notes in; the run
 /// selects it once, like `hooks`. `C` and `T` are [`NoCoherence`] and
@@ -1279,9 +1293,9 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     if !turn.admit(core, &instr.ifetch, instr.data.as_ref()) {
         return;
     }
-    core.step_instruction::<false, REC, C>(ux, coh, instr);
+    core.step_instruction::<false, REC, C>(ux, coh, &instr.ifetch, instr.data.as_ref());
     if sched.post_instruction(core.fnow, instr.ifetch.syscall) {
-        ux.ins.note(Note::Switch { now: core.lane.now });
+        note_switch::<REC>(core, ux);
     }
     // Span drain: step straight over the installed process's buffered
     // events, checking the same per-instruction conditions (syscall,
@@ -1292,7 +1306,7 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
     // data half.
     let slice_end = sched.slice_end();
     loop {
-        if core.lane.counters.instructions >= next_poll {
+        if core.retired() >= next_poll {
             break;
         }
         let (span, start) = sched.current_span();
@@ -1313,29 +1327,36 @@ pub(crate) fn step_bare<const REC: bool, C: Coherence, T: Turn>(
                 break;
             }
             pos += 1 + usize::from(data.is_some());
-            core.step_ifetch::<false, REC>(ux, &ifetch);
-            if let Some(d) = data {
-                core.step_data::<false, REC, C>(ux, coh, &d);
-            }
+            core.step_instruction::<false, REC, C>(ux, coh, &ifetch, data.as_ref());
             if ifetch.syscall || core.fnow >= slice_end {
                 rotated = true;
                 rotate_syscall = ifetch.syscall;
                 break;
             }
-            if core.lane.counters.instructions >= next_poll {
+            if core.retired() >= next_poll {
                 break;
             }
         }
         sched.advance(pos - start);
         if rotated {
             if sched.post_instruction(core.fnow, rotate_syscall) {
-                ux.ins.note(Note::Switch { now: core.lane.now });
+                note_switch::<REC>(core, ux);
             }
             break;
         }
         if refused {
             break;
         }
+    }
+}
+
+/// Notes a context switch at the core's lane time to telemetry, which
+/// reads that time, so the core's all-hit run is flushed first.
+#[inline(always)]
+fn note_switch<const REC: bool>(core: &mut Core, ux: &mut Uncore) {
+    if ux.ins.telem.is_some() {
+        core.flush_run::<REC>(ux);
+        ux.ins.note(Note::Switch { now: core.lane.now });
     }
 }
 
@@ -1425,7 +1446,7 @@ mod tests {
     use super::*;
     use crate::config::L2Config;
     use gaas_cache::WritePolicy;
-    use gaas_trace::{Pid, VecTrace, VirtAddr};
+    use gaas_trace::{AccessKind, Pid, VecTrace, VirtAddr};
 
     fn va(w: u64) -> VirtAddr {
         VirtAddr::new(Pid::new(0), w)
@@ -2161,15 +2182,123 @@ mod tests {
     }
 
     #[test]
+    fn all_hit_fold_is_exact() {
+        use crate::config::{DiffCheckConfig, TelemetryConfig};
+        use gaas_trace::PAGE_WORDS;
+        // Two processes, each a 16-line code loop and a 16-line data set
+        // that hit once warm, so most instructions fold.
+        // Inside those runs: fetches cycling over three pages of one ITLB
+        // set and loads over four pages of one DTLB set (TLB misses on L1
+        // hits), a far code page and a streaming data page (L1 misses that
+        // end a run), syscalls, and a 2,000-cycle slice that rotates the
+        // PIDs mid-run. The warm-up, the windows, the checkpoints and the
+        // budget all land at counts that are no multiple of any period.
+        const N: u64 = 15_000;
+        const WARMUP: u64 = 4_321;
+        const WINDOW: u64 = 1_013;
+        const BUDGET: u64 = 27_777;
+        let events = |pid: u8| {
+            // A page is as large as each L1, so the PIDs take disjoint
+            // page offsets to keep their working sets apart.
+            let at = |page: u64, offset: u64| {
+                VirtAddr::new(
+                    Pid::new(pid),
+                    page * PAGE_WORDS + offset + 64 * u64::from(pid),
+                )
+            };
+            let mut evs = Vec::new();
+            for k in 0..N {
+                let fetch = match k {
+                    _ if k % 401 == 400 => at(5, (k * 4) % 3968),
+                    _ if k % 37 == 0 => at(16 * (1 + k / 37 % 3), 1024 + 256 * (k / 37 % 3)),
+                    _ => at(0, k % 64),
+                };
+                let fetch = TraceEvent::ifetch(fetch, (k % 7 % 3) as u8);
+                evs.push(if k % 997 == 996 {
+                    fetch.with_syscall()
+                } else {
+                    fetch
+                });
+                let word = 2048 + 64 * u64::from(pid) + (k * 5) % 64;
+                evs.extend(match k % 5 {
+                    0 if k % 29 == 0 => Some(TraceEvent::load(at(
+                        1000 + 32 * (k % 4),
+                        2560 + 256 * (k % 4),
+                    ))),
+                    0 if k % 211 == 0 => Some(TraceEvent::load(at(2000, (k * 16) % 3968))),
+                    0 | 3 => Some(TraceEvent::load(at(1000, word))),
+                    1 => Some(TraceEvent::store(at(1000, word))),
+                    _ => None,
+                });
+            }
+            Box::new(VecTrace::new(format!("p{pid}"), evs)) as Box<dyn Trace>
+        };
+        for policy in WritePolicy::all() {
+            for telemetry in [false, true] {
+                let run_with = |oracle: bool| {
+                    let mut b = SimConfig::builder();
+                    b.policy(policy)
+                        .mp_level(2)
+                        .time_slice(2_000)
+                        .tlb_miss_penalty(20)
+                        .checkpoint_interval(2_500)
+                        .instruction_budget(BUDGET);
+                    if telemetry {
+                        b.telemetry(TelemetryConfig::on());
+                    }
+                    if oracle {
+                        b.diffcheck(DiffCheckConfig::on());
+                    }
+                    let mut sim = Simulator::new(b.build().expect("valid")).expect("constructs");
+                    assert_eq!(sim.ux.ins.active(), oracle, "{policy:?}");
+                    let out = sim
+                        .drive(vec![events(1), events(2)], WARMUP, WINDOW)
+                        .expect("runs");
+                    let spans = sim.ux.ins.telem.take().map(|t| t.spans.spans());
+                    (out, spans)
+                };
+                let what = format!("{policy:?}, telemetry {telemetry}");
+                let (bare, bare_spans) = run_with(false);
+                let (every, every_spans) = run_with(true);
+                let (r, c) = (&bare.result, &bare.result.counters);
+                assert_eq!(c, &every.result.counters, "{what}: counters");
+                assert_eq!(r.per_process, every.result.per_process, "{what}: rows");
+                assert_eq!(bare.windows, every.windows, "{what}: windows");
+                assert_eq!(
+                    r.checkpoints, every.result.checkpoints,
+                    "{what}: checkpoints"
+                );
+                assert_eq!(bare_spans, every_spans, "{what}: spans");
+                assert_eq!(r.termination, Termination::BudgetExhausted, "{what}");
+                assert_eq!(c.instructions, BUDGET - WARMUP, "{what}: the budget");
+                assert_eq!(r.per_process.len(), 2, "{what}: both PIDs ran");
+                assert!(c.slice_switches > 10 && c.syscall_switches > 0, "{what}");
+                assert_eq!(bare.windows.len() as u64, BUDGET / WINDOW, "{what}");
+                assert_eq!(r.checkpoints.len() as u64, BUDGET / 2_500, "{what}");
+                assert!(
+                    c.itlb_misses > 2 * c.l1i_misses
+                        && c.dtlb_misses > c.l1d_read_misses + c.l1d_write_misses,
+                    "{what}: TLB misses on L1 hits: {c:?}"
+                );
+                if telemetry {
+                    assert!(bare_spans.is_some_and(|s| !s.is_empty()), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn recorder_only_runs_ride_the_bare_kernel_and_record_identically() {
         use crate::config::DiffCheckConfig;
         use crate::profile::price_profile;
         use gaas_trace::codec::U64StreamCursor;
-        // The recorder alone must select the memoized, span-draining
-        // `HOOKS = false` loop. `run_profiled` refuses the oracle, so the
-        // every-event recording installs the recorder by hand on an
-        // oracle-on simulator. The profile must not depend on the loop,
-        // under any write policy.
+        // The recorder alone must select the memoized, span-draining,
+        // folding `HOOKS = false` loop. `run_profiled` refuses the oracle,
+        // so the every-event recording installs the recorder by hand on an
+        // oracle-on simulator; that loop does not fold, so it writes one
+        // record per instruction where the bare kernel writes its runs.
+        // Under any write policy, both profiles must carry the same
+        // addresses and price identically at every timing point.
         const WARMUP: u64 = 50_000;
         let addrs = |p: &FunctionalProfile| {
             let mut cur = U64StreamCursor::new(&p.addr_blocks);
@@ -2212,21 +2341,40 @@ mod tests {
                 fast.syscall_switches + fast.slice_switches > 0,
                 "{policy:?}: the slice must expire"
             );
-            assert_eq!(fast.ops, every.ops, "{policy:?}: ops bytes");
+            assert!(
+                fast.ops.len() < every.ops.len(),
+                "{policy:?}: the bare kernel folds its all-hit runs: {} vs {} bytes",
+                fast.ops.len(),
+                every.ops.len()
+            );
             assert!(fast.addr_count() > 0, "{policy:?}: addresses recorded");
             assert_eq!(addrs(&fast), addrs(&every), "{policy:?}: addresses");
-            let priced = [&fast, &every].map(|p| price_profile(&cfg, p).expect("prices"));
+            let mut slow = cfg.to_builder();
+            slow.l2_access(9)
+                .tlb_miss_penalty(20)
+                .write_buffer(crate::config::WriteBufferConfig {
+                    depth: 2,
+                    width_words: 1,
+                });
+            for timing in [cfg.clone(), slow.build().expect("valid")] {
+                let priced = [&fast, &every].map(|p| price_profile(&timing, p).expect("prices"));
+                assert_eq!(
+                    priced[0].counters, priced[1].counters,
+                    "{policy:?}: priced counters"
+                );
+                assert_eq!(
+                    priced[0].per_process, priced[1].per_process,
+                    "{policy:?}: priced rows"
+                );
+            }
+            let priced = price_profile(&cfg, &fast).expect("prices");
             assert_eq!(
-                priced[0].counters, priced[1].counters,
-                "{policy:?}: priced counters"
-            );
-            assert_eq!(
-                priced[0].per_process, priced[1].per_process,
-                "{policy:?}: priced rows"
-            );
-            assert_eq!(
-                priced[0].counters, fast_result.counters,
+                priced.counters, fast_result.counters,
                 "{policy:?}: priced vs run"
+            );
+            assert_eq!(
+                priced.per_process, fast_result.per_process,
+                "{policy:?}: priced rows vs run"
             );
         }
     }
