@@ -37,7 +37,9 @@
 //!   reproduces the seed kernel's one-virtual-call-per-event pattern, plus
 //!   the ratio between them and a fixed reference throughput measured at
 //!   the growth seed. Every timing is the median of `--samples` runs,
-//!   with their min and max;
+//!   with their min and max. The runs a ratio compares (batched,
+//!   unbatched and telemetry-on; serial and co-priced) are timed in
+//!   interleaved rounds, so host drift moves both sides of the ratio;
 //! * **telemetry** — the same batched kernel with
 //!   [`TelemetryConfig::on`]: enabled-mode overhead
 //!   (`enabled_over_disabled`), and the `--reference` gate result for the
@@ -157,6 +159,24 @@ struct Secs {
 }
 
 impl Secs {
+    /// The statistics of one measurement's (nonempty) samples.
+    fn of(mut secs: Vec<f64>) -> Self {
+        secs.sort_by(f64::total_cmp);
+        // Linear interpolation between the order statistics at fraction `p`.
+        let at = |p: f64| {
+            let x = p * (secs.len() - 1) as f64;
+            let (i, frac) = (x.floor() as usize, x.fract());
+            secs[i] + frac * (secs[(i + 1).min(secs.len() - 1)] - secs[i])
+        };
+        Self {
+            median: at(0.5),
+            q1: at(0.25),
+            q3: at(0.75),
+            min: secs[0],
+            max: secs[secs.len() - 1],
+        }
+    }
+
     /// The middle half of the samples over their median: how far apart
     /// two runs' medians can land on noise alone, against which a gate's
     /// bound must be read.
@@ -222,7 +242,7 @@ fn main() {
         if kernel_only { ", kernel only" } else { "" }
     );
 
-    // --- Kernel: batched vs. unbatched events/second. -------------------
+    // --- Kernel: batched vs. unbatched vs. telemetry-on events/second. --
     let events: u64 = suite()
         .iter()
         .map(|b| {
@@ -231,12 +251,24 @@ fn main() {
         })
         .sum();
     let cfg = SimConfig::baseline();
-    let (batched, batched_res) = sample(samples, || {
-        sim::run(cfg.clone(), workload::standard(kernel_scale)).expect("valid config")
-    });
-    let (unbatched, unbatched_res) = sample(samples, || {
-        sim::run(cfg.clone(), unbatched(workload::standard(kernel_scale))).expect("valid config")
-    });
+    let telem_cfg = {
+        let mut b = cfg.to_builder();
+        b.telemetry(TelemetryConfig::on());
+        b.build().expect("valid config")
+    };
+    let ([batched, unbatched, telem], [batched_res, unbatched_res, telem_res]) = interleaved(
+        samples,
+        [
+            &mut || sim::run(cfg.clone(), workload::standard(kernel_scale)).expect("valid config"),
+            &mut || {
+                sim::run(cfg.clone(), unbatched(workload::standard(kernel_scale)))
+                    .expect("valid config")
+            },
+            &mut || {
+                sim::run(telem_cfg.clone(), workload::standard(kernel_scale)).expect("valid config")
+            },
+        ],
+    );
     let batched_eps = events as f64 / batched.median;
     let unbatched_eps = events as f64 / unbatched.median;
     let spread = batched.spread();
@@ -256,14 +288,6 @@ fn main() {
     );
 
     // --- Telemetry: enabled-mode overhead and the disabled-mode gate. ---
-    let telem_cfg = {
-        let mut b = cfg.to_builder();
-        b.telemetry(TelemetryConfig::on());
-        b.build().expect("valid config")
-    };
-    let (telem, telem_res) = sample(samples, || {
-        sim::run(telem_cfg.clone(), workload::standard(kernel_scale)).expect("valid config")
-    });
     let telem_eps = events as f64 / telem.median;
     let telem_deterministic = telem_res.counters == batched_res.counters;
     let reference_eps = reference_path.as_deref().map(|path| {
@@ -670,15 +694,18 @@ fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
         })
         .collect();
 
-    let (serial_priced, serial) = sample(samples, || {
-        lanes
-            .iter()
-            .map(|cfg| price_profile(cfg, &profile).expect("replay pricing"))
-            .collect::<Vec<_>>()
-    });
-    let (copriced, co) = sample(samples, || {
-        price_profiles(&lanes, &profile).expect("co-priced pricing")
-    });
+    let ([serial_priced, copriced], [serial, co]) = interleaved(
+        samples,
+        [
+            &mut || {
+                lanes
+                    .iter()
+                    .map(|cfg| price_profile(cfg, &profile).expect("replay pricing"))
+                    .collect::<Vec<_>>()
+            },
+            &mut || price_profiles(&lanes, &profile).expect("co-priced pricing"),
+        ],
+    );
     let identical = serial.len() == co.len()
         && serial.iter().zip(&co).all(|(a, b)| {
             a.counters == b.counters && a.per_process == b.per_process && a.completed == b.completed
@@ -716,9 +743,10 @@ fn measure_coherence(kernel_scale: f64, samples: usize) -> CoherenceReport {
         cores: 2,
         ..fig_cmp::sharing()
     };
-    let (secs, two_core) = sample(samples, || {
-        runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run")
-    });
+    let ([secs], [two_core]) = interleaved(
+        samples,
+        [&mut || runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run")],
+    );
     let c = two_core.result.counters;
     CoherenceReport {
         cores: 2,
@@ -866,33 +894,26 @@ fn unbatched(traces: Vec<Box<dyn Trace>>) -> Vec<Box<dyn Trace>> {
         .collect()
 }
 
-/// Runs `f` once untimed (trace generation fills the arena on a first
-/// run), then `samples` times, returning the wall-clock statistics and
-/// the last result (all results are identical by the determinism
-/// invariant).
-fn sample<T>(samples: usize, mut f: impl FnMut() -> T) -> (Secs, T) {
-    let mut last = f();
-    let mut secs = Vec::with_capacity(samples);
+/// Runs each of `fs` once untimed (trace generation fills the arena on
+/// a first run), then `samples` rounds that time each of them in turn,
+/// so host drift between rounds lands on every measurement alike and
+/// leaves their ratios alone. Returns each one's wall-clock statistics
+/// and last result (all results of one closure are identical by the
+/// determinism invariant).
+fn interleaved<T, const N: usize>(
+    samples: usize,
+    mut fs: [&mut dyn FnMut() -> T; N],
+) -> ([Secs; N], [T; N]) {
+    let mut last: [T; N] = std::array::from_fn(|i| fs[i]());
+    let mut secs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
-        let t0 = Instant::now();
-        last = f();
-        secs.push(t0.elapsed().as_secs_f64());
+        for ((f, s), l) in fs.iter_mut().zip(&mut secs).zip(&mut last) {
+            let t0 = Instant::now();
+            *l = f();
+            s.push(t0.elapsed().as_secs_f64());
+        }
     }
-    secs.sort_by(f64::total_cmp);
-    // Linear interpolation between the order statistics at fraction `p`.
-    let at = |p: f64| {
-        let x = p * (secs.len() - 1) as f64;
-        let (i, frac) = (x.floor() as usize, x.fract());
-        secs[i] + frac * (secs[(i + 1).min(secs.len() - 1)] - secs[i])
-    };
-    let s = Secs {
-        median: at(0.5),
-        q1: at(0.25),
-        q3: at(0.75),
-        min: secs[0],
-        max: secs[secs.len() - 1],
-    };
-    (s, last)
+    (secs.map(Secs::of), last)
 }
 
 fn parse<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {

@@ -66,8 +66,7 @@ const BYPASS_ESTIMATE_FACTOR: u64 = 8;
 /// compressed bytes) so long-lived arenas can be audited for in-memory
 /// corruption — the software analogue of the parity bits the paper puts
 /// on its GaAs SRAM arrays. [`verify`] re-walks every resident stream;
-/// each block additionally carries its own codec-level CRC32, which
-/// checked decoders (file readers, salvage) verify per block.
+/// each block additionally carries its own codec-level CRC32.
 #[derive(Debug)]
 struct ArenaData {
     name: String,

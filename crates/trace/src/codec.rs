@@ -1,5 +1,5 @@
 //! Block-based delta-compressed codec for packed event streams (the v3
-//! encoding).
+//! encoding), used by the trace arena and the functional profiles.
 //!
 //! The arena's packed structure-of-arrays encoding spends 10 bytes per
 //! event (an 8-byte raw PID-prefixed word address plus a 2-byte meta
@@ -30,9 +30,8 @@
 //! [`BLOCK_EVENTS`] events): the delta chains restart at every block
 //! boundary and each block carries its own CRC32, so
 //!
-//! * a streaming decoder needs only one block of scratch space,
-//! * corruption is detected per block rather than per stream, and
-//! * salvage after corruption loses at most the damaged block.
+//! * a streaming decoder needs only one block of scratch space, and
+//! * corruption is detected per block rather than per stream.
 //!
 //! Wire layout of one block (all integers little-endian):
 //!
@@ -47,17 +46,17 @@ use crate::crc::Crc32;
 use crate::event::{AccessKind, TraceEvent};
 
 /// Maximum events per encoded block. One decoded block (≈64 KB of
-/// scratch) amortizes per-block overhead to noise while keeping salvage
-/// granularity and decoder residency small.
+/// scratch) amortizes per-block overhead to noise while keeping decoder
+/// residency small.
 pub const BLOCK_EVENTS: usize = 4096;
 
 /// Bytes of block framing outside the payload: count, payload length,
 /// CRC32.
-pub const BLOCK_OVERHEAD: usize = 12;
+const BLOCK_OVERHEAD: usize = 12;
 
 /// Upper bound on the encoded size of one event (control byte + stall
 /// byte + 8-byte delta).
-pub const MAX_EVENT_BYTES: usize = 10;
+const MAX_EVENT_BYTES: usize = 10;
 
 // Meta-word layout (bits):      11……4        3         2        1..0
 //                               stall     syscall   partial    kind
@@ -77,9 +76,8 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Value masks by width code (low 8·width bits).
 const WIDTH_MASKS: [u64; 4] = [0xff, 0xffff, 0xffff_ffff, u64::MAX];
 
-/// Packs one event into the `(raw address, meta word)` pair every v3
-/// producer (arena materialization, file writer) encodes. The meta word
-/// always fits 12 bits.
+/// Packs one event into the `(raw address, meta word)` pair the arena
+/// encodes. The meta word always fits 12 bits.
 #[inline]
 pub fn pack_event(ev: &TraceEvent) -> (u64, u16) {
     let kind = match ev.kind {
@@ -101,7 +99,7 @@ pub fn pack_event(ev: &TraceEvent) -> (u64, u16) {
 /// `pack_event`) decodes as `Store`; checked consumers reject it before
 /// calling this.
 #[inline]
-pub fn unpack_event(raw: u64, meta: u16) -> TraceEvent {
+fn unpack_event(raw: u64, meta: u16) -> TraceEvent {
     let kind = match meta & KIND_MASK {
         0 => AccessKind::IFetch,
         1 => AccessKind::Load,
@@ -247,7 +245,7 @@ pub fn block_extent(bytes: &[u8]) -> Result<(usize, usize), BlockError> {
 ///
 /// [`BlockError::Truncated`] or [`BlockError::BadChecksum`]; a checksum-
 /// valid frame with an impossible event count is [`BlockError::Malformed`].
-pub fn verify_block(bytes: &[u8]) -> Result<(usize, usize), BlockError> {
+fn verify_block(bytes: &[u8]) -> Result<(usize, usize), BlockError> {
     let (frame, count) = block_extent(bytes)?;
     let stored = u32::from_le_bytes(bytes[frame - 4..frame].try_into().expect("4 bytes"));
     let mut crc = Crc32::new();
@@ -299,7 +297,7 @@ fn decode_one(payload: &[u8], pos: &mut usize) -> Option<(u16, u64)> {
 ///
 /// [`BlockError`] on truncation, checksum mismatch, or a payload that
 /// does not parse to exactly the declared event count.
-pub fn decode_block(
+fn decode_block(
     bytes: &[u8],
     addrs: &mut Vec<u64>,
     meta: &mut Vec<u16>,
@@ -336,7 +334,6 @@ pub fn decode_block(
 /// reserved bits, exact event count, and exact payload consumption are
 /// still validated — corrupt input fails, it just may fail as
 /// [`BlockError::Malformed`] instead of [`BlockError::BadChecksum`].
-/// File readers use [`verify_block`] + this, or [`decode_block`].
 ///
 /// # Errors
 ///
@@ -390,16 +387,6 @@ pub fn decode_block_events_unchecked(
         return Err(BlockError::Malformed);
     }
     Ok(frame)
-}
-
-/// Encodes a whole packed stream into concatenated v3 blocks.
-pub fn encode_stream(addrs: &[u64], meta: &[u16]) -> Vec<u8> {
-    assert_eq!(addrs.len(), meta.len(), "parallel arrays");
-    let mut out = Vec::new();
-    for (a, m) in addrs.chunks(BLOCK_EVENTS).zip(meta.chunks(BLOCK_EVENTS)) {
-        encode_block(&mut out, a, m);
-    }
-    out
 }
 
 /// Encodes a bare `u64` value stream (no meta words — every event
@@ -496,6 +483,16 @@ impl<'a> U64StreamCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes a whole packed stream into concatenated v3 blocks.
+    fn encode_stream(addrs: &[u64], meta: &[u16]) -> Vec<u8> {
+        assert_eq!(addrs.len(), meta.len(), "parallel arrays");
+        let mut out = Vec::new();
+        for (a, m) in addrs.chunks(BLOCK_EVENTS).zip(meta.chunks(BLOCK_EVENTS)) {
+            encode_block(&mut out, a, m);
+        }
+        out
+    }
 
     fn sample(n: usize, seed: u64) -> (Vec<u64>, Vec<u16>) {
         let mut rng = crate::rng::SmallRng::seed_from_u64(seed);

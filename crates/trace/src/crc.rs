@@ -1,11 +1,12 @@
 //! Vendored CRC32 (IEEE 802.3 polynomial, the `zlib`/`gzip` variant).
 //!
-//! The durability layer protects every on-disk artifact — GTRC traces,
-//! campaign journal records — with a per-record checksum, the software
-//! analogue of the paper's parity/ECC protection of fast-but-unreliable
-//! GaAs SRAM: a small check on every access buys detection of any
-//! single-bit (and overwhelmingly, any multi-byte) corruption. Vendored
-//! like [`crate::rng`] so the workspace stays hermetic.
+//! The durability layer protects the journal records of campaigns and
+//! the serve daemon, and the arena's in-memory codec blocks, with a
+//! per-record checksum, the software analogue of the paper's parity/ECC
+//! protection of fast-but-unreliable GaAs SRAM: a small check on every
+//! access buys detection of any single-bit (and overwhelmingly, any
+//! multi-byte) corruption. Vendored like [`crate::rng`] so the workspace
+//! stays hermetic.
 //!
 //! # Examples
 //!

@@ -17,11 +17,11 @@
 //! * [`instr`] / [`data`] — the instruction-fetch and data-reference
 //!   locality models;
 //! * [`gen`] — the deterministic streaming [`gen::TraceGenerator`];
+//! * [`arena`] — the process-wide store of generated event streams,
+//!   held as compressed blocks and replayed through batch cursors;
 //! * [`codec`] — the branchless control-byte delta codec (v3 encoding)
-//!   shared by the arena and the file format: per-block checksums, 2–4×
-//!   smaller streams;
-//! * [`file`](mod@crate::file) — a compact binary trace format for
-//!   capture/replay, checksummed against bit corruption;
+//!   behind the arena and the functional profiles: per-block checksums,
+//!   2–4× smaller streams;
 //! * [`crc`] — the vendored CRC32 shared by every durable on-disk format;
 //! * [`stats`] — trace characterization (regenerates Table 1 columns);
 //! * [`synthetic`] — diagnostic access patterns with known cache behaviour;
@@ -49,7 +49,6 @@ pub mod codec;
 pub mod crc;
 pub mod data;
 pub mod event;
-pub mod file;
 pub mod gen;
 pub mod instr;
 pub mod rng;

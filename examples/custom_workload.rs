@@ -1,6 +1,6 @@
-//! Define a custom synthetic benchmark, capture its trace to the GTRC
-//! binary format, replay it from the file, and simulate it — the full
-//! user-facing workload pipeline.
+//! Define a custom synthetic benchmark, characterize its trace, and
+//! simulate it on the optimized architecture — the full user-facing
+//! workload pipeline.
 //!
 //! ```text
 //! cargo run --release -p gaas-experiments --example custom_workload
@@ -10,7 +10,6 @@ use gaas_sim::{config::SimConfig, report, sim, Pid};
 use gaas_trace::bench_model::{
     BenchmarkSpec, CodeModel, DataModel, FpClass, StallModel, StreamSpec, WorkingSetLevel,
 };
-use gaas_trace::file::{write_trace, FileTrace};
 use gaas_trace::gen::TraceGenerator;
 use gaas_trace::stats::TraceStats;
 use gaas_trace::Trace;
@@ -66,11 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = my_benchmark();
 
     // 1. Generate and characterize the trace (Table 1 style).
-    let events: Vec<_> = TraceGenerator::new(&spec, Pid::new(0), 1.0).collect();
-    let stats = TraceStats::from_events(events.iter().copied());
+    let stats = TraceStats::from_events(TraceGenerator::new(&spec, Pid::new(0), 1.0));
     println!(
         "generated {} events: {} instr, {:.1}% loads, {:.1}% stores, {} syscalls, {} data pages",
-        events.len(),
+        stats.references(),
         stats.instructions,
         stats.load_pct(),
         stats.store_pct(),
@@ -78,26 +76,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.data_page_footprint()
     );
 
-    // 2. Capture to the GTRC binary format and replay from it.
-    let path = std::env::temp_dir().join("mykernel.gtrc");
-    write_trace(std::fs::File::create(&path)?, &events)?;
-    println!(
-        "captured to {} ({} bytes)",
-        path.display(),
-        std::fs::metadata(&path)?.len()
-    );
-
-    let replay = FileTrace::from_reader("mykernel-replay", std::fs::File::open(&path)?)?;
-    println!("replaying '{}'", replay.name());
-
-    // 3. Simulate the replayed trace on the optimized architecture.
+    // 2. Simulate the same stream on the optimized architecture; the
+    //    generator is deterministic, so it replays what step 1 counted.
+    let trace = TraceGenerator::new(&spec, Pid::new(0), 1.0);
     let result = sim::run(
         SimConfig::optimized(),
-        vec![Box::new(replay) as Box<dyn Trace>],
+        vec![Box::new(trace) as Box<dyn Trace>],
     )?;
     println!("\n{}", report::summary(&result));
     println!("{}", report::cpi_stack(&result));
-
-    std::fs::remove_file(&path).ok();
     Ok(())
 }
