@@ -160,7 +160,8 @@ struct Secs {
 
 impl Secs {
     /// The statistics of one measurement's (nonempty) samples.
-    fn of(mut secs: Vec<f64>) -> Self {
+    fn of(samples: &[f64]) -> Self {
+        let mut secs = samples.to_vec();
         secs.sort_by(f64::total_cmp);
         // Linear interpolation between the order statistics at fraction `p`.
         let at = |p: f64| {
@@ -256,7 +257,7 @@ fn main() {
         b.telemetry(TelemetryConfig::on());
         b.build().expect("valid config")
     };
-    let ([batched, unbatched, telem], [batched_res, unbatched_res, telem_res]) = interleaved(
+    let ([batched_t, unbatched_t, telem_t], [batched_res, unbatched_res, telem_res]) = interleaved(
         samples,
         [
             &mut || sim::run(cfg.clone(), workload::standard(kernel_scale)).expect("valid config"),
@@ -269,8 +270,15 @@ fn main() {
             },
         ],
     );
+    let (batched, unbatched, telem) = (
+        Secs::of(&batched_t),
+        Secs::of(&unbatched_t),
+        Secs::of(&telem_t),
+    );
     let batched_eps = events as f64 / batched.median;
     let unbatched_eps = events as f64 / unbatched.median;
+    let batched_over_unbatched = median_ratio(&unbatched_t, &batched_t);
+    let enabled_over_disabled = median_ratio(&batched_t, &telem_t);
     let spread = batched.spread();
     let kernel_deterministic = batched_res.counters == unbatched_res.counters;
     eprintln!(
@@ -279,7 +287,7 @@ fn main() {
         batched_eps / 1e6,
         spread * 100.0,
         unbatched_eps / 1e6,
-        batched_eps / unbatched_eps,
+        batched_over_unbatched,
         if kernel_deterministic {
             "identical"
         } else {
@@ -305,7 +313,7 @@ fn main() {
     eprintln!(
         "[telemetry: enabled {:.2} Me/s ({:.3}x of disabled), counters {}{}]",
         telem_eps / 1e6,
-        telem_eps / batched_eps,
+        enabled_over_disabled,
         if telem_deterministic {
             "identical"
         } else {
@@ -401,8 +409,7 @@ fn main() {
     );
     let _ = writeln!(
         j,
-        "    \"batched_over_unbatched\": {:.4},",
-        batched_eps / unbatched_eps
+        "    \"batched_over_unbatched\": {batched_over_unbatched:.4},"
     );
     let _ = writeln!(
         j,
@@ -423,8 +430,7 @@ fn main() {
     );
     let _ = writeln!(
         j,
-        "    \"enabled_over_disabled\": {:.4},",
-        telem_eps / batched_eps
+        "    \"enabled_over_disabled\": {enabled_over_disabled:.4},"
     );
     let _ = writeln!(
         j,
@@ -583,7 +589,7 @@ fn main() {
             let _ = writeln!(
                 j,
                 "    \"replay_passes_saved\": {},",
-                s.memo.replay_passes_saved
+                s.memo.replay_passes_saved()
             );
             let _ = writeln!(
                 j,
@@ -694,7 +700,7 @@ fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
         })
         .collect();
 
-    let ([serial_priced, copriced], [serial, co]) = interleaved(
+    let ([serial_t, copriced_t], [serial, co]) = interleaved(
         samples,
         [
             &mut || {
@@ -706,6 +712,7 @@ fn measure_copricing(kernel_scale: f64, samples: usize) -> CopricingReport {
             &mut || price_profiles(&lanes, &profile).expect("co-priced pricing"),
         ],
     );
+    let (serial_priced, copriced) = (Secs::of(&serial_t), Secs::of(&copriced_t));
     let identical = serial.len() == co.len()
         && serial.iter().zip(&co).all(|(a, b)| {
             a.counters == b.counters && a.per_process == b.per_process && a.completed == b.completed
@@ -743,10 +750,11 @@ fn measure_coherence(kernel_scale: f64, samples: usize) -> CoherenceReport {
         cores: 2,
         ..fig_cmp::sharing()
     };
-    let ([secs], [two_core]) = interleaved(
+    let ([rounds], [two_core]) = interleaved(
         samples,
         [&mut || runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run")],
     );
+    let secs = Secs::of(&rounds);
     let c = two_core.result.counters;
     CoherenceReport {
         cores: 2,
@@ -897,13 +905,13 @@ fn unbatched(traces: Vec<Box<dyn Trace>>) -> Vec<Box<dyn Trace>> {
 /// Runs each of `fs` once untimed (trace generation fills the arena on
 /// a first run), then `samples` rounds that time each of them in turn,
 /// so host drift between rounds lands on every measurement alike and
-/// leaves their ratios alone. Returns each one's wall-clock statistics
-/// and last result (all results of one closure are identical by the
-/// determinism invariant).
+/// leaves their ratios alone. Returns each one's wall-clock seconds,
+/// round by round, and its last result (all results of one closure are
+/// identical by the determinism invariant).
 fn interleaved<T, const N: usize>(
     samples: usize,
     mut fs: [&mut dyn FnMut() -> T; N],
-) -> ([Secs; N], [T; N]) {
+) -> ([Vec<f64>; N], [T; N]) {
     let mut last: [T; N] = std::array::from_fn(|i| fs[i]());
     let mut secs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
@@ -913,7 +921,16 @@ fn interleaved<T, const N: usize>(
             s.push(t0.elapsed().as_secs_f64());
         }
     }
-    (secs.map(Secs::of), last)
+    (secs, last)
+}
+
+/// The median over rounds of `num[i] / den[i]`, for two measurements
+/// timed in the same [`interleaved`] rounds: a burst of host contention
+/// that slows one round moves that round's ratio alone, where a ratio
+/// of the two medians takes it from whichever side it hit.
+fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    let ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+    Secs::of(&ratios).median
 }
 
 fn parse<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {

@@ -325,12 +325,17 @@ impl ProfileRecorder {
         self.ops.push(code);
     }
 
-    pub(crate) fn finish(self, fkey: u64, result: &SimResult) -> FunctionalProfile {
+    pub(crate) fn finish(mut self, fkey: u64, result: &SimResult) -> FunctionalProfile {
+        // A profile may live on in the cross-request cache, whose budget
+        // counts lengths: keep no spare capacity from the growth.
+        self.ops.shrink_to_fit();
+        let mut addr_blocks = encode_u64_stream(&self.addrs);
+        addr_blocks.shrink_to_fit();
         FunctionalProfile {
             fkey,
             warmup: self.warmup,
             ops: self.ops,
-            addr_blocks: encode_u64_stream(&self.addrs),
+            addr_blocks,
             addr_count: self.addrs.len() as u64,
             completed: result.completed.clone(),
             syscall_switches: result.counters.syscall_switches,

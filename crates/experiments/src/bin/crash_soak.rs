@@ -29,7 +29,6 @@ use std::path::Path;
 
 use gaas_experiments::campaign::{self, CellOptions, CellResult};
 use gaas_experiments::chaos::{self, ChaosConfig};
-use gaas_experiments::pool;
 use gaas_sim::config::SimConfig;
 use gaas_sim::{config_fingerprint, WritePolicy};
 use gaas_trace::arena;
@@ -235,9 +234,6 @@ fn main() {
         resumed_sessions >= 1,
         "no session ever resumed from the journal"
     );
-
-    println!("\ncounters routed through the telemetry pipeline:");
-    print!("{}", pool::take_telemetry().summary_table());
 
     println!("\ncrash_soak: PASS (seed {seed})");
     println!(

@@ -9,7 +9,8 @@
 //!    `catch_unwind`, so a panic degrades to a per-cell
 //!    [`CellResult::Failed`] instead of tearing down the campaign;
 //! 2. **wall-clock timeout** — a cell still running at
-//!    [`CellOptions::timeout`] is cancelled cooperatively (the simulator
+//!    [`CellOptions::timeout`] (clamped to the sweep deadline, see
+//!    [`set_sweep_deadline`]) is cancelled cooperatively (the simulator
 //!    polls a [`CancelToken`] between instruction batches and stops
 //!    within microseconds); only a cell wedged so hard it ignores the
 //!    flag is detached as a last resort;
@@ -86,14 +87,15 @@ pub const INTERRUPT_SKIP: &str = "skipped: interrupted before start";
 /// [`INTERRUPT_SKIP`]: never journaled, re-run on resume.
 pub const DEADLINE_SKIP: &str = "skipped: sweep deadline exceeded";
 
-/// Process-wide soft deadline for the *current* sweep, polled between
-/// groups by [`run_cells`] workers.
+/// Process-wide soft deadline for the *current* sweep, read at the start
+/// of every isolated attempt.
 static SWEEP_DEADLINE: Mutex<Option<Instant>> = Mutex::new(None);
 
-/// Sets (or clears, with `None`) the process-wide sweep deadline. Groups
-/// starting after the deadline are skipped with [`DEADLINE_SKIP`];
-/// groups already running have their cell timeout clamped to the time
-/// remaining, so the whole sweep winds down cooperatively close to the
+/// Sets (or clears, with `None`) the process-wide sweep deadline. Every
+/// attempt to run a cell or a group clamps its timeout to the time
+/// remaining when it starts, and one the deadline cuts off (or that
+/// would start after it) ends as a [`DEADLINE_SKIP`] — not retried, not
+/// journaled — so the sweep winds down cooperatively close to the
 /// deadline rather than at `deadline + timeout`.
 pub fn set_sweep_deadline(deadline: Option<Instant>) {
     *SWEEP_DEADLINE.lock().unwrap_or_else(|e| e.into_inner()) = deadline;
@@ -111,24 +113,14 @@ pub fn is_transient_skip(res: &CellResult) -> bool {
         if error == INTERRUPT_SKIP || error == DEADLINE_SKIP)
 }
 
-/// Skipped-cell results for a whole group (transient — see
-/// [`is_transient_skip`]).
-fn transient_skip(members: &[usize], reason: &str) -> (Vec<(CellResult, bool)>, bool) {
-    (
-        members
-            .iter()
-            .map(|_| {
-                (
-                    CellResult::Failed {
-                        error: reason.to_string(),
-                        attempts: 0,
-                    },
-                    false,
-                )
-            })
-            .collect(),
-        false,
-    )
+/// A transient skip result (see [`is_transient_skip`]), tagged not
+/// retryable.
+fn skipped(reason: &str) -> (CellResult, bool) {
+    let res = CellResult::Failed {
+        error: reason.to_string(),
+        attempts: 0,
+    };
+    (res, false)
 }
 
 /// Process-wide switch for the two-phase memoized sweep path (on by
@@ -151,10 +143,6 @@ static CO_PRICED_GROUPS: AtomicU64 = AtomicU64::new(0);
 
 /// Variant lanes advanced by the co-pricer across those groups.
 static CO_PRICED_LANES: AtomicU64 = AtomicU64::new(0);
-
-/// Token-replay passes avoided by co-pricing (lanes − 1 per group: one
-/// shared decode pass instead of one per variant).
-static REPLAY_PASSES_SAVED: AtomicU64 = AtomicU64::new(0);
 
 /// Co-priced groups whose pass failed and fell back to individual
 /// simulation.
@@ -182,8 +170,6 @@ pub struct MemoStats {
     pub copriced_groups: u64,
     /// Variant lanes advanced by the co-pricer across those groups.
     pub copriced_lanes: u64,
-    /// Token-replay passes avoided by co-pricing (lanes − 1 per group).
-    pub replay_passes_saved: u64,
     /// Co-priced groups whose pass failed and fell back to individual
     /// simulation.
     pub copricer_fallbacks: u64,
@@ -205,6 +191,12 @@ impl MemoStats {
         }
     }
 
+    /// Token-replay passes avoided by co-pricing: one shared decode pass
+    /// per group instead of one per lane, so lanes − 1 per group.
+    pub fn replay_passes_saved(&self) -> u64 {
+        self.copriced_lanes.saturating_sub(self.copriced_groups)
+    }
+
     /// Mean variant lanes per co-priced group (0.0 when none ran).
     pub fn lanes_per_group(&self) -> f64 {
         if self.copriced_groups == 0 {
@@ -222,7 +214,6 @@ pub fn memo_stats() -> MemoStats {
         priced_cells: PRICED_CELLS.load(Ordering::Relaxed),
         copriced_groups: CO_PRICED_GROUPS.load(Ordering::Relaxed),
         copriced_lanes: CO_PRICED_LANES.load(Ordering::Relaxed),
-        replay_passes_saved: REPLAY_PASSES_SAVED.load(Ordering::Relaxed),
         copricer_fallbacks: CO_PRICER_FALLBACKS.load(Ordering::Relaxed),
     }
 }
@@ -281,7 +272,6 @@ pub fn reset_memo_stats() {
     PRICED_CELLS.store(0, Ordering::Relaxed);
     CO_PRICED_GROUPS.store(0, Ordering::Relaxed);
     CO_PRICED_LANES.store(0, Ordering::Relaxed);
-    REPLAY_PASSES_SAVED.store(0, Ordering::Relaxed);
     CO_PRICER_FALLBACKS.store(0, Ordering::Relaxed);
 }
 
@@ -363,9 +353,85 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// How one isolated attempt ([`isolated`]) ended.
+enum Attempt<T> {
+    /// The work returned its result.
+    Done(T),
+    /// A typed simulation error, or a worker that could not start:
+    /// deterministic, so never retried.
+    Failed(String),
+    /// A panic, a timeout or a worker that vanished without reporting:
+    /// retried, and quarantined once the retry budget is spent.
+    Retryable(String),
+    /// The sweep deadline passed before the attempt or cut it off:
+    /// transient, so neither retried nor journaled.
+    DeadlineSkip,
+}
+
+/// Runs `work` once on its own thread behind `catch_unwind`, handing it
+/// the [`CancelToken`] it polls. The wall-clock limit is `timeout`
+/// clamped to the sweep deadline as it stands now; when the limit
+/// passes, the worker is cancelled and gets [`CANCEL_GRACE`] to stop,
+/// and only a worker wedged past that is detached. Cells and groups
+/// both run through here.
+fn isolated<T: Send + 'static>(
+    name: &str,
+    timeout: Duration,
+    work: impl FnOnce(CancelToken) -> Result<T, SimError> + Send + 'static,
+) -> Attempt<T> {
+    let (limit, clamped) =
+        match sweep_deadline().map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(left) if left.is_zero() => return Attempt::DeadlineSkip,
+            Some(left) if left < timeout => (left, true),
+            _ => (timeout, false),
+        };
+    let (tx, rx) = mpsc::channel();
+    let cancel = CancelToken::new();
+    let worker_cancel = cancel.clone();
+    let spawned = thread::Builder::new().name(name.into()).spawn(move || {
+        let out = panic::catch_unwind(AssertUnwindSafe(|| work(worker_cancel)));
+        let _ = tx.send(out);
+    });
+    let handle = match spawned {
+        Ok(h) => h,
+        Err(e) => return Attempt::Failed(format!("could not spawn {name} worker: {e}")),
+    };
+    let outcome = match rx.recv_timeout(limit) {
+        Ok(Ok(Ok(out))) => Attempt::Done(out),
+        Ok(Ok(Err(e))) => Attempt::Failed(e.to_string()),
+        Ok(Err(payload)) => {
+            Attempt::Retryable(format!("panicked: {}", panic_message(payload.as_ref())))
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            Attempt::Retryable(format!("{name} worker exited without reporting a result"))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            // Whatever the worker reports once cancelled (normally
+            // `SimError::Cancelled`) is dropped in favour of the limit.
+            cancel.cancel();
+            let expired = if clamped {
+                Attempt::DeadlineSkip
+            } else {
+                Attempt::Retryable(
+                    SimError::Timeout {
+                        seconds: timeout.as_secs(),
+                    }
+                    .to_string(),
+                )
+            };
+            if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(CANCEL_GRACE) {
+                return expired; // wedged past the grace: detached, not joined
+            }
+            expired
+        }
+    };
+    let _ = handle.join();
+    outcome
+}
+
 /// Runs one cell isolated on its own thread with `catch_unwind`, a
 /// wall-clock timeout and bounded retry. Never panics, never blocks past
-/// `opts.timeout * opts.attempts`.
+/// `opts.timeout * opts.attempts` (plus the cancel grace).
 pub fn run_isolated(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> CellResult {
     run_isolated_tagged(cfg, scale, opts).0
 }
@@ -378,82 +444,19 @@ fn run_isolated_tagged(cfg: &SimConfig, scale: f64, opts: &CellOptions) -> (Cell
     let mut attempts = 0;
     loop {
         attempts += 1;
-        let (tx, rx) = mpsc::channel();
         let worker_cfg = cfg.clone();
-        let cancel = CancelToken::new();
-        let worker_cancel = cancel.clone();
-        let spawned = thread::Builder::new()
-            .name("campaign-cell".into())
-            .spawn(move || {
-                let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                    chaos::poison_check(config_fingerprint(&worker_cfg));
-                    runner::run_standard_raw_cancellable(worker_cfg, scale, Some(worker_cancel))
-                }));
-                let _ = tx.send(out);
-            });
-        let handle = match spawned {
-            Ok(h) => h,
-            Err(e) => {
-                return (
-                    CellResult::Failed {
-                        error: format!("could not spawn cell worker: {e}"),
-                        attempts,
-                    },
-                    false,
-                )
-            }
+        let attempt = isolated("campaign-cell", opts.timeout, move |cancel| {
+            chaos::poison_check(config_fingerprint(&worker_cfg));
+            runner::run_standard_raw_cancellable(worker_cfg, scale, Some(cancel))
+        });
+        let (error, retryable) = match attempt {
+            Attempt::Done(result) => return (CellResult::Done(Box::new(result)), false),
+            Attempt::DeadlineSkip => return skipped(DEADLINE_SKIP),
+            Attempt::Failed(error) => (error, false),
+            Attempt::Retryable(error) => (error, true),
         };
-        let retryable_error = match rx.recv_timeout(opts.timeout) {
-            Ok(Ok(Ok(result))) => {
-                let _ = handle.join();
-                return (CellResult::Done(Box::new(result)), false);
-            }
-            Ok(Ok(Err(sim_err))) => {
-                // Typed errors are deterministic: retrying reproduces them.
-                let _ = handle.join();
-                return (
-                    CellResult::Failed {
-                        error: sim_err.to_string(),
-                        attempts,
-                    },
-                    false,
-                );
-            }
-            Ok(Err(payload)) => {
-                let _ = handle.join();
-                format!("panicked: {}", panic_message(payload.as_ref()))
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Flag the worker to stop at its next batch boundary and
-                // give it a short grace period to acknowledge; whatever
-                // it reports (normally `SimError::Cancelled`) is dropped
-                // in favour of the timeout. Only a cell wedged so hard it
-                // never reaches a boundary is detached.
-                cancel.cancel();
-                match rx.recv_timeout(CANCEL_GRACE) {
-                    Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        let _ = handle.join();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                }
-                SimError::Timeout {
-                    seconds: opts.timeout.as_secs(),
-                }
-                .to_string()
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = handle.join();
-                "cell worker exited without reporting a result".to_string()
-            }
-        };
-        if attempts >= opts.attempts {
-            return (
-                CellResult::Failed {
-                    error: retryable_error,
-                    attempts,
-                },
-                true,
-            );
+        if !retryable || attempts >= opts.attempts {
+            return (CellResult::Failed { error, attempts }, retryable);
         }
     }
 }
@@ -727,7 +730,6 @@ impl Campaign {
             let load = parse_journal(&text);
             salvaged_drops = load.dropped;
             if load.dropped > 0 {
-                pool::telemetry_count("campaign.journal_records_salvaged", load.cells.len() as u64);
                 eprintln!(
                     "campaign: journal {}: salvaged {} record(s), dropped {} corrupt",
                     path.display(),
@@ -775,13 +777,10 @@ impl Campaign {
         self.executed += 1;
         let entry = match res {
             CellResult::Done(r) => JournalEntry::Done(Box::new(StoredResult::from_result(r))),
-            CellResult::Failed { error, attempts } if retryable => {
-                pool::telemetry_count("campaign.cells_quarantined", 1);
-                JournalEntry::Quarantined {
-                    error: error.clone(),
-                    attempts: *attempts,
-                }
-            }
+            CellResult::Failed { error, attempts } if retryable => JournalEntry::Quarantined {
+                error: error.clone(),
+                attempts: *attempts,
+            },
             CellResult::Failed { error, attempts } => JournalEntry::Failed {
                 error: error.clone(),
                 attempts: *attempts,
@@ -810,13 +809,16 @@ impl Campaign {
         }
     }
 
-    /// Runs (or reloads) one cell.
+    /// Runs (or reloads) one cell. A transient skip (see
+    /// [`is_transient_skip`]) is returned but not journaled.
     pub fn cell(&mut self, cfg: &SimConfig, scale: f64) -> CellResult {
         if let Some(res) = self.lookup(cfg, scale) {
             return res;
         }
         let (res, retryable) = run_isolated_tagged(cfg, scale, &self.opts);
-        self.record(cfg, scale, &res, retryable);
+        if !is_transient_skip(&res) {
+            self.record(cfg, scale, &res, retryable);
+        }
         res
     }
 
@@ -1076,22 +1078,16 @@ fn price_members(
     }
     let results = price_profiles(cfgs, profile).map_err(|e| {
         CO_PRICER_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        pool::telemetry_count("campaign.copricer_fallbacks", 1);
         e
     })?;
-    let lanes = cfgs.len() as u64;
     CO_PRICED_GROUPS.fetch_add(1, Ordering::Relaxed);
-    CO_PRICED_LANES.fetch_add(lanes, Ordering::Relaxed);
-    REPLAY_PASSES_SAVED.fetch_add(lanes - 1, Ordering::Relaxed);
-    pool::telemetry_count("campaign.copriced_groups", 1);
-    pool::telemetry_count("campaign.copriced_lanes", lanes);
-    pool::telemetry_count("campaign.replay_passes_saved", lanes - 1);
+    CO_PRICED_LANES.fetch_add(cfgs.len() as u64, Ordering::Relaxed);
     Ok(results)
 }
 
 /// Runs every member of a group as its own full isolated simulation (the
 /// non-memoized path: singleton groups, memoization off, and the
-/// fallback after any group failure). Each result carries its
+/// fallback after a group failure). Each result carries its
 /// retryable-failure tag for the quarantine decision.
 fn run_members_individually(
     cfgs: &[SimConfig],
@@ -1102,9 +1098,11 @@ fn run_members_individually(
     members
         .iter()
         .map(|&i| {
-            FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
-            pool::telemetry_count("campaign.functional_runs", 1);
-            run_isolated_tagged(&cfgs[i], scale, opts)
+            let out = run_isolated_tagged(&cfgs[i], scale, opts);
+            if !is_transient_skip(&out.0) {
+                FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
+            }
+            out
         })
         .collect()
 }
@@ -1112,11 +1110,11 @@ fn run_members_individually(
 /// Runs one geometry group: the functional pass (a full simulation
 /// recording a [`gaas_sim::FunctionalProfile`]) on the first member, then
 /// cheap token-replay pricing for every other member. The whole group
-/// runs isolated on one thread behind `catch_unwind` with the cell
-/// timeout, mirroring [`run_isolated`]; *any* failure — panic, timeout,
-/// or typed error anywhere in the group — falls back to running every
+/// is one [`isolated`] attempt with the cell timeout; a typed error,
+/// panic or timeout anywhere in the group falls back to running every
 /// member individually, so memoization can only change wall-clock, never
-/// results or failure granularity.
+/// results or failure granularity. An attempt the sweep deadline cuts
+/// off skips every member instead (transient, no fallback).
 /// Also reports whether the members were *priced* from a profile
 /// (`true` on the successful memoized path and on a cross-request
 /// profile-cache hit), so [`run_cells`] can record an accurate
@@ -1138,111 +1136,61 @@ fn run_group(
     opts: &CellOptions,
 ) -> (Vec<(CellResult, bool)>, bool) {
     if interrupt::interrupted() {
-        return transient_skip(members, INTERRUPT_SKIP);
-    }
-    let mut effective = *opts;
-    if let Some(deadline) = sweep_deadline() {
-        match deadline.checked_duration_since(Instant::now()) {
-            Some(left) if left > Duration::ZERO => {
-                effective.timeout = effective.timeout.min(left);
-            }
-            _ => return transient_skip(members, DEADLINE_SKIP),
-        }
-    }
-    let opts = &effective;
-    let cache_on = profile_cache::enabled() && fingerprint.is_some();
-    let cached = fingerprint.and_then(|key| profile_cache::lookup(key, scale));
-    if cache_on {
-        pool::telemetry_count(
-            if cached.is_some() {
-                "campaign.profile_cache_hits"
-            } else {
-                "campaign.profile_cache_misses"
-            },
-            1,
+        return (
+            members.iter().map(|_| skipped(INTERRUPT_SKIP)).collect(),
+            false,
         );
     }
+    let cache_on = profile_cache::enabled() && fingerprint.is_some();
     if members.len() == 1 && !cache_on {
         return (run_members_individually(cfgs, members, scale, opts), false);
     }
-    let fallback = |cfgs, members, scale, opts| {
-        pool::telemetry_count("campaign.group_fallbacks", 1);
-        (run_members_individually(cfgs, members, scale, opts), false)
-    };
-    let (tx, rx) = mpsc::channel();
     let worker_cfgs: Vec<SimConfig> = members.iter().map(|&i| cfgs[i].clone()).collect();
-    let cancel = CancelToken::new();
-    let worker_cancel = cancel.clone();
-    let worker_cached = cached;
-    let worker_key = fingerprint;
-    let spawned = thread::Builder::new()
-        .name("campaign-group".into())
-        .spawn(move || {
-            let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                // Poisoned members panic here; the fallback re-runs each
-                // member individually so quarantine lands on exactly the
-                // poisoned cell(s).
-                if let Some(profile) = &worker_cached {
-                    // Cross-request cache hit: co-price every member.
-                    let results = price_members(&worker_cfgs, profile.as_ref())?;
-                    return Ok::<(Vec<SimResult>, bool), SimError>((results, true));
-                }
-                chaos::poison_check(config_fingerprint(&worker_cfgs[0]));
-                let (lead, profile) = runner::run_standard_profiled_cancellable(
-                    worker_cfgs[0].clone(),
-                    scale,
-                    Some(worker_cancel),
-                )?;
-                let profile = Arc::new(profile);
-                if let Some(key) = worker_key {
-                    profile_cache::insert(key, scale, &profile);
-                }
-                let mut results = price_members(&worker_cfgs[1..], profile.as_ref())?;
-                results.insert(0, lead);
-                Ok((results, false))
-            }));
-            let _ = tx.send(out);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(_) => return fallback(cfgs, members, scale, opts),
-    };
-    match rx.recv_timeout(opts.timeout) {
-        Ok(Ok(Ok((results, from_cache)))) => {
-            let _ = handle.join();
-            if from_cache {
-                PRICED_CELLS.fetch_add(members.len() as u64, Ordering::Relaxed);
-                pool::telemetry_count("campaign.priced_cells", members.len() as u64);
+    let attempt = isolated("campaign-group", opts.timeout, move |cancel| {
+        // Poisoned members panic here; the fallback re-runs each member
+        // individually so quarantine lands on exactly the poisoned
+        // cell(s).
+        if let Some(profile) = fingerprint.and_then(|key| profile_cache::lookup(key, scale)) {
+            // Cross-request cache hit: co-price every member.
+            return Ok((price_members(&worker_cfgs, &profile)?, true));
+        }
+        chaos::poison_check(config_fingerprint(&worker_cfgs[0]));
+        let (lead, profile) =
+            runner::run_standard_profiled_cancellable(worker_cfgs[0].clone(), scale, Some(cancel))?;
+        let profile = Arc::new(profile);
+        if let Some(key) = fingerprint {
+            profile_cache::insert(key, scale, &profile);
+        }
+        let mut results = price_members(&worker_cfgs[1..], &profile)?;
+        results.insert(0, lead);
+        Ok((results, false))
+    });
+    match attempt {
+        Attempt::Done((results, from_cache)) => {
+            let priced = if from_cache {
+                results.len()
             } else {
                 FUNCTIONAL_RUNS.fetch_add(1, Ordering::Relaxed);
-                PRICED_CELLS.fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-                pool::telemetry_count("campaign.functional_runs", 1);
-                pool::telemetry_count("campaign.priced_cells", members.len() as u64 - 1);
-            }
+                results.len() - 1
+            };
+            PRICED_CELLS.fetch_add(priced as u64, Ordering::Relaxed);
             (
                 results
                     .into_iter()
                     .map(|r| (CellResult::Done(Box::new(r)), false))
                     .collect(),
-                from_cache || members.len() > 1,
+                priced > 0,
             )
         }
-        Ok(Ok(Err(_))) | Ok(Err(_)) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // A typed error or panic anywhere in the group: re-run each
-            // member individually so the failure lands on exactly the
-            // cell(s) that own it, with per-cell retry semantics.
-            let _ = handle.join();
-            fallback(cfgs, members, scale, opts)
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            cancel.cancel();
-            match rx.recv_timeout(CANCEL_GRACE) {
-                Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-            }
-            fallback(cfgs, members, scale, opts)
+        Attempt::DeadlineSkip => (
+            members.iter().map(|_| skipped(DEADLINE_SKIP)).collect(),
+            false,
+        ),
+        // A typed error, panic or timeout anywhere in the group: re-run
+        // each member individually so the failure lands on exactly the
+        // cell(s) that own it, with per-cell retry semantics.
+        Attempt::Failed(_) | Attempt::Retryable(_) => {
+            (run_members_individually(cfgs, members, scale, opts), false)
         }
     }
 }

@@ -41,8 +41,6 @@ use std::sync::{Mutex, MutexGuard};
 
 use gaas_trace::rng::SmallRng;
 
-use crate::pool;
-
 /// Probabilities are expressed in percent (0..=100).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosConfig {
@@ -225,11 +223,6 @@ pub fn crash_error() -> std::io::Error {
     std::io::Error::other("chaos: injected crash (process is dead)")
 }
 
-fn count_fault(counts: &mut FaultCounts, field: fn(&mut FaultCounts) -> &mut u64) {
-    *field(counts) += 1;
-    pool::telemetry_count("chaos.io_faults_injected", 1);
-}
-
 impl ChaosState {
     fn in_scope(&self, path: &Path) -> bool {
         match &self.cfg.scope {
@@ -251,7 +244,7 @@ impl ChaosState {
         self.ops += 1;
         if self.crash_at == Some(self.ops) {
             self.crashed = true;
-            count_fault(&mut self.counts, |c| &mut c.crashes);
+            self.counts.crashes += 1;
             // Crashing drops the simulated page cache: un-synced appends
             // are gone, exactly what fsync exists to prevent.
             self.counts.lost_appends += self.pending.len() as u64;
@@ -268,7 +261,7 @@ impl ChaosState {
             self.rng.gen_range(0usize..data.len())
         };
         data.truncate(keep);
-        count_fault(&mut self.counts, |c| &mut c.torn_writes);
+        self.counts.torn_writes += 1;
     }
 
     fn maybe_flip(&mut self, data: &mut [u8]) {
@@ -276,7 +269,7 @@ impl ChaosState {
             let i = self.rng.gen_range(0usize..data.len());
             let bit = self.rng.gen_range(0u32..8);
             data[i] ^= 1 << bit;
-            count_fault(&mut self.counts, |c| &mut c.bit_flips);
+            self.counts.bit_flips += 1;
         }
     }
 
@@ -366,7 +359,7 @@ pub fn plan_append(path: &Path, bytes: &[u8], synced: bool) -> std::io::Result<W
     }
     s.maybe_flip(&mut data);
     if !synced && s.roll(s.cfg.defer_append_pct) {
-        count_fault(&mut s.counts, |c| &mut c.deferred_appends);
+        s.counts.deferred_appends += 1;
         s.pending.push((path.to_path_buf(), data));
         return Ok(WritePlan {
             data: None,
@@ -399,7 +392,7 @@ pub fn plan_rename(path: &Path) -> std::io::Result<()> {
         return Err(crash_error());
     }
     if s.roll(s.cfg.fail_rename_pct) {
-        count_fault(&mut s.counts, |c| &mut c.failed_renames);
+        s.counts.failed_renames += 1;
         return Err(std::io::Error::other("chaos: injected rename failure"));
     }
     Ok(())
@@ -425,7 +418,7 @@ pub fn plan_sync(path: &Path) -> std::io::Result<()> {
         return Err(crash_error());
     }
     if s.roll(s.cfg.fail_fsync_pct) {
-        count_fault(&mut s.counts, |c| &mut c.fsync_failures);
+        s.counts.fsync_failures += 1;
         return Err(std::io::Error::other("chaos: injected fsync failure"));
     }
     Ok(())
@@ -468,7 +461,7 @@ pub fn plan_read(path: &Path, mut data: Vec<u8>) -> std::io::Result<Vec<u8>> {
     if !data.is_empty() && s.roll(s.cfg.short_read_pct) {
         let keep = s.rng.gen_range(0usize..data.len());
         data.truncate(keep);
-        count_fault(&mut s.counts, |c| &mut c.short_reads);
+        s.counts.short_reads += 1;
     }
     Ok(data)
 }

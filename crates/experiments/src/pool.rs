@@ -19,58 +19,13 @@
 //! (`--jobs N`) via [`set_jobs`] and consulted by the campaign layer; it
 //! deliberately defaults to 1 so library users and tests opt in.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::thread;
 
-use gaas_telemetry::Registry;
-
 /// Process-wide sweep parallelism (see [`set_jobs`]).
 static JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Process-wide merged telemetry registry (see [`take_telemetry`]).
-static POOL_REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
-
-thread_local! {
-    /// Per-worker local registry: bumps are lock-free plain adds; each
-    /// worker merges into [`POOL_REGISTRY`] *by name* when it drains its
-    /// queue, so the merged totals are independent of work stealing.
-    static WORKER_REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
-}
-
-/// Adds `delta` to a named counter in the calling thread's local
-/// telemetry registry. Safe to call from sweep tasks on any worker; the
-/// per-worker registries are merged deterministically (addition commutes
-/// and matching is by name) into the process-wide registry that
-/// [`take_telemetry`] returns.
-pub fn telemetry_count(name: &'static str, delta: u64) {
-    WORKER_REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        let id = r.counter(name);
-        r.add(id, delta);
-    });
-}
-
-/// Merges the calling thread's local registry into the process-wide one
-/// and clears it. Each worker calls this once after draining the queue.
-fn flush_worker_telemetry() {
-    WORKER_REGISTRY.with(|r| {
-        let local = std::mem::take(&mut *r.borrow_mut());
-        lock(&POOL_REGISTRY).merge_from(&local);
-    });
-}
-
-/// Takes (and clears) the merged pool telemetry registry — every counter
-/// bumped via [`telemetry_count`] by any worker since the last take. The
-/// calling thread's own local registry is folded in first, so counts
-/// bumped outside any worker (journal salvage at campaign open, `on_done`
-/// journaling) are never stranded thread-locally.
-pub fn take_telemetry() -> Registry {
-    flush_worker_telemetry();
-    std::mem::take(&mut *lock(&POOL_REGISTRY))
-}
 
 /// Sets the process-wide number of concurrent sweep cells (clamped to at
 /// least 1). Called once by `repro --jobs N` before any sweep runs.
@@ -110,15 +65,13 @@ where
     G: FnMut(usize, &T),
 {
     if jobs <= 1 || n <= 1 {
-        let results = (0..n)
+        return (0..n)
             .map(|i| {
                 let r = task(i);
                 on_done(i, &r);
                 r
             })
             .collect();
-        flush_worker_telemetry();
-        return results;
     }
     let workers = jobs.min(n);
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
@@ -129,16 +82,13 @@ where
             let tx = tx.clone();
             let queue = &queue;
             let task = &task;
-            s.spawn(move || {
-                loop {
-                    let next = lock(queue).pop_front();
-                    let Some(i) = next else { break };
-                    let r = task(i);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
+            s.spawn(move || loop {
+                let next = lock(queue).pop_front();
+                let Some(i) = next else { break };
+                let r = task(i);
+                if tx.send((i, r)).is_err() {
+                    break;
                 }
-                flush_worker_telemetry();
             });
         }
         drop(tx);
@@ -147,9 +97,6 @@ where
             results[i] = Some(r);
         }
     });
-    // `on_done` runs on the calling thread and may bump telemetry (the
-    // campaign journal does); flush it like any worker.
-    flush_worker_telemetry();
     results
         .into_iter()
         .enumerate()

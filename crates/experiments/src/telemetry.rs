@@ -12,10 +12,10 @@
 //! * `cpi_stacks.csv` / `cpi_stacks.json` — windowed CPI stacks, one row
 //!   per [`TelemetryConfig::window_instructions`] instructions, integer
 //!   cycle columns per Fig. 4 component;
-//! * `summary.txt` — every registered counter and histogram, the pool's
-//!   campaign counters, and the memoization trace (which cells were
-//!   priced vs simulated) from a small Fig. 7 mini-grid run first to
-//!   exercise the two-phase sweep.
+//! * `summary.txt` — every registered counter and histogram, then the
+//!   campaign's [`MemoStats`](campaign::MemoStats) and the memoization
+//!   trace (which cells were priced vs simulated) from a small Fig. 7
+//!   mini-grid run first to exercise the two-phase sweep.
 //!
 //! The run self-validates before writing: the Chrome JSON must re-parse,
 //! every window's component cycles must sum to the window's total
@@ -39,7 +39,6 @@ use crate::campaign::{self, MemoTraceEntry};
 use crate::durability;
 use crate::fig78::{self, Side};
 use crate::json;
-use crate::pool;
 
 /// L2-I size (words) of the instrumented Fig. 7 cell.
 pub const CELL_SIZE_WORDS: u64 = 65_536;
@@ -199,6 +198,7 @@ pub fn run(scale: f64, dir: &Path) -> Result<TelemetryRun, TelemetryError> {
     // priced from a memoized profile and which were simulated.
     let t0 = std::time::Instant::now();
     campaign::set_memo_trace(true);
+    campaign::reset_memo_stats();
     let mut grid = Vec::new();
     for &size in &GRID_SIZES {
         for &access in &GRID_TIMES {
@@ -206,6 +206,7 @@ pub fn run(scale: f64, dir: &Path) -> Result<TelemetryRun, TelemetryError> {
         }
     }
     campaign::run_cells(&grid, scale);
+    let memo = campaign::memo_stats();
     let memo_trace = campaign::take_memo_trace();
     campaign::set_memo_trace(false);
     eprintln!(
@@ -256,13 +257,18 @@ pub fn run(scale: f64, dir: &Path) -> Result<TelemetryRun, TelemetryError> {
         report.spans_dropped,
     ));
     summary.push_str(&report.registry.summary_table());
-    summary.push('\n');
-    let pool_reg = pool::take_telemetry();
-    if !pool_reg.is_empty() {
-        summary.push_str("worker-pool counters (merged across workers)\n");
-        summary.push_str(&pool_reg.summary_table());
-        summary.push('\n');
+    summary.push_str("\nmini-grid campaign counters\n");
+    for (name, v) in [
+        ("functional_runs", memo.functional_runs),
+        ("priced_cells", memo.priced_cells),
+        ("copriced_groups", memo.copriced_groups),
+        ("copriced_lanes", memo.copriced_lanes),
+        ("replay_passes_saved", memo.replay_passes_saved()),
+        ("copricer_fallbacks", memo.copricer_fallbacks),
+    ] {
+        summary.push_str(&format!("campaign.{name:<19}  {v}\n"));
     }
+    summary.push('\n');
     summary.push_str(&render_memo_trace(&memo_trace));
 
     let mut files = Vec::new();
@@ -324,6 +330,10 @@ mod tests {
         }
         let summary = fs::read_to_string(dir.join("summary.txt")).unwrap();
         assert!(summary.contains("memoization trace"));
+        assert!(
+            summary.contains("\ncampaign.copriced_groups "),
+            "the co-pricer's counters reach the summary:\n{summary}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

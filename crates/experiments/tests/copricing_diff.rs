@@ -267,7 +267,7 @@ fn copricing_stats_count_groups_and_saved_passes() {
     assert_eq!(stats.functional_runs, 2, "{stats:?}");
     assert_eq!(stats.copriced_groups, 2, "{stats:?}");
     assert_eq!(stats.copriced_lanes, 4, "{stats:?}");
-    assert_eq!(stats.replay_passes_saved, 2, "{stats:?}");
+    assert_eq!(stats.replay_passes_saved(), 2, "{stats:?}");
     assert_eq!(stats.copricer_fallbacks, 0, "{stats:?}");
     assert!((stats.lanes_per_group() - 2.0).abs() < 1e-9, "{stats:?}");
 }

@@ -11,8 +11,7 @@
 //!    the third submit with `retry_after_ms` guidance (bounded memory,
 //!    no hang), reject an invalid spec permanently (no retry hint),
 //!    absorb an injected executor panic as a journaled `failed` job
-//!    while the next job still completes, and report zero cross-job
-//!    telemetry leaks.
+//!    while the next job still completes.
 //! 2. **Degradation.** With a generous cache budget, two jobs sharing
 //!    functional geometry must produce cross-request memo hits; with a
 //!    budget smaller than one profile, the cache must shed (oversize
@@ -183,10 +182,6 @@ fn phase_backpressure(dir: &std::path::Path) {
     assert_eq!(stats.worker_restarts, 1, "exactly one supervised restart");
     assert_eq!(stats.rejected_busy, 1);
     assert_eq!(stats.rejected_invalid, 1);
-    assert_eq!(
-        stats.telemetry_leaks, 0,
-        "cross-job telemetry must not leak"
-    );
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.failed, 1);
     core.shutdown();
@@ -222,7 +217,6 @@ fn phase_degradation(dir: &std::path::Path, reference: &HashMap<String, String>)
             "{name} (cached) must match the reference"
         );
     }
-    assert_eq!(core.stats().telemetry_leaks, 0);
     core.shutdown();
 
     // Starvation budget: smaller than any one profile, so every insert
@@ -396,7 +390,6 @@ fn phase_chaos(dir: &std::path::Path, seed: u64, reference: &HashMap<String, Str
             "spec '{name}' never completed byte-identically"
         );
     }
-    assert_eq!(core.stats().telemetry_leaks, 0);
     core.shutdown();
     println!(
         "serve_soak: phase 3 OK — {sessions} sessions ({recovered_sessions} recovered), \

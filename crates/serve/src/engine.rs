@@ -37,8 +37,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gaas_experiments::campaign::{self, CellOptions, CellResult};
-use gaas_experiments::{chaos, durability, pool, profile_cache};
-use gaas_telemetry::Registry;
+use gaas_experiments::{chaos, durability, profile_cache};
 
 use crate::jobs::{JobEvent, JobRecord, JobsLog};
 use crate::spec::{self, SweepSpec};
@@ -169,9 +168,6 @@ pub struct StatsSnapshot {
     pub replayed: u64,
     /// Executor panics absorbed by the supervisor.
     pub worker_restarts: u64,
-    /// Job boundaries where the telemetry drain found residue (must
-    /// stay 0: the zero-cross-job-leakage invariant).
-    pub telemetry_leaks: u64,
     /// Currently queued jobs.
     pub queue_len: usize,
     /// Observed mean job wall-clock in milliseconds (0 before the
@@ -222,12 +218,10 @@ struct Inner {
     cancelled: AtomicU64,
     replayed: AtomicU64,
     worker_restarts: AtomicU64,
-    telemetry_leaks: AtomicU64,
     /// Test/soak seam: the next N jobs panic inside the executor, so the
     /// supervisor's absorb-and-continue path can be exercised on demand
     /// (the storage analogue is the chaos shim's poison list).
     inject_panics: AtomicU64,
-    telemetry: Mutex<Registry>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -253,9 +247,15 @@ impl ServerCore {
     /// journal (journal *damage* is salvaged, not an error).
     pub fn open(cfg: ServeConfig) -> std::io::Result<ServerCore> {
         std::fs::create_dir_all(&cfg.dir)?;
-        let (log, replay) = JobsLog::open(cfg.dir.join("jobs.journal"))?;
+        let jobs_path = cfg.dir.join("jobs.journal");
+        let (log, replay) = JobsLog::open(&jobs_path)?;
         if replay.dropped > 0 {
-            pool::telemetry_count("serve.jobs_records_salvaged", replay.dropped);
+            eprintln!(
+                "serve: jobs journal {}: salvaged {} record(s), dropped {} corrupt",
+                jobs_path.display(),
+                replay.records.len(),
+                replay.dropped
+            );
         }
         // Fold the event log into per-job final states.
         let mut jobs: BTreeMap<String, JobSlot> = BTreeMap::new();
@@ -342,9 +342,7 @@ impl ServerCore {
             cancelled: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
             worker_restarts: AtomicU64::new(0),
-            telemetry_leaks: AtomicU64::new(0),
             inject_panics: AtomicU64::new(0),
-            telemetry: Mutex::new(Registry::default()),
         });
         let worker = Arc::clone(&inner);
         let executor = thread::Builder::new()
@@ -542,7 +540,6 @@ impl ServerCore {
             cancelled: inner.cancelled.load(Ordering::Relaxed),
             replayed: inner.replayed.load(Ordering::Relaxed),
             worker_restarts: inner.worker_restarts.load(Ordering::Relaxed),
-            telemetry_leaks: inner.telemetry_leaks.load(Ordering::Relaxed),
             queue_len,
             avg_job_ms,
             cache: profile_cache::snapshot(),
@@ -677,7 +674,6 @@ fn executor_loop(inner: &Arc<Inner>) {
         // and active campaign must never leak into the next job.
         campaign::set_sweep_deadline(None);
         let _ = campaign::deactivate();
-        drain_job_telemetry(inner);
         let cancel_requested = {
             let st = lock(&inner.state);
             st.jobs
@@ -691,7 +687,6 @@ fn executor_loop(inner: &Arc<Inner>) {
             Ok(Err(reason)) => JobOutcome::Failed(reason),
             Err(payload) => {
                 inner.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                pool::telemetry_count("serve.worker_restarts", 1);
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -750,18 +745,6 @@ fn executor_loop(inner: &Arc<Inner>) {
                 0.7 * st.avg_job_ms + 0.3 * elapsed_ms
             };
         }
-    }
-}
-
-/// Drains per-job telemetry into the service accumulator and verifies
-/// the zero-cross-job-leakage invariant: after the drain, a second take
-/// must come back empty.
-fn drain_job_telemetry(inner: &Inner) {
-    let taken = pool::take_telemetry();
-    lock(&inner.telemetry).merge_from(&taken);
-    let residue = pool::take_telemetry();
-    if !residue.is_empty() {
-        inner.telemetry_leaks.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -259,10 +259,6 @@ fn stats_response(stats: &StatsSnapshot) -> Json {
             "worker_restarts".to_string(),
             Json::Int(stats.worker_restarts),
         ),
-        (
-            "telemetry_leaks".to_string(),
-            Json::Int(stats.telemetry_leaks),
-        ),
         ("queue_len".to_string(), Json::Int(stats.queue_len as u64)),
         ("avg_job_ms".to_string(), Json::Int(stats.avg_job_ms)),
     ];
@@ -297,7 +293,7 @@ fn stats_response(stats: &StatsSnapshot) -> Json {
             ),
             (
                 "replay_passes_saved".into(),
-                Json::Int(stats.memo.replay_passes_saved),
+                Json::Int(stats.memo.replay_passes_saved()),
             ),
             (
                 "copricer_fallbacks".into(),

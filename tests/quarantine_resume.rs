@@ -21,13 +21,27 @@
 //! mutation, so the properties are checked over varied geometry rather
 //! than one hand-picked case.
 
-use gaas_experiments::campaign::{Campaign, CellOptions, CellResult};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use gaas_experiments::campaign::{self, Campaign, CellOptions, CellResult};
 use gaas_experiments::{chaos, durability};
 use gaas_sim::config::SimConfig;
 use gaas_sim::{config_fingerprint, WritePolicy};
 use gaas_trace::rng::SmallRng;
 
 const SCALE: f64 = 5e-5;
+
+/// A scale whose cells run for far longer than the 1 ms budget and the
+/// 40 ms sweep deadline the harness tests give them.
+const SLOW_SCALE: f64 = 4e-3;
+
+/// The poison list and the sweep deadline are process-global, and every
+/// isolated attempt reads the deadline: the tests here take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Silences the expected poison panics (one per poisoned-cell attempt);
 /// everything else keeps the default report.
@@ -163,6 +177,7 @@ fn check_seed(seed: u64) {
 
 #[test]
 fn quarantine_eligibility_follows_the_config_fingerprint() {
+    let _serial = serial();
     quiet_poison_panics();
     durability::set_durable_sync(false);
     // The poison list is process-global state, so the seeds run in one
@@ -171,4 +186,69 @@ fn quarantine_eligibility_follows_the_config_fingerprint() {
         check_seed(seed);
     }
     chaos::set_poison(Vec::new());
+}
+
+#[test]
+fn a_cell_past_its_timeout_is_retried_then_quarantined() {
+    let _serial = serial();
+    durability::set_durable_sync(false);
+    let journal = journal_path(0x7173);
+    let opts = CellOptions {
+        timeout: Duration::from_millis(1),
+        attempts: 2,
+    };
+    let mut c = Campaign::open(&journal, false, opts).expect("open fresh");
+    match c.cell(&cfg(WritePolicy::WriteBack, 4), SLOW_SCALE) {
+        CellResult::Failed { error, attempts } => {
+            assert_eq!(attempts, 2, "a timeout is retried up to the budget");
+            assert!(error.contains("wall-clock budget"), "{error}");
+        }
+        CellResult::Done(_) => panic!("a 1 ms budget cannot finish the cell"),
+    }
+    assert_eq!(c.stats().quarantined, 1);
+    drop(c);
+    let insp = campaign::inspect_journal(&journal).expect("inspect journal");
+    let quarantined = insp.quarantined();
+    assert_eq!(quarantined.len(), 1, "{:?}", insp.records);
+    assert!(
+        quarantined[0].1.contains("wall-clock budget"),
+        "{quarantined:?}"
+    );
+}
+
+#[test]
+fn a_deadline_inside_a_group_skips_every_member_unjournaled() {
+    let _serial = serial();
+    durability::set_durable_sync(false);
+    let journal = journal_path(0xdead);
+    // Two access times of one geometry: one group, one functional pass.
+    let cfgs: Vec<SimConfig> = [2u32, 4]
+        .iter()
+        .map(|&t| {
+            let mut b = SimConfig::builder();
+            b.l2_access(t);
+            b.build().expect("valid config")
+        })
+        .collect();
+    assert_eq!(campaign::group_preview(&cfgs).len(), 1, "one group");
+
+    campaign::activate(&journal, false, CellOptions::default()).expect("activate");
+    campaign::set_sweep_deadline(Some(Instant::now() + Duration::from_millis(40)));
+    let results = campaign::run_cells(&cfgs, SLOW_SCALE);
+    campaign::set_sweep_deadline(None);
+    let stats = campaign::deactivate().expect("campaign was active");
+
+    for res in &results {
+        match res {
+            CellResult::Failed { error, .. } => {
+                assert_eq!(error, campaign::DEADLINE_SKIP, "not a per-member failure")
+            }
+            CellResult::Done(_) => panic!("the group cannot finish inside 40 ms"),
+        }
+    }
+    assert_eq!(stats.executed, 0, "{stats:?}");
+    assert!(
+        !journal.exists(),
+        "a deadline skip is transient: nothing is journaled"
+    );
 }
