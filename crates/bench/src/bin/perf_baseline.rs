@@ -70,7 +70,11 @@
 //!   serial-full vs. memoized-parallel: the work-reduction win (4
 //!   functional passes instead of 16), which holds even with one core;
 //! * **arena** — trace-arena generation/reuse/bypass counters, hit rate,
-//!   residency, and the v3 compression ratio over the whole run;
+//!   residency, and the v3 compression ratio over the whole run, plus
+//!   `generation`: the wall-clock to generate the standard suite at
+//!   kernel scale into an empty arena (the set-up every kernel run pays
+//!   once), median and range of `--samples` runs and the spread of their
+//!   middle half; measured even under `--kernel-only`;
 //! * **memo** — functional runs vs. priced cells in the measured sweep,
 //!   the resulting reuse factor, and the co-pricer's work counters
 //!   (groups co-priced in one pass, lanes, replay passes saved,
@@ -384,6 +388,13 @@ fn main() {
         sweep = Some(measure_sweep(kernel_scale, jobs, cores));
     }
     let arena_stats = arena::stats();
+    // Clears the arena, so it runs after the counters above are read.
+    let generation = measure_arena_generation(kernel_scale, samples);
+    eprintln!(
+        "[arena generation: {:.3}s ({:.1}% spread)]",
+        generation.median,
+        generation.spread() * 100.0
+    );
 
     // --- Emit the JSON report. ------------------------------------------
     let mut j = String::new();
@@ -574,8 +585,14 @@ fn main() {
     );
     let _ = writeln!(
         j,
-        "    \"compression_ratio\": {:.4}",
+        "    \"compression_ratio\": {:.4},",
         arena_stats.compression_ratio()
+    );
+    let _ = writeln!(
+        j,
+        "    \"generation\": {{ \"scale\": {kernel_scale}, {}, \"spread_frac\": {:.4} }}",
+        generation.json(),
+        generation.spread()
     );
     let _ = writeln!(j, "  }},");
     match &sweep {
@@ -900,6 +917,21 @@ fn unbatched(traces: Vec<Box<dyn Trace>>) -> Vec<Box<dyn Trace>> {
         .into_iter()
         .map(|t| Box::new(UnbatchedTrace(t)) as Box<dyn Trace>)
         .collect()
+}
+
+/// Times `samples` generations of the standard suite at `kernel_scale`,
+/// each into an emptied arena: encoding every stream into checksummed
+/// blocks, as a kernel run's set-up does.
+fn measure_arena_generation(kernel_scale: f64, samples: usize) -> Secs {
+    let secs: Vec<f64> = (0..samples)
+        .map(|_| {
+            arena::clear();
+            let t0 = Instant::now();
+            std::hint::black_box(workload::standard(kernel_scale));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    Secs::of(&secs)
 }
 
 /// Runs each of `fs` once untimed (trace generation fills the arena on

@@ -49,7 +49,11 @@
 //! block-at-a-time cursor during replay — at most one ≤4096-entry batch
 //! buffer is decoded at any moment, consumed by all lanes before the next
 //! block is touched, instead of materializing the whole packed stream per
-//! replay.
+//! replay. Entering a block, the cursor verifies its CRC32 (slicing-by-8,
+//! eight bytes per step) and then decodes the values through the codec's
+//! one branch-free bulk loop, the loop the arena's replay uses; the
+//! block's meta words (all 0) are dropped as they decode. A corrupt block
+//! panics, and the campaign's group worker falls back to full simulation.
 //!
 //! [`functional_fingerprint`] defines the grouping key. It destructures
 //! [`SimConfig`] *exhaustively* — adding a config field without

@@ -74,8 +74,8 @@ pub enum SimError {
     /// experiment runner's isolation layer, never by the simulator
     /// itself).
     Timeout {
-        /// The wall-clock budget that was exhausted, in seconds.
-        seconds: u64,
+        /// The wall-clock budget that was exhausted, in milliseconds.
+        millis: u64,
     },
     /// The run's [`CancelToken`] was triggered; the simulator stopped
     /// cooperatively at the next instruction-batch boundary.
@@ -121,8 +121,11 @@ impl fmt::Display for SimError {
                 "machine check: {fault} at cycle {cycle} ({instructions} instructions retired)"
             ),
             SimError::Divergence(report) => write!(f, "{report}"),
-            SimError::Timeout { seconds } => {
-                write!(f, "cell exceeded its {seconds}s wall-clock budget")
+            SimError::Timeout { millis } if millis % 1000 == 0 => {
+                write!(f, "cell exceeded its {}s wall-clock budget", millis / 1000)
+            }
+            SimError::Timeout { millis } => {
+                write!(f, "cell exceeded its {millis} ms wall-clock budget")
             }
             SimError::Cancelled => write!(f, "run cancelled cooperatively"),
             SimError::Coherence {

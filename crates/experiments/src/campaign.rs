@@ -414,7 +414,7 @@ fn isolated<T: Send + 'static>(
             } else {
                 Attempt::Retryable(
                     SimError::Timeout {
-                        seconds: timeout.as_secs(),
+                        millis: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
                     }
                     .to_string(),
                 )

@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::addr::Pid;
 use crate::bench_model::BenchmarkSpec;
 use crate::codec::{self, pack_event, BLOCK_EVENTS};
-use crate::crc::crc32;
 use crate::event::{Trace, TraceEvent};
 use crate::gen::TraceGenerator;
 
@@ -62,11 +61,10 @@ const BYPASS_ESTIMATE_FACTOR: u64 = 8;
 /// One materialized event stream, held as concatenated v3 compressed
 /// blocks ([`crate::codec`]).
 ///
-/// The buffer is checksummed at generation time (CRC32 over the
-/// compressed bytes) so long-lived arenas can be audited for in-memory
-/// corruption — the software analogue of the parity bits the paper puts
-/// on its GaAs SRAM arrays. [`verify`] re-walks every resident stream;
-/// each block additionally carries its own codec-level CRC32.
+/// Every block carries its own CRC32 over its header and payload, so a
+/// long-lived arena can be audited for in-memory corruption — the
+/// software analogue of the parity bits the paper puts on its GaAs SRAM
+/// arrays. [`verify`] re-walks every block of every resident stream.
 #[derive(Debug)]
 struct ArenaData {
     name: String,
@@ -74,8 +72,6 @@ struct ArenaData {
     blocks: Vec<u8>,
     /// Total events across all blocks.
     events: usize,
-    /// CRC32 of `blocks`, computed once at materialization.
-    crc: u32,
 }
 
 impl ArenaData {
@@ -108,19 +104,27 @@ impl ArenaData {
                 return None;
             }
         }
-        let crc = crc32(&blocks);
         Some(ArenaData {
             name: spec.name.to_string(),
             blocks,
             events,
-            crc,
         })
     }
 
-    /// True when the compressed buffer still matches its
-    /// generation-time checksum.
+    /// True when every block still matches its checksum and the blocks
+    /// consume the buffer exactly, holding exactly `events` events.
     fn intact(&self) -> bool {
-        crc32(&self.blocks) == self.crc
+        let (mut off, mut events) = (0, 0);
+        while off < self.blocks.len() {
+            match codec::verify_block(&self.blocks[off..]) {
+                Ok((frame, count)) => {
+                    off += frame;
+                    events += count;
+                }
+                Err(_) => return false,
+            }
+        }
+        events == self.events
     }
 }
 
@@ -237,8 +241,9 @@ pub fn clear() {
 pub struct ArenaAudit {
     /// Streams whose checksum was re-verified.
     pub checked: u64,
-    /// Names of streams whose compressed bytes no longer match their
-    /// generation-time checksum (in-memory corruption).
+    /// Names of streams with a block that no longer matches its
+    /// checksum, or whose blocks no longer add up to the stream
+    /// (in-memory corruption).
     pub corrupt: Vec<String>,
 }
 
@@ -249,8 +254,8 @@ impl ArenaAudit {
     }
 }
 
-/// Re-checksums every resident stream against its generation-time CRC32
-/// and reports any that no longer match. Chaos campaigns run this after
+/// Re-verifies every block of every resident stream against the block's
+/// CRC32 and reports the streams that fail. Chaos campaigns run this after
 /// a soak to prove the shared arena was not silently corrupted while
 /// dozens of crash/resume cycles replayed it.
 pub fn verify() -> ArenaAudit {
@@ -549,6 +554,37 @@ mod tests {
         let mid = data.blocks.len() / 2;
         data.blocks[mid] ^= 1 << 7;
         assert!(!data.intact(), "a flipped bit must fail the checksum");
+        data.blocks[mid] ^= 1 << 7;
+        assert!(data.intact());
+        // The second block's header (its count and payload length) and the
+        // last block's trailer (its stored CRC) are covered too.
+        let (first, _) = codec::block_extent(&data.blocks).expect("well-formed");
+        let last = data.blocks.len() - 1;
+        for (at, what) in [
+            (first, "count"),
+            (first + 4, "payload length"),
+            (last, "trailer"),
+        ] {
+            for bit in [0, 7] {
+                data.blocks[at] ^= 1 << bit;
+                assert!(
+                    !data.intact(),
+                    "a flipped {what} bit {bit} must fail the audit"
+                );
+                data.blocks[at] ^= 1 << bit;
+            }
+        }
+        assert!(data.intact());
+        // A stream that lost its last block no longer adds up.
+        let (mut off, mut last_start) = (0, 0);
+        while off < data.blocks.len() {
+            last_start = off;
+            off += codec::block_extent(&data.blocks[off..])
+                .expect("well-formed")
+                .0;
+        }
+        data.blocks.truncate(last_start);
+        assert!(!data.intact(), "a dropped block must fail the audit");
     }
 
     #[test]

@@ -202,6 +202,10 @@ fn a_cell_past_its_timeout_is_retried_then_quarantined() {
         CellResult::Failed { error, attempts } => {
             assert_eq!(attempts, 2, "a timeout is retried up to the budget");
             assert!(error.contains("wall-clock budget"), "{error}");
+            assert!(
+                error.contains("1 ms") && !error.contains("0s"),
+                "a sub-second budget keeps its milliseconds: {error}"
+            );
         }
         CellResult::Done(_) => panic!("a 1 ms budget cannot finish the cell"),
     }
@@ -211,7 +215,7 @@ fn a_cell_past_its_timeout_is_retried_then_quarantined() {
     let quarantined = insp.quarantined();
     assert_eq!(quarantined.len(), 1, "{:?}", insp.records);
     assert!(
-        quarantined[0].1.contains("wall-clock budget"),
+        quarantined[0].1.contains("wall-clock budget") && !quarantined[0].1.contains("0s"),
         "{quarantined:?}"
     );
 }
