@@ -54,7 +54,9 @@
 //!   gate outcome; measured even under `--kernel-only`;
 //! * **coherence** — the CMP engine: a 2-core sharing run's throughput
 //!   and protocol activity (invalidations, cache-to-cache transfers,
-//!   upgrade misses, coherence stall cycles), plus the byte-identity of
+//!   upgrade misses, coherence stall cycles), its seconds over a 1-core
+//!   run of the same suite timed in the same rounds (`over_one_core`,
+//!   the engine's per-event overhead), plus the byte-identity of
 //!   a 1-core CMP run against the single-CPU kernel (gated under
 //!   determinism); measured even under `--kernel-only`;
 //! * **figures** — wall-clock seconds to run and render each experiment
@@ -144,6 +146,11 @@ struct CoherenceReport {
     cores: u32,
     secs: Secs,
     events_per_sec: f64,
+    /// The same suite on one core, timed in the same rounds.
+    one_core_secs: Secs,
+    /// The median over rounds of the multi-core run's seconds over the
+    /// one-core run's: the CMP engine's per-event overhead.
+    over_one_core: f64,
     invalidations: u64,
     c2c_transfers: u64,
     upgrade_misses: u64,
@@ -359,11 +366,12 @@ fn main() {
     // --- Coherence: 2-core CMP throughput + the 1-core identity anchor. -
     let coherence = measure_coherence(kernel_scale, samples);
     eprintln!(
-        "[coherence: {} cores, {:.3}s, {:.1} Me/s, {} invalidations, {} C2C, \
-         1-core identity {}]",
+        "[coherence: {} cores, {:.3}s, {:.1} Me/s, {:.2}x one core, {} invalidations, \
+         {} C2C, 1-core identity {}]",
         coherence.cores,
         coherence.secs.median,
         coherence.events_per_sec / 1e6,
+        coherence.over_one_core,
         coherence.invalidations,
         coherence.c2c_transfers,
         if coherence.one_core_identical {
@@ -496,6 +504,11 @@ fn main() {
         j,
         "    \"events_per_sec\": {:.1},",
         coherence.events_per_sec
+    );
+    let _ = writeln!(
+        j,
+        "    \"one_core_seconds_median\": {:.6}, \"over_one_core\": {:.4},",
+        coherence.one_core_secs.median, coherence.over_one_core
     );
     let _ = writeln!(j, "    \"invalidations\": {},", coherence.invalidations);
     let _ = writeln!(j, "    \"c2c_transfers\": {},", coherence.c2c_transfers);
@@ -756,27 +769,32 @@ fn measure_coherence(kernel_scale: f64, samples: usize) -> CoherenceReport {
         .sum();
     let base = SimConfig::baseline();
 
-    let single = runner::run_standard_raw(base.clone(), kernel_scale).expect("single-CPU run");
-    let anchored = runner::run_standard_cmp(base.clone(), kernel_scale, None).expect("1-core CMP");
-    let one_core_identical = anchored.result.counters == single.counters
-        && anchored.result.per_process == single.per_process
-        && anchored.result.completed == single.completed;
-
-    let mut cfg = base;
+    let mut cfg = base.clone();
     cfg.cmp = CmpConfig {
         cores: 2,
         ..fig_cmp::sharing()
     };
-    let ([rounds], [two_core]) = interleaved(
+    // The 1-core CMP run is both the overhead's denominator and the
+    // identity anchor against the single-CPU kernel.
+    let ([rounds, one_rounds], [two_core, anchored]) = interleaved(
         samples,
-        [&mut || runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run")],
+        [
+            &mut || runner::run_standard_cmp(cfg.clone(), kernel_scale, None).expect("2-core run"),
+            &mut || runner::run_standard_cmp(base.clone(), kernel_scale, None).expect("1-core CMP"),
+        ],
     );
+    let single = runner::run_standard_raw(base, kernel_scale).expect("single-CPU run");
+    let one_core_identical = anchored.result.counters == single.counters
+        && anchored.result.per_process == single.per_process
+        && anchored.result.completed == single.completed;
     let secs = Secs::of(&rounds);
     let c = two_core.result.counters;
     CoherenceReport {
         cores: 2,
         secs,
         events_per_sec: events as f64 / secs.median,
+        one_core_secs: Secs::of(&one_rounds),
+        over_one_core: median_ratio(&rounds, &one_rounds),
         invalidations: c.invalidations,
         c2c_transfers: c.c2c_transfers,
         upgrade_misses: c.upgrade_misses,

@@ -95,6 +95,11 @@ pub struct StoreOutcome {
     pub writeback_victim: Option<PhysAddr>,
     /// A written (dirty-bit) line was displaced (§9 flush trigger).
     pub replaced_written_line: bool,
+    /// The store hit a line whose written (dirty-bit) mark was already
+    /// set: the line was written since its fill. The CMP engine reads
+    /// the line's prior MESI state off this and `hit`, so it needs no
+    /// probe before the store.
+    pub hit_written: bool,
 }
 
 /// Whether a resident line with these marks serves a load of word
@@ -216,6 +221,7 @@ impl L1DataCache {
     #[inline]
     fn store_write_back(&mut self, addr: PhysAddr) -> StoreOutcome {
         if let Some(mut line) = self.array.touch(addr) {
+            let hit_written = line.dirty();
             line.set_dirty(true);
             // Write hit: 2 cycles (tag checked before the write commits).
             return StoreOutcome {
@@ -225,6 +231,7 @@ impl L1DataCache {
                 fetch: None,
                 writeback_victim: None,
                 replaced_written_line: false,
+                hit_written,
             };
         }
         // Write miss: 1 cycle in the cache + write-allocate.
@@ -240,6 +247,7 @@ impl L1DataCache {
             fetch: Some(base),
             writeback_victim: evicted.filter(|e| e.dirty).map(|e| e.base),
             replaced_written_line: false,
+            hit_written: false,
         }
     }
 
@@ -247,6 +255,7 @@ impl L1DataCache {
     fn store_wmi(&mut self, addr: PhysAddr) -> StoreOutcome {
         let word_addr = addr;
         if let Some(mut line) = self.array.touch(addr) {
+            let hit_written = line.dirty();
             line.set_dirty(true); // "written" mark for the §9 dirty-bit scheme
             return StoreOutcome {
                 hit: true,
@@ -255,6 +264,7 @@ impl L1DataCache {
                 fetch: None,
                 writeback_victim: None,
                 replaced_written_line: false,
+                hit_written,
             };
         }
         // Miss: the data RAM was written while the tag was checked; spend a
@@ -268,12 +278,14 @@ impl L1DataCache {
             fetch: None,
             writeback_victim: None,
             replaced_written_line: displaced,
+            hit_written: false,
         }
     }
 
     #[inline]
     fn store_write_only(&mut self, addr: PhysAddr) -> StoreOutcome {
         if let Some(mut line) = self.array.touch(addr) {
+            let hit_written = line.dirty();
             line.set_dirty(true);
             // Hits complete in one cycle whether or not the line is
             // write-only (subsequent writes to a write-only line hit).
@@ -284,6 +296,7 @@ impl L1DataCache {
                 fetch: None,
                 writeback_victim: None,
                 replaced_written_line: false,
+                hit_written,
             };
         }
         // Miss: update the tag and mark the line write-only (second cycle).
@@ -298,6 +311,7 @@ impl L1DataCache {
             fetch: None,
             writeback_victim: None,
             replaced_written_line: evicted.is_some_and(|e| e.dirty),
+            hit_written: false,
         }
     }
 
@@ -306,6 +320,7 @@ impl L1DataCache {
         if let Some(mut line) = self.array.touch(addr) {
             // Tag hit: one cycle; word writes set their valid bit,
             // partial-word writes leave the bits unchanged.
+            let hit_written = line.dirty();
             if !partial_word {
                 line.or_subblock(1 << word);
             }
@@ -317,6 +332,7 @@ impl L1DataCache {
                 fetch: None,
                 writeback_victim: None,
                 replaced_written_line: false,
+                hit_written,
             };
         }
         // Tag miss: update the address portion of the tag in the next
@@ -333,6 +349,7 @@ impl L1DataCache {
             fetch: None,
             writeback_victim: None,
             replaced_written_line: evicted.is_some_and(|e| e.dirty),
+            hit_written: false,
         }
     }
 
@@ -379,6 +396,26 @@ mod tests {
         assert_eq!(WritePolicy::all().len(), 4);
         for p in WritePolicy::all() {
             assert!(!p.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn hit_written_reports_a_hit_on_an_already_written_line() {
+        for p in WritePolicy::all() {
+            let mut c = cache(p);
+            c.load(pa(0));
+            let first = c.store(pa(1), false);
+            assert!(
+                first.hit && !first.hit_written,
+                "{p:?}: first hit, clean line"
+            );
+            let second = c.store(pa(2), false);
+            assert!(
+                second.hit && second.hit_written,
+                "{p:?}: second hit, written line"
+            );
+            let miss = c.store(pa(8), false);
+            assert!(!miss.hit && !miss.hit_written, "{p:?}: miss");
         }
     }
 

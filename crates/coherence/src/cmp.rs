@@ -51,7 +51,7 @@
 //! read-only and the workload model never writes code pages, so
 //! instruction lines cannot go stale.
 
-use gaas_cache::L1DataCache;
+use gaas_cache::{L1DataCache, StoreOutcome};
 use gaas_mcm::SnoopBus;
 use gaas_sim::config::{ConfigError, SimConfig};
 use gaas_sim::cpi::Counters;
@@ -238,19 +238,26 @@ impl Snoop<'_> {
     }
 
     /// Collects the healed remote sharers of `line` (cores other than
-    /// `c` whose L1-D actually holds it).
+    /// `c` whose L1-D actually holds it). One directory read gives the
+    /// candidates; only a core it records as valid has its L1-D probed,
+    /// and a stale record is healed to Invalid.
     fn remote_sharers(
         &mut self,
         line: PhysAddr,
     ) -> ([(usize, MesiState); MAX_CORES as usize], usize) {
         let mut remotes = [(0usize, MesiState::Invalid); MAX_CORES as usize];
         let mut nr = 0;
+        let states = self.proto.dir.states(line);
         for m in self.remotes() {
-            let resident = self.remote(m).l1d().array().contains(line);
-            let st = self.proto.dir.heal(line, m, resident);
-            if st != MesiState::Invalid {
+            let st = states[m];
+            if st == MesiState::Invalid {
+                continue;
+            }
+            if self.remote(m).l1d().array().contains(line) {
                 remotes[nr] = (m, st);
                 nr += 1;
+            } else {
+                self.proto.dir.set(line, m, MesiState::Invalid);
             }
         }
         (remotes, nr)
@@ -258,24 +265,13 @@ impl Snoop<'_> {
 }
 
 impl Coherence for Snoop<'_> {
-    type Prior = MesiState;
-
-    fn before_store(&mut self, core: &Core, line: PhysAddr, pid: Pid) -> MesiState {
-        if self.bypasses(pid) {
-            // A private line is Modified exactly when resident and
-            // written since its fill, Exclusive when resident and clean.
-            return match core.l1d().array().peek(line) {
-                None => MesiState::Invalid,
-                Some(l) if l.dirty => MesiState::Modified,
-                Some(_) => MesiState::Exclusive,
-            };
-        }
-        let resident = core.l1d().array().contains(line);
-        self.proto.dir.heal(line, self.c, resident)
-    }
-
     /// MESI bookkeeping + cost for a store by the stepping core to `line`
-    /// at time `t0` (`prev_local` read before the array changed).
+    /// at time `t0`. The line's state before the store comes off the
+    /// store's own outcome `o`: a private line was Invalid on a miss,
+    /// Modified on a hit of a line written since its fill, and Exclusive
+    /// otherwise; a shared line's is the directory's, healed by `o.hit`
+    /// (nothing touches the directory between the array write and this
+    /// hook).
     fn store(
         &mut self,
         l1d: &L1DataCache,
@@ -284,9 +280,14 @@ impl Coherence for Snoop<'_> {
         t0: u64,
         line: PhysAddr,
         pid: Pid,
-        prev_local: MesiState,
+        o: &StoreOutcome,
     ) -> u64 {
         if self.bypasses(pid) {
+            let prev_local = match (o.hit, o.hit_written) {
+                (false, _) => MesiState::Invalid,
+                (true, true) => MesiState::Modified,
+                (true, false) => MesiState::Exclusive,
+            };
             // No remote copies: a silent upgrade to Modified if resident.
             if prev_local != MesiState::Modified && l1d.array().contains(line) {
                 counters.mesi_to_m += 1;
@@ -294,6 +295,7 @@ impl Coherence for Snoop<'_> {
             return 0;
         }
         let c = self.c;
+        let prev_local = self.proto.dir.heal(line, c, o.hit);
         let (remotes, nr) = self.remote_sharers(line);
         let mut charge = 0u64;
         // The directory filters: only stores that must reach another
@@ -513,6 +515,38 @@ mod tests {
                     assert_eq!(c0.l1d_read_misses, read_misses, "{case}");
                     assert_eq!(c0.loads, 2, "{case}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_silently_evicted_sharer_costs_a_store_nothing() {
+        // Core 1 loads X, then loads `second`; core 0 misses on eight
+        // code lines first, so its store to X comes last. `shared(4096)`
+        // maps to X's L1-D set (4 KW direct-mapped, one page apart) and
+        // evicts it silently, leaving a stale directory record that the
+        // store's sharer scan must heal; `shared(8)` keeps X resident,
+        // the control that shows the store does find core 1's copy.
+        for (second, invalidations) in [(4096, 0), (8, 1)] {
+            for oracle in [false, true] {
+                let mut core0: Vec<TraceEvent> = (0..8)
+                    .map(|i| TraceEvent::ifetch(code(1, i * 1024), 0))
+                    .collect();
+                core0.push(TraceEvent::store(shared(0)));
+                let core1 = vec![
+                    TraceEvent::ifetch(code(2, 0), 0),
+                    TraceEvent::load(shared(0)),
+                    TraceEvent::ifetch(code(2, 1), 0),
+                    TraceEvent::load(shared(second)),
+                ];
+                let r = run_two(WritePolicy::WriteBack, oracle, core0, core1).expect("coherent");
+                let (c0, c1) = (r.per_core[0], r.per_core[1]);
+                let case = format!("second load {second}, oracle {oracle}");
+                assert_eq!(c1.l1d_read_misses, 2, "{case}");
+                assert_eq!(c0.invalidations, invalidations, "{case}");
+                assert_eq!(c1.mesi_to_i, invalidations, "{case}");
+                assert_eq!(c0.upgrade_misses, 0, "{case}");
+                assert_eq!(c0.coherence_stall_cycles > 0, invalidations > 0, "{case}");
             }
         }
     }

@@ -49,6 +49,15 @@ impl Directory {
             .map_or(MesiState::Invalid, |e| e[core])
     }
 
+    /// The recorded states of `line` in every core's L1-D, by core id,
+    /// in one lookup (possibly stale; see [`Directory::heal`]).
+    pub fn states(&self, line: PhysAddr) -> [MesiState; gaas_sim::MAX_CORES as usize] {
+        self.entries
+            .get(&line.word())
+            .copied()
+            .unwrap_or([MesiState::Invalid; gaas_sim::MAX_CORES as usize])
+    }
+
     /// Records `state` for `line` in `core`'s L1-D, dropping the entry
     /// once no core holds the line (keeps the map proportional to the
     /// *live* shared working set).

@@ -109,30 +109,27 @@ use crate::sim::{Instruments, REF_L2_ACCESS, REF_MEM_CLEAN, REF_MEM_DIRTY};
 /// accelerator, not an architectural structure).
 const TCACHE_WAYS: usize = 256;
 
-/// Coherence hook points of the data side, called by the stepping core.
+/// Coherence hook points of the data side, called by the stepping core:
+/// a store after the L1-D took it, a load miss after its fill, and a
+/// load hit. No hook runs before the array changes: a store's hook
+/// reads the line's prior state off the store's outcome.
 ///
 /// The CMP engine implements this with its MESI directory; the
 /// single-CPU simulator uses [`NoCoherence`], which takes every default:
 /// no protocol traffic. The step functions are generic over the
 /// implementation, so the no-op hooks inline to nothing.
 pub trait Coherence {
-    /// What [`Coherence::before_store`] hands to [`Coherence::store`].
-    type Prior: Copy;
-
     /// Whether the bare kernel may fold all-hit steps into the core's
     /// `PendingRun` (see the module docs): only when every hook below is
     /// empty, since a folded step calls none of them.
     const FOLD: bool = false;
 
-    /// Reads the stepping core's state for the L1-D line `line` of a
-    /// page of `pid` before a store changes the array (a write-allocate
-    /// fill would otherwise make a stale record look freshly resident).
-    fn before_store(&mut self, core: &Core, line: PhysAddr, pid: Pid) -> Self::Prior;
-
     /// Protocol action for a store to `line` (a page of `pid`) at time
-    /// `t0`, after the stepping core's L1-D `l1d` took it and before any
-    /// write-buffer traffic; charges the core's `counters` and returns
-    /// the stall.
+    /// `t0`, after the stepping core's L1-D `l1d` took it with outcome
+    /// `o` and before any write-buffer traffic; charges the core's
+    /// `counters` and returns the stall. The line's state before the
+    /// store is read off `o` (`hit`, `hit_written`), so no probe runs
+    /// ahead of the array write.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn store(
@@ -143,7 +140,7 @@ pub trait Coherence {
         _t0: u64,
         _line: PhysAddr,
         _pid: Pid,
-        _prior: Self::Prior,
+        _o: &StoreOutcome,
     ) -> u64 {
         0
     }
@@ -173,12 +170,7 @@ pub trait Coherence {
 pub struct NoCoherence;
 
 impl Coherence for NoCoherence {
-    type Prior = ();
-
     const FOLD: bool = true;
-
-    #[inline(always)]
-    fn before_store(&mut self, _: &Core, _: PhysAddr, _: Pid) {}
 }
 
 /// [`NoCoherence`] without the fold: every step runs its rule, for
@@ -186,12 +178,7 @@ impl Coherence for NoCoherence {
 /// ([`Simulator::step`](crate::Simulator::step)).
 pub(crate) struct Unfolded;
 
-impl Coherence for Unfolded {
-    type Prior = ();
-
-    #[inline(always)]
-    fn before_store(&mut self, _: &Core, _: PhysAddr, _: Pid) {}
-}
+impl Coherence for Unfolded {}
 
 /// Cycles an L1 refill of `line_words` takes from an L2 hit: the access
 /// time covers the first 4W beat; each further 4W beat adds a cycle.
@@ -586,9 +573,16 @@ pub(crate) trait StepHooks {
         recorded
     }
 
-    /// The coherence stall of the step's L1-D action (a load fill or a
-    /// store of `pid`) at its bus time `t0`, charged to `lane`.
-    fn coherence(&mut self, _lane: &mut Lane, _t0: u64, _pid: u8) -> u64 {
+    /// The coherence stall of the step's L1-D action (a load fill, or a
+    /// store of `pid` with outcome `store`) at its bus time `t0`, charged
+    /// to `lane`.
+    fn coherence(
+        &mut self,
+        _lane: &mut Lane,
+        _t0: u64,
+        _pid: u8,
+        _store: Option<&StoreOutcome>,
+    ) -> u64 {
         0
     }
 }
@@ -785,7 +779,7 @@ impl Lane {
         let mut l2 = 0;
         if let Some(line) = o.fetch {
             self.counters.l1d_read_misses += 1;
-            cycles += h.coherence(self, self.now + cycles, pid);
+            cycles += h.coherence(self, self.now + cycles, pid, None);
             let (t, victim) = (self.now + cycles, o.writeback_victim);
             let stall;
             (stall, l2) = self.fetch_d_line(h, t, line, o.replaced_written_line, victim, codes);
@@ -822,7 +816,7 @@ impl Lane {
             self.counters.l1_write_cycles += 1;
             cycles += 1;
         }
-        cycles += h.coherence(self, self.now + cycles, pid);
+        cycles += h.coherence(self, self.now + cycles, pid, Some(o));
         if let Some(word) = o.wb_word {
             cycles += self.enqueue(h, self.now + cycles, word, codes.word);
         }
@@ -938,9 +932,8 @@ struct Live<'a, const HOOKS: bool, const REC: bool, C: Coherence> {
     l1i: &'a mut CacheArray,
     l1d: &'a L1DataCache,
     coh: &'a mut C,
-    /// The step's physical address, and a store's coherence prior.
+    /// The step's physical address.
     paddr: PhysAddr,
-    prior: Option<C::Prior>,
     /// Whether the line the last refill hit in L2 was dirty.
     l2_dirty: bool,
 }
@@ -1006,13 +999,18 @@ impl<const HOOKS: bool, const REC: bool, C: Coherence> StepHooks for Live<'_, HO
         code
     }
 
-    /// A store's step carries its prior; a load's does not.
     #[inline(always)]
-    fn coherence(&mut self, lane: &mut Lane, t0: u64, pid: u8) -> u64 {
+    fn coherence(
+        &mut self,
+        lane: &mut Lane,
+        t0: u64,
+        pid: u8,
+        store: Option<&StoreOutcome>,
+    ) -> u64 {
         let line = self.l1d.array().geometry().line_base(self.paddr);
         let (c, ux, pid) = (&mut lane.counters, &mut *self.ux, Pid::new(pid));
-        match self.prior {
-            Some(prior) => self.coh.store(self.l1d, c, ux, t0, line, pid, prior),
+        match store {
+            Some(o) => self.coh.store(self.l1d, c, ux, t0, line, pid, o),
             None => self.coh.load_fill(c, ux, t0, line, pid),
         }
     }
@@ -1319,14 +1317,13 @@ impl Core {
     }
 
     /// Splits the core into its timing half and the [`Live`] hooks that
-    /// step it: the step at `paddr`, with a store's coherence `prior`.
+    /// step it: the step at `paddr`.
     #[inline(always)]
     fn live<'a, const HOOKS: bool, const REC: bool, C: Coherence>(
         &'a mut self,
         ux: &'a mut Uncore,
         coh: &'a mut C,
         paddr: PhysAddr,
-        prior: Option<C::Prior>,
     ) -> (&'a mut Lane, Live<'a, HOOKS, REC, C>) {
         let hooks = Live {
             ux,
@@ -1335,7 +1332,6 @@ impl Core {
             l1d: &self.l1d,
             coh,
             paddr,
-            prior,
             l2_dirty: false,
         };
         (&mut self.lane, hooks)
@@ -1477,7 +1473,7 @@ impl Core {
             ux.ins.recorder().begin_instr(pid, stall, f.itlb_miss);
         }
         let coh = &mut NoCoherence;
-        let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr, None);
+        let (lane, mut h) = self.live::<HOOKS, REC, _>(ux, coh, paddr);
         lane.ifetch(&mut h, pid, u64::from(stall), f.itlb_miss, outcome);
         if let Some(before) = diff_before {
             self.diff_note(ux, ev, paddr, before);
@@ -1562,7 +1558,7 @@ impl Core {
         if outcome.hit {
             coh.load_hit(self, self.l1d.array().geometry().line_base(paddr));
         }
-        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr, None);
+        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr);
         lane.load(&mut h, pid, !dtlb_hit, &outcome, Codes::default());
         if let Some(before) = diff_before {
             self.diff_note(ux, ev, paddr, before);
@@ -1577,11 +1573,9 @@ impl Core {
         ev: &TraceEvent,
         held: Option<HeldFetch>,
     ) {
-        let pid = ev.addr.pid();
+        let pid = ev.addr.pid().raw();
         let diff_before = (HOOKS && ux.ins.diff.is_some()).then_some(self.lane.counters);
         let (dtlb_hit, paddr) = self.page::<HOOKS>(ux, false, ev.addr);
-        let line = self.l1d.array().geometry().line_base(paddr);
-        let prior = coh.before_store(self, line, pid);
         let outcome = self.l1d.store(paddr, ev.partial_word);
         self.fnow += u64::from(outcome.extra_cycle);
         if let Some(f) = held {
@@ -1598,8 +1592,8 @@ impl Core {
         if REC {
             ux.ins.recorder().begin_store(!dtlb_hit, &outcome);
         }
-        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr, Some(prior));
-        lane.store(&mut h, pid.raw(), !dtlb_hit, &outcome, Codes::default());
+        let (lane, mut h) = self.live::<HOOKS, REC, C>(ux, coh, paddr);
+        lane.store(&mut h, pid, !dtlb_hit, &outcome, Codes::default());
         if let Some(before) = diff_before {
             self.diff_note(ux, ev, paddr, before);
         }

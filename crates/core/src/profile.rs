@@ -678,6 +678,8 @@ pub fn price_profiles(
                         fetch: None,
                         writeback_victim: None,
                         replaced_written_line: ext & EXT_REPLACED != 0,
+                        // Read only by coherence, which no lane calls.
+                        hit_written: false,
                     };
                     let word = next_op(o.wb_word.is_some());
                     o.fetch = (sb & STORE_FETCH != 0).then(&mut next_addr);

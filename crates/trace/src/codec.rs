@@ -71,9 +71,8 @@ const CTL_WIDTH_SHIFT: u8 = 4;
 const CTL_STALL_BIT: u8 = 0x40;
 const CTL_RESERVED_BIT: u8 = 0x80;
 
-/// Delta byte widths by control-byte width code.
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-/// Value masks by width code (low 8·width bits).
+/// Value masks by control-byte width code `k`, whose delta is `1 << k`
+/// bytes wide (low 8·2^k bits).
 const WIDTH_MASKS: [u64; 4] = [0xff, 0xffff, 0xffff_ffff, u64::MAX];
 
 /// Packs one event into the `(raw address, meta word)` pair the arena
@@ -207,7 +206,7 @@ pub fn encode_block(out: &mut Vec<u8>, addrs: &[u64], meta: &[u16]) -> usize {
         if stall != 0 {
             out.push(stall);
         }
-        out.extend_from_slice(&z.to_le_bytes()[..WIDTHS[usize::from(code)]]);
+        out.extend_from_slice(&z.to_le_bytes()[..1 << code]);
     }
     let payload_len = (out.len() - payload_start) as u32;
     out[start + 4..start + 8].copy_from_slice(&payload_len.to_le_bytes());
@@ -279,7 +278,7 @@ fn decode_one(payload: &[u8], pos: &mut usize) -> Option<(u16, u64)> {
     } else {
         0
     };
-    let width = WIDTHS[usize::from((ctl >> CTL_WIDTH_SHIFT) & 3)];
+    let width = 1 << ((ctl >> CTL_WIDTH_SHIFT) & 3);
     let bytes = payload.get(p..p + width)?;
     let mut z = 0u64;
     for (i, &b) in bytes.iter().enumerate() {
@@ -323,7 +322,9 @@ fn decode_payload(
         let w = u64::from_le_bytes(payload[doff..doff + 8].try_into().expect("8 bytes"));
         let code = usize::from((ctl >> CTL_WIDTH_SHIFT) & 3);
         let z = w & WIDTH_MASKS[code];
-        pos = doff + WIDTHS[code];
+        // Width code k means 2^k bytes: a shift, not a table load on the
+        // serial chain from one event's position to the next.
+        pos = doff + (1 << code);
         let kind = usize::from(ctl & 3);
         prev[kind] = prev[kind].wrapping_add(unzigzag(z) as u64);
         let meta = u16::from(ctl & CTL_META_MASK) | (u16::from(stall) << STALL_SHIFT);

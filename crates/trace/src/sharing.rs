@@ -84,15 +84,17 @@ impl<T: Trace> SharingTrace<T> {
         }
     }
 
-    /// Redirects one data reference into the shared segment if this
-    /// draw selects it.
-    fn decorate(&mut self, ev: &mut TraceEvent) {
-        if !ev.kind.is_data() {
-            return;
-        }
-        if self.rng.next_u64() >> F64_DRAW_SHIFT >= self.t_shared {
-            return;
-        }
+    /// Whether this data reference's draw selects the shared segment.
+    #[inline(always)]
+    fn draw_shared(&mut self) -> bool {
+        self.rng.next_u64() >> F64_DRAW_SHIFT < self.t_shared
+    }
+
+    /// Redirects a data reference the draw selected into this core's
+    /// hot window, rotating the window every `migration_interval`
+    /// shared references.
+    #[cold]
+    fn redirect(&mut self, ev: &mut TraceEvent) {
         let offset = self.window * self.window_words + self.rng.gen_range(0..self.window_words);
         ev.addr = VirtAddr::new(SHARED_PID, offset);
         if self.migration_interval > 0 {
@@ -110,7 +112,9 @@ impl<T: Trace> Iterator for SharingTrace<T> {
 
     fn next(&mut self) -> Option<TraceEvent> {
         let mut ev = self.inner.next()?;
-        self.decorate(&mut ev);
+        if ev.kind.is_data() && self.draw_shared() {
+            self.redirect(&mut ev);
+        }
         Some(ev)
     }
 }
@@ -120,11 +124,25 @@ impl<T: Trace> Trace for SharingTrace<T> {
         self.inner.name()
     }
 
+    /// Decorates the inner batch 64 events at a time: a branch-free
+    /// pass builds the chunk's data-event mask, then one draw per set
+    /// bit, in order, consumes the PRNG exactly as [`Iterator::next`]
+    /// does, so fetches cost no branch and no draw.
     fn next_batch(&mut self, out: &mut Vec<TraceEvent>, max: usize) -> usize {
         let start = out.len();
         let n = self.inner.next_batch(out, max);
-        for ev in &mut out[start..start + n] {
-            self.decorate(ev);
+        for chunk in out[start..start + n].chunks_mut(64) {
+            let mut data = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (i, ev)| m | u64::from(ev.kind.is_data()) << i);
+            while data != 0 {
+                let i = data.trailing_zeros() as usize;
+                data &= data - 1;
+                if self.draw_shared() {
+                    self.redirect(&mut chunk[i]);
+                }
+            }
         }
         n
     }
@@ -191,6 +209,42 @@ mod tests {
         let mut batched = Vec::new();
         while t.next_batch(&mut batched, 17) > 0 {}
         assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn mask_batches_equal_per_event_decoration() {
+        // Runs of 100 fetches and of 150 data references straddle the
+        // 64-event chunks, so chunks with no data event, chunks of only
+        // data events and mixed chunks all occur.
+        let a = VirtAddr::new(Pid::new(3), 0x1000);
+        let evs: Vec<TraceEvent> = (0..40u64)
+            .flat_map(|r| {
+                let fetches =
+                    (0..100).map(move |i| TraceEvent::ifetch(a.wrapping_add(r * 512 + i), 0));
+                let data = (0..150).map(move |i| {
+                    let w = a.wrapping_add(8192 + r * 512 + i);
+                    if i % 3 == 0 {
+                        TraceEvent::store(w)
+                    } else {
+                        TraceEvent::load(w)
+                    }
+                });
+                fetches.chain(data).chain(base_events(7))
+            })
+            .collect();
+        for frac in [0.1, 1.0] {
+            let mut s = spec(frac);
+            s.migration_interval = 37;
+            let serial: Vec<_> =
+                SharingTrace::new(VecTrace::new("t", evs.clone()), 1, &s).collect();
+            assert!(serial.iter().any(|e| e.addr.pid() == SHARED_PID));
+            for batch in [1, 63, 64, 65, 4096] {
+                let mut t = SharingTrace::new(VecTrace::new("t", evs.clone()), 1, &s);
+                let mut batched = Vec::new();
+                while t.next_batch(&mut batched, batch) > 0 {}
+                assert_eq!(batched, serial, "shared_frac {frac}, batch {batch}");
+            }
+        }
     }
 
     #[test]
